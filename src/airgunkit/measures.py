@@ -26,7 +26,8 @@ def window_energy(window: SampleBuffer) -> float:
     """Integrated squared pressure over the window, in uPa^2 s."""
     _check_window(window)
     x = window.samples
-    return float(np.dot(x, x)) / window.sample_rate_hz
+    # einsum reduces in-thread; np.dot hands long windows to BLAS threads
+    return float(np.einsum("i,i->", x, x)) / window.sample_rate_hz
 
 
 def spl(window: SampleBuffer) -> float:
@@ -122,8 +123,12 @@ def csel_update(acc: CselAccumulator, window: SampleBuffer) -> tuple[CselAccumul
     update, or None while the accumulated energy is still zero.  A zero-energy
     window is a counted no-op on the energy sum.
     """
-    energy = window_energy(window)
-    nxt = CselAccumulator(acc.energy_upa2s + energy, acc.n_windows + 1)
+    return csel_add(acc, window_energy(window))
+
+
+def csel_add(acc: CselAccumulator, energy_upa2s: float) -> tuple[CselAccumulator, float | None]:
+    """Fold one already-measured window energy into the accumulator (see csel_update)."""
+    nxt = CselAccumulator(acc.energy_upa2s + energy_upa2s, acc.n_windows + 1)
     if nxt.energy_upa2s <= 0.0:
         return nxt, None
     return nxt, nxt.csel_db

@@ -12,21 +12,28 @@ time and carry the literal token ``NA`` for all four level measures; NA cells
 still count as emitted feature points.  Times print with 9 fractional
 digits, levels and linear pressures with 6; written catalogs parse back to
 the exact same tokens.
+
+RecordBuilder turns the pulses of one (channel, weighting) stream into
+records while detect_pulses streams it: bounds and windows are sliced from
+the detector's rolling buffer of filtered samples, so no sample is read or
+filtered twice.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import RunError
-from .measures import CselAccumulator, csel_update, measure_peaks, window_energy
-from .pulse_detect import PulseEvent
-from .signal_io import ChannelManifest, SampleBuffer, iter_chunks
-from .weighting import CANONICAL_ORDER, WeightingKind, WeightingSpec, apply_filter, design_filter
+from .measures import CselAccumulator, csel_add, window_energy
+from .pulse_detect import PulseEvent, PulseScanner
+from .signal_io import ChannelManifest, RollingBuffer, SampleBuffer
+from .weighting import CANONICAL_ORDER, WeightingKind
+from .weighting import apply_filter  # noqa: F401 (perfbench's tracer patches pipeline.apply_filter)
 from .windows import (
     LATE_WINDOW_COUNT,
     LATE_WINDOW_S,
@@ -128,7 +135,7 @@ def _levels(window: SampleBuffer, acc: CselAccumulator) -> tuple[LevelSet, CselA
     """
     peak = float(np.max(np.abs(window.samples))) if len(window) else 0.0
     energy = window_energy(window)
-    acc, csel_db = csel_update(acc, window)
+    acc, csel_db = csel_add(acc, energy)
     if energy > 0.0:
         sel_db = 10.0 * math.log10(energy)
         leq_db = sel_db - 10.0 * math.log10(window.duration_s)
@@ -185,111 +192,64 @@ def extract_record(
 # streaming extraction over one (channel, weighting) stream
 
 
-def extract_stream(
-    cm: ChannelManifest,
-    kind: WeightingKind,
-    events: Sequence[PulseEvent],
-    chunk_s: float = 60.0,
-) -> list[FeatureRecord]:
-    """Second pass: re-read and re-filter the stream, measure every pulse.
+class RecordBuilder:
+    """Builds the records of one weighted stream as detect_pulses streams it.
 
-    The filter state machine reproduces the detection pass bit for bit, so
-    bounds and levels are measured on exactly the samples detection saw.  A
-    rolling buffer keeps memory bounded: pulse k is finalized once the stream
-    covers its last late window and the next pulse's search span (whichever
-    is later), or at end of stream.
+    Called after every scan (see pulse_detect.StreamConsumer), it measures
+    each newly kept pulse's energy bounds from the rolling buffer and
+    assembles pulse k's record as soon as its late window validity is
+    settled: once pulse k+1's bounds are known, once the scanner rules out
+    any later pulse starting before k's last late window ends (and the buffer
+    covers that window), or at end of stream.  It returns the start of the
+    oldest pending pulse's early window, the first sample it still needs.
     """
-    fs = cm.sample_rate_hz
-    t0 = cm.start_time_s
-    w_samp = round(LATE_WINDOW_S * fs)
-    n = len(events)
-    n_total = cm.n_samples
 
-    def t_index(t_s: float) -> int:
-        return round((t_s - t0) * fs)
+    def __init__(self, cm: ChannelManifest, kind: WeightingKind) -> None:
+        self.cm = cm
+        self.weighting = kind.value
+        self.w_samp = round(LATE_WINDOW_S * cm.sample_rate_hz)
+        self.records: list[FeatureRecord] = []
+        self.t_a_drops = 0
+        self._pending: deque[tuple[PulseEvent, EnergyBounds]] = deque()
+        self._csel = StreamCselState()
 
-    spans = [
-        (ev.search_start_index, min(ev.search_end_index, n_total)) for ev in events
-    ]
-    bounds: list[EnergyBounds | None] = [None] * n
-    records: list[FeatureRecord] = []
-    csel = StreamCselState()
-
-    state = design_filter(WeightingSpec(kind), fs)
-    buf = np.empty(0)
-    buf_start = 0
-    end = 0
-    k = 0  # next pulse to finalize
-
-    def compute_bounds(j: int) -> None:
-        s, e = spans[j]
-        window = SampleBuffer(buf[s - buf_start : e - buf_start], fs, t0 + s / fs, cm.channel_id)
-        bounds[j] = energy_bounds(window)
-
-    def slice_windows(j: int) -> tuple[WindowLayout, SampleBuffer, list[SampleBuffer | None]]:
-        bj = bounds[j]
-        assert bj is not None
-        nxt = bounds[j + 1] if j + 1 < n else None
-        layout = layout_windows(bj, next_bounds=nxt, data_end_s=t0 + n_total / fs)
-        e5 = t_index(bj.t_5th_s)
-        e95 = t_index(bj.t_95th_s)
-        early = SampleBuffer(buf[e5 - buf_start : e95 + 1 - buf_start], fs, t0 + e5 / fs, cm.channel_id)
-        late: list[SampleBuffer | None] = []
-        for i, ok in enumerate(layout.late_valid):
-            if not ok:
-                late.append(None)
-                continue
-            a = e95 + i * w_samp
-            late.append(SampleBuffer(buf[a - buf_start : a + w_samp - buf_start], fs, t0 + a / fs, cm.channel_id))
-        return layout, early, late
-
-    def finalize_ready(eos: bool) -> None:
-        nonlocal k
-        while k < n:
-            if bounds[k] is None:
-                if not eos:
-                    break
-                compute_bounds(k)
-            bk = bounds[k]
-            assert bk is not None
-            last_end = t_index(bk.t_95th_s) + LATE_WINDOW_COUNT * w_samp
-            if k + 1 < n and spans[k + 1][0] < last_end and bounds[k + 1] is None:
-                if not eos:
-                    break
-                compute_bounds(k + 1)
-            if min(last_end, n_total) > end and not eos:
+    def __call__(self, buf: RollingBuffer, kept: list[PulseEvent], scanner: PulseScanner,
+                 final: bool) -> int:
+        n_total = self.cm.n_samples
+        for ev in kept:
+            span = self._window(buf, ev.search_start_index, min(ev.search_end_index, n_total))
+            self._pending.append((ev, energy_bounds(span)))
+        while self._pending:
+            ev, bk = self._pending[0]
+            e95 = self._index(bk.t_95th_s)
+            if len(self._pending) > 1:
+                nxt: EnergyBounds | None = self._pending[1][1]
+            elif final or e95 + LATE_WINDOW_COUNT * self.w_samp <= min(buf.end, scanner.keep_from):
+                nxt = None
+            else:
                 break
-            layout, early, late = slice_windows(k)
-            records.append(
-                extract_record(
-                    events[k], layout, early, late, csel,
-                    weighting=kind.value, pulse_index=k,
-                )
-            )
-            k += 1
+            layout = layout_windows(bk, next_bounds=nxt, data_end_s=self.cm.end_time_s)
+            late = [
+                self._window(buf, a, a + self.w_samp) if ok else None
+                for a, ok in zip(range(e95, e95 + LATE_WINDOW_COUNT * self.w_samp, self.w_samp),
+                                 layout.late_valid)
+            ]
+            early = self._window(buf, self._index(bk.t_5th_s), e95 + 1)
+            self.records.append(extract_record(
+                ev, layout, early, late, self._csel,
+                weighting=self.weighting, pulse_index=len(self.records),
+            ))
+            self._pending.popleft()
+        self.t_a_drops = scanner.t_a_drops
+        return self._index(self._pending[0][1].t_5th_s) if self._pending else buf.end
 
-    for chunk in iter_chunks(cm, chunk_s):
-        state, filt = apply_filter(state, chunk)
-        buf = np.concatenate((buf, filt.samples)) if len(buf) else filt.samples
-        end = buf_start + len(buf)
-        for j in range(k, n):
-            if bounds[j] is not None:
-                continue
-            if spans[j][1] > end:
-                break
-            compute_bounds(j)
-        finalize_ready(eos=False)
-        if k < n:
-            bk = bounds[k]
-            keep_from = t_index(bk.t_5th_s) if bk is not None else spans[k][0]
-        else:
-            keep_from = end
-        if keep_from > buf_start:
-            buf = buf[keep_from - buf_start :]
-            buf_start = keep_from
+    def _index(self, t_s: float) -> int:
+        return round((t_s - self.cm.start_time_s) * self.cm.sample_rate_hz)
 
-    finalize_ready(eos=True)
-    return records
+    def _window(self, buf: RollingBuffer, a: int, b: int) -> SampleBuffer:
+        cm = self.cm
+        return SampleBuffer(buf.view(a, b), cm.sample_rate_hz,
+                            cm.start_time_s + a / cm.sample_rate_hz, cm.channel_id)
 
 
 # ---------------------------------------------------------------------------

@@ -1,34 +1,43 @@
-"""Threshold pulse detection over chunked sample streams.
+"""Threshold pulse detection over a streamed sample buffer.
 
 An excursion is a maximal run of samples with |p| at or above the detection
 threshold.  Each excursion nominates its largest-|p| sample (earliest on
-ties) as an anchor; anchors closer than min_ipi_s to the last accepted pulse
+ties) as an anchor; anchors closer than min_ipi_s to the last accepted anchor
 are discarded.  Around each accepted anchor a fixed search window, 0.5 s
 before to 1.0 s after, is measured for the positive and negative pressure
-extremes; the positive extreme defines the pulse time t_A.
+extremes; the positive extreme defines the pulse time t_A.  A pulse whose t_A
+lies closer than min_ipi_s to the t_A of the last kept pulse is dropped, and
+the drop is counted.
 
-The detector is streaming: chunks are processed with a carried tail so every
-anchor is decided exactly once with its full search window in view, and the
-chunked result matches detection over one long buffer event for event.  An
-excursion still above threshold at the end of a view is carried whole into
-the next view (capped at MAX_CARRY_S, so invariance holds for excursions
-shorter than that; airgun pulses are milliseconds long).
+The scan is streaming.  A PulseScanner reads the samples appended to a
+RollingBuffer, decides every anchor once with its full search window in
+view, and names through ``keep_from`` the first sample it may still need.
+detect_pulses is the one loop over a chunk stream: it appends each chunk to
+the buffer once, scans it, and hands the kept pulses to an optional consumer
+that measures them from the same buffer (the extraction pipeline's record
+builder).  Any chunking gives the events of one whole buffer.
+
+An excursion longer than MAX_EXCURSION_S is cut into pieces of that length,
+counted from its first sample, and each piece nominates its own anchor: this
+bounds the samples the scanner holds without letting chunk boundaries change
+the result.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import DetectionError
 from .measures import measure_peaks
-from .signal_io import SampleBuffer
+from .signal_io import RollingBuffer, SampleBuffer
 
 SEARCH_BEFORE_S = 0.5
 SEARCH_AFTER_S = 1.0
-MAX_CARRY_S = 15.0
+MAX_EXCURSION_S = 15.0
 
 
 @dataclass(frozen=True)
@@ -87,57 +96,127 @@ class PulseEvent:
     ipi_s: float | None = None
 
 
-class _StreamState:
-    """Mutable per-stream detector state across chunks."""
+class _OpenPiece(NamedTuple):
+    """The excursion piece still above threshold at the scanned end."""
 
-    __slots__ = (
-        "fs", "t0", "channel_id", "pre", "post", "min_gap", "carry_cap",
-        "carry", "carry_start", "next_start", "processed_upto", "last_anchor",
-        "events",
-    )
-
-    def __init__(self, first: SampleBuffer, cfg: DetectorConfig) -> None:
-        self.fs = first.sample_rate_hz
-        self.t0 = first.start_time_s
-        self.channel_id = first.channel_id
-        self.pre = round(cfg.before_s * self.fs)
-        self.post = round(cfg.after_s * self.fs)
-        self.min_gap = round(cfg.min_ipi_s * self.fs)
-        self.carry_cap = round(MAX_CARRY_S * self.fs)
-        self.carry = np.empty(0)
-        self.carry_start = 0
-        self.next_start = 0
-        self.processed_upto = -1
-        self.last_anchor: int | None = None
-        self.events: list[PulseEvent] = []
+    run_start: int
+    piece: int
+    peak: float
+    anchor: int
 
 
-def _excursion_spans(mask: np.ndarray) -> list[tuple[int, int]]:
-    """[start, end) index pairs of the True runs in a boolean mask."""
-    if not mask.any():
-        return []
-    d = np.diff(np.concatenate(([0], mask.view(np.int8), [0])))
-    starts = np.flatnonzero(d == 1)
-    ends = np.flatnonzero(d == -1)
-    return list(zip(starts.tolist(), ends.tolist()))
+class PulseScanner:
+    """Streaming detector state of one sample stream.
 
+    Call ``scan`` after each append to the RollingBuffer, then trim the
+    buffer no further than ``keep_from``; call ``scan(buf, final=True)`` once
+    at end of stream.  ``t_a_drops`` counts the pulses dropped by the t_A
+    spacing rule.
+    """
 
-def _emit(state: _StreamState, view: np.ndarray, view_start: int, anchor: int) -> None:
-    """Accept one anchor: measure its search window and append the event."""
-    lo = max(anchor - state.pre, 0)
-    hi = anchor + state.post
-    a, b = lo - view_start, min(hi, view_start + len(view)) - view_start
-    assert a >= 0, "search window fell before the carried view"
-    window = SampleBuffer(
-        samples=view[a:b],
-        sample_rate_hz=state.fs,
-        start_time_s=state.t0 + lo / state.fs,
-        channel_id=state.channel_id,
-    )
-    pk = measure_peaks(window)
-    state.events.append(
-        PulseEvent(
-            channel_id=state.channel_id,
+    def __init__(self, config: DetectorConfig, sample_rate_hz: float,
+                 start_time_s: float = 0.0, channel_id: int = 0) -> None:
+        self.fs = sample_rate_hz
+        self.t0 = start_time_s
+        self.channel_id = channel_id
+        self.threshold = config.threshold_upa
+        self.min_ipi_s = config.min_ipi_s
+        self.pre = round(config.before_s * self.fs)
+        self.post = round(config.after_s * self.fs)
+        self.min_gap = round(config.min_ipi_s * self.fs)
+        self.piece_len = round(MAX_EXCURSION_S * self.fs)
+        self.t_a_drops = 0
+        self._pos = 0  # first sample not scanned yet
+        self._open: _OpenPiece | None = None
+        self._last_anchor: int | None = None
+        self._waiting: deque[int] = deque()  # accepted anchors awaiting their window
+        self._last_t_a: float | None = None
+
+    @property
+    def keep_from(self) -> int:
+        """First sample a later scan may read; no later pulse's search window starts before it."""
+        if self._waiting:
+            first = self._waiting[0]
+        elif self._open is not None:
+            first = self._open.anchor
+        else:
+            first = self._pos
+        return max(first - self.pre, 0)
+
+    def scan(self, buf: RollingBuffer, final: bool = False) -> list[PulseEvent]:
+        """Scan the samples appended since the last call; return the newly kept pulses.
+
+        ``final`` marks the end of the stream: the open excursion closes and
+        search windows are cut at the last sample.
+        """
+        for anchor in self._anchors(buf.view(self._pos, buf.end), final):
+            if self._last_anchor is None or anchor - self._last_anchor >= self.min_gap:
+                self._waiting.append(anchor)
+                self._last_anchor = anchor
+        self._pos = buf.end
+        kept: list[PulseEvent] = []
+        # accepted anchors are at least min_ipi_s apart, more than one search
+        # window, so pulses come out in t_A order
+        while self._waiting and (final or self._waiting[0] + self.post <= buf.end):
+            ev = self._measure(buf, self._waiting.popleft())
+            if self._last_t_a is not None and ev.t_pos_s - self._last_t_a < self.min_ipi_s:
+                self.t_a_drops += 1
+                continue
+            self._last_t_a = ev.t_pos_s
+            kept.append(ev)
+        return kept
+
+    def _anchors(self, x: np.ndarray, final: bool) -> list[int]:
+        """Anchors of the excursion pieces that end in ``x``, the samples from ``_pos`` on.
+
+        A piece still above threshold at the end of ``x`` stays open unless
+        ``final``.  Every piece's largest |p| is found in one pass over the
+        above-threshold samples; its anchor is the first sample equal to it.
+        """
+        if len(x) == 0 and not final:
+            return []
+        op, self._open = self._open, None
+        idx = np.flatnonzero((x >= self.threshold) | (x <= -self.threshold))
+        if idx.size == 0:
+            return [] if op is None else [op.anchor]
+        g = idx + self._pos
+        gaps = np.diff(idx) != 1
+        run_first = np.concatenate(([0], np.flatnonzero(gaps) + 1))
+        run_start = g[run_first]
+        continues = op is not None and idx[0] == 0
+        if continues:
+            run_start[0] = op.run_start
+        piece = (g - np.repeat(run_start, np.diff(run_first, append=idx.size))) // self.piece_len
+        first = np.concatenate(([0], np.flatnonzero(gaps | (np.diff(piece) != 0)) + 1))
+        mag = np.abs(x[idx])
+        peaks = np.maximum.reduceat(mag, first)
+        hits = np.flatnonzero(mag == np.repeat(peaks, np.diff(first, append=idx.size)))
+        anchors = g[hits[np.searchsorted(hits, first)]].tolist()
+        closed: list[int] = []
+        if op is not None:
+            if continues and piece[0] == op.piece:
+                if op.peak >= peaks[0]:  # the earlier sample wins a tie
+                    anchors[0] = op.anchor
+                    peaks[0] = op.peak
+            else:
+                closed.append(op.anchor)
+        if not final and idx[-1] == len(x) - 1:
+            self._open = _OpenPiece(int(run_start[-1]), int(piece[-1]), float(peaks[-1]), anchors.pop())
+        return closed + anchors
+
+    def _measure(self, buf: RollingBuffer, anchor: int) -> PulseEvent:
+        """Measure one accepted anchor's search window, cut at the buffer end."""
+        lo = max(anchor - self.pre, 0)
+        hi = anchor + self.post
+        window = SampleBuffer(
+            samples=buf.view(lo, min(hi, buf.end)),
+            sample_rate_hz=self.fs,
+            start_time_s=self.t0 + lo / self.fs,
+            channel_id=self.channel_id,
+        )
+        pk = measure_peaks(window)
+        return PulseEvent(
+            channel_id=self.channel_id,
             t_pos_s=pk.t_pos_s,
             p_pos_upa=pk.p_pos_upa,
             p_pos_db=pk.p_pos_db,
@@ -149,93 +228,53 @@ def _emit(state: _StreamState, view: np.ndarray, view_start: int, anchor: int) -
             search_end_index=hi,
             anchor_index=anchor,
         )
-    )
-    state.last_anchor = anchor
 
 
-def _scan_view(state: _StreamState, view: np.ndarray, view_start: int,
-               threshold: float, final: bool) -> None:
-    """Decide every anchor in the view whose outcome can no longer change.
-
-    An excursion is decidable once it is complete and its anchor's search
-    window fits in the view.  The first undecidable excursion (and everything
-    after it) is deferred: the carry keeps it whole, with 0.5 s of context
-    before it, and the decided-boundary does not advance past its start.
-    """
-    view_end = view_start + len(view)
-    mask = np.abs(view) >= threshold
-
-    # anchors need their full search window in view before they are decided
-    decide_upto = view_end if final else view_end - state.post
-    keep_from = view_end - (state.pre + state.post)
-
-    for s, e in _excursion_spans(mask):
-        gs, ge = view_start + s, view_start + e
-        if not final and ge > decide_upto:
-            decide_upto = min(decide_upto, gs)
-            keep_from = min(keep_from, gs - state.pre)
-            break
-        anchor = gs + int(np.argmax(np.abs(view[s:e])))
-        if anchor <= state.processed_upto:
-            continue  # already decided in an earlier view
-        if state.last_anchor is None or anchor - state.last_anchor >= state.min_gap:
-            _emit(state, view, view_start, anchor)
-
-    state.processed_upto = max(state.processed_upto, decide_upto - 1)
-    if final:
-        state.carry = np.empty(0)
-        return
-    keep_from = max(keep_from, view_start, view_end - state.carry_cap)
-    state.carry = view[keep_from - view_start :].copy()
-    state.carry_start = keep_from
+# consumer(buf, kept, scanner, final) -> first sample it still needs
+StreamConsumer = Callable[[RollingBuffer, list[PulseEvent], PulseScanner, bool], int]
 
 
-def detect_pulses(chunks: Iterable[SampleBuffer], config: DetectorConfig) -> list[PulseEvent]:
+def detect_pulses(chunks: Iterable[SampleBuffer], config: DetectorConfig,
+                  consumer: StreamConsumer | None = None) -> list[PulseEvent]:
     """Run threshold detection over an in-order chunk stream.
 
     Chunks must be contiguous (each starting where the previous ended) and
     share one sample rate; violations raise DetectionError.  Returns events
     ordered by time with ipi_s filled between consecutive events.
+
+    A ``consumer`` is called after every scan with the rolling buffer, the
+    newly kept pulses and the scanner, and once more with ``final`` at end of
+    stream; the buffer is trimmed no further than the sample it returns.
     """
-    threshold = config.threshold_upa
-    state: _StreamState | None = None
-
+    scanner: PulseScanner | None = None
+    buf = RollingBuffer()
+    events: list[PulseEvent] = []
     for chunk in chunks:
-        if state is None:
-            state = _StreamState(chunk, config)
+        if scanner is None:
+            scanner = PulseScanner(config, chunk.sample_rate_hz, chunk.start_time_s, chunk.channel_id)
         else:
-            if chunk.sample_rate_hz != state.fs:
+            if chunk.sample_rate_hz != scanner.fs:
                 raise DetectionError("sample rate changed mid-stream")
-            got = round((chunk.start_time_s - state.t0) * state.fs)
-            if got != state.next_start:
+            got = round((chunk.start_time_s - scanner.t0) * scanner.fs)
+            if got != buf.end:
                 raise DetectionError(
-                    f"chunk starts at sample {got}, expected {state.next_start} (stream must be contiguous)"
+                    f"chunk starts at sample {got}, expected {buf.end} (stream must be contiguous)"
                 )
-        view = np.concatenate((state.carry, chunk.samples)) if len(state.carry) else chunk.samples
-        _scan_view(state, view, state.next_start - len(state.carry), threshold, final=False)
-        state.next_start += len(chunk)
-
-    if state is None:
+        buf.append(chunk.samples)
+        del chunk  # a chunk can be hundreds of MB: free it before the next is read
+        kept = scanner.scan(buf)
+        events += kept
+        keep_from = scanner.keep_from
+        if consumer is not None:
+            keep_from = min(keep_from, consumer(buf, kept, scanner, False))
+        buf.trim(keep_from)
+    if scanner is None:
         return []
-    if len(state.carry):
-        _scan_view(state, state.carry, state.carry_start, threshold, final=True)
-
-    return _finalize_events(state.events, config)
-
-
-def _finalize_events(events: list[PulseEvent], config: DetectorConfig) -> list[PulseEvent]:
-    """Order by peak time, enforce min spacing on t_A, fill ipi_s."""
-    events = sorted(events, key=lambda e: e.t_pos_s)
-    kept: list[PulseEvent] = []
-    for ev in events:
-        if kept and ev.t_pos_s - kept[-1].t_pos_s < config.min_ipi_s:
-            continue
-        kept.append(ev)
-    out: list[PulseEvent] = []
-    for i, ev in enumerate(kept):
-        nxt = kept[i + 1].t_pos_s - ev.t_pos_s if i + 1 < len(kept) else None
-        out.append(replace(ev, ipi_s=nxt))
-    return out
+    kept = scanner.scan(buf, final=True)
+    events += kept
+    if consumer is not None:
+        consumer(buf, kept, scanner, True)
+    return [replace(ev, ipi_s=nxt.t_pos_s - ev.t_pos_s) for ev, nxt in zip(events, events[1:])] + events[-1:]
 
 
 def detect_buffer(buffer: SampleBuffer, config: DetectorConfig) -> list[PulseEvent]:

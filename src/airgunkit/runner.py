@@ -1,11 +1,11 @@
 """Serial and parallel execution of the full extraction pipeline.
 
-The unit of parallelism is one (channel, weighting) task: detection and
-measurement of a single weighted stream.  Tasks share nothing but read-only
-manifests, so worker results merge through one deterministic sort and the
-catalog bytes cannot depend on worker count or completion order.  Cumulative
-exposure stays exact under parallelism because each accumulator lives
-entirely inside one task.
+The unit of parallelism is one (channel, weighting) task: one extract_stream
+pass, which reads, filters, detects and measures a single weighted stream.
+Tasks share nothing but read-only manifests, so worker results merge through
+one deterministic sort and the catalog bytes cannot depend on worker count or
+completion order.  Cumulative exposure stays exact under parallelism because
+each accumulator lives entirely inside one task.
 """
 
 from __future__ import annotations
@@ -15,10 +15,10 @@ import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .errors import RunError
-from .pipeline import CatalogSummary, FeatureRecord, extract_stream, sort_records, write_catalog
+from .pipeline import CatalogSummary, FeatureRecord, RecordBuilder, sort_records, write_catalog
 from .pulse_detect import DetectorConfig, detect_pulses
 from .signal_io import ChannelManifest, SampleBuffer, iter_chunks
 from .weighting import CANONICAL_ORDER, WeightingKind, WeightingSpec, apply_filter, design_filter
@@ -54,23 +54,61 @@ class RunConfig:
 
 @dataclass(frozen=True)
 class RuntimeReport:
-    """Wall-clock accounting of one run, per channel and overall."""
+    """Time accounting of one run, the same in serial and parallel mode.
+
+    ``wall_seconds`` runs from the first task's start to the written
+    catalog; ``task_seconds`` is the sum of the per-task times, which
+    ``per_channel_seconds`` splits by channel.
+    """
 
     per_channel_seconds: dict[int, float]
-    total_seconds: float
+    wall_seconds: float
+    task_seconds: float
     worker_count: int
     channel_hours: float
     n_records: int
     n_points: int
     n_pulses: int
+    t_a_drops: int
 
 
 def weighted_chunks(cm: ChannelManifest, kind: WeightingKind, chunk_s: float) -> Iterator[SampleBuffer]:
     """The channel's sample stream through one weighting filter, chunk by chunk."""
     state = design_filter(WeightingSpec(kind), cm.sample_rate_hz)
-    for chunk in iter_chunks(cm, chunk_s):
+
+    def step(chunk: SampleBuffer) -> SampleBuffer:
+        nonlocal state
         state, filtered = apply_filter(state, chunk)
-        yield filtered
+        return filtered
+
+    # unlike a generator frame, map keeps no chunk alive once it is handed on
+    return map(step, iter_chunks(cm, chunk_s))
+
+
+class StreamResult(NamedTuple):
+    """Outcome of one (channel, weighting) stream."""
+
+    records: list[FeatureRecord]
+    n_pulses: int
+    t_a_drops: int  # pulses dropped by the t_A spacing rule
+
+
+def extract_stream(
+    cm: ChannelManifest,
+    kind: WeightingKind,
+    detector: DetectorConfig,
+    chunk_s: float = 60.0,
+) -> StreamResult:
+    """Detect and measure every pulse of one weighted stream in one pass.
+
+    Each chunk is read, calibrated and filtered once.  detect_pulses appends
+    it to one rolling buffer of filtered samples and decides anchors on it; a
+    RecordBuilder slices every kept pulse's energy bounds, early window and
+    late windows from the same buffer.
+    """
+    builder = RecordBuilder(cm, kind)
+    detect_pulses(weighted_chunks(cm, kind, chunk_s), detector, builder)
+    return StreamResult(builder.records, len(builder.records), builder.t_a_drops)
 
 
 @dataclass(frozen=True)
@@ -79,23 +117,26 @@ class _TaskResult:
     kind_value: str
     seconds: float
     n_pulses: int
+    t_a_drops: int
     records: list[FeatureRecord] = field(repr=False)
     error: str | None = None
+
+    def log_line(self) -> str:
+        return (f"channel {self.channel_id} {self.kind_value}: {self.n_pulses} pulses "
+                f"in {self.seconds:.1f}s, {self.t_a_drops} dropped by t_A spacing")
 
 
 def _run_task(args: tuple[ChannelManifest, str, DetectorConfig, float]) -> _TaskResult:
     """Detect and measure one (channel, weighting) stream; never raises."""
     cm, kind_value, detector, chunk_s = args
-    kind = WeightingKind(kind_value)
     start = time.perf_counter()
     try:
-        events = detect_pulses(weighted_chunks(cm, kind, chunk_s), detector)
-        records = extract_stream(cm, kind, events, chunk_s)
+        res = extract_stream(cm, WeightingKind(kind_value), detector, chunk_s)
     except Exception as exc:  # propagate through the pool as data
-        return _TaskResult(cm.channel_id, kind_value, time.perf_counter() - start, 0, [],
+        return _TaskResult(cm.channel_id, kind_value, time.perf_counter() - start, 0, 0, [],
                            error=f"{type(exc).__name__}: {exc}")
     return _TaskResult(cm.channel_id, kind_value, time.perf_counter() - start,
-                       len(events), records)
+                       res.n_pulses, res.t_a_drops, res.records)
 
 
 def run(
@@ -126,16 +167,13 @@ def run(
             res = _run_task(t)
             results.append(res)
             if log:
-                log(f"channel {res.channel_id} {res.kind_value}: {res.n_pulses} pulses "
-                    f"in {res.seconds:.1f}s")
+                log(res.log_line())
     else:
         with multiprocessing.Pool(processes=config.worker_count) as pool:
             for res in pool.imap(_run_task, tasks):
                 results.append(res)
                 if log:
-                    log(f"channel {res.channel_id} {res.kind_value}: {res.n_pulses} pulses "
-                        f"in {res.seconds:.1f}s")
-    wall_seconds = time.perf_counter() - wall_start
+                    log(res.log_line())
 
     failures = [r for r in results if r.error is not None]
     if failures:
@@ -154,15 +192,16 @@ def run(
         out_path.unlink(missing_ok=True)  # never leave a partial catalog
         raise
 
-    total = sum(per_channel.values()) if config.mode == "serial" else wall_seconds
     report = RuntimeReport(
         per_channel_seconds=per_channel,
-        total_seconds=total,
+        wall_seconds=time.perf_counter() - wall_start,
+        task_seconds=sum(r.seconds for r in results),
         worker_count=config.worker_count,
         channel_hours=sum(manifests[ch].duration_s for ch in channels) / 3600.0,
         n_records=summary.n_records,
         n_points=summary.n_points,
         n_pulses=sum(r.n_pulses for r in results),
+        t_a_drops=sum(r.t_a_drops for r in results),
     )
     return out_path, report
 
@@ -180,16 +219,19 @@ def _hours(seconds: float) -> str:
 
 def report_text(report: RuntimeReport) -> str:
     """Two-row runtime table (per-channel, all channels) plus key=value lines."""
-    lines = ["runtime (nearest values, wall-clock)"]
+    lines = ["runtime (nearest values)"]
     per = ", ".join(
         f"ch{ch}={_hours(s)}" for ch, s in sorted(report.per_channel_seconds.items())
     )
-    lines.append(f"  per-channel : {per}")
-    lines.append(f"  all-channels: {_hours(report.total_seconds)} with {report.worker_count} worker(s)")
-    lines.append(f"total_seconds={report.total_seconds:.3f}")
+    lines.append(f"  per-channel : {per} task time")
+    lines.append(f"  all-channels: {_hours(report.wall_seconds)} wall, {_hours(report.task_seconds)} "
+                 f"task time, with {report.worker_count} worker(s)")
+    lines.append(f"wall_seconds={report.wall_seconds:.3f}")
+    lines.append(f"task_seconds={report.task_seconds:.3f}")
     lines.append(f"worker_count={report.worker_count}")
     lines.append(f"channel_hours={report.channel_hours:.6f}")
     lines.append(f"pulses={report.n_pulses}")
+    lines.append(f"t_a_drops={report.t_a_drops}")
     lines.append(f"records={report.n_records}")
     lines.append(f"points={report.n_points}")
     return "\n".join(lines) + "\n"

@@ -66,6 +66,38 @@ class SampleBuffer:
         return self.start_time_s + i / self.sample_rate_hz
 
 
+class RollingBuffer:
+    """The retained tail of one sample stream, addressed by global sample index.
+
+    Chunks are appended in stream order; ``trim`` releases the samples before
+    an index.  The kept tail is copied on trim, so a trimmed chunk's memory
+    is freed instead of pinned by a view.
+    """
+
+    def __init__(self) -> None:
+        self.start = 0
+        self.samples = np.empty(0)
+
+    @property
+    def end(self) -> int:
+        return self.start + len(self.samples)
+
+    def append(self, samples: np.ndarray) -> None:
+        self.samples = np.concatenate((self.samples, samples)) if len(self.samples) else samples
+
+    def view(self, a: int, b: int) -> np.ndarray:
+        """Samples [a, b) by global index; they must still be held."""
+        if a < self.start or b > self.end:
+            raise ValueError(f"span [{a}, {b}) outside the held samples [{self.start}, {self.end})")
+        return self.samples[a - self.start : b - self.start]
+
+    def trim(self, keep_from: int) -> None:
+        keep_from = min(keep_from, self.end)
+        if keep_from > self.start:
+            self.samples = self.samples[keep_from - self.start :].copy()
+            self.start = keep_from
+
+
 @dataclass(frozen=True)
 class CalibrationSpec:
     """Maps recorder counts to micropascal."""

@@ -14,7 +14,6 @@ from airgunkit.pipeline import (
     RunLedger,
     StreamCselState,
     extract_record,
-    extract_stream,
     ledger_total,
     read_catalog,
     record_cells,
@@ -22,6 +21,7 @@ from airgunkit.pipeline import (
     write_catalog,
 )
 from airgunkit.pulse_detect import DetectorConfig, PulseEvent, detect_buffer
+from airgunkit.runner import extract_stream
 from airgunkit.signal_io import open_manifest, read_span
 from airgunkit.weighting import CANONICAL_ORDER, WeightingSpec, apply_filter, design_filter
 from airgunkit.windows import EnergyBounds, layout_windows
@@ -358,11 +358,12 @@ def test_extract_stream_matches_whole_buffer_reference(small_survey):
         for kind in CANONICAL_ORDER:
             ref_events, ref_records = whole_buffer_records(cm, kind, detector)
             assert len(ref_events) == spec.n_pulses
-            got = extract_stream(cm, kind, ref_events, chunk_s=7.0)
-            assert len(got) == len(ref_records)
-            for a, b in zip(got, ref_records):
+            got = extract_stream(cm, kind, detector, chunk_s=7.0)
+            assert got.n_pulses == len(got.records) == len(ref_records)
+            assert got.t_a_drops == 0
+            for a, b in zip(got.records, ref_records):
                 assert record_cells(a) == record_cells(b)
-            checked += len(got)
+            checked += len(got.records)
     assert checked == 2 * 3 * spec.n_pulses
 
 
@@ -371,11 +372,8 @@ def test_extract_stream_chunk_size_does_not_matter(small_survey):
     detector = DetectorConfig(threshold_db=100.0, min_ipi_s=5.0)
     cm = open_manifest(result.manifest_path)[0]
     kind = CANONICAL_ORDER[1]
-    _, filt = apply_filter(
-        design_filter(WeightingSpec(kind), cm.sample_rate_hz),
-        read_span(cm, 0, cm.n_samples),
-    )
-    events = detect_buffer(filt, detector)
-    a = extract_stream(cm, kind, events, chunk_s=60.0)
-    b = extract_stream(cm, kind, events, chunk_s=3.7)
-    assert [record_cells(r) for r in a] == [record_cells(r) for r in b]
+    a = extract_stream(cm, kind, detector, chunk_s=60.0).records
+    b = extract_stream(cm, kind, detector, chunk_s=3.7).records
+    c = extract_stream(cm, kind, detector, chunk_s=0.7).records  # shorter than a search window
+    assert len(a) == spec.n_pulses
+    assert [record_cells(r) for r in a] == [record_cells(r) for r in b] == [record_cells(r) for r in c]

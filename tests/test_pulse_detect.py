@@ -2,17 +2,20 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from airgunkit.errors import DetectionError
 from airgunkit.pulse_detect import (
     EVENTS_HEADER,
+    MAX_EXCURSION_S,
     DetectorConfig,
+    PulseScanner,
     detect_buffer,
     detect_pulses,
     format_event_row,
 )
+from airgunkit.signal_io import RollingBuffer
 
 from conftest import make_buffer
 
@@ -182,6 +185,93 @@ def test_first_excursion_anchors_despite_bigger_neighbour():
     assert ev.t_pos_s == pytest.approx(6.0, abs=1e-12)
 
 
+def test_equal_peaks_in_one_excursion_anchor_on_the_earlier():
+    # one excursion holding +9e4 and -9e4: equal |p|, the earlier one anchors,
+    # also when a chunk boundary falls between them
+    x = np.zeros(int(20 * FS))
+    i = int(5 * FS)
+    x[i : i + 200] = 2e4
+    x[i + 50] = 9e4
+    x[i + 150] = -9e4
+    whole = detect_buffer(make_buffer(x, fs=FS), CFG)
+    assert [ev.anchor_index for ev in whole] == [i + 50]
+    split = [make_buffer(x[: i + 100], fs=FS), make_buffer(x[i + 100 :], fs=FS, start=(i + 100) / FS)]
+    assert events_key(detect_pulses(split, CFG)) == events_key(whole)
+
+
+def reference_anchors(x, cfg, fs=FS):
+    """Loop reference: one argmax per excursion, then the refractory spacing."""
+    mask = np.abs(x) >= cfg.threshold_upa
+    d = np.diff(np.concatenate(([0], mask.view(np.int8), [0])))
+    min_gap = round(cfg.min_ipi_s * fs)
+    out = []
+    for s, e in zip(np.flatnonzero(d == 1), np.flatnonzero(d == -1)):
+        a = int(s + np.argmax(np.abs(x[s:e])))
+        if not out or a - out[-1] >= min_gap:
+            out.append(a)
+    return out
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000), st.floats(min_value=0.3, max_value=9.0))
+def test_vectorized_anchors_match_loop_reference(seed, chunk_s):
+    # bursts of coarsely quantized noise around the threshold: many multi-sample
+    # excursions, many ties
+    rng = np.random.default_rng(seed)
+    x = np.zeros(int(40 * FS))
+    for t in rng.uniform(0.0, 39.0, size=rng.integers(1, 12)):
+        i = int(t * FS)
+        n = int(rng.integers(10, 4000))
+        x[i : i + n] = np.round(rng.normal(scale=2e4, size=len(x[i : i + n])), -3)
+    buf = RollingBuffer()
+    scanner = PulseScanner(CFG, FS)
+    kept = []
+    for c in chunked(x, FS, chunk_s):
+        buf.append(c.samples)
+        kept += scanner.scan(buf)
+        buf.trim(scanner.keep_from)
+    kept += scanner.scan(buf, final=True)
+    ref = reference_anchors(x, CFG)
+    got = [ev.anchor_index for ev in kept]
+    assert len(got) + scanner.t_a_drops == len(ref)
+    assert set(got) <= set(ref) and got == sorted(got)
+
+
+def test_t_a_spacing_drops_are_counted():
+    # anchors (the big negative spikes) exactly 5.0 s apart; each pulse's
+    # positive peak sits at the far end of its search window, so the t_A
+    # values are 3.52 s apart and the second pulse is dropped
+    x = spike_train([10.0, 10.99, 15.0, 14.51], [-1e5, 5e3, -1e5, 5e3], 25.0)
+    buf = RollingBuffer()
+    buf.append(x)
+    scanner = PulseScanner(CFG, FS)
+    kept = scanner.scan(buf, final=True)
+    assert [ev.anchor_index for ev in kept] == [int(10.0 * FS)]
+    assert kept[0].t_pos_s == pytest.approx(10.99, abs=1e-12)
+    assert scanner.t_a_drops == 1
+    assert events_key(detect_buffer(make_buffer(x, fs=FS), CFG)) == events_key(kept)
+
+
+def test_long_excursion_is_cut_into_pieces_whatever_the_chunking():
+    # 40 s above threshold without a break: pieces [2, 17), [17, 32), [32, 42)
+    x = np.zeros(int(50 * FS))
+    x[int(2 * FS) : int(42 * FS)] = 2e4
+    x[int(5 * FS)] = 5e4
+    x[int(20 * FS)] = 6e4
+    whole = detect_buffer(make_buffer(x, fs=FS), CFG)
+    assert [ev.anchor_index for ev in whole] == [int(t * FS) for t in (5.0, 20.0, 32.0)]
+    for chunk_s in (0.9, 7.3, 16.0):
+        assert events_key(detect_pulses(chunked(x, FS, chunk_s), CFG)) == events_key(whole)
+    # the scanner never asks to hold much more than one piece
+    buf = RollingBuffer()
+    scanner = PulseScanner(CFG, FS)
+    for c in chunked(x, FS, 1.0):
+        buf.append(c.samples)
+        scanner.scan(buf)
+        buf.trim(scanner.keep_from)
+        assert buf.end - buf.start <= (MAX_EXCURSION_S + CFG.search_window_s + 1.0) * FS
+
+
 # ---------------------------------------------------------------------------
 # streaming / chunk invariance
 
@@ -218,6 +308,7 @@ def test_pulse_straddling_chunk_boundary():
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000), st.floats(min_value=0.9, max_value=33.0))
+@example(2157, 1.0)  # larger extreme 0.8 s after the anchor
 def test_detection_invariants_random_trains(seed, chunk_s):
     rng = np.random.default_rng(seed)
     n = rng.integers(0, 10)
@@ -226,10 +317,12 @@ def test_detection_invariants_random_trains(seed, chunk_s):
     x = spike_train(times, amps, 120.0)
     events = detect_pulses(chunked(x, FS, chunk_s), CFG)
 
-    anchors = [ev.t_pos_s if abs(ev.p_pos_upa) >= abs(ev.p_neg_upa) else ev.t_neg_s for ev in events]
-    # spacing respects the refractory interval
-    for a, b in zip(anchors, anchors[1:]):
-        assert b - a >= CFG.min_ipi_s - 1.0 / FS
+    # spacing respects the refractory interval on anchors and on t_A; the
+    # larger window extreme is not always the anchor (a bigger spike can sit
+    # later in the search window), so the anchor is read from the event
+    for a, b in zip(events, events[1:]):
+        assert b.anchor_index - a.anchor_index >= round(CFG.min_ipi_s * FS)
+        assert b.t_pos_s - a.t_pos_s >= CFG.min_ipi_s
     # every event's windowed extremes at least reach the threshold
     for ev in events:
         assert max(ev.p_pos_upa, -ev.p_neg_upa) >= CFG.threshold_upa

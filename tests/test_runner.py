@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from airgunkit.errors import RunError
 from airgunkit.pulse_detect import DetectorConfig
@@ -18,6 +20,25 @@ from airgunkit.synth import SurveySpec, generate
 from airgunkit.weighting import CANONICAL_ORDER, WeightingKind, WeightingSpec, apply_filter, design_filter
 
 DETECTOR = DetectorConfig(threshold_db=100.0, min_ipi_s=5.0)
+
+
+@pytest.fixture(scope="module")
+def noisy_survey(tmp_path_factory):
+    """Two noisy channels: cheap to filter, so many runs fit in one test."""
+    spec = SurveySpec(
+        channel_count=2, duration_s=50.0, pulse_count=4, reverb_level_upa=2.0e4,
+        noise_rms_upa=3000.0, seed=5,
+    )
+    return generate(spec, tmp_path_factory.mktemp("noisy"))
+
+
+@pytest.fixture(scope="module")
+def reference_catalog(noisy_survey, tmp_path_factory):
+    out, _ = run(
+        RunConfig(out_path=tmp_path_factory.mktemp("ref") / "c.csv", detector=DETECTOR),
+        open_manifest(noisy_survey.manifest_path),
+    )
+    return out.read_bytes()
 
 
 @pytest.fixture(scope="module")
@@ -67,14 +88,18 @@ def test_serial_run_counts(twelve_pulse_survey, tmp_path):
     assert report.n_points == 12 * 3 * 61
     assert report.n_pulses == 12 * 3
     assert report.worker_count == 1
-    assert report.total_seconds == pytest.approx(
+    assert report.task_seconds == pytest.approx(
         sum(report.per_channel_seconds.values()), abs=1e-9
     )
+    assert report.wall_seconds >= report.task_seconds
+    assert report.t_a_drops == 0
     assert report.channel_hours == pytest.approx(125.0 / 3600.0, rel=1e-9)
     text = report_text(report)
     assert "records=36" in text
     assert "points=2196" in text
     assert "worker_count=1" in text
+    assert "wall_seconds=" in text and "task_seconds=" in text
+    assert "t_a_drops=0" in text
 
 
 def test_run_logs_per_task(twelve_pulse_survey, tmp_path):
@@ -108,6 +133,27 @@ def test_weighting_subset(twelve_pulse_survey, tmp_path):
     assert ",mfc," not in text
 
 
+def test_t_a_spacing_drops_are_counted_and_logged(tmp_path):
+    # anchors (the big negative spikes) exactly 5.0 s apart; each pulse's
+    # positive peak sits at the far end of its search window, so the t_A
+    # values are 3.52 s apart and the second pulse is dropped
+    fs = 16000
+    counts = np.zeros(25 * fs, dtype=np.int16)
+    for t, c in ((10.0, -200), (10.99, 5), (15.0, -200), (14.51, 5)):
+        counts[round(t * fs)] = c
+    write_wav(tmp_path / "a.wav", counts, fs)
+    (tmp_path / "m.txt").write_text("calib 0 2048 126\nfile 0 a.wav 0.0\n")
+    lines = []
+    out, report = run(
+        RunConfig(out_path=tmp_path / "c.csv", detector=DetectorConfig(threshold_db=80.0, min_ipi_s=5.0),
+                  weightings=(WeightingKind.LINEAR,)),
+        open_manifest(tmp_path / "m.txt"),
+        log=lines.append,
+    )
+    assert (report.n_pulses, report.t_a_drops) == (1, 1)
+    assert lines == [lines[0]] and "1 pulses" in lines[0] and "1 dropped by t_A spacing" in lines[0]
+
+
 # ---------------------------------------------------------------------------
 # determinism across modes and orderings
 
@@ -129,6 +175,56 @@ def test_parallel_matches_serial_bytes(small_survey, tmp_path):
     )
     assert parallel.read_bytes() == serial.read_bytes()
     assert rep.worker_count == 2
+    # both modes report wall time and summed task time apart
+    assert rep.task_seconds == pytest.approx(sum(rep.per_channel_seconds.values()), abs=1e-9)
+    assert rep.wall_seconds > 0.0
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(chunk_s=st.floats(min_value=0.3, max_value=40.0), reverse=st.booleans())
+def test_catalog_bytes_do_not_depend_on_chunk_size_or_channel_order(
+    noisy_survey, reference_catalog, tmp_path, chunk_s, reverse
+):
+    manifests = open_manifest(noisy_survey.manifest_path)
+    channels = tuple(sorted(manifests, reverse=reverse))
+    out, _ = run(
+        RunConfig(out_path=tmp_path / "h.csv", detector=DETECTOR, channels=channels, chunk_s=chunk_s),
+        manifests,
+    )
+    assert out.read_bytes() == reference_catalog
+
+
+def test_run_reads_and_filters_every_sample_once_per_task(noisy_survey, tmp_path, monkeypatch):
+    import airgunkit.runner as runner
+    import airgunkit.signal_io as signal_io
+
+    manifests = open_manifest(noisy_survey.manifest_path)
+    reads, filtered = [], 0
+    real_read, real_filter = signal_io.read_span, runner.apply_filter
+
+    def read(cm, start, count):
+        reads.append((cm.channel_id, start, count))
+        return real_read(cm, start, count)
+
+    def filt(state, buffer):
+        nonlocal filtered
+        filtered += len(buffer)
+        return real_filter(state, buffer)
+
+    monkeypatch.setattr(signal_io, "read_span", read)
+    monkeypatch.setattr(runner, "apply_filter", filt)
+    run(RunConfig(out_path=tmp_path / "c.csv", detector=DETECTOR, chunk_s=9.0), manifests)
+    # serial tasks run one after another, channel by channel, weighting by weighting
+    tasks = [(ch, kind) for ch in sorted(manifests) for kind in CANONICAL_ORDER]
+    per_task = len(reads) // len(tasks)
+    for i, (ch, _) in enumerate(tasks):
+        spans = reads[i * per_task : (i + 1) * per_task]
+        assert {c for c, _, _ in spans} == {ch}
+        starts = [s for _, s, _ in spans]
+        assert starts == sorted(starts)
+        assert sum(n for _, _, n in spans) == manifests[ch].n_samples
+        assert all(a + n == b for (_, a, n), (_, b, _) in zip(spans, spans[1:]))
+    assert filtered == sum(manifests[ch].n_samples for ch, _ in tasks)
 
 
 def test_channel_order_does_not_change_catalog(small_survey, tmp_path):
