@@ -11,35 +11,32 @@ from .errors import (
     RunError,
 )
 from .measures import (
-    CselAccumulator,
+    Levels,
     PeakMeasures,
-    csel_of_levels,
-    csel_update,
     leq,
     measure_peaks,
     sel,
     spl,
     window_energy,
+    window_levels,
 )
 from .pipeline import (
     FEATURE_COLUMNS,
     FeatureRecord,
-    RunLedger,
     extract_record,
     ledger_total,
     read_catalog,
     sort_records,
     write_catalog,
 )
-from .pulse_detect import DetectorConfig, PulseEvent, detect_buffer, detect_pulses
-from .runner import RunConfig, RuntimeReport, bench, estimate_serial, extract_stream, run
+from .pulse_detect import DetectorConfig, PulseEvent, detect_pulses
+from .runner import RunConfig, RuntimeReport, bench, extract_stream, run
 from .signal_io import (
     CalibrationSpec,
     ChannelManifest,
     SampleBuffer,
     iter_chunks,
     open_manifest,
-    read_chunk,
     read_span,
     write_wav,
 )
@@ -51,9 +48,8 @@ from .weighting import (
     WeightingSpec,
     apply_filter,
     design_filter,
-    frequency_response_db,
 )
-from .windows import EnergyBounds, WindowLayout, energy_bounds, layout_windows
+from .windows import EnergyBounds, energy_bounds, layout_windows
 
 __version__ = "0.1.0"
 
@@ -63,7 +59,6 @@ __all__ = [
     "CANONICAL_ORDER",
     "CalibrationSpec",
     "ChannelManifest",
-    "CselAccumulator",
     "DetectionError",
     "DetectorConfig",
     "EnergyBounds",
@@ -73,31 +68,25 @@ __all__ = [
     "FilterState",
     "GapError",
     "GroundTruthRecord",
+    "Levels",
     "ManifestError",
     "MeasureError",
     "PeakMeasures",
     "PulseEvent",
     "RunConfig",
     "RunError",
-    "RunLedger",
     "RuntimeReport",
     "SampleBuffer",
     "SurveySpec",
     "WeightingKind",
     "WeightingSpec",
-    "WindowLayout",
     "apply_filter",
     "bench",
-    "csel_of_levels",
-    "csel_update",
     "design_filter",
-    "detect_buffer",
     "detect_pulses",
     "energy_bounds",
-    "estimate_serial",
     "extract_record",
     "extract_stream",
-    "frequency_response_db",
     "generate",
     "iter_chunks",
     "layout_windows",
@@ -107,7 +96,6 @@ __all__ = [
     "open_manifest",
     "pulse_energy_upa2s",
     "read_catalog",
-    "read_chunk",
     "read_ground_truth",
     "read_span",
     "run",
@@ -115,6 +103,7 @@ __all__ = [
     "sort_records",
     "spl",
     "window_energy",
+    "window_levels",
     "write_catalog",
     "write_wav",
 ]

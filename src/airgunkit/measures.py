@@ -8,7 +8,6 @@ SEL / L_EQ duality exact: leq == sel - 10*log10(T / 1 s) by construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -30,26 +29,67 @@ def window_energy(window: SampleBuffer) -> float:
     return float(np.einsum("i,i->", x, x)) / window.sample_rate_hz
 
 
+def energy_db(energy_upa2s: float) -> float | None:
+    """Level of an energy, dB re 1 uPa^2 s; None when there is no energy."""
+    return 10.0 * math.log10(energy_upa2s) if energy_upa2s > 0.0 else None
+
+
+class Levels(NamedTuple):
+    """SPL/SEL/L_EQ/CSEL of one window; None marks a level that cannot exist."""
+
+    spl_db: float | None
+    sel_db: float | None
+    leq_db: float | None
+    csel_db: float | None
+
+
+def window_levels(window: SampleBuffer, running_upa2s: float = 0.0) -> tuple[Levels, float]:
+    """Measure one window and add its energy to a running cumulative sum.
+
+    Returns the window's levels and the running sum after it.  csel_db is
+    the level of that sum, so a zero-energy window carries the running level
+    and has None for its own SPL/SEL/L_EQ; csel_db is None while the sum is
+    still zero.
+    """
+    energy = window_energy(window)
+    peak = float(np.max(np.abs(window.samples)))
+    sel_db = energy_db(energy)
+    running_upa2s += energy
+    return Levels(
+        20.0 * math.log10(peak) if peak > 0.0 else None,
+        sel_db,
+        None if sel_db is None else sel_db - 10.0 * math.log10(window.duration_s),
+        energy_db(running_upa2s),
+    ), running_upa2s
+
+
+def _defined(level: float | None, name: str) -> float:
+    if level is None:
+        raise MeasureError(f"all-zero window has no {name}")
+    return level
+
+
 def spl(window: SampleBuffer) -> float:
     """Peak sound pressure level over the window, dB re 1 uPa."""
-    _check_window(window)
-    peak = float(np.max(np.abs(window.samples)))
-    if peak == 0.0:
-        raise MeasureError("all-zero window has no sound pressure level")
-    return 20.0 * math.log10(peak)
+    return _defined(window_levels(window)[0].spl_db, "sound pressure level")
 
 
 def sel(window: SampleBuffer) -> float:
     """Sound exposure level, dB re 1 uPa^2 s."""
-    energy = window_energy(window)
-    if energy == 0.0:
-        raise MeasureError("all-zero window has no sound exposure level")
-    return 10.0 * math.log10(energy)
+    return _defined(window_levels(window)[0].sel_db, "sound exposure level")
 
 
 def leq(window: SampleBuffer) -> float:
     """Equivalent continuous level: sel normalized by the window duration."""
-    return sel(window) - 10.0 * math.log10(window.duration_s)
+    return _defined(window_levels(window)[0].leq_db, "equivalent level")
+
+
+NA = "NA"
+
+
+def format_db(v: float | None) -> str:
+    """One dB cell at micro-dB; a level that does not exist or is not finite is NA."""
+    return f"{v:.6f}" if v is not None and math.isfinite(v) else NA
 
 
 class PeakMeasures(NamedTuple):
@@ -97,46 +137,3 @@ def measure_peaks(window: SampleBuffer) -> PeakMeasures:
         p_neg_upa=p_neg,
         p_neg_db=db_neg,
     )
-
-
-@dataclass(frozen=True)
-class CselAccumulator:
-    """Running cumulative sound exposure over a pulse sequence.
-
-    Accumulates linear energy (uPa^2 s); the dB value is taken of the sum.
-    """
-
-    energy_upa2s: float = 0.0
-    n_windows: int = 0
-
-    @property
-    def csel_db(self) -> float:
-        if self.energy_upa2s <= 0.0:
-            raise MeasureError("no energy accumulated yet")
-        return 10.0 * math.log10(self.energy_upa2s)
-
-
-def csel_update(acc: CselAccumulator, window: SampleBuffer) -> tuple[CselAccumulator, float | None]:
-    """Fold one window into the accumulator.
-
-    Returns the advanced accumulator and the cumulative level after the
-    update, or None while the accumulated energy is still zero.  A zero-energy
-    window is a counted no-op on the energy sum.
-    """
-    return csel_add(acc, window_energy(window))
-
-
-def csel_add(acc: CselAccumulator, energy_upa2s: float) -> tuple[CselAccumulator, float | None]:
-    """Fold one already-measured window energy into the accumulator (see csel_update)."""
-    nxt = CselAccumulator(acc.energy_upa2s + energy_upa2s, acc.n_windows + 1)
-    if nxt.energy_upa2s <= 0.0:
-        return nxt, None
-    return nxt, nxt.csel_db
-
-
-def csel_of_levels(sel_dbs: np.ndarray | list[float]) -> float:
-    """Cumulative level of already-measured per-window SELs (energy sum in dB)."""
-    arr = np.asarray(sel_dbs, dtype=np.float64)
-    if arr.size == 0:
-        raise MeasureError("no levels to accumulate")
-    return float(10.0 * np.log10(np.sum(10.0 ** (arr / 10.0))))

@@ -21,33 +21,21 @@ filtered twice.
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .errors import RunError
-from .measures import CselAccumulator, csel_add, window_energy
+from .measures import NA, Levels, format_db, window_levels
 from .pulse_detect import PulseEvent, PulseScanner
 from .signal_io import ChannelManifest, RollingBuffer, SampleBuffer
 from .weighting import CANONICAL_ORDER, WeightingKind
-from .weighting import apply_filter  # noqa: F401 (perfbench's tracer patches pipeline.apply_filter)
-from .windows import (
-    LATE_WINDOW_COUNT,
-    LATE_WINDOW_S,
-    EnergyBounds,
-    WindowLayout,
-    energy_bounds,
-    layout_windows,
-)
+from .windows import LATE_WINDOW_COUNT, LATE_WINDOW_S, EnergyBounds, energy_bounds, layout_windows
 
-EARLY_FEATURES_PER_RECORD = 11
-LATE_FEATURES_PER_RECORD = 50
-FEATURES_PER_RECORD = EARLY_FEATURES_PER_RECORD + LATE_FEATURES_PER_RECORD
+# perfbench's tracer patches these names in pipeline
+from .measures import window_energy  # noqa: F401
+from .weighting import apply_filter  # noqa: F401
 
-NA = "NA"
 IDENTIFIER_COLUMNS = ("run_id", "channel_id", "weighting", "pulse_index")
 
 # spl is the peak reduction over the window, and its column name says so
@@ -65,22 +53,13 @@ def _feature_columns() -> tuple[str, ...]:
 
 
 FEATURE_COLUMNS = _feature_columns()
+FEATURES_PER_RECORD = len(FEATURE_COLUMNS)
 CATALOG_HEADER = ",".join(IDENTIFIER_COLUMNS + FEATURE_COLUMNS)
 
 WEIGHTING_RANK = {kind.value: i for i, kind in enumerate(CANONICAL_ORDER)}
 
 
-@dataclass(frozen=True)
-class LevelSet:
-    """SPL/SEL/L_EQ/CSEL of one window; None marks a value that cannot exist."""
-
-    spl_db: float | None
-    sel_db: float | None
-    leq_db: float | None
-    csel_db: float | None
-
-    def cells(self) -> tuple[float | None, ...]:
-        return (self.spl_db, self.sel_db, self.leq_db, self.csel_db)
+NA_LEVELS = Levels(None, None, None, None)
 
 
 @dataclass(frozen=True)
@@ -100,8 +79,8 @@ class FeatureRecord:
     t_b_s: float
     p_b_upa: float
     p_b_db: float
-    early: LevelSet
-    late: tuple[LevelSet, ...]
+    early: Levels
+    late: tuple[Levels, ...]
 
     def __post_init__(self) -> None:
         if len(self.late_starts_s) != LATE_WINDOW_COUNT or len(self.late) != LATE_WINDOW_COUNT:
@@ -109,82 +88,48 @@ class FeatureRecord:
         if self.late_starts_s[0] != self.early_t95_s:
             raise ValueError("late window 1 must start at the early window upper bound")
 
-    @property
-    def n_valid_late(self) -> int:
-        return sum(self.late_valid)
-
-
-class StreamCselState:
-    """Cumulative-exposure accumulators of one (channel, weighting) stream.
-
-    One slot for the early window and one per late window position; each
-    slot accumulates across pulses in pulse order.
-    """
-
-    def __init__(self) -> None:
-        self.early = CselAccumulator()
-        self.late = [CselAccumulator() for _ in range(LATE_WINDOW_COUNT)]
-
-
-def _levels(window: SampleBuffer, acc: CselAccumulator) -> tuple[LevelSet, CselAccumulator]:
-    """Measure one window, folding it into the slot accumulator.
-
-    A zero-energy window (possible after quantization in silent tails) has
-    no SPL/SEL/L_EQ of its own; the cumulative level still reports the
-    running sum unless nothing has accumulated yet.
-    """
-    peak = float(np.max(np.abs(window.samples))) if len(window) else 0.0
-    energy = window_energy(window)
-    acc, csel_db = csel_add(acc, energy)
-    if energy > 0.0:
-        sel_db = 10.0 * math.log10(energy)
-        leq_db = sel_db - 10.0 * math.log10(window.duration_s)
-    else:
-        sel_db = leq_db = None
-    spl_db = 20.0 * math.log10(peak) if peak > 0.0 else None
-    return LevelSet(spl_db, sel_db, leq_db, csel_db), acc
-
 
 def extract_record(
     event: PulseEvent,
-    layout: WindowLayout,
-    early_window: SampleBuffer,
-    late_windows: Sequence[SampleBuffer | None],
-    csel_state: StreamCselState,
+    t5_s: float,
+    t95_s: float,
+    windows: Sequence[SampleBuffer | None],
+    csel_upa2s: list[float],
     *,
     weighting: str,
     pulse_index: int,
 ) -> FeatureRecord:
-    """Assemble one record from pre-sliced windows.
+    """Assemble one record from its pre-sliced windows.
 
-    ``late_windows`` aligns with ``layout.late_valid``; invalid positions are
-    None and keep their start times but get NA level measures.  Must be
-    called in pulse order per stream: the csel state advances in place.
+    ``windows`` is the early window followed by the LATE_WINDOW_COUNT late
+    windows, None where a late window is invalid: it keeps its start time
+    but gets NA level measures.  ``csel_upa2s`` holds the running energy of
+    each of those slots and advances in place, so records of one stream
+    must be assembled in pulse order.
     """
-    early_levels, csel_state.early = _levels(early_window, csel_state.early)
-    late_levels: list[LevelSet] = []
-    for k, win in enumerate(late_windows):
+    levels: list[Levels] = []
+    for k, win in enumerate(windows):
         if win is None:
-            late_levels.append(LevelSet(None, None, None, None))
+            levels.append(NA_LEVELS)
         else:
-            ls, csel_state.late[k] = _levels(win, csel_state.late[k])
-            late_levels.append(ls)
+            lv, csel_upa2s[k] = window_levels(win, csel_upa2s[k])
+            levels.append(lv)
     return FeatureRecord(
         channel_id=event.channel_id,
         weighting=weighting,
         pulse_index=pulse_index,
-        early_t5_s=layout.early.t_5th_s,
-        early_t95_s=layout.early.t_95th_s,
-        late_starts_s=layout.late_starts_s,
-        late_valid=layout.late_valid,
+        early_t5_s=t5_s,
+        early_t95_s=t95_s,
+        late_starts_s=tuple(t95_s + k * LATE_WINDOW_S for k in range(LATE_WINDOW_COUNT)),
+        late_valid=tuple(win is not None for win in windows[1:]),
         t_a_s=event.t_pos_s,
         p_a_upa=event.p_pos_upa,
         p_a_db=event.p_pos_db,
         t_b_s=event.t_neg_s,
         p_b_upa=event.p_neg_upa,
         p_b_db=event.p_neg_db,
-        early=early_levels,
-        late=tuple(late_levels),
+        early=levels[0],
+        late=tuple(levels[1:]),
     )
 
 
@@ -211,40 +156,39 @@ class RecordBuilder:
         self.records: list[FeatureRecord] = []
         self.t_a_drops = 0
         self._pending: deque[tuple[PulseEvent, EnergyBounds]] = deque()
-        self._csel = StreamCselState()
+        self._csel = [0.0] * (1 + LATE_WINDOW_COUNT)  # running energy of every window slot
 
     def __call__(self, buf: RollingBuffer, kept: list[PulseEvent], scanner: PulseScanner,
                  final: bool) -> int:
         n_total = self.cm.n_samples
+        w = self.w_samp
         for ev in kept:
-            span = self._window(buf, ev.search_start_index, min(ev.search_end_index, n_total))
-            self._pending.append((ev, energy_bounds(span)))
+            a = ev.search_start_index
+            self._pending.append((ev, energy_bounds(buf.view(a, min(ev.search_end_index, n_total)), a)))
         while self._pending:
             ev, bk = self._pending[0]
-            e95 = self._index(bk.t_95th_s)
             if len(self._pending) > 1:
-                nxt: EnergyBounds | None = self._pending[1][1]
-            elif final or e95 + LATE_WINDOW_COUNT * self.w_samp <= min(buf.end, scanner.keep_from):
-                nxt = None
+                limit = self._pending[1][1].i5
+            elif final or bk.i95 + LATE_WINDOW_COUNT * w <= min(buf.end, scanner.keep_from):
+                limit = n_total
             else:
                 break
-            layout = layout_windows(bk, next_bounds=nxt, data_end_s=self.cm.end_time_s)
-            late = [
-                self._window(buf, a, a + self.w_samp) if ok else None
-                for a, ok in zip(range(e95, e95 + LATE_WINDOW_COUNT * self.w_samp, self.w_samp),
-                                 layout.late_valid)
+            windows = [self._window(buf, bk.i5, bk.i95 + 1)] + [
+                self._window(buf, bk.i95 + k * w, bk.i95 + (k + 1) * w) if ok else None
+                for k, ok in enumerate(layout_windows(bk.i95, limit, w))
             ]
-            early = self._window(buf, self._index(bk.t_5th_s), e95 + 1)
             self.records.append(extract_record(
-                ev, layout, early, late, self._csel,
+                ev, self._time(ev, bk.i5), self._time(ev, bk.i95), windows, self._csel,
                 weighting=self.weighting, pulse_index=len(self.records),
             ))
             self._pending.popleft()
         self.t_a_drops = scanner.t_a_drops
-        return self._index(self._pending[0][1].t_5th_s) if self._pending else buf.end
+        return self._pending[0][1].i5 if self._pending else buf.end
 
-    def _index(self, t_s: float) -> int:
-        return round((t_s - self.cm.start_time_s) * self.cm.sample_rate_hz)
+    def _time(self, ev: PulseEvent, i: int) -> float:
+        """Seconds of sample i, counted from the pulse's search window start."""
+        a, fs = ev.search_start_index, self.cm.sample_rate_hz
+        return (self.cm.start_time_s + a / fs) + (i - a) / fs
 
     def _window(self, buf: RollingBuffer, a: int, b: int) -> SampleBuffer:
         cm = self.cm
@@ -265,23 +209,6 @@ def ledger_total(weightings: int, early: int, late: int, units: int, pulses: int
     return weightings * (early + late) * units * pulses
 
 
-@dataclass(frozen=True)
-class RunLedger:
-    """Feature-point accounting of one run."""
-
-    weightings: int
-    early_per_record: int = EARLY_FEATURES_PER_RECORD
-    late_per_record: int = LATE_FEATURES_PER_RECORD
-    units: int = 1
-    pulses: int = 0
-
-    @property
-    def total_points(self) -> int:
-        return ledger_total(
-            self.weightings, self.early_per_record, self.late_per_record, self.units, self.pulses
-        )
-
-
 # ---------------------------------------------------------------------------
 # catalog serialization
 
@@ -290,21 +217,16 @@ def _fmt_time(v: float) -> str:
     return f"{v:.9f}"
 
 
-def _fmt_level(v: float | None) -> str:
-    return NA if v is None else f"{v:.6f}"
-
-
 def record_cells(rec: FeatureRecord) -> list[str]:
     """The 61 feature cells of one record, in catalog column order."""
     cells = [_fmt_time(rec.early_t5_s)]
     cells += [_fmt_time(t) for t in rec.late_starts_s]
     cells += [
-        _fmt_time(rec.t_a_s), f"{rec.p_a_upa:.6f}", _fmt_level(rec.p_a_db),
-        _fmt_time(rec.t_b_s), f"{rec.p_b_upa:.6f}", _fmt_level(rec.p_b_db),
+        _fmt_time(rec.t_a_s), f"{rec.p_a_upa:.6f}", format_db(rec.p_a_db),
+        _fmt_time(rec.t_b_s), f"{rec.p_b_upa:.6f}", format_db(rec.p_b_db),
     ]
-    cells += [_fmt_level(v) for v in rec.early.cells()]
-    for ls in rec.late:
-        cells += [_fmt_level(v) for v in ls.cells()]
+    for lv in (rec.early, *rec.late):
+        cells += [format_db(v) for v in lv]
     return cells
 
 

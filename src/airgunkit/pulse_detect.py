@@ -32,7 +32,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import DetectionError
-from .measures import measure_peaks
+from .measures import NA, format_db, measure_peaks
 from .signal_io import RollingBuffer, SampleBuffer
 
 SEARCH_BEFORE_S = 0.5
@@ -277,11 +277,6 @@ def detect_pulses(chunks: Iterable[SampleBuffer], config: DetectorConfig,
     return [replace(ev, ipi_s=nxt.t_pos_s - ev.t_pos_s) for ev, nxt in zip(events, events[1:])] + events[-1:]
 
 
-def detect_buffer(buffer: SampleBuffer, config: DetectorConfig) -> list[PulseEvent]:
-    """Detect over one in-memory buffer (single-chunk stream)."""
-    return detect_pulses([buffer], config)
-
-
 EVENTS_HEADER = (
     "channel_id,weighting,pulse_index,t_a_s,p_a_upa,p_a_db,t_b_s,p_b_upa,p_b_db,p_pp_db,ipi_s"
 )
@@ -289,12 +284,12 @@ EVENTS_HEADER = (
 
 def format_event_row(ev: PulseEvent, weighting: str, pulse_index: int) -> str:
     """One events-CSV row; times at ns precision, levels at micro-dB."""
-    ipi = f"{ev.ipi_s:.9f}" if ev.ipi_s is not None else "NA"
+    ipi = f"{ev.ipi_s:.9f}" if ev.ipi_s is not None else NA
     return (
         f"{ev.channel_id},{weighting},{pulse_index},"
-        f"{ev.t_pos_s:.9f},{ev.p_pos_upa:.6f},{ev.p_pos_db:.6f},"
-        f"{ev.t_neg_s:.9f},{ev.p_neg_upa:.6f},{ev.p_neg_db:.6f},"
-        f"{ev.p_pp_db:.6f},{ipi}"
+        f"{ev.t_pos_s:.9f},{ev.p_pos_upa:.6f},{format_db(ev.p_pos_db)},"
+        f"{ev.t_neg_s:.9f},{ev.p_neg_upa:.6f},{format_db(ev.p_neg_db)},"
+        f"{format_db(ev.p_pp_db)},{ipi}"
     )
 
 

@@ -206,13 +206,6 @@ def run(
     return out_path, report
 
 
-def estimate_serial(total_channels: int, measured_channel_seconds: float) -> float:
-    """Scale one channel's measured serial runtime to the whole deployment."""
-    if total_channels <= 0 or measured_channel_seconds <= 0:
-        raise ValueError("inputs must be positive")
-    return total_channels * measured_channel_seconds
-
-
 def _hours(seconds: float) -> str:
     return f"{seconds / 3600.0:.2f} h"
 

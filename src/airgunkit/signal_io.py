@@ -331,18 +331,6 @@ def read_span(cm: ChannelManifest, start_index: int, count: int) -> SampleBuffer
     )
 
 
-def read_chunk(cm: ChannelManifest, start_s: float, duration_s: float) -> SampleBuffer:
-    """Read a calibrated chunk by absolute time.
-
-    ``start_s`` snaps to the nearest sample of the channel grid; the result
-    covers ``round(duration_s * fs)`` samples.  Spans outside channel
-    coverage raise ValueError; spans over gaps follow the channel gap policy.
-    """
-    n0 = round((start_s - cm.start_time_s) * cm.sample_rate_hz)
-    count = round(duration_s * cm.sample_rate_hz)
-    return read_span(cm, n0, count)
-
-
 def iter_chunks(cm: ChannelManifest, chunk_s: float = 60.0) -> Iterator[SampleBuffer]:
     """Yield the whole channel as consecutive chunks (last one may be short).
 

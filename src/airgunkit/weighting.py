@@ -119,17 +119,6 @@ def apply_filter(state: FilterState, buffer: SampleBuffer) -> tuple[FilterState,
     return replace(state, zi=zi), replace(buffer, samples=out)
 
 
-def frequency_response_db(state: FilterState, freqs_hz: np.ndarray) -> np.ndarray:
-    """Magnitude response in dB at the given frequencies (0 dB for flat)."""
-    freqs_hz = np.asarray(freqs_hz, dtype=np.float64)
-    if state.sos is None:
-        return np.zeros_like(freqs_hz)
-    _, h = signal.sosfreqz(state.sos, worN=freqs_hz, fs=state.sample_rate_hz)
-    mag = np.abs(h)
-    with np.errstate(divide="ignore"):
-        return 20.0 * np.log10(mag)
-
-
 def coefficients_text(states: list[FilterState]) -> str:
     """Human-readable SOS coefficient dump for the --dump-filters flag."""
     out = io.StringIO()

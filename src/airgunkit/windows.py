@@ -5,7 +5,8 @@ squared-pressure over its search window, so it holds 90% of the measured
 pulse energy while staying robust to where the excursion tails off.  After
 it, up to ten consecutive one-second windows track the late-time field; a
 late window only counts if it ends before the next pulse's early window
-starts (or before the data ends, for the last pulse).
+starts (or before the data ends, for the last pulse).  Bounds and windows
+are global sample indices; seconds are left to record assembly.
 """
 
 from __future__ import annotations
@@ -15,93 +16,53 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MeasureError
-from .signal_io import SampleBuffer
 
 LOW_FRACTION = 0.05
 HIGH_FRACTION = 0.95
 LATE_WINDOW_S = 1.0
 LATE_WINDOW_COUNT = 10
 
-# guard for comparisons of sample-aligned times; far below any sample period
-_TIME_EPS_S = 1e-9
-
 
 @dataclass(frozen=True)
 class EnergyBounds:
-    """Absolute times of the 5%/95% cumulative-energy samples of a window."""
+    """Global sample indices of the 5%/95% cumulative-energy samples of a window."""
 
-    t_5th_s: float
-    t_95th_s: float
+    i5: int
+    i95: int
 
     def __post_init__(self) -> None:
-        if self.t_5th_s > self.t_95th_s:
+        if self.i5 > self.i95:
             raise MeasureError("energy bounds out of order")
 
-    @property
-    def span_s(self) -> float:
-        return self.t_95th_s - self.t_5th_s
 
-
-def energy_bounds(window: SampleBuffer) -> EnergyBounds:
+def energy_bounds(samples: np.ndarray, start: int = 0) -> EnergyBounds:
     """Find the first samples reaching 5% and 95% of the window's energy.
 
+    ``samples`` is a window whose first sample has global index ``start``.
     Cumulative energy is the rectangle-rule running sum of squared samples;
     each bound is the earliest sample whose cumulative share reaches or
     exceeds its fraction.  The bounds coincide only when one sample carries
     essentially all the energy.  All-zero windows are an error.
     """
-    if len(window) == 0:
+    if len(samples) == 0:
         raise MeasureError("empty window")
-    energy = np.cumsum(np.square(window.samples))
+    energy = np.cumsum(np.square(samples))
     total = energy[-1]
     if total <= 0.0:
         raise MeasureError("all-zero window has no energy bounds")
     i_lo = int(np.searchsorted(energy, LOW_FRACTION * total, side="left"))
     i_hi = int(np.searchsorted(energy, HIGH_FRACTION * total, side="left"))
-    return EnergyBounds(window.time_at(i_lo), window.time_at(i_hi))
+    return EnergyBounds(start + i_lo, start + i_hi)
 
 
-@dataclass(frozen=True)
-class WindowLayout:
-    """Early span plus the validity-flagged late window ladder of one pulse."""
+def layout_windows(i95: int, limit: int, w: int) -> tuple[bool, ...]:
+    """Validity of the late window ladder after one pulse's early window.
 
-    early: EnergyBounds
-    late_starts_s: tuple[float, ...]
-    late_valid: tuple[bool, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.late_starts_s) != len(self.late_valid):
-            raise ValueError("late window arrays disagree in length")
-
-    @property
-    def n_valid(self) -> int:
-        return sum(self.late_valid)
-
-
-def layout_windows(
-    bounds: EnergyBounds,
-    next_bounds: EnergyBounds | None = None,
-    data_end_s: float | None = None,
-    window_s: float = LATE_WINDOW_S,
-    count: int = LATE_WINDOW_COUNT,
-) -> WindowLayout:
-    """Lay out the late window ladder after one pulse's early window.
-
-    Window k (k = 0..count-1) starts at t_95th + k * window_s.  It is valid
-    when its full span ends at or before the limit: the next pulse's t_5th if
-    there is a next pulse, otherwise the end of the data.  With neither limit
-    given, every window is valid.
+    Window k (k = 0..LATE_WINDOW_COUNT-1) spans samples [i95 + k*w,
+    i95 + (k+1)*w).  It is valid when it ends at or before ``limit``: the
+    next pulse's 5% bound, or the sample count of the stream for the last
+    pulse.
     """
-    if window_s <= 0 or count < 1:
-        raise ValueError("window_s and count must be positive")
-    limit = None
-    if next_bounds is not None:
-        limit = next_bounds.t_5th_s
-    elif data_end_s is not None:
-        limit = data_end_s
-    starts = tuple(bounds.t_95th_s + k * window_s for k in range(count))
-    if limit is None:
-        valid = tuple(True for _ in starts)
-    else:
-        valid = tuple(s + window_s <= limit + _TIME_EPS_S for s in starts)
-    return WindowLayout(early=bounds, late_starts_s=starts, late_valid=valid)
+    if w < 1:
+        raise ValueError("late window must hold at least one sample")
+    return tuple(i95 + (k + 1) * w <= limit for k in range(LATE_WINDOW_COUNT))

@@ -9,6 +9,12 @@ def make_buffer(samples, fs=16000.0, start=0.0, channel=0) -> SampleBuffer:
     return SampleBuffer(np.asarray(samples, dtype=np.float64), fs, start, channel)
 
 
+def csel_of_levels(sel_dbs) -> float:
+    """Oracle: cumulative level of already-measured per-window SELs (energy sum in dB)."""
+    arr = np.asarray(sel_dbs, dtype=np.float64)
+    return float(10.0 * np.log10(np.sum(10.0 ** (arr / 10.0))))
+
+
 @pytest.fixture(scope="session")
 def small_survey(tmp_path_factory):
     """Two short channels with reverb so late windows carry real energy."""

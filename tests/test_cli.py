@@ -4,6 +4,7 @@ import pytest
 from airgunkit.cli import main
 from airgunkit.pipeline import CATALOG_HEADER
 from airgunkit.pulse_detect import EVENTS_HEADER
+from airgunkit.signal_io import write_wav
 
 SYNTH_ARGS = [
     "synth",
@@ -272,3 +273,23 @@ def test_bench_reports_identical_catalogs(survey_dir, tmp_path, capsys):
     assert "speedup=" in out
     assert (tmp_path / "catalog_serial.csv").is_file()
     assert (tmp_path / "catalog_parallel.csv").is_file()
+
+
+def test_negative_only_pulse_writes_na_not_minus_inf(tmp_path):
+    # a search window whose largest sample is exactly zero has p_a = 0, -inf dB
+    counts = np.zeros(30 * 16000, dtype=np.int16)
+    counts[5 * 16000:5 * 16000 + 50] = -1500
+    write_wav(tmp_path / "ch00.wav", counts, 16000)
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text("calib 0 2048 126\nfile 0 ch00.wav 0.0\n")
+    catalog, events = tmp_path / "catalog.csv", tmp_path / "events.csv"
+    assert main(["extract", "--manifest", str(manifest), "--out", str(catalog),
+                 "--weightings", "linear"]) == 0
+    assert main(["detect", "--manifest", str(manifest), "--out", str(events),
+                 "--weighting", "linear"]) == 0
+    for path in (catalog, events):
+        header, row = path.read_text().splitlines()
+        cells = dict(zip(header.split(","), row.split(",")))
+        assert (cells["p_a_upa"], cells["p_a_db"]) == ("0.000000", "NA")
+        assert cells["p_b_db"] == "123.295226"
+        assert "inf" not in row

@@ -7,17 +7,17 @@ from hypothesis import strategies as st
 
 from airgunkit.errors import MeasureError
 from airgunkit.measures import (
-    CselAccumulator,
-    csel_of_levels,
-    csel_update,
+    NA,
+    format_db,
     leq,
     measure_peaks,
     sel,
     spl,
     window_energy,
+    window_levels,
 )
 
-from conftest import make_buffer
+from conftest import csel_of_levels, make_buffer
 
 FS = 16000.0
 
@@ -145,28 +145,31 @@ def test_sel_leq_identity_property(seed):
 # CSEL
 
 
+def csel_run(windows):
+    """Fold windows through the catalog's level computation; the last csel_db and the running energy."""
+    running, level = 0.0, None
+    for win in windows:
+        lv, running = window_levels(win, running)
+        level = lv.csel_db
+    return level, running
+
+
 def test_csel_first_window_equals_its_sel():
     win = const_window(300.0, 0.4)
-    acc, level = csel_update(CselAccumulator(), win)
-    assert level == pytest.approx(sel(win), abs=1e-12)
-    assert acc.n_windows == 1
+    lv, running = window_levels(win)
+    assert lv.csel_db == pytest.approx(sel(win), abs=1e-12)
+    assert lv.csel_db == lv.sel_db
+    assert running == window_energy(win)
 
 
 def test_csel_ten_identical_150db_pulses():
     p = 10.0**7.5  # one-second window with SEL = 150 dB
-    acc = CselAccumulator()
-    level = None
-    for _ in range(10):
-        acc, level = csel_update(acc, const_window(p, 1.0))
+    level, _ = csel_run(const_window(p, 1.0) for _ in range(10))
     assert level == pytest.approx(160.0, abs=1e-9)
 
 
 def test_csel_mixed_levels_frozen():
-    acc = CselAccumulator()
-    level = None
-    for sel_target in (140.0, 150.0, 145.0):
-        p = 10.0 ** (sel_target / 20.0)
-        acc, level = csel_update(acc, const_window(p, 1.0))
+    level, _ = csel_run(const_window(10.0 ** (t / 20.0), 1.0) for t in (140.0, 150.0, 145.0))
     assert level == pytest.approx(151.51133104744713, abs=1e-9)
     assert csel_of_levels([140.0, 150.0, 145.0]) == pytest.approx(
         151.51133104744713, abs=1e-12
@@ -174,19 +177,18 @@ def test_csel_mixed_levels_frozen():
 
 
 def test_csel_zero_window_carries_running_level():
-    acc, first = csel_update(CselAccumulator(), const_window(500.0, 0.2))
-    acc2, level = csel_update(acc, const_window(0.0, 0.2))
-    assert level == first
-    assert acc2.energy_upa2s == acc.energy_upa2s
-    assert acc2.n_windows == 2
+    first, running = window_levels(const_window(500.0, 0.2))
+    lv, after = window_levels(const_window(0.0, 0.2), running)
+    assert lv.csel_db == first.csel_db
+    assert after == running
+    assert lv.spl_db is None and lv.sel_db is None and lv.leq_db is None
 
 
 def test_csel_leading_zero_window_has_no_level():
-    acc, level = csel_update(CselAccumulator(), const_window(0.0, 0.2))
-    assert level is None
-    assert acc.n_windows == 1
-    with pytest.raises(MeasureError):
-        acc.csel_db
+    lv, running = window_levels(const_window(0.0, 0.2))
+    assert lv == (None, None, None, None)
+    assert running == 0.0
+    assert [format_db(v) for v in lv] == [NA] * 4
 
 
 @settings(max_examples=50, deadline=None)
@@ -197,30 +199,29 @@ def test_csel_leading_zero_window_has_no_level():
 def test_csel_permutation_invariance(levels, rnd):
     shuffled = list(levels)
     rnd.shuffle(shuffled)
+    wins = [const_window(10.0 ** (t / 20.0), 1.0) for t in levels]
+    level, _ = csel_run(wins)
+    rnd.shuffle(wins)
+    shuffled_level, _ = csel_run(wins)
+    assert shuffled_level == pytest.approx(level, abs=1e-9)
     assert csel_of_levels(shuffled) == pytest.approx(csel_of_levels(levels), abs=1e-9)
 
 
 def test_csel_accumulator_agrees_with_level_aggregation():
     rng = np.random.default_rng(17)
-    sels = []
-    acc = CselAccumulator()
-    for _ in range(6):
-        x = rng.normal(scale=10.0 ** rng.uniform(2, 6), size=3200)
-        win = make_buffer(x)
-        sels.append(sel(win))
-        acc, _ = csel_update(acc, win)
-    assert acc.csel_db == pytest.approx(csel_of_levels(sels), abs=1e-9)
+    wins = [make_buffer(rng.normal(scale=10.0 ** rng.uniform(2, 6), size=3200)) for _ in range(6)]
+    level, _ = csel_run(wins)
+    assert level == pytest.approx(csel_of_levels([sel(w) for w in wins]), abs=1e-9)
 
 
 def test_csel_never_below_any_component():
     rng = np.random.default_rng(29)
-    acc = CselAccumulator()
+    running = 0.0
     for _ in range(5):
         win = make_buffer(rng.normal(scale=1e4, size=1600))
-        level_sel = sel(win)
-        acc, level = csel_update(acc, win)
-        assert level is not None
-        assert level >= level_sel - 1e-12
+        lv, running = window_levels(win, running)
+        assert lv.csel_db is not None
+        assert lv.csel_db >= sel(win) - 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -271,3 +272,15 @@ def test_peaks_tie_takes_earliest_sample():
 def test_peaks_all_zero_errors():
     with pytest.raises(MeasureError):
         measure_peaks(make_buffer(np.zeros(10)))
+
+
+def test_format_db_writes_missing_and_non_finite_levels_as_na():
+    x = np.zeros(100)
+    x[40] = 1.0e6
+    m = measure_peaks(make_buffer(x))
+    assert format_db(m.p_neg_db) == NA  # an extreme of exactly zero is -inf dB
+    assert format_db(m.p_pos_db) == "120.000000"
+    const = measure_peaks(make_buffer(np.full(10, 5.0)))
+    assert const.p_pp_db == -math.inf
+    assert format_db(const.p_pp_db) == NA
+    assert [format_db(v) for v in (None, math.inf, math.nan)] == [NA] * 3

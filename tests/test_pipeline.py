@@ -3,16 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from airgunkit.measures import csel_of_levels
 from airgunkit.pipeline import (
     CATALOG_HEADER,
     FEATURE_COLUMNS,
     FEATURES_PER_RECORD,
     NA,
+    NA_LEVELS,
     FeatureRecord,
-    LevelSet,
-    RunLedger,
-    StreamCselState,
     extract_record,
     ledger_total,
     read_catalog,
@@ -20,13 +17,13 @@ from airgunkit.pipeline import (
     sort_records,
     write_catalog,
 )
-from airgunkit.pulse_detect import DetectorConfig, PulseEvent, detect_buffer
+from airgunkit.pulse_detect import DetectorConfig, PulseEvent, detect_pulses
 from airgunkit.runner import extract_stream
 from airgunkit.signal_io import open_manifest, read_span
 from airgunkit.weighting import CANONICAL_ORDER, WeightingSpec, apply_filter, design_filter
-from airgunkit.windows import EnergyBounds, layout_windows
+from airgunkit.windows import LATE_WINDOW_COUNT, energy_bounds, layout_windows
 
-from conftest import make_buffer
+from conftest import csel_of_levels, make_buffer
 
 FS = 16000.0
 
@@ -88,11 +85,6 @@ def test_ledger_total_rejects_negative():
         ledger_total(3, 11, 50, -1, 10)
 
 
-def test_run_ledger_points():
-    ledger = RunLedger(weightings=3, units=5, pulses=1000)
-    assert ledger.total_points == 3 * 61 * 5 * 1000
-
-
 # ---------------------------------------------------------------------------
 # record assembly helpers
 
@@ -114,37 +106,38 @@ def fake_event(t_anchor, channel_id=0):
     )
 
 
-def const_record(csel_state, pulse_index, early_upa=1000.0, late_upa=10.0, t95=2.5):
-    layout = layout_windows(EnergyBounds(2.0, t95), data_end_s=1.0e9)
+def new_csel():
+    """Running energies of the early slot and the late slots, before any pulse."""
+    return [0.0] * (1 + LATE_WINDOW_COUNT)
+
+
+def const_windows(early_upa, late_upa, n_valid=LATE_WINDOW_COUNT):
     early = make_buffer(np.full(int(0.5 * FS), early_upa), start=2.0)
-    late = [
-        make_buffer(np.full(int(FS), late_upa), start=s)
-        for s in layout.late_starts_s
-    ]
+    late = [make_buffer(np.full(int(FS), late_upa), start=2.5 + k) if k < n_valid else None
+            for k in range(LATE_WINDOW_COUNT)]
+    return [early] + late
+
+
+def const_record(csel, pulse_index, early_upa=1000.0, late_upa=10.0, t95=2.5):
     return extract_record(
-        fake_event(2.1), layout, early, late, csel_state,
+        fake_event(2.1), 2.0, t95, const_windows(early_upa, late_upa), csel,
         weighting="linear", pulse_index=pulse_index,
     )
 
 
 def test_record_carries_61_cells_no_na_when_all_valid():
-    rec = const_record(StreamCselState(), 0)
+    rec = const_record(new_csel(), 0)
     cells = record_cells(rec)
     assert len(cells) == 61
     assert NA not in cells
 
 
 def test_record_invalid_late_windows_are_na_blocks():
-    layout = layout_windows(EnergyBounds(2.0, 2.5), data_end_s=6.5)  # 4 valid
-    early = make_buffer(np.full(int(0.5 * FS), 500.0), start=2.0)
-    late = [
-        make_buffer(np.full(int(FS), 10.0), start=s) if ok else None
-        for s, ok in zip(layout.late_starts_s, layout.late_valid)
-    ]
     rec = extract_record(
-        fake_event(2.1), layout, early, late, StreamCselState(),
+        fake_event(2.1), 2.0, 2.5, const_windows(500.0, 10.0, n_valid=4), new_csel(),
         weighting="linear", pulse_index=0,
     )
+    assert rec.late_valid == (True,) * 4 + (False,) * 6
     cells = record_cells(rec)
     assert len(cells) == 61
     assert cells.count(NA) == 4 * 6  # six invalid windows, four measures each
@@ -154,7 +147,7 @@ def test_record_invalid_late_windows_are_na_blocks():
 
 
 def test_record_level_formats():
-    rec = const_record(StreamCselState(), 0)
+    rec = const_record(new_csel(), 0)
     cells = record_cells(rec)
     assert cells[0] == "2.000000000"  # early_t5_s
     assert cells[1] == "2.500000000"  # late_01_start_s
@@ -183,13 +176,13 @@ def test_record_rejects_misaligned_late_ladder():
             t_b_s=1.2,
             p_b_upa=-1.0,
             p_b_db=0.0,
-            early=LevelSet(None, None, None, None),
-            late=tuple(LevelSet(None, None, None, None) for _ in range(10)),
+            early=NA_LEVELS,
+            late=(NA_LEVELS,) * 10,
         )
 
 
 def test_csel_slots_accumulate_across_pulses():
-    state = StreamCselState()
+    state = new_csel()
     rec1 = const_record(state, 0, early_upa=1000.0)
     rec2 = const_record(state, 1, early_upa=2000.0)
     e1 = 1000.0**2 * 0.5
@@ -206,7 +199,7 @@ def test_csel_slots_accumulate_across_pulses():
 
 
 def test_zero_energy_window_keeps_cumulative_level():
-    state = StreamCselState()
+    state = new_csel()
     rec1 = const_record(state, 0, early_upa=1000.0)
     rec2 = const_record(state, 1, early_upa=0.0)
     assert rec2.early.spl_db is None
@@ -216,7 +209,7 @@ def test_zero_energy_window_keeps_cumulative_level():
 
 
 def test_zero_energy_leading_window_has_no_csel():
-    state = StreamCselState()
+    state = new_csel()
     rec = const_record(state, 0, early_upa=0.0)
     assert rec.early.csel_db is None
     cells = record_cells(rec)
@@ -232,7 +225,7 @@ def test_sort_records_orders_by_channel_pulse_weighting():
     for ch in (1, 0):
         for w in ("mfc", "linear", "lfc"):
             for k in (1, 0):
-                r = const_record(StreamCselState(), k)
+                r = const_record(new_csel(), k)
                 recs.append(
                     FeatureRecord(
                         **{
@@ -254,7 +247,7 @@ def test_sort_records_orders_by_channel_pulse_weighting():
 
 
 def test_write_catalog_counts_and_round_trip(tmp_path):
-    state = StreamCselState()
+    state = new_csel()
     recs = [const_record(state, k) for k in range(3)]
     path = tmp_path / "catalog.csv"
     summary = write_catalog(recs, path, run_id="t1")
@@ -283,14 +276,8 @@ def test_write_catalog_counts_and_round_trip(tmp_path):
 
 
 def test_read_catalog_maps_na_to_none(tmp_path):
-    layout = layout_windows(EnergyBounds(2.0, 2.5), data_end_s=4.0)  # 1 valid
-    early = make_buffer(np.full(int(0.5 * FS), 500.0), start=2.0)
-    late = [
-        make_buffer(np.full(int(FS), 10.0), start=s) if ok else None
-        for s, ok in zip(layout.late_starts_s, layout.late_valid)
-    ]
     rec = extract_record(
-        fake_event(2.1), layout, early, late, StreamCselState(),
+        fake_event(2.1), 2.0, 2.5, const_windows(500.0, 10.0, n_valid=1), new_csel(),
         weighting="lfc", pulse_index=0,
     )
     path = tmp_path / "c.csv"
@@ -317,34 +304,29 @@ def whole_buffer_records(cm, kind, detector):
     """Reference path: no chunking, no rolling buffer, no trimming."""
     whole = read_span(cm, 0, cm.n_samples)
     _, filt = apply_filter(design_filter(WeightingSpec(kind), cm.sample_rate_hz), whole)
-    events = detect_buffer(filt, detector)
-    from airgunkit.windows import energy_bounds
+    events = detect_pulses([filt], detector)
 
     fs = cm.sample_rate_hz
     n_total = cm.n_samples
     w = round(fs)
-    spans = [(ev.search_start_index, min(ev.search_end_index, n_total)) for ev in events]
-    all_bounds = []
-    for s, e in spans:
-        win = make_buffer(filt.samples[s:e], fs=fs, start=s / fs)
-        all_bounds.append(energy_bounds(win))
-    csel = StreamCselState()
+    all_bounds = [
+        energy_bounds(filt.samples[ev.search_start_index:min(ev.search_end_index, n_total)],
+                      ev.search_start_index)
+        for ev in events
+    ]
+    csel = new_csel()
     records = []
     for j, ev in enumerate(events):
-        nxt = all_bounds[j + 1] if j + 1 < len(events) else None
-        layout = layout_windows(all_bounds[j], next_bounds=nxt, data_end_s=n_total / fs)
-        e5 = round(all_bounds[j].t_5th_s * fs)
-        e95 = round(all_bounds[j].t_95th_s * fs)
-        early = make_buffer(filt.samples[e5 : e95 + 1], fs=fs, start=e5 / fs)
-        late = []
-        for i, ok in enumerate(layout.late_valid):
-            if not ok:
-                late.append(None)
-            else:
-                a = e95 + i * w
-                late.append(make_buffer(filt.samples[a : a + w], fs=fs, start=a / fs))
+        b = all_bounds[j]
+        limit = all_bounds[j + 1].i5 if j + 1 < len(events) else n_total
+        windows = [make_buffer(filt.samples[b.i5 : b.i95 + 1], fs=fs)]
+        for k, ok in enumerate(layout_windows(b.i95, limit, w)):
+            a = b.i95 + k * w
+            windows.append(make_buffer(filt.samples[a : a + w], fs=fs) if ok else None)
+        s0 = ev.search_start_index
+        t5, t95 = ((filt.start_time_s + s0 / fs) + (i - s0) / fs for i in (b.i5, b.i95))
         records.append(
-            extract_record(ev, layout, early, late, csel, weighting=kind.value, pulse_index=j)
+            extract_record(ev, t5, t95, windows, csel, weighting=kind.value, pulse_index=j)
         )
     return events, records
 

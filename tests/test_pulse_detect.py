@@ -11,7 +11,6 @@ from airgunkit.pulse_detect import (
     MAX_EXCURSION_S,
     DetectorConfig,
     PulseScanner,
-    detect_buffer,
     detect_pulses,
     format_event_row,
 )
@@ -71,18 +70,18 @@ def test_threshold_db_to_pressure():
 
 
 def test_silence_yields_no_events():
-    assert detect_buffer(make_buffer(np.zeros(int(10 * FS))), CFG) == []
+    assert detect_pulses([make_buffer(np.zeros(int(10 * FS)))], CFG) == []
 
 
 def test_subthreshold_signal_yields_no_events():
     rng = np.random.default_rng(3)
     x = rng.normal(scale=100.0, size=int(10 * FS))  # ~40 dB under threshold
-    assert detect_buffer(make_buffer(x, fs=FS), CFG) == []
+    assert detect_pulses([make_buffer(x, fs=FS)], CFG) == []
 
 
 def test_single_pulse_detected():
     x = spike_train([3.0], [1.0e5], 10.0)
-    events = detect_buffer(make_buffer(x, fs=FS), CFG)
+    events = detect_pulses([make_buffer(x, fs=FS)], CFG)
     assert len(events) == 1
     ev = events[0]
     assert ev.t_pos_s == pytest.approx(3.0, abs=1e-12)
@@ -92,13 +91,13 @@ def test_single_pulse_detected():
 
 def test_sample_exactly_at_threshold_fires():
     x = spike_train([2.0], [1.0e4], 6.0)  # exactly 80 dB
-    events = detect_buffer(make_buffer(x, fs=FS), CFG)
+    events = detect_pulses([make_buffer(x, fs=FS)], CFG)
     assert len(events) == 1
 
 
 def test_negative_spike_fires_and_reports_peaks():
     x = spike_train([2.0, 2.01], [-2.0e5, 5.0e4], 8.0)
-    events = detect_buffer(make_buffer(x, fs=FS), CFG)
+    events = detect_pulses([make_buffer(x, fs=FS)], CFG)
     assert len(events) == 1
     ev = events[0]
     assert ev.t_neg_s == pytest.approx(2.0, abs=1e-12)
@@ -108,7 +107,7 @@ def test_negative_spike_fires_and_reports_peaks():
 
 def test_pulse_near_stream_start_is_measured():
     x = spike_train([0.1], [1.0e5], 5.0)
-    events = detect_buffer(make_buffer(x, fs=FS), CFG)
+    events = detect_pulses([make_buffer(x, fs=FS)], CFG)
     assert len(events) == 1
     assert events[0].t_pos_s == pytest.approx(0.1, abs=1e-12)
     assert events[0].search_start_index == 0  # clipped at stream head
@@ -116,7 +115,7 @@ def test_pulse_near_stream_start_is_measured():
 
 def test_ipi_fills_forward():
     x = spike_train([2.0, 12.0, 28.0], [1e5, 2e5, 1.5e5], 35.0)
-    events = detect_buffer(make_buffer(x, fs=FS), CFG)
+    events = detect_pulses([make_buffer(x, fs=FS)], CFG)
     assert len(events) == 3
     assert events[0].ipi_s == pytest.approx(10.0, abs=1e-9)
     assert events[1].ipi_s == pytest.approx(16.0, abs=1e-9)
@@ -129,21 +128,21 @@ def test_ipi_fills_forward():
 
 def test_pulses_closer_than_min_ipi_merge():
     x = spike_train([10.0, 13.0], [1e5, 9e4], 20.0)
-    events = detect_buffer(make_buffer(x, fs=FS), CFG)
+    events = detect_pulses([make_buffer(x, fs=FS)], CFG)
     assert len(events) == 1
     assert events[0].t_pos_s == pytest.approx(10.0, abs=1e-12)
 
 
 def test_pulses_beyond_min_ipi_both_fire():
     x = spike_train([10.0, 16.0], [1e5, 9e4], 22.0)
-    events = detect_buffer(make_buffer(x, fs=FS), CFG)
+    events = detect_pulses([make_buffer(x, fs=FS)], CFG)
     assert len(events) == 2
 
 
 def test_echo_inside_search_window_does_not_double_fire():
     # strong pulse with an above-threshold echo 0.4 s later
     x = spike_train([5.0, 5.4], [3e5, 5e4], 12.0)
-    events = detect_buffer(make_buffer(x, fs=FS), CFG)
+    events = detect_pulses([make_buffer(x, fs=FS)], CFG)
     assert len(events) == 1
     assert events[0].t_pos_s == pytest.approx(5.0, abs=1e-12)
 
@@ -156,7 +155,7 @@ def test_anchor_is_largest_magnitude_in_window():
     # first crest crosses the threshold but the bigger crest 0.3 s later
     # must win the anchor
     x = spike_train([4.0, 4.3], [2e4, 8e5], 10.0)
-    events = detect_buffer(make_buffer(x, fs=FS), CFG)
+    events = detect_pulses([make_buffer(x, fs=FS)], CFG)
     assert len(events) == 1
     assert events[0].t_pos_s == pytest.approx(4.3, abs=1e-12)
     assert events[0].p_pos_db == pytest.approx(20.0 * math.log10(8e5), abs=1e-9)
@@ -167,7 +166,7 @@ def test_peak_window_straddles_anchor_asymmetrically():
     # inside [5.5, 7.0) still count for the signed extremes, while anything
     # past the window end does not
     x = spike_train([6.0, 5.7, 6.9, 7.05], [8e5, -9.0e3, -9.9e3, -9.95e3], 12.0)
-    events = detect_buffer(make_buffer(x, fs=FS), CFG)
+    events = detect_pulses([make_buffer(x, fs=FS)], CFG)
     assert len(events) == 1
     ev = events[0]
     assert ev.t_pos_s == pytest.approx(6.0, abs=1e-12)
@@ -178,7 +177,7 @@ def test_first_excursion_anchors_despite_bigger_neighbour():
     # two isolated excursions 0.3 s apart: the earlier one opens the event,
     # the larger one lands inside its search window as the measured peak
     x = spike_train([5.7, 6.0], [-3e5, 8e5], 12.0)
-    events = detect_buffer(make_buffer(x, fs=FS), CFG)
+    events = detect_pulses([make_buffer(x, fs=FS)], CFG)
     assert len(events) == 1
     ev = events[0]
     assert ev.t_neg_s == pytest.approx(5.7, abs=1e-12)
@@ -193,7 +192,7 @@ def test_equal_peaks_in_one_excursion_anchor_on_the_earlier():
     x[i : i + 200] = 2e4
     x[i + 50] = 9e4
     x[i + 150] = -9e4
-    whole = detect_buffer(make_buffer(x, fs=FS), CFG)
+    whole = detect_pulses([make_buffer(x, fs=FS)], CFG)
     assert [ev.anchor_index for ev in whole] == [i + 50]
     split = [make_buffer(x[: i + 100], fs=FS), make_buffer(x[i + 100 :], fs=FS, start=(i + 100) / FS)]
     assert events_key(detect_pulses(split, CFG)) == events_key(whole)
@@ -249,7 +248,7 @@ def test_t_a_spacing_drops_are_counted():
     assert [ev.anchor_index for ev in kept] == [int(10.0 * FS)]
     assert kept[0].t_pos_s == pytest.approx(10.99, abs=1e-12)
     assert scanner.t_a_drops == 1
-    assert events_key(detect_buffer(make_buffer(x, fs=FS), CFG)) == events_key(kept)
+    assert events_key(detect_pulses([make_buffer(x, fs=FS)], CFG)) == events_key(kept)
 
 
 def test_long_excursion_is_cut_into_pieces_whatever_the_chunking():
@@ -258,7 +257,7 @@ def test_long_excursion_is_cut_into_pieces_whatever_the_chunking():
     x[int(2 * FS) : int(42 * FS)] = 2e4
     x[int(5 * FS)] = 5e4
     x[int(20 * FS)] = 6e4
-    whole = detect_buffer(make_buffer(x, fs=FS), CFG)
+    whole = detect_pulses([make_buffer(x, fs=FS)], CFG)
     assert [ev.anchor_index for ev in whole] == [int(t * FS) for t in (5.0, 20.0, 32.0)]
     for chunk_s in (0.9, 7.3, 16.0):
         assert events_key(detect_pulses(chunked(x, FS, chunk_s), CFG)) == events_key(whole)
@@ -289,7 +288,7 @@ def test_chunked_equals_whole():
     times = times[np.diff(np.concatenate([[-10.0], times])) > 6.0]
     amps = rng.uniform(5e4, 9e5, size=len(times))
     x = spike_train(times, amps, 300.0)
-    whole = detect_buffer(make_buffer(x, fs=FS), CFG)
+    whole = detect_pulses([make_buffer(x, fs=FS)], CFG)
     assert len(whole) == len(times)
     for chunk_s in (7.3, 60.0, 1.0):
         parts = detect_pulses(chunked(x, FS, chunk_s), CFG)
@@ -299,7 +298,7 @@ def test_chunked_equals_whole():
 def test_pulse_straddling_chunk_boundary():
     # anchor 3 samples before a 60 s boundary; the undecided tail must carry
     x = spike_train([59.99981, 60.4], [6e5, -2e5], 90.0)
-    whole = detect_buffer(make_buffer(x, fs=FS), CFG)
+    whole = detect_pulses([make_buffer(x, fs=FS)], CFG)
     parts = detect_pulses(chunked(x, FS, 60.0), CFG)
     assert events_key(parts) == events_key(whole)
     assert len(parts) == 1
@@ -327,7 +326,7 @@ def test_detection_invariants_random_trains(seed, chunk_s):
     for ev in events:
         assert max(ev.p_pos_upa, -ev.p_neg_upa) >= CFG.threshold_upa
     # chunking must not change the outcome
-    whole = detect_buffer(make_buffer(x, fs=FS), CFG)
+    whole = detect_pulses([make_buffer(x, fs=FS)], CFG)
     assert events_key(events) == events_key(whole)
 
 
@@ -336,12 +335,12 @@ def test_amplitude_scaling_equivariance():
     times = [3.0, 11.0, 25.0]
     amps = [2e5, -6e5, 9e4]
     x = spike_train(times, amps, 30.0)
-    base = detect_buffer(make_buffer(x, fs=FS), CFG)
+    base = detect_pulses([make_buffer(x, fs=FS)], CFG)
     k = 37.5
     scaled_cfg = DetectorConfig(
         threshold_db=CFG.threshold_db + 20.0 * math.log10(k), min_ipi_s=CFG.min_ipi_s
     )
-    scaled = detect_buffer(make_buffer(k * x, fs=FS), scaled_cfg)
+    scaled = detect_pulses([make_buffer(k * x, fs=FS)], scaled_cfg)
     assert [ev.anchor_index for ev in scaled] == [ev.anchor_index for ev in base]
     assert [ev.t_pos_s for ev in scaled] == [ev.t_pos_s for ev in base]
 
@@ -375,7 +374,7 @@ def test_events_header_and_row_format():
         "t_b_s,p_b_upa,p_b_db,p_pp_db,ipi_s"
     )
     x = spike_train([2.0, 12.0], [1e5, 1e5], 20.0)
-    events = detect_buffer(make_buffer(x, fs=FS), CFG)
+    events = detect_pulses([make_buffer(x, fs=FS)], CFG)
     rows = [format_event_row(ev, "linear", i) for i, ev in enumerate(events)]
     first = rows[0].split(",")
     assert first[0] == "0"

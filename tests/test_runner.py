@@ -10,7 +10,6 @@ from airgunkit.runner import (
     RunConfig,
     bench,
     cpu_count,
-    estimate_serial,
     report_text,
     run,
     weighted_chunks,
@@ -284,19 +283,6 @@ def test_failed_task_reports_and_leaves_no_catalog(tmp_path):
 
 # ---------------------------------------------------------------------------
 # runtime model
-
-
-def test_estimate_serial_scales_linearly():
-    assert estimate_serial(5, 43.0 * 3600.0) == pytest.approx(215.0 * 3600.0)
-    assert estimate_serial(1, 1234.5) == 1234.5
-    assert estimate_serial(3, 7200.0) == 21600.0
-
-
-def test_estimate_serial_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        estimate_serial(0, 100.0)
-    with pytest.raises(ValueError):
-        estimate_serial(4, 0.0)
 
 
 def test_cpu_count_positive():

@@ -8,7 +8,6 @@ from airgunkit.signal_io import (
     CalibrationSpec,
     iter_chunks,
     open_manifest,
-    read_chunk,
     read_span,
     write_wav,
 )
@@ -234,7 +233,7 @@ def test_split_files_read_equals_single_file(tmp_path):
 def test_read_chunk_straddles_file_boundary(tmp_path):
     x = np.arange(-1000, 1000, dtype=np.int16)
     cm = split_files_channel(tmp_path, x[:1200], x[1200:])
-    buf = read_chunk(cm, 1100 / FS, 200 / FS)
+    buf = read_span(cm, 1100, 200)
     expected = x[1100:1300] * cm.calibration.pressure_per_count
     assert np.array_equal(buf.samples, expected)
 
@@ -290,9 +289,9 @@ def test_read_chunk_decomposes(tmp_path):
     rng = np.random.default_rng(8)
     counts = rng.integers(-2048, 2048, size=10 * FS, dtype=np.int16)
     cm = simple_channel(tmp_path, counts, cfs=2048, sens=126.0)
-    whole = read_chunk(cm, 0.0, 10.0)
-    first = read_chunk(cm, 0.0, 5.0)
-    second = read_chunk(cm, 5.0, 5.0)
+    whole = read_span(cm, 0, 10 * FS)
+    first = read_span(cm, 0, 5 * FS)
+    second = read_span(cm, 5 * FS, 5 * FS)
     assert np.array_equal(whole.samples, np.concatenate([first.samples, second.samples]))
     assert second.start_time_s == first.end_time_s
 
@@ -322,7 +321,7 @@ def test_iter_chunks_tiles_exactly(tmp_path):
 
 def test_time_at_matches_grid(tmp_path):
     cm = simple_channel(tmp_path, np.ones(FS, dtype=np.int16), start=3.5)
-    buf = read_chunk(cm, 3.5 + 0.25, 0.5)
+    buf = read_span(cm, FS // 4, FS // 2)
     assert buf.start_time_s == pytest.approx(3.75, abs=1e-12)
     assert buf.time_at(0) == buf.start_time_s
     assert buf.time_at(100) == pytest.approx(buf.start_time_s + 100 / FS, abs=1e-12)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import signal
 
 from airgunkit.errors import FilterDesignError
 from airgunkit.weighting import (
@@ -11,7 +12,6 @@ from airgunkit.weighting import (
     WeightingSpec,
     apply_filter,
     design_filter,
-    frequency_response_db,
     parse_kind,
 )
 
@@ -20,6 +20,16 @@ from conftest import make_buffer
 
 def fresh(kind, fs):
     return design_filter(WeightingSpec(kind), fs)
+
+
+def frequency_response_db(state, freqs_hz):
+    """Magnitude response in dB at the given frequencies (0 dB for flat)."""
+    freqs_hz = np.asarray(freqs_hz, dtype=np.float64)
+    if state.sos is None:
+        return np.zeros_like(freqs_hz)
+    _, h = signal.sosfreqz(state.sos, worN=freqs_hz, fs=state.sample_rate_hz)
+    with np.errstate(divide="ignore"):
+        return 20.0 * np.log10(np.abs(h))
 
 
 def run_whole(kind, buf):

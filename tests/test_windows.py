@@ -1,11 +1,18 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from airgunkit.errors import MeasureError
+from airgunkit.pipeline import RecordBuilder
+from airgunkit.pulse_detect import DetectorConfig, detect_pulses
+from airgunkit.weighting import WeightingKind
 from airgunkit.windows import (
     HIGH_FRACTION,
+    LATE_WINDOW_COUNT,
+    LATE_WINDOW_S,
     LOW_FRACTION,
     EnergyBounds,
     energy_bounds,
@@ -15,15 +22,16 @@ from airgunkit.windows import (
 from conftest import make_buffer
 
 FS = 16000.0
+W = 16000  # one late window at FS
 
 
-def damped_sine(attack_s, decay_s, carrier_hz, fs=FS, duration_s=1.0, start=0.0):
+def damped_sine(attack_s, decay_s, carrier_hz, fs=FS, duration_s=1.0):
     t = np.arange(int(round(duration_s * fs))) / fs
     env = (1.0 - np.exp(-t / attack_s)) * np.exp(-t / decay_s)
-    return make_buffer(env * np.cos(2.0 * np.pi * carrier_hz * t), fs=fs, start=start)
+    return env * np.cos(2.0 * np.pi * carrier_hz * t)
 
 
-def oracle_bounds(samples, fs):
+def oracle_bounds(samples):
     """Plain-python first-reach scan over the cumulative energy."""
     cum = 0.0
     total = float(np.sum(np.square(np.asarray(samples, dtype=np.float64))))
@@ -35,7 +43,7 @@ def oracle_bounds(samples, fs):
         if hi is None and cum >= HIGH_FRACTION * total:
             hi = i
             break
-    return lo / fs, hi / fs
+    return lo, hi
 
 
 # ---------------------------------------------------------------------------
@@ -45,27 +53,21 @@ def oracle_bounds(samples, fs):
 def test_bounds_single_nonzero_sample_collapse():
     x = np.zeros(200)
     x[57] = 4.0
-    b = energy_bounds(make_buffer(x))
-    assert b.t_5th_s == b.t_95th_s == 57 / FS
-    assert b.span_s == 0.0
+    b = energy_bounds(x)
+    assert b.i5 == b.i95 == 57
 
 
 def test_bounds_symmetric_pulse_is_centred():
     t = np.arange(int(FS)) / FS
     x = np.exp(-0.5 * ((t - 0.5) / 0.02) ** 2)
-    b = energy_bounds(make_buffer(x))
-    left = 0.5 - b.t_5th_s
-    right = b.t_95th_s - 0.5
+    b = energy_bounds(x)
     # 5% from the left and 5% from the right of a symmetric hump
-    assert left == pytest.approx(right, abs=1.0 / FS)
+    assert abs((8000 - b.i5) - (b.i95 - 8000)) <= 1
 
 
 def test_bounds_match_plain_scan_oracle():
-    buf = damped_sine(0.002, 0.03, 2000.0)
-    t_lo, t_hi = oracle_bounds(buf.samples, FS)
-    b = energy_bounds(buf)
-    assert b.t_5th_s == t_lo
-    assert b.t_95th_s == t_hi
+    x = damped_sine(0.002, 0.03, 2000.0)
+    assert energy_bounds(x) == EnergyBounds(*oracle_bounds(x))
 
 
 def test_bounds_gaussian_vs_oversampled_render():
@@ -76,31 +78,30 @@ def test_bounds_gaussian_vs_oversampled_render():
         t = np.arange(int(round(1.0 * rate))) / rate
         return np.exp(-0.5 * ((t - centre) / sigma) ** 2)
 
-    coarse = energy_bounds(make_buffer(render(FS), fs=FS))
-    fine = energy_bounds(make_buffer(render(10 * FS), fs=10 * FS))
-    assert coarse.t_5th_s == pytest.approx(fine.t_5th_s, abs=1.0 / FS)
-    assert coarse.t_95th_s == pytest.approx(fine.t_95th_s, abs=1.0 / FS)
+    coarse = energy_bounds(render(FS))
+    fine = energy_bounds(render(10 * FS))
+    assert coarse.i5 / FS == pytest.approx(fine.i5 / (10 * FS), abs=1.0 / FS)
+    assert coarse.i95 / FS == pytest.approx(fine.i95 / (10 * FS), abs=1.0 / FS)
 
 
 def test_bounds_start_time_offsets_both():
     x = np.zeros(100)
     x[20:80] = 1.0
-    b0 = energy_bounds(make_buffer(x, start=0.0))
-    b7 = energy_bounds(make_buffer(x, start=7.25))
-    assert b7.t_5th_s == pytest.approx(b0.t_5th_s + 7.25, abs=0.0)
-    assert b7.t_95th_s == pytest.approx(b0.t_95th_s + 7.25, abs=0.0)
+    b0 = energy_bounds(x)
+    b7 = energy_bounds(x, start=116_000)
+    assert (b7.i5, b7.i95) == (b0.i5 + 116_000, b0.i95 + 116_000)
 
 
 def test_bounds_all_zero_errors():
     with pytest.raises(MeasureError):
-        energy_bounds(make_buffer(np.zeros(64)))
+        energy_bounds(np.zeros(64))
     with pytest.raises(MeasureError):
-        energy_bounds(make_buffer([]))
+        energy_bounds(np.zeros(0))
 
 
 def test_bounds_reject_reversed_times():
     with pytest.raises(MeasureError):
-        EnergyBounds(t_5th_s=2.0, t_95th_s=1.0)
+        EnergyBounds(i5=2, i95=1)
 
 
 @settings(max_examples=100, deadline=None)
@@ -110,13 +111,11 @@ def test_bounds_reject_reversed_times():
     st.floats(min_value=200.0, max_value=4000.0),
 )
 def test_bounds_coverage_and_minimality(attack_s, decay_s, carrier_hz):
-    buf = damped_sine(attack_s, decay_s, carrier_hz)
-    b = energy_bounds(buf)
-    x = buf.samples
+    x = damped_sine(attack_s, decay_s, carrier_hz)
+    b = energy_bounds(x)
     cum = np.cumsum(np.square(x))
     total = cum[-1]
-    i_lo = int(round(b.t_5th_s * FS))
-    i_hi = int(round(b.t_95th_s * FS))
+    i_lo, i_hi = b.i5, b.i95
 
     inside = cum[i_hi] - (cum[i_lo - 1] if i_lo > 0 else 0.0)
     covered = inside / total
@@ -133,83 +132,87 @@ def test_bounds_coverage_and_minimality(attack_s, decay_s, carrier_hz):
 
 
 # ---------------------------------------------------------------------------
-# late window layout
+# late window layout, in samples: window k spans [i95 + k*W, i95 + (k+1)*W)
+
+I95 = 36_800  # 2.3 s
 
 
-def bounds_at(t5, t95):
-    return EnergyBounds(t_5th_s=t5, t_95th_s=t95)
+def spike_records(spikes_s, duration_s):
+    """Records of a linear stream of single-sample spikes, each its own pulse.
+
+    A lone spike's energy bounds collapse onto its sample, so each pulse's
+    i5 and i95 are the spike's index.
+    """
+    x = np.zeros(int(duration_s * FS))
+    for t in spikes_s:
+        x[round(t * FS)] = 1.0e6
+    cm = SimpleNamespace(sample_rate_hz=FS, n_samples=len(x), start_time_s=0.0, channel_id=0)
+    builder = RecordBuilder(cm, WeightingKind.LINEAR)
+    detect_pulses([make_buffer(x)], DetectorConfig(threshold_db=100.0, min_ipi_s=5.0), builder)
+    assert len(builder.records) == len(spikes_s)
+    return builder.records
 
 
 def test_layout_defaults_ten_one_second_windows():
-    lay = layout_windows(bounds_at(2.0, 2.3))
-    assert len(lay.late_starts_s) == 10
-    assert lay.late_starts_s[0] == 2.3
-    for k, s in enumerate(lay.late_starts_s):
-        assert s == 2.3 + k * 1.0
-    assert lay.n_valid == 10
+    assert (LATE_WINDOW_COUNT, LATE_WINDOW_S) == (10, 1.0)
+    assert layout_windows(I95, 10**9, W) == (True,) * 10
+    rec = spike_records([2.3], 60.0)[0]
+    assert rec.late_starts_s == tuple(2.3 + k * 1.0 for k in range(10))
+    assert rec.late_valid == (True,) * 10
 
 
 def test_layout_wide_gap_keeps_all_windows():
-    nxt = bounds_at(14.3, 14.6)  # 12 s spacing
-    lay = layout_windows(bounds_at(2.0, 2.3), next_bounds=nxt)
-    assert lay.late_valid == (True,) * 10
+    assert layout_windows(I95, 228_800, W) == (True,) * 10  # next i5 12 s later
 
 
 def test_layout_short_gap_truncates():
-    # next pulse's 5% bound 4.0 s after this one's 95% bound: windows
-    # ending at +1, +2, +3 fit; +4 ends exactly at the limit and still fits
-    nxt = bounds_at(6.3, 6.59)
-    lay = layout_windows(bounds_at(2.0, 2.3), next_bounds=nxt)
-    assert lay.late_valid == (True, True, True, True) + (False,) * 6
-    assert lay.n_valid == 4
+    # next pulse's 5% bound 4 s after this one's 95% bound: windows ending
+    # at +1, +2, +3 fit; +4 ends exactly at the limit and still fits
+    assert layout_windows(I95, I95 + 4 * W, W) == (True, True, True, True) + (False,) * 6
 
 
 def test_layout_exact_boundary_window_is_valid():
-    nxt = bounds_at(3.3, 3.5)
-    lay = layout_windows(bounds_at(2.0, 2.3), next_bounds=nxt)
-    # first window spans [2.3, 3.3] and the next t_5th is 3.3
-    assert lay.late_valid[0] is True
-    assert lay.late_valid[1] is False
+    valid = layout_windows(I95, I95 + W, W)
+    # the first window spans [i95, i95 + W) and the next i5 is i95 + W
+    assert valid[0] is True
+    assert valid[1] is False
+    # one sample less and it no longer fits
+    assert layout_windows(I95, I95 + W - 1, W)[0] is False
 
 
 def test_layout_last_pulse_limited_by_data_end():
-    lay = layout_windows(bounds_at(2.0, 2.3), data_end_s=5.0)
-    assert lay.late_valid == (True, True) + (False,) * 8
+    rec = spike_records([2.3], 5.0)[0]
+    assert rec.late_valid == (True, True) + (False,) * 8
 
 
 def test_layout_last_pulse_with_long_tail():
-    lay = layout_windows(bounds_at(2.0, 2.3), data_end_s=60.0)
-    assert lay.n_valid == 10
+    rec = spike_records([2.3], 60.0)[0]
+    assert rec.late_valid == (True,) * 10
 
 
 def test_layout_next_pulse_wins_over_data_end():
-    lay = layout_windows(
-        bounds_at(2.0, 2.3), next_bounds=bounds_at(4.8, 5.0), data_end_s=60.0
-    )
-    assert lay.n_valid == 2
+    first, last = spike_records([2.3, 8.0], 60.0)
+    assert first.late_valid == (True,) * 5 + (False,) * 5  # windows end by 7.3 s < 8.0 s
+    assert last.late_valid == (True,) * 10
 
 
 def test_layout_zero_valid_when_next_pulse_is_close():
-    lay = layout_windows(bounds_at(2.0, 2.3), next_bounds=bounds_at(2.9, 3.1))
-    assert lay.n_valid == 0
+    assert layout_windows(I95, I95 + 9_600, W) == (False,) * 10
 
 
 def test_layout_rejects_bad_shape():
     with pytest.raises(ValueError):
-        layout_windows(bounds_at(0.0, 0.1), window_s=0.0)
+        layout_windows(I95, 10**9, 0)
     with pytest.raises(ValueError):
-        layout_windows(bounds_at(0.0, 0.1), count=0)
+        layout_windows(I95, 10**9, -W)
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.floats(min_value=0.3, max_value=20.0))
-def test_layout_valid_count_monotone_in_gap(gap_s):
-    base = bounds_at(2.0, 2.3)
-    lay = layout_windows(base, next_bounds=bounds_at(2.3 + gap_s, 2.4 + gap_s))
-    wider = layout_windows(
-        base, next_bounds=bounds_at(2.3 + gap_s + 0.5, 2.4 + gap_s + 0.5)
-    )
-    assert wider.n_valid >= lay.n_valid
+@given(st.integers(min_value=0, max_value=20 * W))
+def test_layout_valid_count_monotone_in_gap(gap):
+    valid = layout_windows(I95, I95 + gap, W)
+    wider = layout_windows(I95, I95 + gap + W // 2, W)
+    assert sum(wider) >= sum(valid)
+    assert sum(valid) == min(LATE_WINDOW_COUNT, gap // W)
     # validity is a prefix: once a window is cut, all later ones are too
-    flags = lay.late_valid
-    assert all(flags[i] or not flags[i + 1] for i in range(len(flags) - 1))
+    assert all(valid[i] or not valid[i + 1] for i in range(len(valid) - 1))
