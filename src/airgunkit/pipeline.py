@@ -155,6 +155,7 @@ class RecordBuilder:
         self.w_samp = round(LATE_WINDOW_S * cm.sample_rate_hz)
         self.records: list[FeatureRecord] = []
         self.t_a_drops = 0
+        self.cut_excursions = 0
         self._pending: deque[tuple[PulseEvent, EnergyBounds]] = deque()
         self._csel = [0.0] * (1 + LATE_WINDOW_COUNT)  # running energy of every window slot
 
@@ -183,6 +184,7 @@ class RecordBuilder:
             ))
             self._pending.popleft()
         self.t_a_drops = scanner.t_a_drops
+        self.cut_excursions = scanner.cut_excursions
         return self._pending[0][1].i5 if self._pending else buf.end
 
     def _time(self, ev: PulseEvent, i: int) -> float:

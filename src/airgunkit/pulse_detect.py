@@ -20,7 +20,7 @@ builder).  Any chunking gives the events of one whole buffer.
 An excursion longer than MAX_EXCURSION_S is cut into pieces of that length,
 counted from its first sample, and each piece nominates its own anchor: this
 bounds the samples the scanner holds without letting chunk boundaries change
-the result.
+the result.  The excursions so cut are counted.
 """
 
 from __future__ import annotations
@@ -111,7 +111,7 @@ class PulseScanner:
     Call ``scan`` after each append to the RollingBuffer, then trim the
     buffer no further than ``keep_from``; call ``scan(buf, final=True)`` once
     at end of stream.  ``t_a_drops`` counts the pulses dropped by the t_A
-    spacing rule.
+    spacing rule, ``cut_excursions`` the excursions cut into pieces.
     """
 
     def __init__(self, config: DetectorConfig, sample_rate_hz: float,
@@ -126,6 +126,7 @@ class PulseScanner:
         self.min_gap = round(config.min_ipi_s * self.fs)
         self.piece_len = round(MAX_EXCURSION_S * self.fs)
         self.t_a_drops = 0
+        self.cut_excursions = 0
         self._pos = 0  # first sample not scanned yet
         self._open: _OpenPiece | None = None
         self._last_anchor: int | None = None
@@ -186,7 +187,9 @@ class PulseScanner:
         continues = op is not None and idx[0] == 0
         if continues:
             run_start[0] = op.run_start
-        piece = (g - np.repeat(run_start, np.diff(run_first, append=idx.size))) // self.piece_len
+        offset = g - np.repeat(run_start, np.diff(run_first, append=idx.size))
+        self.cut_excursions += int(np.count_nonzero(offset == self.piece_len))  # a second piece starts
+        piece = offset // self.piece_len
         first = np.concatenate(([0], np.flatnonzero(gaps | (np.diff(piece) != 0)) + 1))
         mag = np.abs(x[idx])
         peaks = np.maximum.reduceat(mag, first)

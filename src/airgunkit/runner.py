@@ -15,11 +15,11 @@ import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .errors import RunError
 from .pipeline import CatalogSummary, FeatureRecord, RecordBuilder, sort_records, write_catalog
-from .pulse_detect import DetectorConfig, detect_pulses
+from .pulse_detect import MAX_EXCURSION_S, DetectorConfig, detect_pulses
 from .signal_io import ChannelManifest, SampleBuffer, iter_chunks
 from .weighting import CANONICAL_ORDER, WeightingKind, WeightingSpec, apply_filter, design_filter
 
@@ -58,7 +58,9 @@ class RuntimeReport:
 
     ``wall_seconds`` runs from the first task's start to the written
     catalog; ``task_seconds`` is the sum of the per-task times, which
-    ``per_channel_seconds`` splits by channel.
+    ``per_channel_seconds`` splits by channel.  The counters sum the
+    per-task counts: pulses dropped by the t_A spacing rule, excursions cut
+    into MAX_EXCURSION_S pieces, and weighting filter states flushed to zero.
     """
 
     per_channel_seconds: dict[int, float]
@@ -70,19 +72,32 @@ class RuntimeReport:
     n_points: int
     n_pulses: int
     t_a_drops: int
+    cut_excursions: int
+    filter_flushes: int
 
 
-def weighted_chunks(cm: ChannelManifest, kind: WeightingKind, chunk_s: float) -> Iterator[SampleBuffer]:
-    """The channel's sample stream through one weighting filter, chunk by chunk."""
-    state = design_filter(WeightingSpec(kind), cm.sample_rate_hz)
+class _WeightedChunks:
+    """Iterator over a channel's chunks through one weighting filter.
 
-    def step(chunk: SampleBuffer) -> SampleBuffer:
-        nonlocal state
-        state, filtered = apply_filter(state, chunk)
+    ``state`` is the filter state after the last chunk handed out.  Unlike a
+    generator frame, it keeps no chunk alive once the chunk is handed on.
+    """
+
+    def __init__(self, cm: ChannelManifest, kind: WeightingKind, chunk_s: float) -> None:
+        self.state = design_filter(WeightingSpec(kind), cm.sample_rate_hz)
+        self._chunks = iter_chunks(cm, chunk_s)
+
+    def __iter__(self) -> _WeightedChunks:
+        return self
+
+    def __next__(self) -> SampleBuffer:
+        self.state, filtered = apply_filter(self.state, next(self._chunks))
         return filtered
 
-    # unlike a generator frame, map keeps no chunk alive once it is handed on
-    return map(step, iter_chunks(cm, chunk_s))
+
+def weighted_chunks(cm: ChannelManifest, kind: WeightingKind, chunk_s: float) -> _WeightedChunks:
+    """The channel's sample stream through one weighting filter, chunk by chunk."""
+    return _WeightedChunks(cm, kind, chunk_s)
 
 
 class StreamResult(NamedTuple):
@@ -91,6 +106,8 @@ class StreamResult(NamedTuple):
     records: list[FeatureRecord]
     n_pulses: int
     t_a_drops: int  # pulses dropped by the t_A spacing rule
+    cut_excursions: int  # excursions cut into MAX_EXCURSION_S pieces
+    filter_flushes: int  # weighting filter states flushed to zero
 
 
 def extract_stream(
@@ -107,8 +124,10 @@ def extract_stream(
     late windows from the same buffer.
     """
     builder = RecordBuilder(cm, kind)
-    detect_pulses(weighted_chunks(cm, kind, chunk_s), detector, builder)
-    return StreamResult(builder.records, len(builder.records), builder.t_a_drops)
+    chunks = weighted_chunks(cm, kind, chunk_s)
+    detect_pulses(chunks, detector, builder)
+    return StreamResult(builder.records, len(builder.records), builder.t_a_drops,
+                        builder.cut_excursions, chunks.state.flushes)
 
 
 @dataclass(frozen=True)
@@ -118,12 +137,16 @@ class _TaskResult:
     seconds: float
     n_pulses: int
     t_a_drops: int
+    cut_excursions: int
+    filter_flushes: int
     records: list[FeatureRecord] = field(repr=False)
     error: str | None = None
 
     def log_line(self) -> str:
         return (f"channel {self.channel_id} {self.kind_value}: {self.n_pulses} pulses "
-                f"in {self.seconds:.1f}s, {self.t_a_drops} dropped by t_A spacing")
+                f"in {self.seconds:.1f}s, {self.t_a_drops} dropped by t_A spacing, "
+                f"{self.cut_excursions} excursions cut into {MAX_EXCURSION_S:g}-s pieces, "
+                f"{self.filter_flushes} filter flushes")
 
 
 def _run_task(args: tuple[ChannelManifest, str, DetectorConfig, float]) -> _TaskResult:
@@ -133,10 +156,10 @@ def _run_task(args: tuple[ChannelManifest, str, DetectorConfig, float]) -> _Task
     try:
         res = extract_stream(cm, WeightingKind(kind_value), detector, chunk_s)
     except Exception as exc:  # propagate through the pool as data
-        return _TaskResult(cm.channel_id, kind_value, time.perf_counter() - start, 0, 0, [],
+        return _TaskResult(cm.channel_id, kind_value, time.perf_counter() - start, 0, 0, 0, 0, [],
                            error=f"{type(exc).__name__}: {exc}")
-    return _TaskResult(cm.channel_id, kind_value, time.perf_counter() - start,
-                       res.n_pulses, res.t_a_drops, res.records)
+    return _TaskResult(cm.channel_id, kind_value, time.perf_counter() - start, res.n_pulses,
+                       res.t_a_drops, res.cut_excursions, res.filter_flushes, res.records)
 
 
 def run(
@@ -202,6 +225,8 @@ def run(
         n_points=summary.n_points,
         n_pulses=sum(r.n_pulses for r in results),
         t_a_drops=sum(r.t_a_drops for r in results),
+        cut_excursions=sum(r.cut_excursions for r in results),
+        filter_flushes=sum(r.filter_flushes for r in results),
     )
     return out_path, report
 
@@ -225,6 +250,8 @@ def report_text(report: RuntimeReport) -> str:
     lines.append(f"channel_hours={report.channel_hours:.6f}")
     lines.append(f"pulses={report.n_pulses}")
     lines.append(f"t_a_drops={report.t_a_drops}")
+    lines.append(f"cut_excursions={report.cut_excursions}")
+    lines.append(f"filter_flushes={report.filter_flushes}")
     lines.append(f"records={report.n_records}")
     lines.append(f"points={report.n_points}")
     return "\n".join(lines) + "\n"

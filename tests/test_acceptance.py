@@ -308,7 +308,7 @@ def test_09_four_way_parallel_halves_wall_time(tmp_path):
         assert t_parallel <= 0.5 * t_serial
 
 
-ACCEPTANCE_CATALOG_SHA256 = "1e95b5766a1d1cfbf4bbe2d3be8bee9a01d286d432241541a6d604308376708d"
+ACCEPTANCE_CATALOG_SHA256 = "3e071666e61eb254ae632ff192b49bbcc180f34787bd7a8e9b4d6dbfbde23b2d"
 HIGHRATE_CATALOG_SHA256 = "0ec4c8a6fe40fee95d44c9eab69181036633723de31811a1e95701d7c8bd86d8"
 
 

@@ -271,6 +271,24 @@ def test_long_excursion_is_cut_into_pieces_whatever_the_chunking():
         assert buf.end - buf.start <= (MAX_EXCURSION_S + CFG.search_window_s + 1.0) * FS
 
 
+def test_cut_excursions_are_counted_once_whatever_the_chunking():
+    # one excursion exactly MAX_EXCURSION_S long (one piece), one 35 s long
+    # (three pieces) and one a sample longer than MAX_EXCURSION_S (two pieces)
+    piece = round(MAX_EXCURSION_S * FS)
+    x = np.zeros(int(120 * FS))
+    for start, length in ((int(2 * FS), piece), (int(30 * FS), int(35 * FS)), (int(80 * FS), piece + 1)):
+        x[start : start + length] = 2e4
+    for chunk_s in (0.9, 7.3, 16.0, 120.0):
+        buf = RollingBuffer()
+        scanner = PulseScanner(CFG, FS)
+        for c in chunked(x, FS, chunk_s):
+            buf.append(c.samples)
+            scanner.scan(buf)
+            buf.trim(scanner.keep_from)
+        scanner.scan(buf, final=True)
+        assert scanner.cut_excursions == 2, chunk_s
+
+
 # ---------------------------------------------------------------------------
 # streaming / chunk invariance
 

@@ -1,10 +1,14 @@
+import csv
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from scipy import signal
 
 from airgunkit.errors import RunError
-from airgunkit.pulse_detect import DetectorConfig
+from airgunkit.pulse_detect import DetectorConfig, detect_pulses, format_event_row
 from airgunkit.runner import (
     BenchResult,
     RunConfig,
@@ -92,6 +96,9 @@ def test_serial_run_counts(twelve_pulse_survey, tmp_path):
     )
     assert report.wall_seconds >= report.task_seconds
     assert report.t_a_drops == 0
+    assert report.cut_excursions == 0
+    # silence between pulses: each filtered band flushes once after each pulse
+    assert report.filter_flushes == 12 * 2
     assert report.channel_hours == pytest.approx(125.0 / 3600.0, rel=1e-9)
     text = report_text(report)
     assert "records=36" in text
@@ -99,6 +106,8 @@ def test_serial_run_counts(twelve_pulse_survey, tmp_path):
     assert "worker_count=1" in text
     assert "wall_seconds=" in text and "task_seconds=" in text
     assert "t_a_drops=0" in text
+    assert "cut_excursions=0" in text
+    assert "filter_flushes=24" in text
 
 
 def test_run_logs_per_task(twelve_pulse_survey, tmp_path):
@@ -153,6 +162,24 @@ def test_t_a_spacing_drops_are_counted_and_logged(tmp_path):
     assert lines == [lines[0]] and "1 pulses" in lines[0] and "1 dropped by t_A spacing" in lines[0]
 
 
+def test_cut_excursions_are_counted_and_logged(tmp_path):
+    # 35 s above threshold without a break: cut into 15-s pieces, each a pulse
+    fs = 16000
+    counts = np.zeros(50 * fs, dtype=np.int16)
+    counts[5 * fs : 40 * fs] = 200
+    write_wav(tmp_path / "a.wav", counts, fs)
+    (tmp_path / "m.txt").write_text("calib 0 2048 126\nfile 0 a.wav 0.0\n")
+    lines = []
+    _, report = run(
+        RunConfig(out_path=tmp_path / "c.csv", detector=DETECTOR, weightings=(WeightingKind.LINEAR,)),
+        open_manifest(tmp_path / "m.txt"),
+        log=lines.append,
+    )
+    assert (report.n_pulses, report.cut_excursions) == (3, 1)
+    assert "1 excursions cut into 15-s pieces" in lines[0]
+    assert "cut_excursions=1" in report_text(report)
+
+
 # ---------------------------------------------------------------------------
 # determinism across modes and orderings
 
@@ -160,7 +187,7 @@ def test_t_a_spacing_drops_are_counted_and_logged(tmp_path):
 def test_parallel_matches_serial_bytes(small_survey, tmp_path):
     spec, result = small_survey
     manifests = open_manifest(result.manifest_path)
-    serial, _ = run(
+    serial, srep = run(
         RunConfig(out_path=tmp_path / "s.csv", detector=DETECTOR), manifests
     )
     parallel, rep = run(
@@ -174,6 +201,9 @@ def test_parallel_matches_serial_bytes(small_survey, tmp_path):
     )
     assert parallel.read_bytes() == serial.read_bytes()
     assert rep.worker_count == 2
+    assert srep.filter_flushes > 0
+    counters = ("n_pulses", "t_a_drops", "cut_excursions", "filter_flushes")
+    assert [getattr(rep, c) for c in counters] == [getattr(srep, c) for c in counters]
     # both modes report wall time and summed task time apart
     assert rep.task_seconds == pytest.approx(sum(rep.per_channel_seconds.values()), abs=1e-9)
     assert rep.wall_seconds > 0.0
@@ -287,6 +317,51 @@ def test_failed_task_reports_and_leaves_no_catalog(tmp_path):
 
 def test_cpu_count_positive():
     assert cpu_count() >= 1
+
+
+# ---------------------------------------------------------------------------
+# flushed filter state against plain sosfilt
+
+
+def plain_sosfilt(state, buffer):
+    """Oracle filter: scipy's sosfilt with carried state, never flushed."""
+    if state.sos is None:
+        return state, buffer
+    out, zi = signal.sosfilt(state.sos, buffer.samples, zi=state.zi)
+    return replace(state, zi=zi), replace(buffer, samples=out)
+
+
+def events_rows(manifests):
+    return [
+        format_event_row(ev, kind.value, i)
+        for ch in sorted(manifests)
+        for kind in CANONICAL_ORDER
+        for i, ev in enumerate(detect_pulses(weighted_chunks(manifests[ch], kind, 7.0), DETECTOR))
+    ]
+
+
+def test_flush_changes_only_cells_below_minus_100_db(small_survey, tmp_path, monkeypatch):
+    import airgunkit.runner as runner
+
+    spec, result = small_survey
+    manifests = open_manifest(result.manifest_path)
+    shipped, _ = run(RunConfig(out_path=tmp_path / "shipped.csv", detector=DETECTOR), manifests)
+    shipped_events = events_rows(manifests)
+    monkeypatch.setattr(runner, "apply_filter", plain_sosfilt)
+    oracle, report = run(RunConfig(out_path=tmp_path / "oracle.csv", detector=DETECTOR), manifests)
+    assert report.filter_flushes == 0
+    assert events_rows(manifests) == shipped_events
+
+    changed = 0
+    with open(oracle, newline="") as fo, open(shipped, newline="") as fs:
+        for want, got in zip(csv.DictReader(fo), csv.DictReader(fs), strict=True):
+            for col, cell in want.items():
+                if got[col] == cell:
+                    continue
+                changed += 1
+                assert col.startswith("late_") and not col.endswith("_start_s"), col
+                assert float(cell) < -100.0, (col, cell, got[col])
+    assert changed > 0
 
 
 # ---------------------------------------------------------------------------

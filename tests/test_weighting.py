@@ -2,12 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import signal
 
 from airgunkit.errors import FilterDesignError
+from airgunkit.pulse_detect import DetectorConfig
+from airgunkit.runner import RunConfig, run
+from airgunkit.signal_io import open_manifest, write_wav
 from airgunkit.weighting import (
     BAND_EDGES,
     CANONICAL_ORDER,
+    FLUSH_BLOCK,
+    FLUSH_FLOOR_UPA,
     WeightingKind,
     WeightingSpec,
     apply_filter,
@@ -219,3 +226,126 @@ def test_stopband_tone_is_rejected():
     out = run_whole(WeightingKind.LFC, make_buffer(x, fs=fs)).samples
     gain_db = 20.0 * math.log10(np.max(np.abs(out[int(4 * fs) :])) / 1000.0)
     assert gain_db < -20.0
+
+
+# ---------------------------------------------------------------------------
+# flushing the state over exact-zero input
+
+LSB_UPA = 10.0 ** (126.0 / 20.0) / 2048  # one recorder count at the default calibration
+
+
+def run_chunked(kind, fs, x, cuts):
+    """Filter x in chunks split at the sample indices ``cuts``; returns (output, final state)."""
+    state = fresh(kind, fs)
+    pieces = []
+    for a, b in zip([0, *cuts], [*cuts, len(x)]):
+        state, out = apply_filter(state, make_buffer(x[a:b], fs=fs, start=a / fs))
+        pieces.append(out.samples)
+    return np.concatenate(pieces), state
+
+
+# (kind, fs, longest zero run in blocks): each band decays below the floor
+# within a few of its longest zero runs; mfc at 400 kHz keeps its low-pass
+# stage and so carries four sections
+FLUSH_CASES = [
+    (WeightingKind.MFC, 16000.0, 8),
+    (WeightingKind.LFC, 1000.0, 8),
+    (WeightingKind.MFC, 400000.0, 80),
+]
+
+
+@pytest.mark.parametrize("kind,fs,max_zero_blocks", FLUSH_CASES)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_flushed_stream_is_chunk_invariant(kind, fs, max_zero_blocks, data):
+    # quantized bursts between exact-zero runs of random length, so the runs
+    # start and end anywhere against the checkpoint grid
+    longest = max_zero_blocks * FLUSH_BLOCK
+    zeros = st.integers(0, 2 * FLUSH_BLOCK) | st.integers(longest // 2, longest)
+    segments = data.draw(st.lists(st.tuples(zeros, st.integers(1, 3 * FLUSH_BLOCK)), min_size=1, max_size=6))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    parts = []
+    for n_zeros, burst in segments:
+        parts += [np.zeros(n_zeros), np.round(rng.normal(0.0, 20.0, burst)) * LSB_UPA]
+    parts.append(np.zeros(data.draw(zeros)))
+    x = np.concatenate(parts)
+    # cuts anywhere: inside blocks, on checkpoints and one sample off them,
+    # or at a fixed stride, which puts several chunks inside one block
+    near_grid = st.integers(1, len(x) // FLUSH_BLOCK or 1).flatmap(
+        lambda k: st.sampled_from([k * FLUSH_BLOCK - 1, k * FLUSH_BLOCK, k * FLUSH_BLOCK + 1]))
+    stride = st.integers(97, 3 * FLUSH_BLOCK).map(lambda step: list(range(step, len(x), step)))
+    cuts = data.draw(st.lists(st.integers(0, len(x)) | near_grid, min_size=1, max_size=8) | stride)
+    cuts = sorted({c for c in cuts if 0 < c < len(x)})
+
+    whole, whole_state = run_chunked(kind, fs, x, [])
+    chunked, state = run_chunked(kind, fs, x, cuts)
+    assert chunked.tobytes() == whole.tobytes()
+    assert state.flushes == whole_state.flushes
+    assert np.array_equal(state.zi, whole_state.zi)
+    assert state.position == len(x)
+
+
+def test_zero_runs_flush_and_then_emit_exact_zeros():
+    fs = 16000.0
+    rng = np.random.default_rng(4)
+    burst = np.round(rng.normal(0.0, 20.0, 500)) * LSB_UPA
+    x = np.concatenate([burst, np.zeros(60 * FLUSH_BLOCK), burst, np.zeros(60 * FLUSH_BLOCK)])
+    for kind in (WeightingKind.LFC, WeightingKind.MFC):
+        out, state = run_chunked(kind, fs, x, [700, 9000, 9001, 30000])
+        ref, _ = signal.sosfilt(state.sos, x, zi=fresh(kind, fs).zi)
+        changed = np.flatnonzero(out != ref)
+        assert changed.size > 0 and state.flushes == 2
+        # the flush drops only what rings on below the floor (a decaying
+        # oscillation can swing a little above its state's size), as zeros
+        assert np.max(np.abs(ref[changed])) < 10.0 * FLUSH_FLOOR_UPA
+        assert np.all(out[changed] == 0.0)
+        assert np.array_equal(out[: changed[0]], ref[: changed[0]])
+
+
+def test_input_without_an_all_zero_block_is_plain_sosfilt():
+    fs = 16000.0
+    rng = np.random.default_rng(9)
+    n = 40 * FLUSH_BLOCK + 321
+    # ~1 LSB rms of quantized noise: most samples are exactly zero
+    x = np.round(rng.normal(0.0, 1.0, n)) * LSB_UPA
+    grid = np.arange(FLUSH_BLOCK, n + 1, FLUSH_BLOCK)
+    # every checkpoint passes the three-sample screen, yet no block is all zero
+    for back in (1, FLUSH_BLOCK // 2, FLUSH_BLOCK):
+        x[grid - back] = 0.0
+    x[grid - 3] = LSB_UPA
+    # zero runs one sample short of a block, starting or ending on checkpoints
+    x[5 * FLUSH_BLOCK] = x[10 * FLUSH_BLOCK - 1] = LSB_UPA
+    x[5 * FLUSH_BLOCK + 1 : 6 * FLUSH_BLOCK] = 0.0
+    x[9 * FLUSH_BLOCK : 10 * FLUSH_BLOCK - 1] = 0.0
+    for kind in (WeightingKind.LFC, WeightingKind.MFC):
+        ref, _ = signal.sosfilt(fresh(kind, fs).sos, x, zi=fresh(kind, fs).zi)
+        for cuts in ([], [1, FLUSH_BLOCK, 6 * FLUSH_BLOCK - 5, 20000], list(range(777, n, 4096))):
+            out, state = run_chunked(kind, fs, x, cuts)
+            assert out.tobytes() == ref.tobytes()
+            assert state.flushes == 0
+
+
+def write_gap_channel(directory, fs=16000):
+    """One zero_fill channel: two noisy 20-s files with a pulse each, 30 s apart."""
+    rng = np.random.default_rng(21)
+    t = np.arange(int(0.2 * fs)) / fs
+    pulse = np.round(8000.0 * np.exp(-t / 0.03) * np.sin(2.0 * np.pi * 2000.0 * t))
+    for name in ("a.wav", "b.wav"):
+        counts = np.round(rng.normal(0.0, 3.0, 20 * fs))
+        counts[5 * fs : 5 * fs + len(pulse)] += pulse
+        write_wav(directory / name, counts.astype(np.int16), fs)
+    (directory / "m.txt").write_text("calib 0 2048 126 zero_fill\nfile 0 a.wav 0.0\nfile 0 b.wav 50.0\n")
+    return open_manifest(directory / "m.txt")
+
+
+def test_zero_fill_gap_flushes_and_catalog_does_not_depend_on_chunk_size(tmp_path):
+    manifests = write_gap_channel(tmp_path)
+    detector = DetectorConfig(threshold_db=100.0, min_ipi_s=5.0)
+    catalogs = set()
+    for chunk_s in (0.9, 7.3, 60.0):
+        out, report = run(RunConfig(out_path=tmp_path / f"c{chunk_s}.csv", detector=detector,
+                                    chunk_s=chunk_s), manifests)
+        catalogs.add(out.read_bytes())
+        # noise keeps the state up outside the gap: one flush per filtered band, in the gap
+        assert (report.n_pulses, report.filter_flushes) == (6, 2)
+    assert len(catalogs) == 1
