@@ -117,8 +117,9 @@ class CalibrationSpec:
     def pressure_per_count(self) -> float:
         return self.full_scale_upa / self.counts_full_scale
 
-    def counts_to_pressure(self, counts: np.ndarray) -> np.ndarray:
-        return counts.astype(np.float64) * self.pressure_per_count
+    def counts_to_pressure(self, counts: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Pressures in uPa, as float64; written into ``out`` when it is given."""
+        return np.multiply(counts, self.pressure_per_count, out=out, dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -295,36 +296,35 @@ def open_manifest(path: Path | str) -> dict[int, ChannelManifest]:
     return out
 
 
-def _read_span_counts(cm: ChannelManifest, start: int, count: int) -> np.ndarray:
-    """Assemble raw counts for global sample span [start, start+count)."""
-    out = np.zeros(count, dtype=np.int16)
-    filled = np.zeros(count, dtype=bool)
+def read_span(cm: ChannelManifest, start_index: int, count: int) -> SampleBuffer:
+    """Read a calibrated span by global sample index.
+
+    Each file's part of the span is calibrated straight into the one output
+    array; samples no file covers read as zeros under ``zero_fill``.
+    """
+    if count < 1:
+        raise ValueError("count must be >= 1")
+    end = start_index + count
+    if start_index < 0 or end > cm.n_samples:
+        raise ValueError(
+            f"span [{start_index}, {end}) outside channel coverage [0, {cm.n_samples})"
+        )
+    samples = np.zeros(count)
+    covered = 0  # files never overlap, so their parts add up
     for entry in cm.files:
-        lo = max(start, entry.start_index)
-        hi = min(start + count, entry.end_index)
+        lo = max(start_index, entry.start_index)
+        hi = min(end, entry.end_index)
         if lo >= hi:
             continue
         data = _read_wav_span(entry.path, entry.trim + (lo - entry.start_index), hi - lo)
-        out[lo - start : hi - start] = data
-        filled[lo - start : hi - start] = True
-    if not filled.all() and cm.gap_policy == "error":
+        cm.calibration.counts_to_pressure(data, out=samples[lo - start_index : hi - start_index])
+        covered += hi - lo
+    if covered < count and cm.gap_policy == "error":
         raise GapError(
-            f"channel {cm.channel_id}: span [{start}, {start + count}) crosses an uncovered gap"
+            f"channel {cm.channel_id}: span [{start_index}, {end}) crosses an uncovered gap"
         )
-    return out
-
-
-def read_span(cm: ChannelManifest, start_index: int, count: int) -> SampleBuffer:
-    """Read a calibrated span by global sample index."""
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    if start_index < 0 or start_index + count > cm.n_samples:
-        raise ValueError(
-            f"span [{start_index}, {start_index + count}) outside channel coverage [0, {cm.n_samples})"
-        )
-    counts = _read_span_counts(cm, start_index, count)
     return SampleBuffer(
-        samples=cm.calibration.counts_to_pressure(counts),
+        samples=samples,
         sample_rate_hz=cm.sample_rate_hz,
         start_time_s=cm.start_time_s + start_index / cm.sample_rate_hz,
         channel_id=cm.channel_id,

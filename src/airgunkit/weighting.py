@@ -18,17 +18,23 @@ largest magnitude is below FLUSH_FLOOR_UPA is reset to zeros; zero input
 then filters to exact zeros, which are emitted without running the filter.
 The decision depends only on the stream, so chunked filtering stays
 bit-identical to filtering the whole stream at once, and input with no
-all-zero block is filtered exactly as plain ``sosfilt`` filters it.
+all-zero block is filtered exactly as ``scipy.signal.sosfilt`` filters it.
+
+The sections are designed in numpy, bit-equal to ``scipy.signal.butter``,
+and filtered by the compiled kernel behind ``scipy.signal.sosfilt``, loaded
+from its file: the ``scipy.signal`` import alone takes over a second.
 """
 
 from __future__ import annotations
 
 import enum
+import importlib.machinery
+import importlib.util
 import io
 from dataclasses import dataclass, replace
+from pathlib import Path
 
 import numpy as np
-from scipy import signal
 
 from .errors import FilterDesignError
 from .signal_io import SampleBuffer
@@ -119,9 +125,9 @@ def design_filter(spec: WeightingSpec, sample_rate_hz: float) -> FilterState:
         raise FilterDesignError(
             f"{spec.kind.value}: lower edge {f_lo} Hz at or above Nyquist {nyq} Hz"
         )
-    sections = [signal.butter(EDGE_ORDER, f_lo, "highpass", fs=sample_rate_hz, output="sos")]
+    sections = [_butter_sos(f_lo, True, sample_rate_hz)]
     if f_hi < NYQUIST_GUARD * nyq:
-        sections.append(signal.butter(EDGE_ORDER, f_hi, "lowpass", fs=sample_rate_hz, output="sos"))
+        sections.append(_butter_sos(f_hi, False, sample_rate_hz))
     sos = np.vstack(sections)
 
     for row in sos:  # every biquad must be stable on its own
@@ -133,10 +139,101 @@ def design_filter(spec: WeightingSpec, sample_rate_hz: float) -> FilterState:
     zi = np.zeros((sos.shape[0], 2))
     # column j: the state after one block of zeros, started from unit state j
     block_step = np.stack([
-        signal.sosfilt(sos, np.zeros(FLUSH_BLOCK), zi=unit.reshape(zi.shape))[1].ravel()
+        _sosfilt(sos, np.zeros(FLUSH_BLOCK), unit.reshape(zi.shape))[1].ravel()
         for unit in np.eye(zi.size)
     ], axis=1)
     return FilterState(spec, sample_rate_hz, sos, zi, block_step)
+
+
+def _butter_sos(cutoff_hz: float, highpass: bool, sample_rate_hz: float) -> np.ndarray:
+    """Butterworth sections of order EDGE_ORDER, as ``scipy.signal.butter(..., output="sos")`` designs them.
+
+    scipy's steps in scipy's floating-point order, so the coefficients are
+    bit-equal (the tests hold scipy as the oracle): the analog prototype,
+    its shift to the prewarped cutoff, the bilinear transform at fs = 2 and
+    ``zpk2sos`` "nearest" pairing, which puts the pole pair nearest the unit
+    circle in the last section and the gain in the first.
+    """
+    n = EDGE_ORDER
+    # prewarped for the bilinear transform at fs = 2, as iirfilter writes it
+    warped = float(2 * 2.0 * np.tan(np.pi * (cutoff_hz / (sample_rate_hz / 2)) / 2.0))
+    prototype = -np.exp(1j * np.pi * np.arange(1 - n, n, 2.0) / (2 * n))
+    if highpass:  # n zeros at s = 0
+        poles, gain, zero = warped / prototype, np.real(1.0 / np.prod(-prototype)), 1.0
+    else:  # n zeros at infinity
+        poles, gain, zero = warped * prototype, warped**n, -1.0
+    # bilinear transform: the zeros map to z = +1 or z = -1
+    gain *= np.real((4.0**n if highpass else 1.0) / np.prod(4.0 - poles))
+    poles = (4.0 + poles) / (4.0 - poles)
+    poles = poles[np.lexsort((abs(poles.imag), poles.real))]
+    upper = (poles[poles.imag > 0] + poles[poles.imag < 0].conj()) / 2
+    sos = np.zeros((n // 2, 6))
+    sos[:, :3] = (1.0, -2.0 * zero, 1.0)
+    for si in range(n // 2 - 1, -1, -1):
+        i = np.argmin(np.abs(1 - np.abs(upper)))
+        sos[si, 3:] = np.real(np.convolve([1.0, -upper[i]], [1.0, -upper[i].conj()]))
+        upper = np.delete(upper, i)
+    sos[0, :3] *= gain
+    return sos
+
+
+def _load_sosfilt():
+    """Return ``sosfilt(sos, x, zi) -> (y, zf)``, which filters a copy of ``x``.
+
+    It runs scipy's compiled kernel, loaded from its file: importing the
+    public ``scipy.signal`` also imports ``scipy.stats`` and more, over a
+    second of start-up that extraction never uses.  The kernel is a private
+    scipy module, so when it is missing or does not filter a probe as
+    expected this returns ``_public_sosfilt``, which gives the same output.
+    """
+    try:
+        kernel = _load_kernel()
+        probe = np.array([[1.0, 0.0]])  # y[n] = x[n] + y[n-1] / 2
+        kernel(np.array([[1.0, 0.0, 0.0, 1.0, -0.5, 0.0]]), probe, np.zeros((1, 1, 2)))
+        if not np.array_equal(probe, [[1.0, 0.5]]):
+            raise ImportError("the compiled sosfilt kernel does not filter as expected")
+    except (ImportError, AttributeError, TypeError, ValueError):
+        return _public_sosfilt
+
+    def sosfilt(sos: np.ndarray, x: np.ndarray, zi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        y = np.array(x, dtype=np.float64, order="C")
+        zf = np.array(zi, dtype=np.float64, order="C")
+        kernel(sos, y.reshape(1, -1), zf.reshape(1, *zf.shape))
+        return y, zf
+
+    return sosfilt
+
+
+def _public_sosfilt(sos: np.ndarray, x: np.ndarray, zi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    from scipy.signal import sosfilt  # imported on first use, never at start-up
+
+    return sosfilt(sos, x, zi=zi)
+
+
+def _load_kernel():
+    """``_sosfilt(sos, x[1, n], zi[1, s, 2])`` from scipy's compiled ``signal/_sosfilt`` module.
+
+    It filters ``x`` and advances ``zi`` in place.  ``find_spec`` locates
+    scipy without running its ``__init__``, and the module is loaded from
+    its file, so ``scipy.signal`` is never imported.
+    """
+    spec = importlib.util.find_spec("scipy")
+    if spec is None or not spec.submodule_search_locations:
+        raise ImportError("scipy is not installed as a package")
+    base = Path(spec.submodule_search_locations[0]) / "signal"
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = base / f"_sosfilt{suffix}"
+        if path.is_file():
+            break
+    else:
+        raise ImportError(f"no compiled _sosfilt module in {base}")
+    kernel_spec = importlib.util.spec_from_file_location("scipy.signal._sosfilt", path)
+    module = importlib.util.module_from_spec(kernel_spec)
+    kernel_spec.loader.exec_module(module)
+    return module._sosfilt
+
+
+_sosfilt = _load_sosfilt()
 
 
 def apply_filter(state: FilterState, buffer: SampleBuffer) -> tuple[FilterState, SampleBuffer]:
@@ -158,14 +255,14 @@ def apply_filter(state: FilterState, buffer: SampleBuffer) -> tuple[FilterState,
     zi, flushes = state.zi, state.flushes
     runs = _zero_runs(x, state.position, state.zero_run)
     if not runs:
-        out, zi = signal.sosfilt(state.sos, x, zi=zi)
+        out, zi = _sosfilt(state.sos, x, zi)
     else:
         out = np.zeros(len(x))
         done = 0
         for a, b in runs:
             # the input is zero from a - FLUSH_BLOCK to b; a zero state stays zero over it
             if zi.any() or a - done > FLUSH_BLOCK:
-                out[done:a], zi = signal.sosfilt(state.sos, x[done:a], zi=zi)
+                out[done:a], zi = _sosfilt(state.sos, x[done:a], zi)
             c = a  # zi is the state at checkpoint c
             while zi.any():
                 if np.max(np.abs(zi)) < FLUSH_FLOOR_UPA:
@@ -175,11 +272,11 @@ def apply_filter(state: FilterState, buffer: SampleBuffer) -> tuple[FilterState,
                 if c == b:
                     break
                 nxt = c + FLUSH_BLOCK * _blocks_above_floor(state.block_step, zi, (b - c) // FLUSH_BLOCK)
-                out[c:nxt], zi = signal.sosfilt(state.sos, x[c:nxt], zi=zi)
+                out[c:nxt], zi = _sosfilt(state.sos, x[c:nxt], zi)
                 c = nxt
             done = b
         if done < len(x):
-            out[done:], zi = signal.sosfilt(state.sos, x[done:], zi=zi)
+            out[done:], zi = _sosfilt(state.sos, x[done:], zi)
     tail = x[-FLUSH_BLOCK:]
     nonzero = np.flatnonzero(tail)
     zero_run = len(tail) - 1 - int(nonzero[-1]) if nonzero.size else len(tail) + state.zero_run

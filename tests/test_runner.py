@@ -1,9 +1,10 @@
 import csv
+import wave
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from scipy import signal
 
@@ -221,6 +222,32 @@ def test_catalog_bytes_do_not_depend_on_chunk_size_or_channel_order(
         manifests,
     )
     assert out.read_bytes() == reference_catalog
+
+
+@settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_catalog_bytes_do_not_depend_on_file_splits(noisy_survey, reference_catalog, tmp_path_factory, data):
+    """Each channel's WAV, tiled into files whose start times jitter by one sample."""
+    out = tmp_path_factory.mktemp("split")
+    lines = []
+    for ch, cm in open_manifest(noisy_survey.manifest_path).items():
+        (entry,) = cm.files
+        with wave.open(str(entry.path), "rb") as w:
+            counts = np.frombuffer(w.readframes(w.getnframes()), dtype="<i2")
+        cuts = data.draw(st.lists(st.integers(3, len(counts) - 3), max_size=5, unique=True), label=f"cuts {ch}")
+        edges = [0, *sorted(cuts), len(counts)]
+        assume(all(b - a >= 3 for a, b in zip(edges, edges[1:])))  # jitter keeps the file order
+        lines.append(f"calib {ch} {cm.calibration.counts_full_scale} {cm.calibration.sensitivity_db!r}")
+        for k, (a, b) in enumerate(zip(edges, edges[1:])):
+            jitter = data.draw(st.sampled_from([-1, 0, 1]) if k else st.just(0), label=f"jitter {ch}.{k}")
+            # a file one sample early repeats the sample before it; one sample late, it does not
+            write_wav(out / f"c{ch}_{k}.wav", counts[a - (jitter < 0) : b], int(cm.sample_rate_hz))
+            lines.append(f"file {ch} c{ch}_{k}.wav {(a + jitter) / cm.sample_rate_hz!r}")
+    (out / "m.txt").write_text("\n".join(lines) + "\n")
+    chunk_s = data.draw(st.floats(min_value=0.5, max_value=60.0), label="chunk_s")
+    catalog, _ = run(RunConfig(out_path=out / "c.csv", detector=DETECTOR, chunk_s=chunk_s),
+                     open_manifest(out / "m.txt"))
+    assert catalog.read_bytes() == reference_catalog
 
 
 def test_run_reads_and_filters_every_sample_once_per_task(noisy_survey, tmp_path, monkeypatch):

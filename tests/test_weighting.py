@@ -1,4 +1,10 @@
 import math
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -6,6 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import signal
 
+from airgunkit import weighting
+from airgunkit.cli import _dump_filters
 from airgunkit.errors import FilterDesignError
 from airgunkit.pulse_detect import DetectorConfig
 from airgunkit.runner import RunConfig, run
@@ -13,11 +21,14 @@ from airgunkit.signal_io import open_manifest, write_wav
 from airgunkit.weighting import (
     BAND_EDGES,
     CANONICAL_ORDER,
+    EDGE_ORDER,
     FLUSH_BLOCK,
     FLUSH_FLOOR_UPA,
+    NYQUIST_GUARD,
     WeightingKind,
     WeightingSpec,
     apply_filter,
+    coefficients_text,
     design_filter,
     parse_kind,
 )
@@ -176,6 +187,39 @@ def test_filter_is_linear():
 def test_zero_in_zero_out():
     out = run_whole(WeightingKind.MFC, make_buffer(np.zeros(1000)))
     assert np.all(out.samples == 0.0)
+
+
+# ---------------------------------------------------------------------------
+# design, against scipy.signal.butter as the oracle
+
+
+def scipy_sos(kind, fs):
+    """The band's sections as scipy designs them, the low-pass dropped near Nyquist."""
+    f_lo, f_hi = BAND_EDGES[kind]
+    sections = [signal.butter(EDGE_ORDER, f_lo, "highpass", fs=fs, output="sos")]
+    if f_hi < NYQUIST_GUARD * fs / 2.0:
+        sections.append(signal.butter(EDGE_ORDER, f_hi, "lowpass", fs=fs, output="sos"))
+    return np.vstack(sections)
+
+
+@pytest.mark.parametrize("fs", [2000.0, 16000.0, 96000.0, 400000.0, 512000.0])
+@pytest.mark.parametrize("kind", [WeightingKind.LFC, WeightingKind.MFC])
+def test_design_is_bit_equal_to_scipy_butter(kind, fs):
+    assert np.array_equal(fresh(kind, fs).sos, scipy_sos(kind, fs))
+
+
+@settings(max_examples=200, deadline=None)
+@given(fs=st.floats(400.0, 600_000.0), kind=st.sampled_from([WeightingKind.LFC, WeightingKind.MFC]))
+def test_design_is_bit_equal_to_scipy_butter_at_any_rate(fs, kind):
+    assert np.array_equal(fresh(kind, fs).sos, scipy_sos(kind, fs))
+
+
+@pytest.mark.parametrize("fs", [16000.0, 512000.0])
+def test_dump_filters_text_is_scipy_designs_text(fs, capsys):
+    _dump_filters({0: SimpleNamespace(sample_rate_hz=fs)})
+    oracle = [replace(st, sos=None if st.sos is None else scipy_sos(st.spec.kind, fs))
+              for st in (fresh(kind, fs) for kind in CANONICAL_ORDER)]
+    assert capsys.readouterr().out == coefficients_text(oracle)
 
 
 # ---------------------------------------------------------------------------
@@ -349,3 +393,48 @@ def test_zero_fill_gap_flushes_and_catalog_does_not_depend_on_chunk_size(tmp_pat
         # noise keeps the state up outside the gap: one flush per filtered band, in the gap
         assert (report.n_pulses, report.filter_flushes) == (6, 2)
     assert len(catalogs) == 1
+
+
+# ---------------------------------------------------------------------------
+# the compiled sosfilt kernel and its fallback
+
+
+def test_filtering_never_imports_scipy_signal():
+    # importing scipy.signal also imports scipy.stats: over a second of start-up
+    code = (
+        "import sys, numpy as np, airgunkit, airgunkit.cli\n"
+        "from airgunkit.signal_io import SampleBuffer\n"
+        "from airgunkit.weighting import WeightingKind, WeightingSpec, apply_filter, design_filter\n"
+        "state = design_filter(WeightingSpec(WeightingKind.MFC), 16000.0)\n"
+        "apply_filter(state, SampleBuffer(np.ones(5000), 16000.0, 0.0, 0))\n"
+        "print(sorted(m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules))\n"
+    )
+    src = str(Path(weighting.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120, check=True)
+    assert done.stdout.strip() == "[]"
+
+
+def test_public_sosfilt_fallback_gives_the_same_bytes(tmp_path, monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr(weighting.importlib.util, "find_spec", lambda name: None)
+        assert weighting._load_sosfilt() is weighting._public_sosfilt
+    assert weighting._sosfilt is not weighting._public_sosfilt
+
+    rng = np.random.default_rng(5)
+    burst = np.round(rng.normal(0.0, 20.0, 500)) * LSB_UPA
+    x = np.concatenate([burst, np.zeros(60 * FLUSH_BLOCK), burst])
+    manifests = write_gap_channel(tmp_path)
+    detector = DetectorConfig(threshold_db=100.0, min_ipi_s=5.0)
+
+    def outputs(name):
+        filtered = [run_chunked(kind, 16000.0, x, [700, 9000]) for kind in (WeightingKind.LFC, WeightingKind.MFC)]
+        out, report = run(RunConfig(out_path=tmp_path / name, detector=detector), manifests)
+        return ([(y.tobytes(), state.flushes, state.zi.tobytes()) for y, state in filtered],
+                out.read_bytes(), report.filter_flushes)
+
+    kernel = outputs("kernel.csv")
+    monkeypatch.setattr(weighting, "_sosfilt", weighting._public_sosfilt)
+    assert outputs("public.csv") == kernel
+    assert [flushes for _, flushes, _ in kernel[0]] == [1, 1] and kernel[2] == 2
