@@ -3,8 +3,10 @@
 Configuration precedence: explicit flags override config-file values, which
 override built-in defaults.  Config files are flat ``key=value`` text (same
 keys as the long flags, dashes or underscores); the effective configuration
-is echoed into the run summary for provenance.  Exit codes: 0 success,
-1 usage error, 2 runtime error.
+is echoed into the run summary for provenance.  One table, ``_FLAGS``, holds
+each subcommand's flags as (name, type, default, help) rows: the parser,
+the config-file keys and their types, and the defaults all come from it.
+Exit codes: 0 success, 1 usage error, 2 runtime error.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import Callable
 
 from .errors import AirgunkitError
 from .pulse_detect import DetectorConfig, detect_pulses, format_event_row, write_events_csv
@@ -37,86 +38,75 @@ def _log(msg: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# defaults and config-file merging
+# the flag table: one (name, type, default, help) row per flag and config key
 
-_SYNTH_DEFAULTS: dict[str, object] = {
-    "out": None,
-    "channels": 1,
-    "duration_s": 60.0,
-    "sample_rate": 16_000,
-    "ipi_s": 10.0,
-    "first_pulse_s": 2.0,
-    "pulse_count": None,
-    "peak_upa": 1.0e6,
-    "attack_s": 0.002,
-    "decay_s": 0.03,
-    "carrier_hz": 2000.0,
-    "reverb_upa": 0.0,
-    "reverb_decay_s": 2.0,
-    "noise_rms_upa": 0.0,
-    "counts_full_scale": 2048,
-    "sensitivity_db": 126.0,
-    "seed": 0,
+_Row = tuple[str, type, object, str]
+
+_MANIFEST: _Row = ("manifest", str, None, "survey manifest (required)")
+_CHANNEL_LIST: _Row = ("channels", str, None, "comma-separated channel ids (default all)")
+_WEIGHTINGS: _Row = ("weightings", str, "all", "comma-separated weightings or 'all'")
+_DUMP_FILTERS: _Row = ("dump_filters", bool, False, "print weighting filter coefficients")
+_DETECTOR: tuple[_Row, ...] = (
+    ("threshold_db", float, 100.0, "detection threshold, dB re 1 uPa"),
+    ("min_ipi_s", float, 5.0, "minimum spacing between detected pulses, s"),
+    ("chunk_s", float, 60.0, "streaming chunk length, s"),
+)
+
+_FLAGS: dict[str, tuple[_Row, ...]] = {
+    "synth": (
+        ("out", str, None, "output directory (required)"),
+        ("channels", int, 1, "channel count"),
+        ("duration_s", float, 60.0, "survey length, s"),
+        ("sample_rate", int, 16_000, "sample rate, Hz"),
+        ("ipi_s", float, 10.0, "inter-pulse interval, s"),
+        ("first_pulse_s", float, 2.0, "first pulse onset, s"),
+        ("pulse_count", int, None, "pulses per channel (default: fit to duration)"),
+        ("peak_upa", float, 1.0e6, "pulse peak pressure, uPa"),
+        ("attack_s", float, 0.002, "attack time constant, s"),
+        ("decay_s", float, 0.03, "decay time constant, s"),
+        ("carrier_hz", float, 2000.0, "pulse carrier, Hz"),
+        ("reverb_upa", float, 0.0, "reverberation level, uPa"),
+        ("reverb_decay_s", float, 2.0, "reverberation decay, s"),
+        ("noise_rms_upa", float, 0.0, "white noise rms, uPa"),
+        ("counts_full_scale", int, 2048, "full-scale counts"),
+        ("sensitivity_db", float, 126.0, "full-scale level, dB re 1 uPa"),
+        ("seed", int, 0, "random seed"),
+    ),
+    "detect": (
+        _MANIFEST,
+        ("out", str, None, "output events CSV (required)"),
+        ("weighting", str, "linear", "weighting stream to detect on: linear, lfc, mfc or all"),
+        _CHANNEL_LIST,
+        _DUMP_FILTERS,
+        *_DETECTOR,
+    ),
+    "extract": (
+        _MANIFEST,
+        ("out", str, None, "output catalog CSV (required)"),
+        ("mode", str, "serial", "execution mode: serial or parallel"),
+        ("workers", int, None, "worker processes (default: 1 serial, 4 parallel)"),
+        _WEIGHTINGS,
+        _CHANNEL_LIST,
+        ("run_id", str, "run", "run identifier stamped into the catalog"),
+        ("summary", str, None, "summary path (default <out>.summary.txt)"),
+        _DUMP_FILTERS,
+        *_DETECTOR,
+    ),
+    "bench": (
+        _MANIFEST,
+        ("out_dir", str, None, "where to write the two catalogs (default <manifest dir>/bench_out)"),
+        ("workers", int, 4, "parallel worker count"),
+        _WEIGHTINGS,
+        *_DETECTOR,
+    ),
 }
 
-_DETECT_DEFAULTS: dict[str, object] = {
-    "manifest": None,
-    "out": None,
-    "weighting": "linear",
-    "threshold_db": 100.0,
-    "min_ipi_s": 5.0,
-    "channels": None,
-    "chunk_s": 60.0,
-    "dump_filters": False,
-}
 
-_EXTRACT_DEFAULTS: dict[str, object] = {
-    "manifest": None,
-    "out": None,
-    "mode": "serial",
-    "workers": None,
-    "weightings": "all",
-    "threshold_db": 100.0,
-    "min_ipi_s": 5.0,
-    "channels": None,
-    "chunk_s": 60.0,
-    "run_id": "run",
-    "summary": None,
-    "dump_filters": False,
-}
-
-_BENCH_DEFAULTS: dict[str, object] = {
-    "manifest": None,
-    "out_dir": None,
-    "workers": 4,
-    "weightings": "all",
-    "threshold_db": 100.0,
-    "min_ipi_s": 5.0,
-    "chunk_s": 60.0,
-}
-
-_CONVERTERS: dict[str, Callable[[str], object]] = {
-    "channels": str,       # synth reuses the name as a count; handled per subcommand
-    "dump_filters": lambda s: s.strip().lower() in ("1", "true", "yes"),
-}
-
-
-def _convert(key: str, raw: str, default: object) -> object:
-    if key in _CONVERTERS and not isinstance(default, (int, float)):
-        return _CONVERTERS[key](raw)
-    if isinstance(default, bool):
-        return raw.strip().lower() in ("1", "true", "yes")
-    if isinstance(default, int) and not isinstance(default, bool):
-        return int(raw)
-    if isinstance(default, float):
-        return float(raw)
-    return raw
-
-
-def _read_config(path: str, defaults: dict[str, object]) -> dict[str, object]:
+def _read_config(path: str, rows: tuple[_Row, ...]) -> dict[str, object]:
     p = Path(path)
     if not p.is_file():
         raise _UsageError(f"config file not found: {path}")
+    types = {name: typ for name, typ, _, _ in rows}
     out: dict[str, object] = {}
     for lineno, line in enumerate(p.read_text().splitlines(), start=1):
         text = line.split("#", 1)[0].strip()
@@ -126,31 +116,29 @@ def _read_config(path: str, defaults: dict[str, object]) -> dict[str, object]:
             raise _UsageError(f"{path}:{lineno}: expected key=value")
         key, raw = (s.strip() for s in text.split("=", 1))
         key = key.replace("-", "_")
-        if key not in defaults:
+        if key not in types:
             raise _UsageError(f"{path}:{lineno}: unknown key {key!r}")
         try:
-            out[key] = _convert(key, raw, defaults[key])
+            out[key] = raw.lower() in ("1", "true", "yes") if types[key] is bool else types[key](raw)
         except ValueError as exc:
             raise _UsageError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
     return out
 
 
-def _effective(ns: argparse.Namespace, defaults: dict[str, object]) -> dict[str, object]:
+def _effective(ns: argparse.Namespace) -> dict[str, object]:
     """defaults <- config file <- explicit flags."""
-    eff = dict(defaults)
-    if getattr(ns, "config", None):
-        eff.update(_read_config(ns.config, defaults))
-    for key in defaults:
-        val = getattr(ns, key, None)
-        if val is not None and val is not False:
-            eff[key] = val
+    rows = _FLAGS[ns.command]
+    eff = {name: default for name, _, default, _ in rows}
+    if ns.config:
+        eff.update(_read_config(ns.config, rows))
+    eff.update((name, val) for name, val in vars(ns).items() if name in eff and val is not None)
     return eff
 
 
-def _require(eff: dict[str, object], key: str, flag: str) -> str:
+def _require(eff: dict[str, object], key: str) -> str:
     val = eff.get(key)
     if not val:
-        raise _UsageError(f"missing required {flag}")
+        raise _UsageError(f"missing required --{key.replace('_', '-')}")
     return str(val)
 
 
@@ -158,9 +146,12 @@ def _parse_channel_list(raw: object) -> tuple[int, ...] | None:
     if raw in (None, "", "all"):
         return None
     try:
-        return tuple(int(tok) for tok in str(raw).split(","))
+        ids = tuple(int(tok) for tok in str(raw).split(","))
     except ValueError:
         raise _UsageError(f"bad channel list {raw!r} (expected comma-separated integers)") from None
+    if len(set(ids)) != len(ids):
+        raise _UsageError(f"bad channel list {raw!r} (a channel id is repeated)")
+    return ids
 
 
 def _parse_weightings(raw: object) -> tuple:
@@ -171,6 +162,10 @@ def _parse_weightings(raw: object) -> tuple:
     except AirgunkitError:
         raise _UsageError(f"bad weighting list {raw!r} (linear, lfc, mfc, or all)") from None
     return kinds
+
+
+def _detector(eff: dict[str, object]) -> DetectorConfig:
+    return DetectorConfig(eff["threshold_db"], eff["min_ipi_s"])
 
 
 def _dump_filters(manifests) -> None:
@@ -186,25 +181,25 @@ def _dump_filters(manifests) -> None:
 
 
 def _cmd_synth(ns: argparse.Namespace) -> int:
-    eff = _effective(ns, _SYNTH_DEFAULTS)
-    out_dir = _require(eff, "out", "--out")
+    eff = _effective(ns)
+    out_dir = _require(eff, "out")
     spec = SurveySpec(
-        channel_count=int(eff["channels"]),
-        duration_s=float(eff["duration_s"]),
-        sample_rate_hz=int(eff["sample_rate"]),
-        ipi_s=float(eff["ipi_s"]),
-        first_pulse_s=float(eff["first_pulse_s"]),
-        pulse_count=None if eff["pulse_count"] is None else int(eff["pulse_count"]),
-        peak_pressure_upa=float(eff["peak_upa"]),
-        attack_s=float(eff["attack_s"]),
-        decay_s=float(eff["decay_s"]),
-        carrier_hz=float(eff["carrier_hz"]),
-        reverb_level_upa=float(eff["reverb_upa"]),
-        reverb_decay_s=float(eff["reverb_decay_s"]),
-        noise_rms_upa=float(eff["noise_rms_upa"]),
-        counts_full_scale=int(eff["counts_full_scale"]),
-        sensitivity_db=float(eff["sensitivity_db"]),
-        seed=int(eff["seed"]),
+        channel_count=eff["channels"],
+        duration_s=eff["duration_s"],
+        sample_rate_hz=eff["sample_rate"],
+        ipi_s=eff["ipi_s"],
+        first_pulse_s=eff["first_pulse_s"],
+        pulse_count=eff["pulse_count"],
+        peak_pressure_upa=eff["peak_upa"],
+        attack_s=eff["attack_s"],
+        decay_s=eff["decay_s"],
+        carrier_hz=eff["carrier_hz"],
+        reverb_level_upa=eff["reverb_upa"],
+        reverb_decay_s=eff["reverb_decay_s"],
+        noise_rms_upa=eff["noise_rms_upa"],
+        counts_full_scale=eff["counts_full_scale"],
+        sensitivity_db=eff["sensitivity_db"],
+        seed=eff["seed"],
     )
     result = generate(spec, out_dir)
     for ch, wav in enumerate(result.wav_paths):
@@ -215,23 +210,22 @@ def _cmd_synth(ns: argparse.Namespace) -> int:
 
 
 def _cmd_detect(ns: argparse.Namespace) -> int:
-    eff = _effective(ns, _DETECT_DEFAULTS)
+    eff = _effective(ns)
     kinds = _parse_weightings(eff["weighting"])
-    manifests = open_manifest(_require(eff, "manifest", "--manifest"))
-    out = _require(eff, "out", "--out")
+    manifests = open_manifest(_require(eff, "manifest"))
+    out = _require(eff, "out")
     if eff["dump_filters"]:
         _dump_filters(manifests)
     selected = _parse_channel_list(eff["channels"])
     channels = sorted(manifests) if selected is None else list(selected)
-    detector = DetectorConfig(float(eff["threshold_db"]), float(eff["min_ipi_s"]))
-    chunk_s = float(eff["chunk_s"])
+    detector = _detector(eff)
 
     rows: list[str] = []
     for ch in channels:
         if ch not in manifests:
             raise AirgunkitError(f"manifest does not cover channel {ch}")
         for kind in kinds:
-            events = detect_pulses(weighted_chunks(manifests[ch], kind, chunk_s), detector)
+            events = detect_pulses(weighted_chunks(manifests[ch], kind, eff["chunk_s"]), detector)
             rows.extend(format_event_row(ev, kind.value, i) for i, ev in enumerate(events))
             _log(f"channel {ch} {kind.value}: {len(events)} pulses")
     write_events_csv(out, rows)
@@ -240,33 +234,32 @@ def _cmd_detect(ns: argparse.Namespace) -> int:
 
 
 def _cmd_extract(ns: argparse.Namespace) -> int:
-    eff = _effective(ns, _EXTRACT_DEFAULTS)
-    manifest_path = _require(eff, "manifest", "--manifest")
+    eff = _effective(ns)
+    manifest_path = _require(eff, "manifest")
     manifests = open_manifest(manifest_path)
-    out = _require(eff, "out", "--out")
+    out = _require(eff, "out")
     if eff["dump_filters"]:
         _dump_filters(manifests)
-    mode = str(eff["mode"])
     workers = eff["workers"]
     if workers is None:
-        workers = 1 if mode == "serial" else 4
+        workers = 1 if eff["mode"] == "serial" else 4
     try:
         config = RunConfig(
             out_path=out,
-            detector=DetectorConfig(float(eff["threshold_db"]), float(eff["min_ipi_s"])),
-            mode=mode,
-            worker_count=int(workers),
+            detector=_detector(eff),
+            mode=eff["mode"],
+            worker_count=workers,
             channels=_parse_channel_list(eff["channels"]),
             weightings=_parse_weightings(eff["weightings"]),
-            run_id=str(eff["run_id"]),
-            chunk_s=float(eff["chunk_s"]),
+            run_id=eff["run_id"],
+            chunk_s=eff["chunk_s"],
         )
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
 
     catalog_path, report = run(config, manifests, log=_log)
 
-    summary_path = Path(str(eff["summary"])) if eff["summary"] else Path(out + ".summary.txt")
+    summary_path = Path(eff["summary"]) if eff["summary"] else Path(out + ".summary.txt")
     echo = "\n".join(f"{k}={eff[k]}" for k in sorted(eff))
     summary_path.write_text(
         f"# effective configuration\n{echo}\n# manifest\nmanifest={manifest_path}\n"
@@ -281,16 +274,17 @@ def _cmd_extract(ns: argparse.Namespace) -> int:
 
 
 def _cmd_bench(ns: argparse.Namespace) -> int:
-    eff = _effective(ns, _BENCH_DEFAULTS)
-    manifest_path = _require(eff, "manifest", "--manifest")
+    eff = _effective(ns)
+    manifest_path = _require(eff, "manifest")
     manifests = open_manifest(manifest_path)
-    out_dir = Path(str(eff["out_dir"])) if eff["out_dir"] else Path(manifest_path).parent / "bench_out"
+    out_dir = Path(eff["out_dir"]) if eff["out_dir"] else Path(manifest_path).parent / "bench_out"
     result = bench(
         manifests,
-        DetectorConfig(float(eff["threshold_db"]), float(eff["min_ipi_s"])),
+        _detector(eff),
         out_dir,
-        worker_count=int(eff["workers"]),
+        worker_count=eff["workers"],
         weightings=_parse_weightings(eff["weightings"]),
+        chunk_s=eff["chunk_s"],
         log=_log,
     )
     print("bench comparison (same input, identical extraction code)")
@@ -309,81 +303,31 @@ def _cmd_bench(ns: argparse.Namespace) -> int:
 # parser assembly
 
 
-def _add_common_detector_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--threshold-db", type=float, dest="threshold_db",
-                   help="detection threshold, dB re 1 uPa (default 100.0)")
-    p.add_argument("--min-ipi-s", type=float, dest="min_ipi_s",
-                   help="minimum spacing between detected pulses, s (default 5.0)")
-    p.add_argument("--chunk-s", type=float, dest="chunk_s",
-                   help="streaming chunk length, s (default 60.0)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="airgunkit",
                      description="Airgun pulse detection and acoustic feature extraction")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("synth", parents=[], help="generate a synthetic survey",
-                       description="Generate synthetic survey WAVs, manifest, and ground truth")
-    p.add_argument("--out", help="output directory (required)")
-    p.add_argument("--config", help="key=value config file")
-    p.add_argument("--channels", type=int, help="channel count (default 1)")
-    p.add_argument("--duration-s", type=float, dest="duration_s", help="survey length, s (default 60)")
-    p.add_argument("--sample-rate", type=int, dest="sample_rate", help="sample rate, Hz (default 16000)")
-    p.add_argument("--ipi-s", type=float, dest="ipi_s", help="inter-pulse interval, s (default 10)")
-    p.add_argument("--first-pulse-s", type=float, dest="first_pulse_s", help="first pulse onset, s (default 2)")
-    p.add_argument("--pulse-count", type=int, dest="pulse_count", help="pulses per channel (default: fit to duration)")
-    p.add_argument("--peak-upa", type=float, dest="peak_upa", help="pulse peak pressure, uPa (default 1e6)")
-    p.add_argument("--attack-s", type=float, dest="attack_s", help="attack time constant, s (default 0.002)")
-    p.add_argument("--decay-s", type=float, dest="decay_s", help="decay time constant, s (default 0.03)")
-    p.add_argument("--carrier-hz", type=float, dest="carrier_hz", help="pulse carrier, Hz (default 2000)")
-    p.add_argument("--reverb-upa", type=float, dest="reverb_upa", help="reverberation level, uPa (default 0)")
-    p.add_argument("--reverb-decay-s", type=float, dest="reverb_decay_s", help="reverberation decay, s (default 2)")
-    p.add_argument("--noise-rms-upa", type=float, dest="noise_rms_upa", help="white noise rms, uPa (default 0)")
-    p.add_argument("--counts-full-scale", type=int, dest="counts_full_scale", help="full-scale counts (default 2048)")
-    p.add_argument("--sensitivity-db", type=float, dest="sensitivity_db", help="full-scale level, dB re 1 uPa (default 126)")
-    p.add_argument("--seed", type=int, help="random seed (default 0)")
-    p.set_defaults(func=_cmd_synth)
-
-    p = sub.add_parser("detect", help="detect pulses, write events CSV",
-                       description="Run threshold detection and write the pulse event list")
-    p.add_argument("--manifest", help="survey manifest (required)")
-    p.add_argument("--out", help="output events CSV (required)")
-    p.add_argument("--config", help="key=value config file")
-    p.add_argument("--weighting", choices=["linear", "lfc", "mfc", "all"],
-                   help="weighting stream to detect on (default linear)")
-    p.add_argument("--channels", help="comma-separated channel ids (default all)")
-    p.add_argument("--dump-filters", action="store_true", dest="dump_filters",
-                   help="print weighting filter coefficients")
-    _add_common_detector_flags(p)
-    p.set_defaults(func=_cmd_detect)
-
-    p = sub.add_parser("extract", help="run the full extraction pipeline",
-                       description="Detect pulses and extract the feature catalog")
-    p.add_argument("--manifest", help="survey manifest (required)")
-    p.add_argument("--out", help="output catalog CSV (required)")
-    p.add_argument("--config", help="key=value config file")
-    p.add_argument("--mode", choices=["serial", "parallel"], help="execution mode (default serial)")
-    p.add_argument("--workers", type=int, help="worker processes (default: 1 serial, 4 parallel)")
-    p.add_argument("--weightings", help="comma-separated weightings or 'all' (default all)")
-    p.add_argument("--channels", help="comma-separated channel ids (default all)")
-    p.add_argument("--run-id", dest="run_id", help="run identifier stamped into the catalog (default 'run')")
-    p.add_argument("--summary", help="summary path (default <out>.summary.txt)")
-    p.add_argument("--dump-filters", action="store_true", dest="dump_filters",
-                   help="print weighting filter coefficients")
-    _add_common_detector_flags(p)
-    p.set_defaults(func=_cmd_extract)
-
-    p = sub.add_parser("bench", help="compare serial vs parallel wall time",
-                       description="Run serial then parallel on the same input and report the speedup")
-    p.add_argument("--manifest", help="survey manifest (required)")
-    p.add_argument("--out-dir", dest="out_dir", help="where to write the two catalogs (default <manifest dir>/bench_out)")
-    p.add_argument("--config", help="key=value config file")
-    p.add_argument("--workers", type=int, help="parallel worker count (default 4)")
-    p.add_argument("--weightings", help="comma-separated weightings or 'all' (default all)")
-    _add_common_detector_flags(p)
-    p.set_defaults(func=_cmd_bench)
-
+    for command, func, summary, description in (
+        ("synth", _cmd_synth, "generate a synthetic survey",
+         "Generate synthetic survey WAVs, manifest, and ground truth"),
+        ("detect", _cmd_detect, "detect pulses, write events CSV",
+         "Run threshold detection and write the pulse event list"),
+        ("extract", _cmd_extract, "run the full extraction pipeline",
+         "Detect pulses and extract the feature catalog"),
+        ("bench", _cmd_bench, "compare serial vs parallel wall time",
+         "Run serial then parallel on the same input and report the speedup"),
+    ):
+        p = sub.add_parser(command, help=summary, description=description)
+        p.add_argument("--config", help="key=value config file")
+        for name, typ, default, text in _FLAGS[command]:
+            flag = "--" + name.replace("_", "-")
+            if typ is bool:
+                # None when absent, so an unset flag never overrides the config file
+                p.add_argument(flag, action="store_true", default=None, help=text)
+            else:
+                suffix = "" if default is None else f" (default {default})"
+                p.add_argument(flag, type=typ, help=text + suffix)
+        p.set_defaults(func=func)
     return parser
 
 

@@ -50,6 +50,8 @@ class RunConfig:
             raise ValueError("weighting selection is empty")
         if self.channels is not None and len(self.channels) == 0:
             raise ValueError("channel selection is empty")
+        if self.channels is not None and len(set(self.channels)) != len(self.channels):
+            raise ValueError(f"channel selection repeats a channel id: {self.channels}")
 
 
 @dataclass(frozen=True)
@@ -274,6 +276,7 @@ def bench(
     out_dir: Path | str,
     worker_count: int = 4,
     weightings: Sequence[WeightingKind] = CANONICAL_ORDER,
+    chunk_s: float = 60.0,
     log: LogFn | None = None,
 ) -> BenchResult:
     """Run serial then parallel over the same input and compare wall time.
@@ -283,7 +286,7 @@ def bench(
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    base = dict(detector=detector, weightings=tuple(weightings))
+    base = dict(detector=detector, weightings=tuple(weightings), chunk_s=chunk_s)
 
     t0 = time.perf_counter()
     serial_path, _ = run(

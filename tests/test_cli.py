@@ -1,7 +1,11 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from airgunkit.cli import main
+from airgunkit import runner
+from airgunkit.cli import _FLAGS, _effective, build_parser, main
 from airgunkit.pipeline import CATALOG_HEADER
 from airgunkit.pulse_detect import EVENTS_HEADER
 from airgunkit.signal_io import write_wav
@@ -60,16 +64,19 @@ def test_help_exits_zero(capsys):
     assert "--run-id" in capsys.readouterr().out
 
 
-def test_bad_weighting_is_usage_error(survey_dir, tmp_path):
-    code = main(
-        [
-            "detect",
-            "--manifest", str(survey_dir / "manifest.txt"),
-            "--out", str(tmp_path / "e.csv"),
-            "--weightings", "blorp",
-        ]
-    )
-    assert code == 1
+def test_bad_weighting_is_usage_error(survey_dir, tmp_path, capsys):
+    cfg = tmp_path / "w.cfg"
+    cfg.write_text("weightings = blorp\n")
+    out = tmp_path / "out.csv"
+    for args in (
+        ["detect", "--weighting", "blorp"],
+        ["extract", "--weightings", "blorp"],
+        ["extract", "--config", str(cfg)],
+    ):
+        code = main(args + ["--manifest", str(survey_dir / "manifest.txt"), "--out", str(out)])
+        assert code == 1, args
+        assert "blorp" in capsys.readouterr().err, args
+        assert not out.exists(), args
 
 
 def test_bad_numeric_flag_is_usage_error(survey_dir, tmp_path):
@@ -213,6 +220,56 @@ def test_extract_flag_overrides_config_overrides_default(survey_dir, tmp_path):
     assert out.read_text().splitlines()[1].startswith("from-config,")
 
 
+def test_bad_config_value_names_file_and_line(survey_dir, tmp_path, capsys):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("workers = two\n")
+    code = main(
+        [
+            "extract",
+            "--manifest", str(survey_dir / "manifest.txt"),
+            "--out", str(tmp_path / "c.csv"),
+            "--config", str(cfg),
+        ]
+    )
+    assert code == 1
+    assert "cfg.txt:1: bad value for workers" in capsys.readouterr().err
+
+
+_ROWS = [(command, row) for command, rows in _FLAGS.items() for row in rows]
+
+
+@pytest.mark.parametrize(
+    "command,row", _ROWS, ids=[f"{command}-{row[0]}" for command, row in _ROWS]
+)
+def test_every_table_row_is_a_flag_and_a_config_key(tmp_path, command, row):
+    name, typ, default, _ = row
+    raw = {int: "3", float: "2.5", str: "x", bool: "true"}[typ]
+    expected = True if typ is bool else typ(raw)
+    assert expected != default  # so an ignored value cannot pass as the default
+    flag = "--" + name.replace("_", "-")
+    argvs = [[command, flag] if typ is bool else [command, flag, raw]]
+    for key in (name, name.replace("_", "-")):
+        cfg = tmp_path / f"{key}.cfg"
+        cfg.write_text(f"{key} = {raw}\n")
+        argvs.append([command, "--config", str(cfg)])
+    for argv in argvs:
+        value = _effective(build_parser().parse_args(argv))[name]
+        assert (value, type(value)) == (expected, typ), argv
+
+
+def test_readme_names_only_table_flags():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    named = {
+        tok
+        for line in readme.splitlines()
+        if not line.startswith("pip ")  # installer options, not airgunkit's
+        for tok in re.findall(r"--[a-z][a-z0-9-]*", line)
+    }
+    table = {"--" + row[0].replace("_", "-") for _, row in _ROWS} | {"--config", "--help"}
+    assert named, "README names no flags"
+    assert named <= table, sorted(named - table)
+
+
 def test_unknown_config_key_is_usage_error(survey_dir, tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("thresold-db = 90\n")
@@ -240,6 +297,21 @@ def test_extract_channel_subset(survey_dir, tmp_path):
     )
     assert code == 0
     assert len(out.read_text().splitlines()) == 1 + 3
+
+
+@pytest.mark.parametrize("command", ["detect", "extract"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_repeated_channel_id_is_usage_error(survey_dir, tmp_path, capsys, command, source):
+    cfg = tmp_path / "ch.cfg"
+    cfg.write_text("channels = 0,0\n")
+    channels = ["--channels", "0,0"] if source == "flag" else ["--config", str(cfg)]
+    out = tmp_path / "out.csv"
+    code = main(
+        [command, "--manifest", str(survey_dir / "manifest.txt"), "--out", str(out), *channels]
+    )
+    assert code == 1
+    assert "repeated" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_extract_unknown_channel_is_runtime_error(survey_dir, tmp_path):
@@ -273,6 +345,29 @@ def test_bench_reports_identical_catalogs(survey_dir, tmp_path, capsys):
     assert "speedup=" in out
     assert (tmp_path / "catalog_serial.csv").is_file()
     assert (tmp_path / "catalog_parallel.csv").is_file()
+
+
+def test_bench_honours_chunk_s(survey_dir, tmp_path, monkeypatch):
+    seen = []
+    real_run = runner.run
+
+    def recording_run(config, manifests, log=None):
+        seen.append(config.chunk_s)
+        return real_run(config, manifests, log=log)
+
+    monkeypatch.setattr(runner, "run", recording_run)
+    code = main(
+        [
+            "bench",
+            "--manifest", str(survey_dir / "manifest.txt"),
+            "--out-dir", str(tmp_path),
+            "--weightings", "linear",
+            "--chunk-s", "0.9",
+            "--workers", "2",
+        ]
+    )
+    assert code == 0
+    assert seen == [0.9, 0.9]
 
 
 def test_negative_only_pulse_writes_na_not_minus_inf(tmp_path):

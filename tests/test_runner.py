@@ -77,6 +77,13 @@ def test_config_rejects_empty_selections(tmp_path):
         RunConfig(out_path=tmp_path / "c.csv", detector=DETECTOR, channels=())
 
 
+def test_config_rejects_repeated_channel(tmp_path):
+    # a repeated id would process the channel twice: duplicate catalog keys
+    # and doubled channel-hours
+    with pytest.raises(ValueError, match="repeats a channel id"):
+        RunConfig(out_path=tmp_path / "c.csv", detector=DETECTOR, channels=(0, 1, 0))
+
+
 # ---------------------------------------------------------------------------
 # serial extraction accounting
 
