@@ -102,6 +102,9 @@ _FLAGS: dict[str, tuple[_Row, ...]] = {
 }
 
 
+_BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
 def _read_config(path: str, rows: tuple[_Row, ...]) -> dict[str, object]:
     p = Path(path)
     if not p.is_file():
@@ -119,8 +122,8 @@ def _read_config(path: str, rows: tuple[_Row, ...]) -> dict[str, object]:
         if key not in types:
             raise _UsageError(f"{path}:{lineno}: unknown key {key!r}")
         try:
-            out[key] = raw.lower() in ("1", "true", "yes") if types[key] is bool else types[key](raw)
-        except ValueError as exc:
+            out[key] = _BOOLS[raw.lower()] if types[key] is bool else types[key](raw)
+        except (KeyError, ValueError) as exc:
             raise _UsageError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
     return out
 
@@ -226,7 +229,8 @@ def _cmd_detect(ns: argparse.Namespace) -> int:
             raise AirgunkitError(f"manifest does not cover channel {ch}")
         for kind in kinds:
             events = detect_pulses(weighted_chunks(manifests[ch], kind, eff["chunk_s"]), detector)
-            rows.extend(format_event_row(ev, kind.value, i) for i, ev in enumerate(events))
+            origin = manifests[ch].origin
+            rows.extend(format_event_row(ev, kind.value, i, origin) for i, ev in enumerate(events))
             _log(f"channel {ch} {kind.value}: {len(events)} pulses")
     write_events_csv(out, rows)
     print(f"events: {out}")

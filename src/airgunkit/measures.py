@@ -93,12 +93,12 @@ def format_db(v: float | None) -> str:
 
 
 class PeakMeasures(NamedTuple):
-    """Extremes of one window: times, linear pressures, and dB magnitudes."""
+    """Extremes of one window: global sample indices, linear pressures, and dB magnitudes."""
 
-    t_pos_s: float
+    pos_index: int
     p_pos_upa: float
     p_pos_db: float
-    t_neg_s: float
+    neg_index: int
     p_neg_upa: float
     p_neg_db: float
 
@@ -129,11 +129,5 @@ def measure_peaks(window: SampleBuffer) -> PeakMeasures:
     with np.errstate(divide="ignore"):
         db_pos = float(20.0 * np.log10(abs(p_pos))) if p_pos != 0.0 else -math.inf
         db_neg = float(20.0 * np.log10(abs(p_neg))) if p_neg != 0.0 else -math.inf
-    return PeakMeasures(
-        t_pos_s=window.time_at(i_pos),
-        p_pos_upa=p_pos,
-        p_pos_db=db_pos,
-        t_neg_s=window.time_at(i_neg),
-        p_neg_upa=p_neg,
-        p_neg_db=db_neg,
-    )
+    return PeakMeasures(window.start_index + i_pos, p_pos, db_pos,
+                        window.start_index + i_neg, p_neg, db_neg)

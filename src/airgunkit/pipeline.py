@@ -6,12 +6,16 @@ six peak measures, and four level measures (SPL, SEL, L_EQ, CSEL) for the
 early window and for each late window.  The early window's upper bound needs
 no column of its own because late window 1 starts exactly there.
 
+A record keeps its times as global sample indices: the bounds i5 and i95,
+the pulse's extremes, and late slot k at i95 + k * w for w samples per late
+window.  Seconds exist only in the written cells: signal_io.format_time
+prints origin + i/fs, rounded to 1 ns with ties to even.
+
 Catalog rows are ``run_id, channel_id, weighting, pulse_index`` followed by
 the 61 feature cells in group order.  Invalid late windows keep their start
 time and carry the literal token ``NA`` for all four level measures; NA cells
-still count as emitted feature points.  Times print with 9 fractional
-digits, levels and linear pressures with 6; written catalogs parse back to
-the exact same tokens.
+still count as emitted feature points.  Levels and linear pressures print
+with 6 digits; written catalogs parse back to the exact same tokens.
 
 RecordBuilder turns the pulses of one (channel, weighting) stream into
 records while detect_pulses streams it: bounds and windows are sliced from
@@ -23,12 +27,13 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import RunError
 from .measures import NA, Levels, format_db, window_levels
 from .pulse_detect import PulseEvent, PulseScanner
-from .signal_io import ChannelManifest, RollingBuffer, SampleBuffer
+from .signal_io import ChannelManifest, RollingBuffer, SampleBuffer, format_time
 from .weighting import CANONICAL_ORDER, WeightingKind
 from .windows import LATE_WINDOW_COUNT, LATE_WINDOW_S, EnergyBounds, energy_bounds, layout_windows
 
@@ -64,40 +69,44 @@ NA_LEVELS = Levels(None, None, None, None)
 
 @dataclass(frozen=True)
 class FeatureRecord:
-    """All feature values of one pulse under one weighting."""
+    """All feature values of one pulse under one weighting.
+
+    ``event`` holds the peak measures; i5 and i95 are the early window
+    bounds.  Times are sample indices of the channel, whose sample 0 sits at
+    ``origin`` seconds.
+    """
 
     channel_id: int
     weighting: str
     pulse_index: int
-    early_t5_s: float
-    early_t95_s: float
-    late_starts_s: tuple[float, ...]
+    origin: Fraction
+    event: PulseEvent
+    i5: int
+    i95: int
     late_valid: tuple[bool, ...]
-    t_a_s: float
-    p_a_upa: float
-    p_a_db: float
-    t_b_s: float
-    p_b_upa: float
-    p_b_db: float
     early: Levels
     late: tuple[Levels, ...]
 
     def __post_init__(self) -> None:
-        if len(self.late_starts_s) != LATE_WINDOW_COUNT or len(self.late) != LATE_WINDOW_COUNT:
+        if len(self.late_valid) != LATE_WINDOW_COUNT or len(self.late) != LATE_WINDOW_COUNT:
             raise ValueError(f"record must carry {LATE_WINDOW_COUNT} late windows")
-        if self.late_starts_s[0] != self.early_t95_s:
-            raise ValueError("late window 1 must start at the early window upper bound")
+
+    @property
+    def late_starts(self) -> tuple[int, ...]:
+        """First sample of every late slot; slot 1 starts at the early window's upper bound."""
+        w = round(LATE_WINDOW_S * self.event.sample_rate_hz)
+        return tuple(self.i95 + k * w for k in range(LATE_WINDOW_COUNT))
 
 
 def extract_record(
     event: PulseEvent,
-    t5_s: float,
-    t95_s: float,
+    bounds: EnergyBounds,
     windows: Sequence[SampleBuffer | None],
     csel_upa2s: list[float],
     *,
     weighting: str,
     pulse_index: int,
+    origin: Fraction = Fraction(0),
 ) -> FeatureRecord:
     """Assemble one record from its pre-sliced windows.
 
@@ -105,7 +114,8 @@ def extract_record(
     windows, None where a late window is invalid: it keeps its start time
     but gets NA level measures.  ``csel_upa2s`` holds the running energy of
     each of those slots and advances in place, so records of one stream
-    must be assembled in pulse order.
+    must be assembled in pulse order.  ``origin`` is the seconds of the
+    channel's sample 0.
     """
     levels: list[Levels] = []
     for k, win in enumerate(windows):
@@ -114,23 +124,8 @@ def extract_record(
         else:
             lv, csel_upa2s[k] = window_levels(win, csel_upa2s[k])
             levels.append(lv)
-    return FeatureRecord(
-        channel_id=event.channel_id,
-        weighting=weighting,
-        pulse_index=pulse_index,
-        early_t5_s=t5_s,
-        early_t95_s=t95_s,
-        late_starts_s=tuple(t95_s + k * LATE_WINDOW_S for k in range(LATE_WINDOW_COUNT)),
-        late_valid=tuple(win is not None for win in windows[1:]),
-        t_a_s=event.t_pos_s,
-        p_a_upa=event.p_pos_upa,
-        p_a_db=event.p_pos_db,
-        t_b_s=event.t_neg_s,
-        p_b_upa=event.p_neg_upa,
-        p_b_db=event.p_neg_db,
-        early=levels[0],
-        late=tuple(levels[1:]),
-    )
+    return FeatureRecord(event.channel_id, weighting, pulse_index, origin, event, bounds.i5, bounds.i95,
+                         tuple(win is not None for win in windows[1:]), levels[0], tuple(levels[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -179,23 +174,16 @@ class RecordBuilder:
                 for k, ok in enumerate(layout_windows(bk.i95, limit, w))
             ]
             self.records.append(extract_record(
-                ev, self._time(ev, bk.i5), self._time(ev, bk.i95), windows, self._csel,
-                weighting=self.weighting, pulse_index=len(self.records),
+                ev, bk, windows, self._csel, weighting=self.weighting,
+                pulse_index=len(self.records), origin=self.cm.origin,
             ))
             self._pending.popleft()
         self.t_a_drops = scanner.t_a_drops
         self.cut_excursions = scanner.cut_excursions
         return self._pending[0][1].i5 if self._pending else buf.end
 
-    def _time(self, ev: PulseEvent, i: int) -> float:
-        """Seconds of sample i, counted from the pulse's search window start."""
-        a, fs = ev.search_start_index, self.cm.sample_rate_hz
-        return (self.cm.start_time_s + a / fs) + (i - a) / fs
-
     def _window(self, buf: RollingBuffer, a: int, b: int) -> SampleBuffer:
-        cm = self.cm
-        return SampleBuffer(buf.view(a, b), cm.sample_rate_hz,
-                            cm.start_time_s + a / cm.sample_rate_hz, cm.channel_id)
+        return SampleBuffer(buf.view(a, b), self.cm.sample_rate_hz, a, self.cm.channel_id)
 
 
 # ---------------------------------------------------------------------------
@@ -215,17 +203,14 @@ def ledger_total(weightings: int, early: int, late: int, units: int, pulses: int
 # catalog serialization
 
 
-def _fmt_time(v: float) -> str:
-    return f"{v:.9f}"
-
-
 def record_cells(rec: FeatureRecord) -> list[str]:
     """The 61 feature cells of one record, in catalog column order."""
-    cells = [_fmt_time(rec.early_t5_s)]
-    cells += [_fmt_time(t) for t in rec.late_starts_s]
+    ev = rec.event
+    fs, origin = ev.sample_rate_hz, rec.origin
+    cells = [format_time(i, fs, origin) for i in (rec.i5, *rec.late_starts)]
     cells += [
-        _fmt_time(rec.t_a_s), f"{rec.p_a_upa:.6f}", format_db(rec.p_a_db),
-        _fmt_time(rec.t_b_s), f"{rec.p_b_upa:.6f}", format_db(rec.p_b_db),
+        format_time(ev.pos_index, fs, origin), f"{ev.p_pos_upa:.6f}", format_db(ev.p_pos_db),
+        format_time(ev.neg_index, fs, origin), f"{ev.p_neg_upa:.6f}", format_db(ev.p_neg_db),
     ]
     for lv in (rec.early, *rec.late):
         cells += [format_db(v) for v in lv]

@@ -2,12 +2,16 @@
 
 An excursion is a maximal run of samples with |p| at or above the detection
 threshold.  Each excursion nominates its largest-|p| sample (earliest on
-ties) as an anchor; anchors closer than min_ipi_s to the last accepted anchor
-are discarded.  Around each accepted anchor a fixed search window, 0.5 s
-before to 1.0 s after, is measured for the positive and negative pressure
-extremes; the positive extreme defines the pulse time t_A.  A pulse whose t_A
-lies closer than min_ipi_s to the t_A of the last kept pulse is dropped, and
-the drop is counted.
+ties) as an anchor; anchors fewer than min_gap = round(min_ipi_s * fs)
+samples after the last accepted anchor are discarded.  Around each accepted
+anchor a fixed search window, 0.5 s before to 1.0 s after, is measured for
+the positive and negative pressure extremes; the positive extreme defines
+the pulse time t_A.  A pulse whose t_A lies fewer than min_gap samples after
+the t_A of the last kept pulse is dropped, and the drop is counted.
+
+Everything here is a global sample index of the stream, which starts at the
+channel's sample 0; format_event_row turns indices into seconds through
+signal_io.format_time, only when it writes them.
 
 The scan is streaming.  A PulseScanner reads the samples appended to a
 RollingBuffer, decides every anchor once with its full search window in
@@ -25,15 +29,17 @@ the result.  The excursions so cut are counted.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import DetectionError
 from .measures import NA, format_db, measure_peaks
-from .signal_io import RollingBuffer, SampleBuffer
+from .signal_io import RollingBuffer, SampleBuffer, format_time
 
 SEARCH_BEFORE_S = 0.5
 SEARCH_AFTER_S = 1.0
@@ -55,6 +61,8 @@ class DetectorConfig:
     search_window_s: float = SEARCH_BEFORE_S + SEARCH_AFTER_S
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.threshold_db) and math.isfinite(self.min_ipi_s)):
+            raise ValueError("threshold_db and min_ipi_s must be finite")
         if self.search_window_s <= 0:
             raise ValueError("search_window_s must be positive")
         if self.min_ipi_s <= self.search_window_s:
@@ -77,23 +85,25 @@ class DetectorConfig:
 class PulseEvent:
     """One detected pulse.
 
-    Times are absolute stream times; *_index fields are global sample indices
-    on the stream grid (exact integers for downstream slicing).  ipi_s is the
-    spacing to the next event on the same stream, None for the last one.
+    *_index fields are global sample indices of the stream: the positive
+    extreme (t_A), the negative extreme (t_B), the anchor and the search
+    window [search_start_index, search_end_index).  ipi_samples is the index
+    gap to the next event on the same stream, None for the last one.
     """
 
     channel_id: int
-    t_pos_s: float
+    sample_rate_hz: float
+    pos_index: int
     p_pos_upa: float
     p_pos_db: float
-    t_neg_s: float
+    neg_index: int
     p_neg_upa: float
     p_neg_db: float
     p_pp_db: float
     search_start_index: int
     search_end_index: int
     anchor_index: int
-    ipi_s: float | None = None
+    ipi_samples: int | None = None
 
 
 class _OpenPiece(NamedTuple):
@@ -114,13 +124,10 @@ class PulseScanner:
     spacing rule, ``cut_excursions`` the excursions cut into pieces.
     """
 
-    def __init__(self, config: DetectorConfig, sample_rate_hz: float,
-                 start_time_s: float = 0.0, channel_id: int = 0) -> None:
+    def __init__(self, config: DetectorConfig, sample_rate_hz: float, channel_id: int = 0) -> None:
         self.fs = sample_rate_hz
-        self.t0 = start_time_s
         self.channel_id = channel_id
         self.threshold = config.threshold_upa
-        self.min_ipi_s = config.min_ipi_s
         self.pre = round(config.before_s * self.fs)
         self.post = round(config.after_s * self.fs)
         self.min_gap = round(config.min_ipi_s * self.fs)
@@ -131,7 +138,7 @@ class PulseScanner:
         self._open: _OpenPiece | None = None
         self._last_anchor: int | None = None
         self._waiting: deque[int] = deque()  # accepted anchors awaiting their window
-        self._last_t_a: float | None = None
+        self._last_t_a: int | None = None
 
     @property
     def keep_from(self) -> int:
@@ -156,14 +163,14 @@ class PulseScanner:
                 self._last_anchor = anchor
         self._pos = buf.end
         kept: list[PulseEvent] = []
-        # accepted anchors are at least min_ipi_s apart, more than one search
+        # accepted anchors are at least min_gap apart, more than one search
         # window, so pulses come out in t_A order
         while self._waiting and (final or self._waiting[0] + self.post <= buf.end):
             ev = self._measure(buf, self._waiting.popleft())
-            if self._last_t_a is not None and ev.t_pos_s - self._last_t_a < self.min_ipi_s:
+            if self._last_t_a is not None and ev.pos_index - self._last_t_a < self.min_gap:
                 self.t_a_drops += 1
                 continue
-            self._last_t_a = ev.t_pos_s
+            self._last_t_a = ev.pos_index
             kept.append(ev)
         return kept
 
@@ -211,26 +218,9 @@ class PulseScanner:
         """Measure one accepted anchor's search window, cut at the buffer end."""
         lo = max(anchor - self.pre, 0)
         hi = anchor + self.post
-        window = SampleBuffer(
-            samples=buf.view(lo, min(hi, buf.end)),
-            sample_rate_hz=self.fs,
-            start_time_s=self.t0 + lo / self.fs,
-            channel_id=self.channel_id,
-        )
-        pk = measure_peaks(window)
-        return PulseEvent(
-            channel_id=self.channel_id,
-            t_pos_s=pk.t_pos_s,
-            p_pos_upa=pk.p_pos_upa,
-            p_pos_db=pk.p_pos_db,
-            t_neg_s=pk.t_neg_s,
-            p_neg_upa=pk.p_neg_upa,
-            p_neg_db=pk.p_neg_db,
-            p_pp_db=pk.p_pp_db,
-            search_start_index=lo,
-            search_end_index=hi,
-            anchor_index=anchor,
-        )
+        pk = measure_peaks(SampleBuffer(buf.view(lo, min(hi, buf.end)), self.fs, lo, self.channel_id))
+        # PeakMeasures' six fields are PulseEvent's, in the same order
+        return PulseEvent(self.channel_id, self.fs, *pk, pk.p_pp_db, lo, hi, anchor)
 
 
 # consumer(buf, kept, scanner, final) -> first sample it still needs
@@ -241,9 +231,10 @@ def detect_pulses(chunks: Iterable[SampleBuffer], config: DetectorConfig,
                   consumer: StreamConsumer | None = None) -> list[PulseEvent]:
     """Run threshold detection over an in-order chunk stream.
 
-    Chunks must be contiguous (each starting where the previous ended) and
-    share one sample rate; violations raise DetectionError.  Returns events
-    ordered by time with ipi_s filled between consecutive events.
+    Chunks must be contiguous from sample 0 (each starting where the previous
+    ended) and share one sample rate; violations raise DetectionError.
+    Returns events ordered by time with ipi_samples filled between
+    consecutive events.
 
     A ``consumer`` is called after every scan with the rolling buffer, the
     newly kept pulses and the scanner, and once more with ``final`` at end of
@@ -254,15 +245,13 @@ def detect_pulses(chunks: Iterable[SampleBuffer], config: DetectorConfig,
     events: list[PulseEvent] = []
     for chunk in chunks:
         if scanner is None:
-            scanner = PulseScanner(config, chunk.sample_rate_hz, chunk.start_time_s, chunk.channel_id)
-        else:
-            if chunk.sample_rate_hz != scanner.fs:
-                raise DetectionError("sample rate changed mid-stream")
-            got = round((chunk.start_time_s - scanner.t0) * scanner.fs)
-            if got != buf.end:
-                raise DetectionError(
-                    f"chunk starts at sample {got}, expected {buf.end} (stream must be contiguous)"
-                )
+            scanner = PulseScanner(config, chunk.sample_rate_hz, chunk.channel_id)
+        elif chunk.sample_rate_hz != scanner.fs:
+            raise DetectionError("sample rate changed mid-stream")
+        if chunk.start_index != buf.end:
+            raise DetectionError(
+                f"chunk starts at sample {chunk.start_index}, expected {buf.end} (stream must be contiguous)"
+            )
         buf.append(chunk.samples)
         del chunk  # a chunk can be hundreds of MB: free it before the next is read
         kept = scanner.scan(buf)
@@ -277,7 +266,8 @@ def detect_pulses(chunks: Iterable[SampleBuffer], config: DetectorConfig,
     events += kept
     if consumer is not None:
         consumer(buf, kept, scanner, True)
-    return [replace(ev, ipi_s=nxt.t_pos_s - ev.t_pos_s) for ev, nxt in zip(events, events[1:])] + events[-1:]
+    return [replace(ev, ipi_samples=nxt.pos_index - ev.pos_index)
+            for ev, nxt in zip(events, events[1:])] + events[-1:]
 
 
 EVENTS_HEADER = (
@@ -285,13 +275,18 @@ EVENTS_HEADER = (
 )
 
 
-def format_event_row(ev: PulseEvent, weighting: str, pulse_index: int) -> str:
-    """One events-CSV row; times at ns precision, levels at micro-dB."""
-    ipi = f"{ev.ipi_s:.9f}" if ev.ipi_s is not None else NA
+def format_event_row(ev: PulseEvent, weighting: str, pulse_index: int,
+                     origin: Fraction = Fraction(0)) -> str:
+    """One events-CSV row; times at ns precision, levels at micro-dB.
+
+    ``origin`` is the seconds of the channel's sample 0 (``ChannelManifest.origin``).
+    """
+    fs = ev.sample_rate_hz
+    ipi = NA if ev.ipi_samples is None else format_time(ev.ipi_samples, fs)
     return (
         f"{ev.channel_id},{weighting},{pulse_index},"
-        f"{ev.t_pos_s:.9f},{ev.p_pos_upa:.6f},{format_db(ev.p_pos_db)},"
-        f"{ev.t_neg_s:.9f},{ev.p_neg_upa:.6f},{format_db(ev.p_neg_db)},"
+        f"{format_time(ev.pos_index, fs, origin)},{ev.p_pos_upa:.6f},{format_db(ev.p_pos_db)},"
+        f"{format_time(ev.neg_index, fs, origin)},{ev.p_neg_upa:.6f},{format_db(ev.p_neg_db)},"
         f"{format_db(ev.p_pp_db)},{ipi}"
     )
 

@@ -10,6 +10,7 @@ each accumulator lives entirely inside one task.
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 import os
 import time
@@ -46,6 +47,8 @@ class RunConfig:
             raise ValueError("serial mode implies worker_count = 1")
         if self.worker_count < 1:
             raise ValueError("worker_count must be >= 1")
+        if not 0.0 < self.chunk_s < math.inf:
+            raise ValueError(f"chunk_s must be finite and positive, got {self.chunk_s}")
         if not self.weightings:
             raise ValueError("weighting selection is empty")
         if self.channels is not None and len(self.channels) == 0:
@@ -285,22 +288,18 @@ def bench(
     serial/parallel wall seconds.
     """
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     base = dict(detector=detector, weightings=tuple(weightings), chunk_s=chunk_s)
+    serial = RunConfig(out_path=out / "catalog_serial.csv", mode="serial", **base)
+    parallel = RunConfig(out_path=out / "catalog_parallel.csv", mode="parallel",
+                         worker_count=worker_count, **base)
+    out.mkdir(parents=True, exist_ok=True)
 
     t0 = time.perf_counter()
-    serial_path, _ = run(
-        RunConfig(out_path=out / "catalog_serial.csv", mode="serial", **base),
-        manifests, log=log,
-    )
+    serial_path, _ = run(serial, manifests, log=log)
     serial_s = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    parallel_path, _ = run(
-        RunConfig(out_path=out / "catalog_parallel.csv", mode="parallel",
-                  worker_count=worker_count, **base),
-        manifests, log=log,
-    )
+    parallel_path, _ = run(parallel, manifests, log=log)
     parallel_s = time.perf_counter() - t0
 
     identical = serial_path.read_bytes() == parallel_path.read_bytes()

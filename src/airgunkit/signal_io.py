@@ -15,14 +15,23 @@ read back as zeros).  A misalignment of exactly one sample period is clock
 jitter, not a defect: the later file snaps to adjacency, dropping its first
 sample when it overlapped.
 
+Start times are finite decimal seconds, read exactly.  The earliest file's
+start is the channel's origin: every sample of a channel has a global index
+counted from it, and the pipeline carries only those indices.  A time is
+formed once, when it is written: ``format_time`` prints origin + i/fs,
+rounded to 1 ns with ties to even, in integer arithmetic.
+
 Audio must be 16-bit mono PCM WAV at 512 kHz or below.  Conversion from
 counts to micropascal is ``count / counts_full_scale * 10**(sensitivity_db/20)``.
 """
 
 from __future__ import annotations
 
+import math
+import re
 import wave
 from dataclasses import dataclass, field
+from fractions import Fraction
 from pathlib import Path
 from typing import Iterator
 
@@ -32,19 +41,39 @@ from .errors import AudioFormatError, GapError, ManifestError
 
 MAX_SAMPLE_RATE_HZ = 512_000
 GAP_POLICIES = ("error", "zero_fill")
+_DECIMAL = re.compile(r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d{1,3})?")
+
+
+def parse_time(text: str) -> Fraction:
+    """Seconds written as a finite decimal, read exactly."""
+    if not _DECIMAL.fullmatch(text):
+        raise ValueError(f"start time must be finite decimal seconds, got {text!r}")
+    return Fraction(text)
+
+
+def format_time(i: int, sample_rate_hz: float, origin: Fraction = Fraction(0)) -> str:
+    """Seconds of sample ``i``, ``origin + i / sample_rate_hz``, to 1 ns with ties to even."""
+    rn, rd = sample_rate_hz.as_integer_ratio()
+    on, od = origin.as_integer_ratio()
+    den = od * rn
+    ns, rem = divmod((on * rn + i * rd * od) * 1_000_000_000, den)
+    if 2 * rem > den or (2 * rem == den and ns & 1):
+        ns += 1
+    s, frac = divmod(abs(ns), 1_000_000_000)
+    return f"{'-' if ns < 0 else ''}{s}.{frac:09d}"
 
 
 @dataclass(frozen=True)
 class SampleBuffer:
-    """Contiguous run of calibrated samples with an absolute time origin.
+    """Contiguous run of calibrated samples of one channel.
 
-    samples are pressures in micropascal; sample i sits at
-    ``start_time_s + i / sample_rate_hz`` exactly.
+    samples are pressures in micropascal; ``samples[k]`` is the channel's
+    sample ``start_index + k``.
     """
 
     samples: np.ndarray
     sample_rate_hz: float
-    start_time_s: float
+    start_index: int
     channel_id: int
 
     def __post_init__(self) -> None:
@@ -57,13 +86,6 @@ class SampleBuffer:
     @property
     def duration_s(self) -> float:
         return len(self.samples) / self.sample_rate_hz
-
-    @property
-    def end_time_s(self) -> float:
-        return self.start_time_s + len(self.samples) / self.sample_rate_hz
-
-    def time_at(self, i: int) -> float:
-        return self.start_time_s + i / self.sample_rate_hz
 
 
 class RollingBuffer:
@@ -125,7 +147,7 @@ class CalibrationSpec:
 @dataclass(frozen=True)
 class _FileEntry:
     path: Path
-    start_time_s: float
+    start_s: Fraction
     start_index: int  # global sample index relative to channel origin
     n_frames: int
     trim: int  # leading samples ignored (1-sample overlap tolerance)
@@ -146,8 +168,9 @@ class ChannelManifest:
     files: tuple[_FileEntry, ...] = field(repr=False)
 
     @property
-    def start_time_s(self) -> float:
-        return self.files[0].start_time_s
+    def origin(self) -> Fraction:
+        """Seconds of sample 0: the start time of the channel's earliest file."""
+        return self.files[0].start_s
 
     @property
     def n_samples(self) -> int:
@@ -156,10 +179,6 @@ class ChannelManifest:
     @property
     def duration_s(self) -> float:
         return self.n_samples / self.sample_rate_hz
-
-    @property
-    def end_time_s(self) -> float:
-        return self.start_time_s + self.duration_s
 
 
 def _wav_info(path: Path) -> tuple[int, int]:
@@ -216,7 +235,7 @@ def open_manifest(path: Path | str) -> dict[int, ChannelManifest]:
 
     calibs: dict[int, CalibrationSpec] = {}
     policies: dict[int, str] = {}
-    rows: dict[int, list[tuple[Path, float]]] = {}
+    rows: dict[int, list[tuple[Path, Fraction]]] = {}
 
     for lineno, line in enumerate(path.read_text().splitlines(), start=1):
         text = line.split("#", 1)[0].strip()
@@ -240,7 +259,7 @@ def open_manifest(path: Path | str) -> dict[int, ChannelManifest]:
                 if len(parts) != 4:
                     raise ValueError("expected: file <ch> <path> <start_time_s>")
                 ch = int(parts[1])
-                rows.setdefault(ch, []).append((base / parts[2], float(parts[3])))
+                rows.setdefault(ch, []).append((base / parts[2], parse_time(parts[3])))
             else:
                 raise ValueError(f"unknown row kind {kind!r}")
         except ValueError as exc:
@@ -323,12 +342,7 @@ def read_span(cm: ChannelManifest, start_index: int, count: int) -> SampleBuffer
         raise GapError(
             f"channel {cm.channel_id}: span [{start_index}, {end}) crosses an uncovered gap"
         )
-    return SampleBuffer(
-        samples=samples,
-        sample_rate_hz=cm.sample_rate_hz,
-        start_time_s=cm.start_time_s + start_index / cm.sample_rate_hz,
-        channel_id=cm.channel_id,
-    )
+    return SampleBuffer(samples, cm.sample_rate_hz, start_index, cm.channel_id)
 
 
 def iter_chunks(cm: ChannelManifest, chunk_s: float = 60.0) -> Iterator[SampleBuffer]:
@@ -337,6 +351,8 @@ def iter_chunks(cm: ChannelManifest, chunk_s: float = 60.0) -> Iterator[SampleBu
     Chunk boundaries are computed in integer samples, so consecutive chunks
     tile the channel exactly: each starts where the previous ended.
     """
+    if not 0.0 < chunk_s < math.inf:
+        raise ValueError(f"chunk_s must be finite and positive, got {chunk_s}")
     step = round(chunk_s * cm.sample_rate_hz)
     if step < 1:
         raise ValueError("chunk_s too small for the sample rate")

@@ -5,7 +5,7 @@ from airgunkit.signal_io import SampleBuffer
 from airgunkit.synth import SurveySpec, generate
 
 
-def make_buffer(samples, fs=16000.0, start=0.0, channel=0) -> SampleBuffer:
+def make_buffer(samples, fs=16000.0, start=0, channel=0) -> SampleBuffer:
     return SampleBuffer(np.asarray(samples, dtype=np.float64), fs, start, channel)
 
 

@@ -309,7 +309,7 @@ def test_09_four_way_parallel_halves_wall_time(tmp_path):
 
 
 ACCEPTANCE_CATALOG_SHA256 = "3e071666e61eb254ae632ff192b49bbcc180f34787bd7a8e9b4d6dbfbde23b2d"
-HIGHRATE_CATALOG_SHA256 = "0ec4c8a6fe40fee95d44c9eab69181036633723de31811a1e95701d7c8bd86d8"
+HIGHRATE_CATALOG_SHA256 = "a576ae3de990eab04eab1c634db99bc79b043fdde03f20e6d2865911477e6c86"
 
 
 def on_ninth_decimal_tie(cell: str, fs: int) -> bool:
@@ -324,7 +324,7 @@ def test_10_catalog_bytes_are_pinned(serial_run, tmp_path):
         assert hashlib.sha256(path.read_bytes()).hexdigest() == ACCEPTANCE_CATALOG_SHA256
 
         # 512 kHz sample times have 12 decimals; 1 in 8 sits on a 9th-decimal
-        # tie, where the float expression of the time decides the printed digit
+        # tie, which the exact time formatter settles to the even digit
         fs = 512_000
         spec = SurveySpec(channel_count=1, duration_s=15.0, sample_rate_hz=fs,
                           first_pulse_s=2.0 + 6 / fs, pulse_count=2, noise_rms_upa=3000.0, seed=1)
@@ -334,5 +334,6 @@ def test_10_catalog_bytes_are_pinned(serial_run, tmp_path):
                      open_manifest(result.manifest_path))
         with open(out, newline="") as fh:
             times = [v for row in csv.DictReader(fh) for k, v in row.items() if k.endswith("_s")]
-        assert any(on_ninth_decimal_tie(v, fs) for v in times)
+        ties = [v for v in times if on_ninth_decimal_tie(v, fs)]
+        assert ties and all(int(v[-1]) % 2 == 0 for v in ties)
         assert hashlib.sha256(out.read_bytes()).hexdigest() == HIGHRATE_CATALOG_SHA256

@@ -1,4 +1,7 @@
+import csv
 import re
+import wave
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -222,17 +225,43 @@ def test_extract_flag_overrides_config_overrides_default(survey_dir, tmp_path):
 
 def test_bad_config_value_names_file_and_line(survey_dir, tmp_path, capsys):
     cfg = tmp_path / "cfg.txt"
-    cfg.write_text("workers = two\n")
-    code = main(
-        [
-            "extract",
-            "--manifest", str(survey_dir / "manifest.txt"),
-            "--out", str(tmp_path / "c.csv"),
-            "--config", str(cfg),
-        ]
-    )
+    for line in ("workers = two", "dump_filters = maybe", "dump_filters = 2", "dump_filters ="):
+        key = line.split()[0]
+        cfg.write_text(f"# run settings\n{line}\n")
+        code = main(
+            [
+                "extract",
+                "--manifest", str(survey_dir / "manifest.txt"),
+                "--out", str(tmp_path / "c.csv"),
+                "--config", str(cfg),
+            ]
+        )
+        assert code == 1, line
+        assert f"cfg.txt:2: bad value for {key}" in capsys.readouterr().err, line
+        assert not (tmp_path / "c.csv").exists(), line
+    # the accepted spellings, in any case
+    for raw, want in (("1", True), ("TRUE", True), ("Yes", True), ("0", False), ("false", False), ("NO", False)):
+        cfg.write_text(f"dump_filters = {raw}\n")
+        assert _effective(build_parser().parse_args(["extract", "--config", str(cfg)]))["dump_filters"] is want
+
+
+_NON_FINITE = [("threshold_db", v) for v in ("nan", "inf", "-inf")]
+_NON_FINITE += [("min_ipi_s", v) for v in ("nan", "inf")]
+_NON_FINITE += [("chunk_s", v) for v in ("0", "-5", "nan", "inf")]
+
+
+@pytest.mark.parametrize("command", ["detect", "extract"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("key,raw", _NON_FINITE)
+def test_non_finite_run_parameter_is_usage_error(survey_dir, tmp_path, capsys, command, source, key, raw):
+    cfg = tmp_path / "p.cfg"
+    cfg.write_text(f"{key} = {raw}\n")
+    given = [f"--{key.replace('_', '-')}={raw}"] if source == "flag" else ["--config", str(cfg)]
+    out = tmp_path / "out.csv"
+    code = main([command, "--manifest", str(survey_dir / "manifest.txt"), "--out", str(out), *given])
     assert code == 1
-    assert "cfg.txt:1: bad value for workers" in capsys.readouterr().err
+    assert key in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [cfg]  # no events, catalog or summary
 
 
 _ROWS = [(command, row) for command, rows in _FLAGS.items() for row in rows]
@@ -324,6 +353,56 @@ def test_extract_unknown_channel_is_runtime_error(survey_dir, tmp_path):
         ]
     )
     assert code == 2
+
+
+# ---------------------------------------------------------------------------
+# times at an epoch origin
+
+
+def exact_time(t: Fraction) -> str:
+    """Oracle: decimal seconds rounded to 1 ns, ties to even."""
+    ns = round(t * 10**9)
+    return f"{ns // 10**9}.{ns % 10**9:09d}"
+
+
+def test_epoch_origin_times_are_exact_in_catalog_and_events(tmp_path):
+    # the same 48 kHz samples, once in one file at 0.0 and once in two files
+    # from an epoch origin; every time cell of the second run must be the
+    # first run's sample time plus the origin, exactly rounded
+    fs, epoch = 48_000, "1760000000.123456789"
+    ref = tmp_path / "ref"
+    assert main(SYNTH_ARGS + ["--sample-rate", str(fs), "--out", str(ref)]) == 0
+    with wave.open(str(ref / "ch00.wav"), "rb") as w:
+        x = np.frombuffer(w.readframes(w.getnframes()), dtype="<i2")
+    split = 17 * fs + 7
+    write_wav(tmp_path / "a.wav", x[:split], fs)
+    write_wav(tmp_path / "b.wav", x[split:], fs)
+    origin = Fraction(epoch)
+    calib = (ref / "manifest.txt").read_text().splitlines()[1]
+    (tmp_path / "manifest.txt").write_text(
+        f"{calib}\nfile 0 a.wav {epoch}\nfile 0 b.wav {exact_time(origin + Fraction(split, fs))}\n"
+    )
+    checked = 0
+    for command, flags in (("extract", []), ("detect", ["--weighting", "all"])):
+        tables = []
+        for base in (ref, tmp_path):
+            out = base / f"{command}.csv"
+            argv = [command, "--manifest", str(base / "manifest.txt"), "--out", str(out), *flags]
+            assert main(argv) == 0
+            with open(out, newline="") as fh:
+                tables.append(list(csv.DictReader(fh)))
+        assert len(tables[0]) == len(tables[1]) > 0
+        for at_zero, at_epoch in zip(*tables):
+            for col, cell in at_zero.items():
+                if not col.endswith("_s") or cell == "NA":
+                    assert at_epoch[col] == cell, col
+                    continue
+                i = round(Fraction(cell) * fs)  # the sample, or for ipi_s the gap
+                assert cell == exact_time(Fraction(i, fs)), col
+                shift = 0 if col == "ipi_s" else origin
+                assert at_epoch[col] == exact_time(shift + Fraction(i, fs)), col
+                checked += 1
+    assert checked > 100
 
 
 # ---------------------------------------------------------------------------

@@ -233,7 +233,8 @@ def test_peaks_single_positive_sample():
     x[40] = 1.0e6
     m = measure_peaks(make_buffer(x))
     assert m.p_pos_db == pytest.approx(120.0, abs=1e-12)
-    assert m.t_pos_s == pytest.approx(40 / FS, abs=0.0)
+    assert m.pos_index == 40
+    assert measure_peaks(make_buffer(x, start=1000)).pos_index == 1040  # a global index
     assert m.p_neg_upa == 0.0
     assert m.p_neg_db == -math.inf
     assert m.p_pp_db == pytest.approx(120.0, abs=1e-12)
@@ -253,9 +254,9 @@ def test_peaks_brute_force_oracle():
     best_pos = max(range(len(x)), key=lambda i: (x[i], -i))
     best_neg = min(range(len(x)), key=lambda i: (x[i], i))
     assert m.p_pos_upa == x[best_pos]
-    assert m.t_pos_s == best_pos / FS
+    assert m.pos_index == best_pos
     assert m.p_neg_upa == x[best_neg]
-    assert m.t_neg_s == best_neg / FS
+    assert m.neg_index == best_neg
     span = m.p_pos_upa - m.p_neg_upa
     assert m.p_pp_db == pytest.approx(20.0 * math.log10(span), rel=1e-12)
 
@@ -265,8 +266,8 @@ def test_peaks_tie_takes_earliest_sample():
     x[10] = x[30] = 7.0
     x[20] = x[40] = -3.0
     m = measure_peaks(make_buffer(x))
-    assert m.t_pos_s == 10 / FS
-    assert m.t_neg_s == 20 / FS
+    assert m.pos_index == 10
+    assert m.neg_index == 20
 
 
 def test_peaks_all_zero_errors():

@@ -21,7 +21,7 @@ from airgunkit.pulse_detect import DetectorConfig, PulseEvent, detect_pulses
 from airgunkit.runner import extract_stream
 from airgunkit.signal_io import open_manifest, read_span
 from airgunkit.weighting import CANONICAL_ORDER, WeightingSpec, apply_filter, design_filter
-from airgunkit.windows import LATE_WINDOW_COUNT, energy_bounds, layout_windows
+from airgunkit.windows import LATE_WINDOW_COUNT, EnergyBounds, energy_bounds, layout_windows
 
 from conftest import csel_of_levels, make_buffer
 
@@ -89,20 +89,25 @@ def test_ledger_total_rejects_negative():
 # record assembly helpers
 
 
+def at(t_s):
+    return round(t_s * FS)
+
+
 def fake_event(t_anchor, channel_id=0):
     return PulseEvent(
         channel_id=channel_id,
-        t_pos_s=t_anchor,
+        sample_rate_hz=FS,
+        pos_index=at(t_anchor),
         p_pos_upa=1.0e5,
         p_pos_db=100.0,
-        t_neg_s=t_anchor + 0.01,
+        neg_index=at(t_anchor + 0.01),
         p_neg_upa=-5.0e4,
         p_neg_db=20.0 * math.log10(5.0e4),
         p_pp_db=20.0 * math.log10(1.5e5),
-        search_start_index=int(t_anchor * FS) - 8000,
-        search_end_index=int(t_anchor * FS) + 16000,
-        anchor_index=int(t_anchor * FS),
-        ipi_s=None,
+        search_start_index=at(t_anchor) - 8000,
+        search_end_index=at(t_anchor) + 16000,
+        anchor_index=at(t_anchor),
+        ipi_samples=None,
     )
 
 
@@ -112,15 +117,18 @@ def new_csel():
 
 
 def const_windows(early_upa, late_upa, n_valid=LATE_WINDOW_COUNT):
-    early = make_buffer(np.full(int(0.5 * FS), early_upa), start=2.0)
-    late = [make_buffer(np.full(int(FS), late_upa), start=2.5 + k) if k < n_valid else None
+    early = make_buffer(np.full(int(0.5 * FS), early_upa), start=at(2.0))
+    late = [make_buffer(np.full(int(FS), late_upa), start=at(2.5 + k)) if k < n_valid else None
             for k in range(LATE_WINDOW_COUNT)]
     return [early] + late
 
 
-def const_record(csel, pulse_index, early_upa=1000.0, late_upa=10.0, t95=2.5):
+BOUNDS = EnergyBounds(at(2.0), at(2.5))
+
+
+def const_record(csel, pulse_index, early_upa=1000.0, late_upa=10.0):
     return extract_record(
-        fake_event(2.1), 2.0, t95, const_windows(early_upa, late_upa), csel,
+        fake_event(2.1), BOUNDS, const_windows(early_upa, late_upa), csel,
         weighting="linear", pulse_index=pulse_index,
     )
 
@@ -134,7 +142,7 @@ def test_record_carries_61_cells_no_na_when_all_valid():
 
 def test_record_invalid_late_windows_are_na_blocks():
     rec = extract_record(
-        fake_event(2.1), 2.0, 2.5, const_windows(500.0, 10.0, n_valid=4), new_csel(),
+        fake_event(2.1), BOUNDS, const_windows(500.0, 10.0, n_valid=4), new_csel(),
         weighting="linear", pulse_index=0,
     )
     assert rec.late_valid == (True,) * 4 + (False,) * 6
@@ -161,24 +169,17 @@ def test_record_level_formats():
 
 
 def test_record_rejects_misaligned_late_ladder():
+    # the ladder starts at i95 by construction: late_01_start_s is the early
+    # window's upper bound and the slots follow one window apart
+    rec = const_record(new_csel(), 0)
+    assert rec.late_starts == tuple(BOUNDS.i95 + k * at(1.0) for k in range(LATE_WINDOW_COUNT))
+    # a validity flag or a level block without its slot is refused
+    fields = dict(channel_id=0, weighting="linear", pulse_index=0, origin=rec.origin,
+                  event=rec.event, i5=rec.i5, i95=rec.i95, early=NA_LEVELS)
     with pytest.raises(ValueError):
-        FeatureRecord(
-            channel_id=0,
-            weighting="linear",
-            pulse_index=0,
-            early_t5_s=1.0,
-            early_t95_s=1.5,
-            late_starts_s=tuple(2.0 + k for k in range(10)),  # gap after t95
-            late_valid=(True,) * 10,
-            t_a_s=1.1,
-            p_a_upa=1.0,
-            p_a_db=0.0,
-            t_b_s=1.2,
-            p_b_upa=-1.0,
-            p_b_db=0.0,
-            early=NA_LEVELS,
-            late=(NA_LEVELS,) * 10,
-        )
+        FeatureRecord(**fields, late_valid=(True,) * 9, late=(NA_LEVELS,) * 10)
+    with pytest.raises(ValueError):
+        FeatureRecord(**fields, late_valid=(True,) * 10, late=(NA_LEVELS,) * 11)
 
 
 def test_csel_slots_accumulate_across_pulses():
@@ -277,7 +278,7 @@ def test_write_catalog_counts_and_round_trip(tmp_path):
 
 def test_read_catalog_maps_na_to_none(tmp_path):
     rec = extract_record(
-        fake_event(2.1), 2.0, 2.5, const_windows(500.0, 10.0, n_valid=1), new_csel(),
+        fake_event(2.1), BOUNDS, const_windows(500.0, 10.0, n_valid=1), new_csel(),
         weighting="lfc", pulse_index=0,
     )
     path = tmp_path / "c.csv"
@@ -323,11 +324,8 @@ def whole_buffer_records(cm, kind, detector):
         for k, ok in enumerate(layout_windows(b.i95, limit, w)):
             a = b.i95 + k * w
             windows.append(make_buffer(filt.samples[a : a + w], fs=fs) if ok else None)
-        s0 = ev.search_start_index
-        t5, t95 = ((filt.start_time_s + s0 / fs) + (i - s0) / fs for i in (b.i5, b.i95))
-        records.append(
-            extract_record(ev, t5, t95, windows, csel, weighting=kind.value, pulse_index=j)
-        )
+        records.append(extract_record(ev, b, windows, csel, weighting=kind.value,
+                                      pulse_index=j, origin=cm.origin))
     return events, records
 
 

@@ -30,12 +30,14 @@ def spike_train(times_s, amps_upa, duration_s, fs=FS):
     return x
 
 
+def at(t_s, fs=FS):
+    """Sample index of a time in seconds, as spike_train places it."""
+    return int(round(t_s * fs))
+
+
 def chunked(x, fs, chunk_s):
     step = int(round(chunk_s * fs))
-    return [
-        make_buffer(x[i : i + step], fs=fs, start=i / fs)
-        for i in range(0, len(x), step)
-    ]
+    return [make_buffer(x[i : i + step], fs=fs, start=i) for i in range(0, len(x), step)]
 
 
 # ---------------------------------------------------------------------------
@@ -84,9 +86,9 @@ def test_single_pulse_detected():
     events = detect_pulses([make_buffer(x, fs=FS)], CFG)
     assert len(events) == 1
     ev = events[0]
-    assert ev.t_pos_s == pytest.approx(3.0, abs=1e-12)
+    assert ev.pos_index == at(3.0)
     assert ev.p_pos_db == pytest.approx(100.0, abs=1e-9)
-    assert ev.ipi_s is None
+    assert ev.ipi_samples is None
 
 
 def test_sample_exactly_at_threshold_fires():
@@ -100,8 +102,8 @@ def test_negative_spike_fires_and_reports_peaks():
     events = detect_pulses([make_buffer(x, fs=FS)], CFG)
     assert len(events) == 1
     ev = events[0]
-    assert ev.t_neg_s == pytest.approx(2.0, abs=1e-12)
-    assert ev.t_pos_s == pytest.approx(2.01, abs=1e-12)
+    assert ev.neg_index == at(2.0)
+    assert ev.pos_index == at(2.01)
     assert ev.p_pp_db == pytest.approx(20.0 * math.log10(2.5e5), abs=1e-9)
 
 
@@ -109,7 +111,7 @@ def test_pulse_near_stream_start_is_measured():
     x = spike_train([0.1], [1.0e5], 5.0)
     events = detect_pulses([make_buffer(x, fs=FS)], CFG)
     assert len(events) == 1
-    assert events[0].t_pos_s == pytest.approx(0.1, abs=1e-12)
+    assert events[0].pos_index == at(0.1)
     assert events[0].search_start_index == 0  # clipped at stream head
 
 
@@ -117,9 +119,9 @@ def test_ipi_fills_forward():
     x = spike_train([2.0, 12.0, 28.0], [1e5, 2e5, 1.5e5], 35.0)
     events = detect_pulses([make_buffer(x, fs=FS)], CFG)
     assert len(events) == 3
-    assert events[0].ipi_s == pytest.approx(10.0, abs=1e-9)
-    assert events[1].ipi_s == pytest.approx(16.0, abs=1e-9)
-    assert events[2].ipi_s is None
+    assert events[0].ipi_samples == at(10.0)
+    assert events[1].ipi_samples == at(16.0)
+    assert events[2].ipi_samples is None
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +132,7 @@ def test_pulses_closer_than_min_ipi_merge():
     x = spike_train([10.0, 13.0], [1e5, 9e4], 20.0)
     events = detect_pulses([make_buffer(x, fs=FS)], CFG)
     assert len(events) == 1
-    assert events[0].t_pos_s == pytest.approx(10.0, abs=1e-12)
+    assert events[0].pos_index == at(10.0)
 
 
 def test_pulses_beyond_min_ipi_both_fire():
@@ -144,7 +146,7 @@ def test_echo_inside_search_window_does_not_double_fire():
     x = spike_train([5.0, 5.4], [3e5, 5e4], 12.0)
     events = detect_pulses([make_buffer(x, fs=FS)], CFG)
     assert len(events) == 1
-    assert events[0].t_pos_s == pytest.approx(5.0, abs=1e-12)
+    assert events[0].pos_index == at(5.0)
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +159,7 @@ def test_anchor_is_largest_magnitude_in_window():
     x = spike_train([4.0, 4.3], [2e4, 8e5], 10.0)
     events = detect_pulses([make_buffer(x, fs=FS)], CFG)
     assert len(events) == 1
-    assert events[0].t_pos_s == pytest.approx(4.3, abs=1e-12)
+    assert events[0].pos_index == at(4.3)
     assert events[0].p_pos_db == pytest.approx(20.0 * math.log10(8e5), abs=1e-9)
 
 
@@ -169,8 +171,8 @@ def test_peak_window_straddles_anchor_asymmetrically():
     events = detect_pulses([make_buffer(x, fs=FS)], CFG)
     assert len(events) == 1
     ev = events[0]
-    assert ev.t_pos_s == pytest.approx(6.0, abs=1e-12)
-    assert ev.t_neg_s == pytest.approx(6.9, abs=1e-12)
+    assert ev.pos_index == at(6.0)
+    assert ev.neg_index == at(6.9)
 
 
 def test_first_excursion_anchors_despite_bigger_neighbour():
@@ -180,8 +182,8 @@ def test_first_excursion_anchors_despite_bigger_neighbour():
     events = detect_pulses([make_buffer(x, fs=FS)], CFG)
     assert len(events) == 1
     ev = events[0]
-    assert ev.t_neg_s == pytest.approx(5.7, abs=1e-12)
-    assert ev.t_pos_s == pytest.approx(6.0, abs=1e-12)
+    assert ev.neg_index == at(5.7)
+    assert ev.pos_index == at(6.0)
 
 
 def test_equal_peaks_in_one_excursion_anchor_on_the_earlier():
@@ -194,7 +196,7 @@ def test_equal_peaks_in_one_excursion_anchor_on_the_earlier():
     x[i + 150] = -9e4
     whole = detect_pulses([make_buffer(x, fs=FS)], CFG)
     assert [ev.anchor_index for ev in whole] == [i + 50]
-    split = [make_buffer(x[: i + 100], fs=FS), make_buffer(x[i + 100 :], fs=FS, start=(i + 100) / FS)]
+    split = [make_buffer(x[: i + 100], fs=FS), make_buffer(x[i + 100 :], fs=FS, start=i + 100)]
     assert events_key(detect_pulses(split, CFG)) == events_key(whole)
 
 
@@ -246,9 +248,28 @@ def test_t_a_spacing_drops_are_counted():
     scanner = PulseScanner(CFG, FS)
     kept = scanner.scan(buf, final=True)
     assert [ev.anchor_index for ev in kept] == [int(10.0 * FS)]
-    assert kept[0].t_pos_s == pytest.approx(10.99, abs=1e-12)
+    assert kept[0].pos_index == at(10.99)
     assert scanner.t_a_drops == 1
     assert events_key(detect_pulses([make_buffer(x, fs=FS)], CFG)) == events_key(kept)
+
+
+def test_t_a_exactly_min_gap_apart_are_both_kept():
+    # anchors (the big negative spikes) 5.0 s apart; each positive peak, which
+    # sets t_A, sits 0.9 s after its anchor.  With the two t_A exactly min_gap
+    # samples apart both pulses are kept; one sample closer, the second drops
+    min_gap = round(CFG.min_ipi_s * FS)
+    t_a = at(10.9)
+    for closer, want_kept, want_drops in ((0, [t_a, t_a + min_gap], 0), (1, [t_a], 1)):
+        x = np.zeros(at(25.0))
+        x[[at(10.0), at(15.0)]] = -1e5
+        x[[t_a, t_a + min_gap - closer]] = 5e3
+        buf = RollingBuffer()
+        buf.append(x)
+        scanner = PulseScanner(CFG, FS)
+        kept = scanner.scan(buf, final=True)
+        assert [ev.pos_index for ev in kept] == want_kept
+        assert scanner.t_a_drops == want_drops
+        assert events_key(detect_pulses([make_buffer(x, fs=FS)], CFG)) == events_key(kept)
 
 
 def test_long_excursion_is_cut_into_pieces_whatever_the_chunking():
@@ -295,7 +316,7 @@ def test_cut_excursions_are_counted_once_whatever_the_chunking():
 
 def events_key(events):
     return [
-        (ev.anchor_index, ev.t_pos_s, ev.p_pos_upa, ev.t_neg_s, ev.p_neg_upa)
+        (ev.anchor_index, ev.pos_index, ev.p_pos_upa, ev.neg_index, ev.p_neg_upa)
         for ev in events
     ]
 
@@ -320,7 +341,7 @@ def test_pulse_straddling_chunk_boundary():
     parts = detect_pulses(chunked(x, FS, 60.0), CFG)
     assert events_key(parts) == events_key(whole)
     assert len(parts) == 1
-    assert parts[0].t_neg_s == pytest.approx(60.4, abs=1e-12)
+    assert parts[0].neg_index == at(60.4)
 
 
 @settings(max_examples=30, deadline=None)
@@ -339,7 +360,7 @@ def test_detection_invariants_random_trains(seed, chunk_s):
     # later in the search window), so the anchor is read from the event
     for a, b in zip(events, events[1:]):
         assert b.anchor_index - a.anchor_index >= round(CFG.min_ipi_s * FS)
-        assert b.t_pos_s - a.t_pos_s >= CFG.min_ipi_s
+        assert b.pos_index - a.pos_index >= round(CFG.min_ipi_s * FS)
     # every event's windowed extremes at least reach the threshold
     for ev in events:
         assert max(ev.p_pos_upa, -ev.p_neg_upa) >= CFG.threshold_upa
@@ -360,20 +381,20 @@ def test_amplitude_scaling_equivariance():
     )
     scaled = detect_pulses([make_buffer(k * x, fs=FS)], scaled_cfg)
     assert [ev.anchor_index for ev in scaled] == [ev.anchor_index for ev in base]
-    assert [ev.t_pos_s for ev in scaled] == [ev.t_pos_s for ev in base]
+    assert [ev.pos_index for ev in scaled] == [ev.pos_index for ev in base]
 
 
 def test_gap_between_chunks_errors():
     x = np.zeros(int(2 * FS))
-    a = make_buffer(x, fs=FS, start=0.0)
-    b = make_buffer(x, fs=FS, start=2.5)  # half-second hole
+    a = make_buffer(x, fs=FS, start=0)
+    b = make_buffer(x, fs=FS, start=at(2.5))  # half-second hole
     with pytest.raises(DetectionError):
         detect_pulses([a, b], CFG)
 
 
 def test_rate_change_between_chunks_errors():
-    a = make_buffer(np.zeros(int(2 * FS)), fs=FS, start=0.0)
-    b = make_buffer(np.zeros(100), fs=8000.0, start=2.0)
+    a = make_buffer(np.zeros(int(2 * FS)), fs=FS, start=0)
+    b = make_buffer(np.zeros(100), fs=8000.0, start=len(a))
     with pytest.raises(DetectionError):
         detect_pulses([a, b], CFG)
 

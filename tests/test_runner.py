@@ -192,7 +192,8 @@ def test_cut_excursions_are_counted_and_logged(tmp_path):
 # determinism across modes and orderings
 
 
-def test_parallel_matches_serial_bytes(small_survey, tmp_path):
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_parallel_matches_serial_bytes(small_survey, tmp_path, workers):
     spec, result = small_survey
     manifests = open_manifest(result.manifest_path)
     serial, srep = run(
@@ -203,12 +204,12 @@ def test_parallel_matches_serial_bytes(small_survey, tmp_path):
             out_path=tmp_path / "p.csv",
             detector=DETECTOR,
             mode="parallel",
-            worker_count=2,
+            worker_count=workers,
         ),
         manifests,
     )
     assert parallel.read_bytes() == serial.read_bytes()
-    assert rep.worker_count == 2
+    assert rep.worker_count == workers
     assert srep.filter_flushes > 0
     counters = ("n_pulses", "t_a_drops", "cut_excursions", "filter_flushes")
     assert [getattr(rep, c) for c in counters] == [getattr(srep, c) for c in counters]

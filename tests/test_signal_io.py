@@ -1,4 +1,5 @@
 import wave
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,8 +7,10 @@ import pytest
 from airgunkit.errors import AudioFormatError, GapError, ManifestError
 from airgunkit.signal_io import (
     CalibrationSpec,
+    format_time,
     iter_chunks,
     open_manifest,
+    parse_time,
     read_span,
     write_wav,
 )
@@ -293,7 +296,7 @@ def test_read_chunk_decomposes(tmp_path):
     first = read_span(cm, 0, 5 * FS)
     second = read_span(cm, 5 * FS, 5 * FS)
     assert np.array_equal(whole.samples, np.concatenate([first.samples, second.samples]))
-    assert second.start_time_s == first.end_time_s
+    assert second.start_index == first.start_index + len(first) == 5 * FS
 
 
 def test_read_span_outside_coverage(tmp_path):
@@ -316,15 +319,64 @@ def test_iter_chunks_tiles_exactly(tmp_path):
     glued = np.concatenate([c.samples for c in chunks])
     assert np.array_equal(glued, read_span(cm, 0, cm.n_samples).samples)
     for prev, nxt in zip(chunks, chunks[1:]):
-        assert nxt.start_time_s == pytest.approx(prev.end_time_s, abs=0.0)
+        assert nxt.start_index == prev.start_index + len(prev)
 
 
 def test_time_at_matches_grid(tmp_path):
     cm = simple_channel(tmp_path, np.ones(FS, dtype=np.int16), start=3.5)
     buf = read_span(cm, FS // 4, FS // 2)
-    assert buf.start_time_s == pytest.approx(3.75, abs=1e-12)
-    assert buf.time_at(0) == buf.start_time_s
-    assert buf.time_at(100) == pytest.approx(buf.start_time_s + 100 / FS, abs=1e-12)
+    assert cm.origin == Fraction(7, 2)
+    assert buf.start_index == FS // 4
+    assert format_time(buf.start_index, buf.sample_rate_hz, cm.origin) == "3.750000000"
+    assert format_time(buf.start_index + 100, buf.sample_rate_hz, cm.origin) == "3.756250000"
+
+
+# ---------------------------------------------------------------------------
+# exact times
+
+
+def test_format_time_rounds_to_the_nanosecond_with_ties_to_even():
+    # 512 kHz sample times have 12 decimals; 1 in 8 is a 9th-decimal tie
+    assert format_time(1, 512_000) == "0.000001953"  # 0.000001953125
+    assert format_time(5, 512_000) == "0.000009766"  # 0.000009765625
+    assert format_time(4, 512_000) == "0.000007812"  # 0.0000078125, a tie down to even
+    assert format_time(12, 512_000) == "0.000023438"  # 0.0000234375, a tie up to even
+    assert format_time(2, 4_000_000_000) == "0.000000000"  # 0.5 ns, a tie to 0
+    assert format_time(6, 4_000_000_000) == "0.000000002"  # 1.5 ns, a tie to 2
+    assert format_time(1, 3, Fraction(-1)) == "-0.666666667"
+    assert format_time(16_000, 16_000.0) == "1.000000000"  # a float rate is read exactly
+
+
+def test_format_time_keeps_epoch_origins_exact():
+    origin = parse_time("1760000000.123456789")
+    assert format_time(0, 16_000, origin) == "1760000000.123456789"
+    assert format_time(1, 16_000, origin) == "1760000000.123519289"
+    assert format_time(1, 48_000, origin) == "1760000000.123477622"  # .1234776223...
+    assert format_time(10 * 48_000 + 2, 48_000, origin) == "1760000010.123498456"  # .12349845566...
+
+
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf", "1/3", "0x10", "3.5s", "1e5000"])
+def test_manifest_start_time_must_be_a_finite_decimal(tmp_path, text):
+    write_wav(tmp_path / "a.wav", np.ones(10, dtype=np.int16), FS)
+    man = write_manifest(tmp_path / "m.txt", ["calib 0 2048 126.0", f"file 0 a.wav {text}"])
+    with pytest.raises(ManifestError, match=r"m\.txt:2: start time must be finite decimal seconds"):
+        open_manifest(man)
+
+
+def test_file_offsets_are_exact_at_epoch_origins(tmp_path):
+    # 1.76e9 s in a float has a 2.4e-7 s step; exact parsing places the
+    # second file on its sample whatever the origin
+    write_wav(tmp_path / "a.wav", np.full(100, 1, dtype=np.int16), 48_000)
+    write_wav(tmp_path / "b.wav", np.full(100, 2, dtype=np.int16), 48_000)
+    man = write_manifest(tmp_path / "m.txt", [
+        "calib 0 2048 126.0",
+        "file 0 a.wav 1760000000.123456789",
+        "file 0 b.wav 1760000000.125540122",  # 100 samples later, to 1 ns
+    ])
+    cm = open_manifest(man)[0]
+    assert cm.origin == Fraction(1760000000123456789, 10**9)
+    assert [f.start_index for f in cm.files] == [0, 100]
+    assert format_time(100, cm.sample_rate_hz, cm.origin) == "1760000000.125540122"
 
 
 def test_gap_error_surfaces_on_read_for_handmade_manifest(tmp_path):

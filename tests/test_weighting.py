@@ -89,10 +89,10 @@ def test_band_edges_table():
 def test_linear_is_bit_exact_identity():
     rng = np.random.default_rng(2)
     x = rng.normal(scale=1e4, size=5000)
-    buf = make_buffer(x)
+    buf = make_buffer(x, start=123)
     out = run_whole(WeightingKind.LINEAR, buf)
     assert np.array_equal(out.samples, x)
-    assert out.start_time_s == buf.start_time_s
+    assert out.start_index == buf.start_index
 
 
 def test_linear_state_has_no_sections():

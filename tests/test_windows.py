@@ -1,3 +1,4 @@
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -146,7 +147,7 @@ def spike_records(spikes_s, duration_s):
     x = np.zeros(int(duration_s * FS))
     for t in spikes_s:
         x[round(t * FS)] = 1.0e6
-    cm = SimpleNamespace(sample_rate_hz=FS, n_samples=len(x), start_time_s=0.0, channel_id=0)
+    cm = SimpleNamespace(sample_rate_hz=FS, n_samples=len(x), origin=Fraction(0), channel_id=0)
     builder = RecordBuilder(cm, WeightingKind.LINEAR)
     detect_pulses([make_buffer(x)], DetectorConfig(threshold_db=100.0, min_ipi_s=5.0), builder)
     assert len(builder.records) == len(spikes_s)
@@ -157,7 +158,7 @@ def test_layout_defaults_ten_one_second_windows():
     assert (LATE_WINDOW_COUNT, LATE_WINDOW_S) == (10, 1.0)
     assert layout_windows(I95, 10**9, W) == (True,) * 10
     rec = spike_records([2.3], 60.0)[0]
-    assert rec.late_starts_s == tuple(2.3 + k * 1.0 for k in range(10))
+    assert rec.late_starts == tuple(I95 + k * W for k in range(10))
     assert rec.late_valid == (True,) * 10
 
 
