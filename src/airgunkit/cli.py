@@ -49,7 +49,7 @@ _DUMP_FILTERS: _Row = ("dump_filters", bool, False, "print weighting filter coef
 _DETECTOR: tuple[_Row, ...] = (
     ("threshold_db", float, 100.0, "detection threshold, dB re 1 uPa"),
     ("min_ipi_s", float, 5.0, "minimum spacing between detected pulses, s"),
-    ("chunk_s", float, 60.0, "streaming chunk length, s"),
+    ("chunk_s", float, 60.0, "longest streaming chunk, s; chunks never exceed 2**20 samples"),
 )
 
 _FLAGS: dict[str, tuple[_Row, ...]] = {

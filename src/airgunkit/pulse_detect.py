@@ -253,7 +253,7 @@ def detect_pulses(chunks: Iterable[SampleBuffer], config: DetectorConfig,
                 f"chunk starts at sample {chunk.start_index}, expected {buf.end} (stream must be contiguous)"
             )
         buf.append(chunk.samples)
-        del chunk  # a chunk can be hundreds of MB: free it before the next is read
+        del chunk  # the buffer holds a copy: free the chunk before the next is read
         kept = scanner.scan(buf)
         events += kept
         keep_from = scanner.keep_from

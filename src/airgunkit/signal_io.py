@@ -23,6 +23,11 @@ rounded to 1 ns with ties to even, in integer arithmetic.
 
 Audio must be 16-bit mono PCM WAV at 512 kHz or below.  Conversion from
 counts to micropascal is ``count / counts_full_scale * 10**(sensitivity_db/20)``.
+
+Memory is bounded at every rate: ``iter_chunks`` reads at most
+MAX_CHUNK_SAMPLES samples (8 MB as float64) at a time, and a RollingBuffer
+keeps the retained tail of a stream in one array that later chunks are
+copied into, so each sample is copied a bounded number of times, amortized.
 """
 
 from __future__ import annotations
@@ -40,6 +45,8 @@ import numpy as np
 from .errors import AudioFormatError, GapError, ManifestError
 
 MAX_SAMPLE_RATE_HZ = 512_000
+# samples per chunk read, at most: 8 MB as float64, ~2 s at 512 kHz
+MAX_CHUNK_SAMPLES = 2**20
 GAP_POLICIES = ("error", "zero_fill")
 _DECIMAL = re.compile(r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d{1,3})?")
 
@@ -92,31 +99,67 @@ class RollingBuffer:
     """The retained tail of one sample stream, addressed by global sample index.
 
     Chunks are appended in stream order; ``trim`` releases the samples before
-    an index.  The kept tail is copied on trim, so a trimmed chunk's memory
-    is freed instead of pinned by a view.
+    an index.  The samples live in one float64 array.  The first chunk is
+    held as it is, read-only, so the caller must not change it afterwards;
+    every later ``append`` copies a chunk into the array's free tail, and
+    ``trim`` only moves the start index.  When the tail has no room for a
+    chunk, the held samples move to the front of the array, or, when they
+    and the chunk would fill more than half of it (or the array is the first
+    chunk), to a new array of twice their size.  Every move so leaves at
+    least half the array free: the samples moved stay within twice the
+    samples appended (counted in ``moved``), and the array never exceeds
+    twice the largest held-plus-chunk count.
     """
 
     def __init__(self) -> None:
         self.start = 0
-        self.samples = np.empty(0)
+        self.moved = 0  # samples moved to the front or into a larger array
+        self._data = np.empty(0)
+        self._lo = 0  # array offset of sample ``start``
+        self._hi = 0  # array offset one past the last held sample
 
     @property
     def end(self) -> int:
-        return self.start + len(self.samples)
+        return self.start + self._hi - self._lo
+
+    @property
+    def capacity(self) -> int:
+        """Samples the array holds before the next move."""
+        return len(self._data)
 
     def append(self, samples: np.ndarray) -> None:
-        self.samples = np.concatenate((self.samples, samples)) if len(self.samples) else samples
+        n = len(samples)
+        if not n:
+            return
+        if not len(self._data):
+            self._data = np.asarray(samples, dtype=np.float64).view()
+            self._data.flags.writeable = False
+            self._hi = n
+            return
+        if self._hi + n > len(self._data):
+            held = self._hi - self._lo
+            fits = self._data.flags.writeable and 2 * (held + n) <= len(self._data)
+            data = self._data if fits else np.empty(2 * (held + n))
+            data[:held] = self._data[self._lo : self._hi]
+            self._data, self._lo, self._hi = data, 0, held
+            self.moved += held
+        self._data[self._hi : self._hi + n] = samples
+        self._hi += n
 
     def view(self, a: int, b: int) -> np.ndarray:
-        """Samples [a, b) by global index; they must still be held."""
+        """Samples [a, b) by global index; they must still be held.
+
+        The view shares the buffer's array, so it is valid only until the
+        next ``append``, which may move other samples into its place.
+        """
         if a < self.start or b > self.end:
             raise ValueError(f"span [{a}, {b}) outside the held samples [{self.start}, {self.end})")
-        return self.samples[a - self.start : b - self.start]
+        return self._data[self._lo + a - self.start : self._lo + b - self.start]
 
     def trim(self, keep_from: int) -> None:
         keep_from = min(keep_from, self.end)
         if keep_from > self.start:
-            self.samples = self.samples[keep_from - self.start :].copy()
+            self._lo += keep_from - self.start
             self.start = keep_from
 
 
@@ -348,12 +391,14 @@ def read_span(cm: ChannelManifest, start_index: int, count: int) -> SampleBuffer
 def iter_chunks(cm: ChannelManifest, chunk_s: float = 60.0) -> Iterator[SampleBuffer]:
     """Yield the whole channel as consecutive chunks (last one may be short).
 
+    A chunk is ``chunk_s`` seconds of samples, but never more than
+    MAX_CHUNK_SAMPLES, whatever the rate: ``chunk_s`` is an upper bound.
     Chunk boundaries are computed in integer samples, so consecutive chunks
     tile the channel exactly: each starts where the previous ended.
     """
     if not 0.0 < chunk_s < math.inf:
         raise ValueError(f"chunk_s must be finite and positive, got {chunk_s}")
-    step = round(chunk_s * cm.sample_rate_hz)
+    step = min(round(chunk_s * cm.sample_rate_hz), MAX_CHUNK_SAMPLES)
     if step < 1:
         raise ValueError("chunk_s too small for the sample rate")
     for start in range(0, cm.n_samples, step):

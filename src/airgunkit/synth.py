@@ -16,12 +16,12 @@ the exact ingestion path real data would.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
-from .signal_io import CalibrationSpec, write_wav
+from .signal_io import MAX_SAMPLE_RATE_HZ, CalibrationSpec, write_wav
 
 DEFAULT_SAMPLE_RATE_HZ = 16_000
 DEFAULT_IPI_S = 10.0
@@ -58,8 +58,14 @@ class SurveySpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for f in fields(self):  # annotations are strings under postponed evaluation
+            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         if self.channel_count < 1:
             raise ValueError("channel_count must be >= 1")
+        if self.sample_rate_hz > MAX_SAMPLE_RATE_HZ:
+            raise ValueError(f"sample_rate_hz must be at most {MAX_SAMPLE_RATE_HZ}, the reader's cap, "
+                             f"got {self.sample_rate_hz}")
         for name in ("duration_s", "sample_rate_hz", "ipi_s", "peak_pressure_upa",
                      "attack_s", "decay_s", "reverb_decay_s"):
             if getattr(self, name) <= 0:

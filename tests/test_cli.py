@@ -111,6 +111,18 @@ def test_synth_rejects_overfull_schedule(tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "flag,raw,key",
+    [("--sample-rate", "600000", "sample_rate_hz"), ("--duration-s", "nan", "duration_s"),
+     ("--ipi-s", "inf", "ipi_s")],
+)
+def test_synth_rejects_unreadable_or_non_finite_parameters(tmp_path, capsys, flag, raw, key):
+    out = tmp_path / "survey"
+    assert main(["synth", "--out", str(out), flag, raw]) == 1
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # detect
 

@@ -19,8 +19,8 @@ from airgunkit.pipeline import (
 )
 from airgunkit.pulse_detect import DetectorConfig, PulseEvent, detect_pulses
 from airgunkit.runner import extract_stream
-from airgunkit.signal_io import open_manifest, read_span
-from airgunkit.weighting import CANONICAL_ORDER, WeightingSpec, apply_filter, design_filter
+from airgunkit.signal_io import RollingBuffer, open_manifest, read_span, write_wav
+from airgunkit.weighting import CANONICAL_ORDER, WeightingKind, WeightingSpec, apply_filter, design_filter
 from airgunkit.windows import LATE_WINDOW_COUNT, EnergyBounds, energy_bounds, layout_windows
 
 from conftest import csel_of_levels, make_buffer
@@ -357,3 +357,33 @@ def test_extract_stream_chunk_size_does_not_matter(small_survey):
     c = extract_stream(cm, kind, detector, chunk_s=0.7).records  # shorter than a search window
     assert len(a) == spec.n_pulses
     assert [record_cells(r) for r in a] == [record_cells(r) for r in b] == [record_cells(r) for r in c]
+
+
+def test_largest_hold_is_an_open_excursion_behind_a_pending_record(tmp_path, monkeypatch):
+    # a pulse whose energy spans its search window, then, before its last late
+    # window ends, a 20-s excursion that peaks on its first sample: the record
+    # waits on the open excursion, and the held samples near the README's
+    # bound of 1.5 + 10 + 15.5 = 27 s
+    fs = 2000
+    counts = np.zeros(60 * fs, dtype=np.int16)
+    counts[int(4.5 * fs) : 6 * fs] = 100  # just below the 100 dB threshold
+    counts[5 * fs] = 2047
+    start = int(15.4 * fs)
+    counts[start : start + 20 * fs] = 200
+    counts[start] = 2000
+    write_wav(tmp_path / "a.wav", counts, fs)
+    (tmp_path / "manifest.txt").write_text("calib 0 2048 126\nfile 0 a.wav 0\n")
+    cm = open_manifest(tmp_path / "manifest.txt")[0]
+    holds = []
+    trim = RollingBuffer.trim
+
+    def recording_trim(buf, keep_from):
+        trim(buf, keep_from)
+        holds.append(buf.end - buf.start)
+
+    monkeypatch.setattr(RollingBuffer, "trim", recording_trim)
+    for chunk_s in (0.05, 1.0):
+        holds.clear()
+        res = extract_stream(cm, WeightingKind.LINEAR, DetectorConfig(threshold_db=100.0), chunk_s)
+        assert (res.n_pulses, res.cut_excursions) == (3, 1)
+        assert 24 * fs < max(holds) <= 27 * fs, (chunk_s, max(holds) / fs)

@@ -1,6 +1,10 @@
 import csv
+import os
+import subprocess
+import sys
 import wave
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +12,8 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from scipy import signal
 
+import airgunkit
+from airgunkit import signal_io
 from airgunkit.errors import RunError
 from airgunkit.pulse_detect import DetectorConfig, detect_pulses, format_event_row
 from airgunkit.runner import (
@@ -19,7 +25,7 @@ from airgunkit.runner import (
     run,
     weighted_chunks,
 )
-from airgunkit.signal_io import open_manifest, read_span, write_wav
+from airgunkit.signal_io import MAX_CHUNK_SAMPLES, open_manifest, read_span, write_wav
 from airgunkit.synth import SurveySpec, generate
 from airgunkit.weighting import CANONICAL_ORDER, WeightingKind, WeightingSpec, apply_filter, design_filter
 
@@ -428,3 +434,48 @@ def test_bench_compares_catalogs(small_survey, tmp_path):
     assert res.parallel_catalog.is_file()
     assert res.serial_seconds > 0 and res.parallel_seconds > 0
     assert res.speedup == pytest.approx(res.serial_seconds / res.parallel_seconds)
+
+
+# ---------------------------------------------------------------------------
+# bounded memory
+
+_HWM_CHILD = """
+import re, sys
+from airgunkit.pulse_detect import DetectorConfig
+from airgunkit.runner import RunConfig, run
+from airgunkit.signal_io import open_manifest
+from airgunkit.weighting import WeightingKind
+config = RunConfig(out_path=sys.argv[2], detector=DetectorConfig(100.0), weightings=(WeightingKind.MFC,))
+run(config, open_manifest(sys.argv[1]))
+print(re.search(r"VmHWM:\\s+(\\d+) kB", open("/proc/self/status").read()).group(1))
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").is_file(), reason="VmHWM is read from Linux /proc")
+def test_highrate_run_peaks_under_200_mb_in_bounded_chunks(tmp_path, monkeypatch):
+    # 30 s at 512 kHz is 15.4 M samples; one whole-run chunk alone would be
+    # 123 MB.  The child is a fresh exec, so its VmHWM is its own peak.
+    spec = SurveySpec(duration_s=30.0, sample_rate_hz=512_000, pulse_count=3, first_pulse_s=2.5,
+                      noise_rms_upa=3000.0, seed=1)
+    survey = generate(spec, tmp_path / "survey")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(airgunkit.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
+    child = subprocess.run([sys.executable, "-c", _HWM_CHILD, str(survey.manifest_path),
+                            str(tmp_path / "child.csv")], env=env, capture_output=True, text=True,
+                           timeout=120, check=True)
+    assert int(child.stdout) <= 200 * 1024, f"VmHWM {int(child.stdout) / 1024:.0f} MB"
+
+    spans = []
+
+    def recording_read_span(cm, start_index, count):
+        spans.append(count)
+        return read_span(cm, start_index, count)
+
+    monkeypatch.setattr(signal_io, "read_span", recording_read_span)
+    catalog, report = run(RunConfig(out_path=tmp_path / "c.csv", detector=DETECTOR,
+                                    weightings=(WeightingKind.MFC,)),
+                          open_manifest(survey.manifest_path))
+    assert max(spans) <= MAX_CHUNK_SAMPLES == 2**20
+    assert sum(spans) == spec.n_samples
+    assert report.n_records == 3
+    assert catalog.read_bytes() == (tmp_path / "child.csv").read_bytes()

@@ -3,10 +3,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from airgunkit.errors import AudioFormatError, GapError, ManifestError
 from airgunkit.signal_io import (
     CalibrationSpec,
+    RollingBuffer,
     format_time,
     iter_chunks,
     open_manifest,
@@ -320,6 +323,62 @@ def test_iter_chunks_tiles_exactly(tmp_path):
     assert np.array_equal(glued, read_span(cm, 0, cm.n_samples).samples)
     for prev, nxt in zip(chunks, chunks[1:]):
         assert nxt.start_index == prev.start_index + len(prev)
+
+
+# ---------------------------------------------------------------------------
+# rolling buffer
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_rolling_buffer_matches_a_concatenate_reference(data):
+    # appends of random length, some far larger than the array, and random
+    # trims, some before the start or past the end; every view must equal the
+    # naive concatenate-and-slice stream, with bounded copying and size
+    buf = RollingBuffer()
+    stream = first_chunk = np.empty(0)
+    start = appended = largest_held = largest_chunk = 0
+    for _ in range(data.draw(st.integers(1, 30), label="steps")):
+        n = data.draw(st.integers(0, 500), label="append")
+        largest_held = max(largest_held, buf.end - buf.start)
+        largest_chunk = max(largest_chunk, n)
+        first = buf.capacity == 0
+        chunk = np.arange(len(stream), len(stream) + n, dtype=float)
+        buf.append(chunk)
+        if first:
+            first_chunk = chunk  # held as it is, and never written
+        else:
+            chunk[:] = -1.0  # the buffer holds a copy of every later chunk
+        stream = np.arange(len(stream) + n, dtype=float)
+        appended += n
+        assert (buf.start, buf.end) == (start, len(stream))
+        a = data.draw(st.integers(start, len(stream)), label="view start")
+        b = data.draw(st.integers(a, len(stream)), label="view end")
+        assert np.array_equal(buf.view(a, b), stream[a:b])
+        assert np.array_equal(buf.view(start, len(stream)), stream[start:])
+        keep_from = len(stream) - data.draw(st.integers(-50, len(stream) - start + 50), label="keep")
+        buf.trim(keep_from)
+        start = min(max(start, keep_from), len(stream))
+        assert buf.start == start
+        assert buf.moved <= 2 * appended
+        assert buf.capacity <= 2 * (largest_held + largest_chunk)
+    assert np.array_equal(first_chunk, np.arange(len(first_chunk)))
+    with pytest.raises(ValueError):
+        buf.view(start - 1, start)
+    with pytest.raises(ValueError):
+        buf.view(start, len(stream) + 1)
+
+
+def test_rolling_buffer_moves_a_steady_hold_rarely():
+    # a hold that leaves room for just one more chunk must not be moved on
+    # every append
+    buf = RollingBuffer()
+    buf.append(np.zeros(500))
+    for _ in range(1000):
+        buf.append(np.ones(10))
+        buf.trim(buf.end - 990)
+    assert buf.moved <= 2 * (500 + 10 * 1000)
+    assert np.array_equal(buf.view(buf.start, buf.end), np.ones(990))
 
 
 def test_time_at_matches_grid(tmp_path):

@@ -1,8 +1,11 @@
+import math
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from airgunkit.measures import sel
-from airgunkit.signal_io import open_manifest, read_span
+from airgunkit.signal_io import MAX_SAMPLE_RATE_HZ, open_manifest, read_span
 from airgunkit.synth import (
     GROUND_TRUTH_HEADER,
     SurveySpec,
@@ -52,6 +55,22 @@ def test_nonpositive_parameters_rejected():
         quiet_spec(ipi_s=-1.0)
     with pytest.raises(ValueError):
         quiet_spec(attack_s=0.0)
+
+
+_FLOAT_FIELDS = [f.name for f in fields(SurveySpec) if isinstance(f.default, float)]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", _FLOAT_FIELDS)
+def test_non_finite_parameter_is_rejected_by_name(name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        quiet_spec(**{name: value})
+
+
+def test_sample_rate_above_the_reader_cap_rejected():
+    assert quiet_spec(sample_rate_hz=MAX_SAMPLE_RATE_HZ).sample_rate_hz == MAX_SAMPLE_RATE_HZ
+    with pytest.raises(ValueError, match="sample_rate_hz"):
+        quiet_spec(sample_rate_hz=MAX_SAMPLE_RATE_HZ + 1)
 
 
 # ---------------------------------------------------------------------------
