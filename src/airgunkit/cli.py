@@ -18,7 +18,7 @@ from pathlib import Path
 from .errors import AirgunkitError
 from .pulse_detect import DetectorConfig, detect_pulses, format_event_row, write_events_csv
 from .runner import RunConfig, bench, report_text, run, weighted_chunks
-from .signal_io import open_manifest
+from .signal_io import RollingBuffer, open_manifest
 from .synth import SurveySpec, generate
 from .weighting import CANONICAL_ORDER, WeightingSpec, coefficients_text, design_filter, parse_kind
 
@@ -228,7 +228,9 @@ def _cmd_detect(ns: argparse.Namespace) -> int:
         if ch not in manifests:
             raise AirgunkitError(f"manifest does not cover channel {ch}")
         for kind in kinds:
-            events = detect_pulses(weighted_chunks(manifests[ch], kind, eff["chunk_s"]), detector)
+            buffer = RollingBuffer()
+            chunks = weighted_chunks(manifests[ch], kind, eff["chunk_s"], buffer)
+            events = detect_pulses(chunks, detector, buffer=buffer)
             origin = manifests[ch].origin
             rows.extend(format_event_row(ev, kind.value, i, origin) for i, ev in enumerate(events))
             _log(f"channel {ch} {kind.value}: {len(events)} pulses")

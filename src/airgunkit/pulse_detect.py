@@ -228,7 +228,8 @@ StreamConsumer = Callable[[RollingBuffer, list[PulseEvent], PulseScanner, bool],
 
 
 def detect_pulses(chunks: Iterable[SampleBuffer], config: DetectorConfig,
-                  consumer: StreamConsumer | None = None) -> list[PulseEvent]:
+                  consumer: StreamConsumer | None = None,
+                  buffer: RollingBuffer | None = None) -> list[PulseEvent]:
     """Run threshold detection over an in-order chunk stream.
 
     Chunks must be contiguous from sample 0 (each starting where the previous
@@ -239,9 +240,10 @@ def detect_pulses(chunks: Iterable[SampleBuffer], config: DetectorConfig,
     A ``consumer`` is called after every scan with the rolling buffer, the
     newly kept pulses and the scanner, and once more with ``final`` at end of
     stream; the buffer is trimmed no further than the sample it returns.
+    The rolling buffer is ``buffer``, if given, so that chunks read into its reserved slots are not copied.
     """
     scanner: PulseScanner | None = None
-    buf = RollingBuffer()
+    buf = RollingBuffer() if buffer is None else buffer
     events: list[PulseEvent] = []
     for chunk in chunks:
         if scanner is None:
@@ -253,7 +255,7 @@ def detect_pulses(chunks: Iterable[SampleBuffer], config: DetectorConfig,
                 f"chunk starts at sample {chunk.start_index}, expected {buf.end} (stream must be contiguous)"
             )
         buf.append(chunk.samples)
-        del chunk  # the buffer holds a copy: free the chunk before the next is read
+        del chunk  # appended: a chunk the buffer copied is freed before the next is read
         kept = scanner.scan(buf)
         events += kept
         keep_from = scanner.keep_from

@@ -21,7 +21,7 @@ from typing import Callable, NamedTuple, Sequence
 from .errors import RunError
 from .pipeline import CatalogSummary, FeatureRecord, RecordBuilder, sort_records, write_catalog
 from .pulse_detect import MAX_EXCURSION_S, DetectorConfig, detect_pulses
-from .signal_io import ChannelManifest, SampleBuffer, iter_chunks
+from .signal_io import ChannelManifest, RollingBuffer, SampleBuffer, iter_chunks
 from .weighting import CANONICAL_ORDER, WeightingKind, WeightingSpec, apply_filter, design_filter
 
 LogFn = Callable[[str], None]
@@ -88,21 +88,28 @@ class _WeightedChunks:
     generator frame, it keeps no chunk alive once the chunk is handed on.
     """
 
-    def __init__(self, cm: ChannelManifest, kind: WeightingKind, chunk_s: float) -> None:
+    def __init__(self, cm: ChannelManifest, kind: WeightingKind, chunk_s: float,
+                 buffer: RollingBuffer | None = None) -> None:
         self.state = design_filter(WeightingSpec(kind), cm.sample_rate_hz)
-        self._chunks = iter_chunks(cm, chunk_s)
+        self._chunks = iter_chunks(cm, chunk_s, buffer)
 
     def __iter__(self) -> _WeightedChunks:
         return self
 
     def __next__(self) -> SampleBuffer:
-        self.state, filtered = apply_filter(self.state, next(self._chunks))
+        chunk = next(self._chunks)
+        self.state, filtered = apply_filter(self.state, chunk, out=chunk.samples)
         return filtered
 
 
-def weighted_chunks(cm: ChannelManifest, kind: WeightingKind, chunk_s: float) -> _WeightedChunks:
-    """The channel's sample stream through one weighting filter, chunk by chunk."""
-    return _WeightedChunks(cm, kind, chunk_s)
+def weighted_chunks(cm: ChannelManifest, kind: WeightingKind, chunk_s: float,
+                    buffer: RollingBuffer | None = None) -> _WeightedChunks:
+    """The channel's sample stream through one weighting filter, chunk by chunk.
+
+    Each chunk is read into the slots reserved at the tail of ``buffer``, when
+    given, and filtered there in place: appending it to ``buffer`` copies nothing.
+    """
+    return _WeightedChunks(cm, kind, chunk_s, buffer)
 
 
 class StreamResult(NamedTuple):
@@ -123,14 +130,15 @@ def extract_stream(
 ) -> StreamResult:
     """Detect and measure every pulse of one weighted stream in one pass.
 
-    Each chunk is read, calibrated and filtered once.  detect_pulses appends
-    it to one rolling buffer of filtered samples and decides anchors on it; a
-    RecordBuilder slices every kept pulse's energy bounds, early window and
-    late windows from the same buffer.
+    Each chunk is read, calibrated and filtered once, in place in the one
+    rolling buffer that detect_pulses decides anchors on; a RecordBuilder
+    slices every kept pulse's energy bounds, early window and late windows
+    from the same buffer.
     """
     builder = RecordBuilder(cm, kind)
-    chunks = weighted_chunks(cm, kind, chunk_s)
-    detect_pulses(chunks, detector, builder)
+    buffer = RollingBuffer()
+    chunks = weighted_chunks(cm, kind, chunk_s, buffer)
+    detect_pulses(chunks, detector, builder, buffer)
     return StreamResult(builder.records, len(builder.records), builder.t_a_drops,
                         builder.cut_excursions, chunks.state.flushes)
 
@@ -148,6 +156,8 @@ class _TaskResult:
     error: str | None = None
 
     def log_line(self) -> str:
+        if self.error is not None:
+            return f"channel {self.channel_id} {self.kind_value}: failed: {self.error}"
         return (f"channel {self.channel_id} {self.kind_value}: {self.n_pulses} pulses "
                 f"in {self.seconds:.1f}s, {self.t_a_drops} dropped by t_A spacing, "
                 f"{self.cut_excursions} excursions cut into {MAX_EXCURSION_S:g}-s pieces, "
@@ -175,12 +185,17 @@ def run(
     """Execute the pipeline; returns the catalog path and runtime report.
 
     Any task failure aborts the whole run with a per-task error report, and
-    no catalog file is left behind.
+    no catalog file is left behind.  A ``chunk_s`` under one sample of a
+    selected channel raises ValueError before any task starts.
     """
     channels = tuple(sorted(manifests)) if config.channels is None else tuple(config.channels)
     missing = [ch for ch in channels if ch not in manifests]
     if missing:
         raise RunError(f"manifest does not cover requested channels: {missing}")
+    for ch in channels:
+        if round(config.chunk_s * manifests[ch].sample_rate_hz) < 1:
+            raise ValueError(f"chunk_s {config.chunk_s:g} is under one sample at channel {ch}'s "
+                             f"{manifests[ch].sample_rate_hz:g} Hz")
 
     tasks = [
         (manifests[ch], kind.value, config.detector, config.chunk_s)

@@ -26,8 +26,10 @@ counts to micropascal is ``count / counts_full_scale * 10**(sensitivity_db/20)``
 
 Memory is bounded at every rate: ``iter_chunks`` reads at most
 MAX_CHUNK_SAMPLES samples (8 MB as float64) at a time, and a RollingBuffer
-keeps the retained tail of a stream in one array that later chunks are
-copied into, so each sample is copied a bounded number of times, amortized.
+keeps the retained tail of a stream in one array.  Given the buffer,
+``iter_chunks`` calibrates each chunk straight into slots reserved at its
+tail, so a sample is written once and then moved a bounded number of times,
+amortized.
 """
 
 from __future__ import annotations
@@ -99,16 +101,16 @@ class RollingBuffer:
     """The retained tail of one sample stream, addressed by global sample index.
 
     Chunks are appended in stream order; ``trim`` releases the samples before
-    an index.  The samples live in one float64 array.  The first chunk is
-    held as it is, read-only, so the caller must not change it afterwards;
-    every later ``append`` copies a chunk into the array's free tail, and
-    ``trim`` only moves the start index.  When the tail has no room for a
-    chunk, the held samples move to the front of the array, or, when they
-    and the chunk would fill more than half of it (or the array is the first
-    chunk), to a new array of twice their size.  Every move so leaves at
-    least half the array free: the samples moved stay within twice the
-    samples appended (counted in ``moved``), and the array never exceeds
-    twice the largest held-plus-chunk count.
+    an index.  The samples live in one float64 array.  ``reserve`` hands out
+    the free slots at its tail, so a producer can write a chunk in place;
+    ``append`` of that view commits it without a copy, and any other array
+    is copied in.  ``trim`` only moves the start index.  When the tail has no
+    room for a chunk, the held samples move to the front of the array, or,
+    when they and the chunk would fill more than half of it, to a new array
+    of twice their size.  Every move so leaves at least half the array free:
+    the samples moved stay within twice the samples appended (counted in
+    ``moved``), and the array never exceeds twice the largest held-plus-chunk
+    count.
     """
 
     def __init__(self) -> None:
@@ -117,6 +119,7 @@ class RollingBuffer:
         self._data = np.empty(0)
         self._lo = 0  # array offset of sample ``start``
         self._hi = 0  # array offset one past the last held sample
+        self._slots: np.ndarray | None = None  # the view ``reserve`` handed out
 
     @property
     def end(self) -> int:
@@ -127,30 +130,31 @@ class RollingBuffer:
         """Samples the array holds before the next move."""
         return len(self._data)
 
-    def append(self, samples: np.ndarray) -> None:
-        n = len(samples)
-        if not n:
-            return
-        if not len(self._data):
-            self._data = np.asarray(samples, dtype=np.float64).view()
-            self._data.flags.writeable = False
-            self._hi = n
-            return
+    def reserve(self, n: int) -> np.ndarray:
+        """The ``n`` writable slots after the held samples, valid until the next reserve or append."""
         if self._hi + n > len(self._data):
             held = self._hi - self._lo
-            fits = self._data.flags.writeable and 2 * (held + n) <= len(self._data)
-            data = self._data if fits else np.empty(2 * (held + n))
+            data = self._data if 2 * (held + n) <= len(self._data) else np.empty(2 * (held + n))
             data[:held] = self._data[self._lo : self._hi]
             self._data, self._lo, self._hi = data, 0, held
             self.moved += held
-        self._data[self._hi : self._hi + n] = samples
+        self._slots = self._data[self._hi : self._hi + n]
+        return self._slots
+
+    def append(self, samples: np.ndarray) -> None:
+        """Add samples at the end: the view ``reserve`` returned as it is, any other array as a copy."""
+        n = len(samples)
+        if samples is not self._slots:
+            self.reserve(n)[:] = samples
+        self._slots = None
         self._hi += n
 
     def view(self, a: int, b: int) -> np.ndarray:
         """Samples [a, b) by global index; they must still be held.
 
         The view shares the buffer's array, so it is valid only until the
-        next ``append``, which may move other samples into its place.
+        next ``reserve`` or ``append``, which may move other samples into its
+        place.
         """
         if a < self.start or b > self.end:
             raise ValueError(f"span [{a}, {b}) outside the held samples [{self.start}, {self.end})")
@@ -358,11 +362,13 @@ def open_manifest(path: Path | str) -> dict[int, ChannelManifest]:
     return out
 
 
-def read_span(cm: ChannelManifest, start_index: int, count: int) -> SampleBuffer:
-    """Read a calibrated span by global sample index.
+def read_span(cm: ChannelManifest, start_index: int, count: int,
+              out: np.ndarray | None = None) -> SampleBuffer:
+    """Read a calibrated span by global sample index, into ``out`` when it is given.
 
     Each file's part of the span is calibrated straight into the one output
-    array; samples no file covers read as zeros under ``zero_fill``.
+    array, and samples no file covers are written as zeros (under
+    ``zero_fill``; under ``error`` they raise GapError).
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -371,16 +377,22 @@ def read_span(cm: ChannelManifest, start_index: int, count: int) -> SampleBuffer
         raise ValueError(
             f"span [{start_index}, {end}) outside channel coverage [0, {cm.n_samples})"
         )
-    samples = np.zeros(count)
-    covered = 0  # files never overlap, so their parts add up
+    samples = np.empty(count) if out is None else out
+    if len(samples) != count:
+        raise ValueError(f"out holds {len(samples)} samples, not {count}")
+    done = start_index  # files are sorted and never overlap: samples before ``done`` are written
+    covered = 0
     for entry in cm.files:
         lo = max(start_index, entry.start_index)
         hi = min(end, entry.end_index)
         if lo >= hi:
             continue
+        samples[done - start_index : lo - start_index] = 0.0  # no file covers these
         data = _read_wav_span(entry.path, entry.trim + (lo - entry.start_index), hi - lo)
         cm.calibration.counts_to_pressure(data, out=samples[lo - start_index : hi - start_index])
         covered += hi - lo
+        done = hi
+    samples[done - start_index :] = 0.0
     if covered < count and cm.gap_policy == "error":
         raise GapError(
             f"channel {cm.channel_id}: span [{start_index}, {end}) crosses an uncovered gap"
@@ -388,13 +400,15 @@ def read_span(cm: ChannelManifest, start_index: int, count: int) -> SampleBuffer
     return SampleBuffer(samples, cm.sample_rate_hz, start_index, cm.channel_id)
 
 
-def iter_chunks(cm: ChannelManifest, chunk_s: float = 60.0) -> Iterator[SampleBuffer]:
+def iter_chunks(cm: ChannelManifest, chunk_s: float = 60.0,
+                buffer: RollingBuffer | None = None) -> Iterator[SampleBuffer]:
     """Yield the whole channel as consecutive chunks (last one may be short).
 
     A chunk is ``chunk_s`` seconds of samples, but never more than
     MAX_CHUNK_SAMPLES, whatever the rate: ``chunk_s`` is an upper bound.
     Chunk boundaries are computed in integer samples, so consecutive chunks
-    tile the channel exactly: each starts where the previous ended.
+    tile the channel exactly: each starts where the previous ended.  Given a
+    ``buffer``, each chunk is read into the slots ``buffer.reserve`` hands out.
     """
     if not 0.0 < chunk_s < math.inf:
         raise ValueError(f"chunk_s must be finite and positive, got {chunk_s}")
@@ -402,4 +416,5 @@ def iter_chunks(cm: ChannelManifest, chunk_s: float = 60.0) -> Iterator[SampleBu
     if step < 1:
         raise ValueError("chunk_s too small for the sample rate")
     for start in range(0, cm.n_samples, step):
-        yield read_span(cm, start, min(step, cm.n_samples - start))
+        n = min(step, cm.n_samples - start)
+        yield read_span(cm, start, n, out=None if buffer is None else buffer.reserve(n))

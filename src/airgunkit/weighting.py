@@ -139,7 +139,7 @@ def design_filter(spec: WeightingSpec, sample_rate_hz: float) -> FilterState:
     zi = np.zeros((sos.shape[0], 2))
     # column j: the state after one block of zeros, started from unit state j
     block_step = np.stack([
-        _sosfilt(sos, np.zeros(FLUSH_BLOCK), unit.reshape(zi.shape))[1].ravel()
+        _sosfilt(sos, np.zeros(FLUSH_BLOCK), unit.reshape(zi.shape)).ravel()
         for unit in np.eye(zi.size)
     ], axis=1)
     return FilterState(spec, sample_rate_hz, sos, zi, block_step)
@@ -178,7 +178,7 @@ def _butter_sos(cutoff_hz: float, highpass: bool, sample_rate_hz: float) -> np.n
 
 
 def _load_sosfilt():
-    """Return ``sosfilt(sos, x, zi) -> (y, zf)``, which filters a copy of ``x``.
+    """Return ``sosfilt(sos, x, zi) -> zf``, which filters a C-contiguous float64 ``x`` in place.
 
     It runs scipy's compiled kernel, loaded from its file: importing the
     public ``scipy.signal`` also imports ``scipy.stats`` and more, over a
@@ -195,19 +195,19 @@ def _load_sosfilt():
     except (ImportError, AttributeError, TypeError, ValueError):
         return _public_sosfilt
 
-    def sosfilt(sos: np.ndarray, x: np.ndarray, zi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        y = np.array(x, dtype=np.float64, order="C")
+    def sosfilt(sos: np.ndarray, x: np.ndarray, zi: np.ndarray) -> np.ndarray:
         zf = np.array(zi, dtype=np.float64, order="C")
-        kernel(sos, y.reshape(1, -1), zf.reshape(1, *zf.shape))
-        return y, zf
+        kernel(sos, x[np.newaxis], zf[np.newaxis])  # views: the kernel rejects non-contiguous x
+        return zf
 
     return sosfilt
 
 
-def _public_sosfilt(sos: np.ndarray, x: np.ndarray, zi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _public_sosfilt(sos: np.ndarray, x: np.ndarray, zi: np.ndarray) -> np.ndarray:
     from scipy.signal import sosfilt  # imported on first use, never at start-up
 
-    return sosfilt(sos, x, zi=zi)
+    x[:], zf = sosfilt(sos, x, zi=zi)
+    return zf
 
 
 def _load_kernel():
@@ -236,50 +236,53 @@ def _load_kernel():
 _sosfilt = _load_sosfilt()
 
 
-def apply_filter(state: FilterState, buffer: SampleBuffer) -> tuple[FilterState, SampleBuffer]:
+def apply_filter(state: FilterState, buffer: SampleBuffer,
+                 out: np.ndarray | None = None) -> tuple[FilterState, SampleBuffer]:
     """Filter one chunk causally; returns advanced state and the filtered chunk.
 
-    The flat band returns the buffer unchanged (same sample values, zero
-    delay).  Chunks must be fed in stream order.  A chunk without a
-    checkpoint after an all-zero block is one ``sosfilt`` call; otherwise
-    the chunk is filtered up to each run of such checkpoints, and through
-    the run only while the state has not been flushed.
+    The output goes into ``out``, a C-contiguous float64 array of the
+    chunk's length (``out=buffer.samples`` filters in place), by default
+    into a copy, or for the flat band the buffer itself.  Chunks must be fed
+    in stream order.  The chunk is filtered up to each run of checkpoints
+    after an all-zero block, and through the run only while the state has
+    not been flushed; the rest of the run is zero, in input and output.
     """
     if buffer.sample_rate_hz != state.sample_rate_hz:
         raise FilterDesignError(
             f"buffer rate {buffer.sample_rate_hz} != filter design rate {state.sample_rate_hz}"
         )
-    if state.sos is None:
-        return state, buffer
     x = buffer.samples
-    zi, flushes = state.zi, state.flushes
+    if out is None:
+        out = x if state.sos is None else np.array(x, dtype=np.float64)
+    elif out is not x:
+        out[:] = x
+    if state.sos is None:
+        return state, buffer if out is x else replace(buffer, samples=out)
+    # read the input's zero runs before ``out``, which may be the input, is filtered
     runs = _zero_runs(x, state.position, state.zero_run)
-    if not runs:
-        out, zi = _sosfilt(state.sos, x, zi)
-    else:
-        out = np.zeros(len(x))
-        done = 0
-        for a, b in runs:
-            # the input is zero from a - FLUSH_BLOCK to b; a zero state stays zero over it
-            if zi.any() or a - done > FLUSH_BLOCK:
-                out[done:a], zi = _sosfilt(state.sos, x[done:a], zi)
-            c = a  # zi is the state at checkpoint c
-            while zi.any():
-                if np.max(np.abs(zi)) < FLUSH_FLOOR_UPA:
-                    zi = np.zeros_like(zi)
-                    flushes += 1
-                    break
-                if c == b:
-                    break
-                nxt = c + FLUSH_BLOCK * _blocks_above_floor(state.block_step, zi, (b - c) // FLUSH_BLOCK)
-                out[c:nxt], zi = _sosfilt(state.sos, x[c:nxt], zi)
-                c = nxt
-            done = b
-        if done < len(x):
-            out[done:], zi = _sosfilt(state.sos, x[done:], zi)
     tail = x[-FLUSH_BLOCK:]
     nonzero = np.flatnonzero(tail)
     zero_run = len(tail) - 1 - int(nonzero[-1]) if nonzero.size else len(tail) + state.zero_run
+    zi, flushes = state.zi, state.flushes
+    done = 0
+    for a, b in runs:
+        # the input is zero from a - FLUSH_BLOCK to b; a zero state stays zero over it
+        if zi.any() or a - done > FLUSH_BLOCK:
+            zi = _sosfilt(state.sos, out[done:a], zi)
+        c = a  # zi is the state at checkpoint c
+        while zi.any():
+            if np.max(np.abs(zi)) < FLUSH_FLOOR_UPA:
+                zi = np.zeros_like(zi)
+                flushes += 1
+                break
+            if c == b:
+                break
+            nxt = c + FLUSH_BLOCK * _blocks_above_floor(state.block_step, zi, (b - c) // FLUSH_BLOCK)
+            zi = _sosfilt(state.sos, out[c:nxt], zi)
+            c = nxt
+        done = b
+    if done < len(x):
+        zi = _sosfilt(state.sos, out[done:], zi)
     state = replace(state, zi=zi, position=state.position + len(x),
                     zero_run=min(zero_run, FLUSH_BLOCK), flushes=flushes)
     return state, replace(buffer, samples=out)

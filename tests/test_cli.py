@@ -276,6 +276,18 @@ def test_non_finite_run_parameter_is_usage_error(survey_dir, tmp_path, capsys, c
     assert list(tmp_path.iterdir()) == [cfg]  # no events, catalog or summary
 
 
+@pytest.mark.parametrize("command", ["extract", "bench"])
+def test_chunk_s_under_one_sample_is_usage_error(survey_dir, tmp_path, capsys, command):
+    # 1e-5 s is 0.16 samples at 16 kHz: refused before any task starts
+    out = ["--out", str(tmp_path / "c.csv")] if command == "extract" else ["--out-dir", str(tmp_path)]
+    code = main([command, "--manifest", str(survey_dir / "manifest.txt"), *out, "--chunk-s", "0.00001"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "chunk_s 1e-05 is under one sample at channel 0's 16000 Hz" in err
+    assert "channel 0 linear" not in err  # no task ran
+    assert list(tmp_path.iterdir()) == []  # no catalog or summary
+
+
 _ROWS = [(command, row) for command, rows in _FLAGS.items() for row in rows]
 
 

@@ -310,6 +310,46 @@ def test_read_span_outside_coverage(tmp_path):
         read_span(cm, 50, 51)
     with pytest.raises(ValueError):
         read_span(cm, 0, 0)
+    with pytest.raises(ValueError, match="out holds 9 samples, not 10"):
+        read_span(cm, 0, 10, out=np.empty(9))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_read_span_into_a_stale_array_equals_a_fresh_read(tmp_path_factory, data):
+    # files tile the channel with one sample of start jitter or a zero_fill
+    # gap before each; a read into an array of NaN must write every sample of
+    # the span, gaps included, and nothing outside it
+    out = tmp_path_factory.mktemp("tiles")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    n = 600
+    counts = rng.integers(-2048, 2048, size=n, dtype=np.int16)
+    cuts = sorted(40 * k for k in data.draw(st.sets(st.integers(1, 14), max_size=4), label="cuts"))
+    expected = counts.astype(float)
+    lines = ["calib 0 2048 126.0 zero_fill"]
+    edges = [0]  # span ends next to the gap edges
+    for k, (a, b) in enumerate(zip([0, *cuts], [*cuts, n])):
+        shift = data.draw(st.sampled_from([-1, 0, 1, 2, 17, 30]) if k else st.just(0), label=f"shift {k}")
+        if shift > 1:  # a gap of ``shift`` samples, read as zeros
+            expected[a : a + shift] = 0.0
+            edges += [a, a + 1, a + shift - 1, a + shift]
+            first, start = a + shift, a + shift
+        else:  # a file one sample early repeats the sample before it; one sample late, it does not
+            first, start = a - (shift < 0), a + shift
+        write_wav(out / f"f{k}.wav", counts[first:b], FS)
+        lines.append(f"file 0 f{k}.wav {start / FS!r}")
+    cm = open_manifest(write_manifest(out / "m.txt", lines))[0]
+    assert cm.n_samples == n
+    a = data.draw(st.integers(0, n - 1) | st.sampled_from(edges), label="start")
+    end = data.draw(st.integers(a + 1, n) | st.sampled_from([e for e in edges if e > a] or [n]), label="end")
+    count = end - a
+    stale = np.full(count + 2, np.nan)
+    got = read_span(cm, a, count, out=stale[1:-1])
+    fresh = read_span(cm, a, count)
+    assert np.shares_memory(got.samples, stale)
+    assert np.array_equal(got.samples, fresh.samples)
+    assert np.array_equal(fresh.samples, expected[a : a + count] * cm.calibration.pressure_per_count)
+    assert np.isnan(stale[[0, -1]]).all()
 
 
 def test_iter_chunks_tiles_exactly(tmp_path):
@@ -334,21 +374,26 @@ def test_iter_chunks_tiles_exactly(tmp_path):
 def test_rolling_buffer_matches_a_concatenate_reference(data):
     # appends of random length, some far larger than the array, and random
     # trims, some before the start or past the end; every view must equal the
-    # naive concatenate-and-slice stream, with bounded copying and size
+    # naive concatenate-and-slice stream, with bounded copying and size; a
+    # chunk is written either into the slots ``reserve`` hands out, which
+    # ``append`` then holds as they are, or into an array of its own, which
+    # ``append`` copies
     buf = RollingBuffer()
-    stream = first_chunk = np.empty(0)
+    stream = np.empty(0)
     start = appended = largest_held = largest_chunk = 0
     for _ in range(data.draw(st.integers(1, 30), label="steps")):
         n = data.draw(st.integers(0, 500), label="append")
         largest_held = max(largest_held, buf.end - buf.start)
         largest_chunk = max(largest_chunk, n)
-        first = buf.capacity == 0
         chunk = np.arange(len(stream), len(stream) + n, dtype=float)
-        buf.append(chunk)
-        if first:
-            first_chunk = chunk  # held as it is, and never written
+        if data.draw(st.booleans(), label="in place"):
+            slots = buf.reserve(n)
+            slots[:] = chunk
+            buf.append(slots)
+            assert n == 0 or np.shares_memory(buf.view(buf.end - n, buf.end), slots)
         else:
-            chunk[:] = -1.0  # the buffer holds a copy of every later chunk
+            buf.append(chunk)
+            chunk[:] = -1.0  # the buffer holds a copy
         stream = np.arange(len(stream) + n, dtype=float)
         appended += n
         assert (buf.start, buf.end) == (start, len(stream))
@@ -362,7 +407,6 @@ def test_rolling_buffer_matches_a_concatenate_reference(data):
         assert buf.start == start
         assert buf.moved <= 2 * appended
         assert buf.capacity <= 2 * (largest_held + largest_chunk)
-    assert np.array_equal(first_chunk, np.arange(len(first_chunk)))
     with pytest.raises(ValueError):
         buf.view(start - 1, start)
     with pytest.raises(ValueError):
