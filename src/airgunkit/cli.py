@@ -164,6 +164,8 @@ def _parse_weightings(raw: object) -> tuple:
         kinds = tuple(parse_kind(tok) for tok in str(raw).split(","))
     except AirgunkitError:
         raise _UsageError(f"bad weighting list {raw!r} (linear, lfc, mfc, or all)") from None
+    if len(set(kinds)) != len(kinds):
+        raise _UsageError(f"bad weighting list {raw!r} (a weighting is repeated)")
     return kinds
 
 

@@ -52,7 +52,8 @@ def window_levels(window: SampleBuffer, running_upa2s: float = 0.0) -> tuple[Lev
     still zero.
     """
     energy = window_energy(window)
-    peak = float(np.max(np.abs(window.samples)))
+    x = window.samples
+    peak = float(max(x.max(), -x.min()))  # max |x|, without a |x| temporary
     sel_db = energy_db(energy)
     running_upa2s += energy
     return Levels(
@@ -61,27 +62,6 @@ def window_levels(window: SampleBuffer, running_upa2s: float = 0.0) -> tuple[Lev
         None if sel_db is None else sel_db - 10.0 * math.log10(window.duration_s),
         energy_db(running_upa2s),
     ), running_upa2s
-
-
-def _defined(level: float | None, name: str) -> float:
-    if level is None:
-        raise MeasureError(f"all-zero window has no {name}")
-    return level
-
-
-def spl(window: SampleBuffer) -> float:
-    """Peak sound pressure level over the window, dB re 1 uPa."""
-    return _defined(window_levels(window)[0].spl_db, "sound pressure level")
-
-
-def sel(window: SampleBuffer) -> float:
-    """Sound exposure level, dB re 1 uPa^2 s."""
-    return _defined(window_levels(window)[0].sel_db, "sound exposure level")
-
-
-def leq(window: SampleBuffer) -> float:
-    """Equivalent continuous level: sel normalized by the window duration."""
-    return _defined(window_levels(window)[0].leq_db, "equivalent level")
 
 
 NA = "NA"

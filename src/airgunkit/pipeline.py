@@ -31,7 +31,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import RunError
-from .measures import NA, Levels, format_db, window_levels
+from .measures import Levels, format_db, window_levels
 from .pulse_detect import PulseEvent, PulseScanner
 from .signal_io import ChannelManifest, RollingBuffer, SampleBuffer, format_time
 from .weighting import CANONICAL_ORDER, WeightingKind
@@ -248,26 +248,3 @@ def write_catalog(records: Sequence[FeatureRecord], path, run_id: str) -> Catalo
             n_points += len(cells)
             fh.write(f"{run_id},{rec.channel_id},{rec.weighting},{rec.pulse_index}," + ",".join(cells) + "\n")
     return CatalogSummary(n_records=len(records), n_points=n_points)
-
-
-def read_catalog(path) -> list[dict[str, object]]:
-    """Parse a catalog back; numeric cells become floats, NA becomes None."""
-    import csv
-
-    out: list[dict[str, object]] = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != list(IDENTIFIER_COLUMNS + FEATURE_COLUMNS):
-            raise RunError(f"{path}: unexpected catalog header")
-        for row in reader:
-            parsed: dict[str, object] = {
-                "run_id": row["run_id"],
-                "channel_id": int(row["channel_id"]),
-                "weighting": row["weighting"],
-                "pulse_index": int(row["pulse_index"]),
-            }
-            for col in FEATURE_COLUMNS:
-                tok = row[col]
-                parsed[col] = None if tok == NA else float(tok)
-            out.append(parsed)
-    return out

@@ -50,31 +50,19 @@ MAX_EXCURSION_S = 15.0
 class DetectorConfig:
     """Detection tuning: threshold in dB re 1 uPa, refractory spacing in s.
 
-    The search window defaults to 1.5 s, split one third before the anchor
-    and two thirds after (0.5 s / 1.0 s); overriding the length keeps that
-    split.  The refractory spacing must exceed the window so consecutive
-    search windows cannot interleave.
+    The refractory spacing must exceed the fixed search window
+    (SEARCH_BEFORE_S + SEARCH_AFTER_S) so consecutive search windows cannot
+    interleave.
     """
 
     threshold_db: float
     min_ipi_s: float = 5.0
-    search_window_s: float = SEARCH_BEFORE_S + SEARCH_AFTER_S
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.threshold_db) and math.isfinite(self.min_ipi_s)):
             raise ValueError("threshold_db and min_ipi_s must be finite")
-        if self.search_window_s <= 0:
-            raise ValueError("search_window_s must be positive")
-        if self.min_ipi_s <= self.search_window_s:
-            raise ValueError("min_ipi_s must exceed search_window_s")
-
-    @property
-    def before_s(self) -> float:
-        return self.search_window_s / 3.0
-
-    @property
-    def after_s(self) -> float:
-        return 2.0 * self.search_window_s / 3.0
+        if self.min_ipi_s <= SEARCH_BEFORE_S + SEARCH_AFTER_S:
+            raise ValueError(f"min_ipi_s must exceed the {SEARCH_BEFORE_S + SEARCH_AFTER_S:g}-s search window")
 
     @property
     def threshold_upa(self) -> float:
@@ -128,8 +116,8 @@ class PulseScanner:
         self.fs = sample_rate_hz
         self.channel_id = channel_id
         self.threshold = config.threshold_upa
-        self.pre = round(config.before_s * self.fs)
-        self.post = round(config.after_s * self.fs)
+        self.pre = round(SEARCH_BEFORE_S * self.fs)
+        self.post = round(SEARCH_AFTER_S * self.fs)
         self.min_gap = round(config.min_ipi_s * self.fs)
         self.piece_len = round(MAX_EXCURSION_S * self.fs)
         self.t_a_drops = 0

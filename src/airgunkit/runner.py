@@ -12,14 +12,13 @@ from __future__ import annotations
 
 import math
 import multiprocessing
-import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
 from .errors import RunError
-from .pipeline import CatalogSummary, FeatureRecord, RecordBuilder, sort_records, write_catalog
+from .pipeline import FeatureRecord, RecordBuilder, sort_records, write_catalog
 from .pulse_detect import MAX_EXCURSION_S, DetectorConfig, detect_pulses
 from .signal_io import ChannelManifest, RollingBuffer, SampleBuffer, iter_chunks
 from .weighting import CANONICAL_ORDER, WeightingKind, WeightingSpec, apply_filter, design_filter
@@ -51,6 +50,9 @@ class RunConfig:
             raise ValueError(f"chunk_s must be finite and positive, got {self.chunk_s}")
         if not self.weightings:
             raise ValueError("weighting selection is empty")
+        if len(set(self.weightings)) != len(self.weightings):
+            raise ValueError("weighting selection repeats a weighting: "
+                             + ",".join(k.value for k in self.weightings))
         if self.channels is not None and len(self.channels) == 0:
             raise ValueError("channel selection is empty")
         if self.channels is not None and len(set(self.channels)) != len(self.channels):
@@ -66,6 +68,7 @@ class RuntimeReport:
     ``per_channel_seconds`` splits by channel.  The counters sum the
     per-task counts: pulses dropped by the t_A spacing rule, excursions cut
     into MAX_EXCURSION_S pieces, and weighting filter states flushed to zero.
+    Every kept pulse is one catalog record, so ``n_pulses`` is ``n_records``.
     """
 
     per_channel_seconds: dict[int, float]
@@ -75,10 +78,13 @@ class RuntimeReport:
     channel_hours: float
     n_records: int
     n_points: int
-    n_pulses: int
     t_a_drops: int
     cut_excursions: int
     filter_flushes: int
+
+    @property
+    def n_pulses(self) -> int:
+        return self.n_records
 
 
 class _WeightedChunks:
@@ -115,8 +121,7 @@ def weighted_chunks(cm: ChannelManifest, kind: WeightingKind, chunk_s: float,
 class StreamResult(NamedTuple):
     """Outcome of one (channel, weighting) stream."""
 
-    records: list[FeatureRecord]
-    n_pulses: int
+    records: list[FeatureRecord]  # one per kept pulse
     t_a_drops: int  # pulses dropped by the t_A spacing rule
     cut_excursions: int  # excursions cut into MAX_EXCURSION_S pieces
     filter_flushes: int  # weighting filter states flushed to zero
@@ -139,8 +144,8 @@ def extract_stream(
     buffer = RollingBuffer()
     chunks = weighted_chunks(cm, kind, chunk_s, buffer)
     detect_pulses(chunks, detector, builder, buffer)
-    return StreamResult(builder.records, len(builder.records), builder.t_a_drops,
-                        builder.cut_excursions, chunks.state.flushes)
+    return StreamResult(builder.records, builder.t_a_drops, builder.cut_excursions,
+                        chunks.state.flushes)
 
 
 @dataclass(frozen=True)
@@ -148,20 +153,17 @@ class _TaskResult:
     channel_id: int
     kind_value: str
     seconds: float
-    n_pulses: int
-    t_a_drops: int
-    cut_excursions: int
-    filter_flushes: int
-    records: list[FeatureRecord] = field(repr=False)
+    stream: StreamResult = field(repr=False)
     error: str | None = None
 
     def log_line(self) -> str:
         if self.error is not None:
             return f"channel {self.channel_id} {self.kind_value}: failed: {self.error}"
-        return (f"channel {self.channel_id} {self.kind_value}: {self.n_pulses} pulses "
-                f"in {self.seconds:.1f}s, {self.t_a_drops} dropped by t_A spacing, "
-                f"{self.cut_excursions} excursions cut into {MAX_EXCURSION_S:g}-s pieces, "
-                f"{self.filter_flushes} filter flushes")
+        s = self.stream
+        return (f"channel {self.channel_id} {self.kind_value}: {len(s.records)} pulses "
+                f"in {self.seconds:.1f}s, {s.t_a_drops} dropped by t_A spacing, "
+                f"{s.cut_excursions} excursions cut into {MAX_EXCURSION_S:g}-s pieces, "
+                f"{s.filter_flushes} filter flushes")
 
 
 def _run_task(args: tuple[ChannelManifest, str, DetectorConfig, float]) -> _TaskResult:
@@ -169,12 +171,10 @@ def _run_task(args: tuple[ChannelManifest, str, DetectorConfig, float]) -> _Task
     cm, kind_value, detector, chunk_s = args
     start = time.perf_counter()
     try:
-        res = extract_stream(cm, WeightingKind(kind_value), detector, chunk_s)
+        stream, error = extract_stream(cm, WeightingKind(kind_value), detector, chunk_s), None
     except Exception as exc:  # propagate through the pool as data
-        return _TaskResult(cm.channel_id, kind_value, time.perf_counter() - start, 0, 0, 0, 0, [],
-                           error=f"{type(exc).__name__}: {exc}")
-    return _TaskResult(cm.channel_id, kind_value, time.perf_counter() - start, res.n_pulses,
-                       res.t_a_drops, res.cut_excursions, res.filter_flushes, res.records)
+        stream, error = StreamResult([], 0, 0, 0), f"{type(exc).__name__}: {exc}"
+    return _TaskResult(cm.channel_id, kind_value, time.perf_counter() - start, stream, error)
 
 
 def run(
@@ -227,7 +227,7 @@ def run(
     for r in results:
         per_channel[r.channel_id] += r.seconds
 
-    records = sort_records([rec for r in results for rec in r.records])
+    records = sort_records([rec for r in results for rec in r.stream.records])
     out_path = Path(config.out_path)
     try:
         summary = write_catalog(records, out_path, config.run_id)
@@ -243,10 +243,9 @@ def run(
         channel_hours=sum(manifests[ch].duration_s for ch in channels) / 3600.0,
         n_records=summary.n_records,
         n_points=summary.n_points,
-        n_pulses=sum(r.n_pulses for r in results),
-        t_a_drops=sum(r.t_a_drops for r in results),
-        cut_excursions=sum(r.cut_excursions for r in results),
-        filter_flushes=sum(r.filter_flushes for r in results),
+        t_a_drops=sum(r.stream.t_a_drops for r in results),
+        cut_excursions=sum(r.stream.cut_excursions for r in results),
+        filter_flushes=sum(r.stream.filter_flushes for r in results),
     )
     return out_path, report
 
@@ -327,11 +326,3 @@ def bench(
         serial_catalog=serial_path,
         parallel_catalog=parallel_path,
     )
-
-
-def cpu_count() -> int:
-    """Usable core count (affinity-aware where the platform exposes it)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1

@@ -25,6 +25,7 @@ from .signal_io import MAX_SAMPLE_RATE_HZ, CalibrationSpec, write_wav
 
 DEFAULT_SAMPLE_RATE_HZ = 16_000
 DEFAULT_IPI_S = 10.0
+REVERB_CARRIER_HZ = 400.0  # carrier of the optional reverberation tail
 
 GROUND_TRUTH_HEADER = "channel_id,pulse_index,t_true_s,p_peak_pa,sel_analytic_db"
 
@@ -51,7 +52,6 @@ class SurveySpec:
     carrier_hz: float = 2000.0
     reverb_level_upa: float = 0.0
     reverb_decay_s: float = 2.0
-    reverb_carrier_hz: float = 400.0
     noise_rms_upa: float = 0.0
     counts_full_scale: int = 2048
     sensitivity_db: float = 126.0
@@ -70,8 +70,7 @@ class SurveySpec:
                      "attack_s", "decay_s", "reverb_decay_s"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        for name in ("first_pulse_s", "carrier_hz", "reverb_level_upa",
-                     "reverb_carrier_hz", "noise_rms_upa"):
+        for name in ("first_pulse_s", "carrier_hz", "reverb_level_upa", "noise_rms_upa"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
         if self.peak_pressure_upa > self.calibration.full_scale_upa:
@@ -167,7 +166,7 @@ def _render_channel(spec: SurveySpec, channel_id: int) -> tuple[np.ndarray, list
             r_span = min(i0 + round(spec.reverb_decay_s * 20.0 * fs), n)
             t_r = np.arange(i0, r_span) / fs - onset
             env = spec.reverb_level_upa * np.exp(-t_r / spec.reverb_decay_s)
-            signal[i0:r_span] += env * np.cos(2.0 * math.pi * spec.reverb_carrier_hz * t_r)
+            signal[i0:r_span] += env * np.cos(2.0 * math.pi * REVERB_CARRIER_HZ * t_r)
 
     if spec.noise_rms_upa > 0.0:
         rng = np.random.default_rng((spec.seed, channel_id))
@@ -227,23 +226,3 @@ def generate(spec: SurveySpec, out_dir: Path | str) -> SynthResult:
                 f"{t.p_peak_upa:.6f},{t.sel_analytic_db:.6f}\n"
             )
     return SynthResult(manifest_path, gt_path, tuple(wav_paths), tuple(truths))
-
-
-def read_ground_truth(path: Path | str) -> list[GroundTruthRecord]:
-    """Parse a ground truth CSV back into records."""
-    import csv
-
-    out: list[GroundTruthRecord] = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            out.append(
-                GroundTruthRecord(
-                    channel_id=int(row["channel_id"]),
-                    pulse_index=int(row["pulse_index"]),
-                    t_true_s=float(row["t_true_s"]),
-                    p_peak_upa=float(row["p_peak_pa"]),
-                    sel_analytic_db=float(row["sel_analytic_db"]),
-                )
-            )
-    return out

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,12 @@ def csel_of_levels(sel_dbs) -> float:
     """Oracle: cumulative level of already-measured per-window SELs (energy sum in dB)."""
     arr = np.asarray(sel_dbs, dtype=np.float64)
     return float(10.0 * np.log10(np.sum(10.0 ** (arr / 10.0))))
+
+
+def read_rows(path) -> list[dict[str, str]]:
+    """Every row of a CSV the toolkit wrote, as column -> token."""
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
 
 
 @pytest.fixture(scope="session")

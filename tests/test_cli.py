@@ -367,6 +367,22 @@ def test_repeated_channel_id_is_usage_error(survey_dir, tmp_path, capsys, comman
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["detect", "extract", "bench"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_repeated_weighting_is_usage_error(survey_dir, tmp_path, capsys, command, source):
+    # a repeated weighting would write every row of its streams twice
+    key = "weighting" if command == "detect" else "weightings"
+    cfg = tmp_path / "w.cfg"
+    cfg.write_text(f"{key} = mfc,lfc,mfc\n")
+    weightings = ["--" + key, "mfc,lfc,mfc"] if source == "flag" else ["--config", str(cfg)]
+    out = tmp_path / "out"
+    dest = ["--out-dir" if command == "bench" else "--out", str(out)]
+    code = main([command, "--manifest", str(survey_dir / "manifest.txt"), *dest, *weightings])
+    assert code == 1
+    assert "repeated" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_extract_unknown_channel_is_runtime_error(survey_dir, tmp_path):
     code = main(
         [

@@ -6,16 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from airgunkit.errors import MeasureError
-from airgunkit.measures import (
-    NA,
-    format_db,
-    leq,
-    measure_peaks,
-    sel,
-    spl,
-    window_energy,
-    window_levels,
-)
+from airgunkit.measures import NA, format_db, measure_peaks, window_energy, window_levels
 
 from conftest import csel_of_levels, make_buffer
 
@@ -25,6 +16,11 @@ FS = 16000.0
 def const_window(p_upa, duration_s, fs=FS):
     n = int(round(duration_s * fs))
     return make_buffer(np.full(n, p_upa), fs=fs)
+
+
+def levels(win):
+    """The window's own levels, with no exposure before it."""
+    return window_levels(win)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -50,24 +46,36 @@ def test_window_energy_concatenation_additive():
 
 
 def test_spl_reference_pressure_is_zero_db():
-    assert spl(const_window(1.0, 0.01)) == pytest.approx(0.0, abs=0.0)
+    assert levels(const_window(1.0, 0.01)).spl_db == pytest.approx(0.0, abs=0.0)
 
 
 def test_spl_megapascal_peak():
     buf = make_buffer([0.0, -1.0e6, 3.0])
-    assert spl(buf) == pytest.approx(120.0, abs=1e-12)
+    assert levels(buf).spl_db == pytest.approx(120.0, abs=1e-12)
 
 
 def test_spl_uses_largest_magnitude():
     rng = np.random.default_rng(5)
     x = rng.normal(scale=50.0, size=2000)
     expected = 20.0 * math.log10(max(abs(v) for v in x))
-    assert spl(make_buffer(x)) == pytest.approx(expected, rel=1e-12)
+    assert levels(make_buffer(x)).spl_db == pytest.approx(expected, rel=1e-12)
 
 
-def test_spl_all_zero_errors():
-    with pytest.raises(MeasureError):
-        spl(const_window(0.0, 0.01))
+def test_spl_all_zero_window_has_no_level():
+    assert levels(const_window(0.0, 0.01)).spl_db is None
+    assert levels(make_buffer([0.0, -0.0])).spl_db is None
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=64))
+def test_spl_peak_is_the_largest_magnitude_bit_for_bit(values):
+    # the level step finds the peak as max(x.max(), -x.min()), with no |x|
+    # temporary; it must give the float of max |x| on every window,
+    # all-negative and signed-zero windows included
+    x = np.array(values)
+    for w in (x, -np.abs(x), np.zeros_like(x), -np.zeros_like(x)):
+        peak = float(np.max(np.abs(w)))
+        assert levels(make_buffer(w)).spl_db == (20.0 * math.log10(peak) if peak > 0.0 else None)
 
 
 # ---------------------------------------------------------------------------
@@ -75,30 +83,30 @@ def test_spl_all_zero_errors():
 
 
 def test_sel_unit_pressure_one_second_is_zero_db():
-    assert sel(const_window(1.0, 1.0)) == pytest.approx(0.0, abs=1e-12)
+    assert levels(const_window(1.0, 1.0)).sel_db == pytest.approx(0.0, abs=1e-12)
 
 
 def test_sel_frozen_example_1000_upa():
     # 10*log10(1000^2 * 1.0) over a full second
-    assert sel(const_window(1000.0, 1.0)) == pytest.approx(60.0, abs=1e-12)
+    assert levels(const_window(1000.0, 1.0)).sel_db == pytest.approx(60.0, abs=1e-12)
 
 
 def test_sel_and_leq_frozen_half_second():
     win = const_window(1000.0, 0.5)
-    assert sel(win) == pytest.approx(56.98970004336019, abs=1e-12)
-    assert leq(win) == pytest.approx(60.0, abs=1e-12)
+    assert levels(win).sel_db == pytest.approx(56.98970004336019, abs=1e-12)
+    assert levels(win).leq_db == pytest.approx(60.0, abs=1e-12)
 
 
 def test_leq_constant_signal_duration_invariant():
-    assert leq(const_window(1.0, 10.0)) == pytest.approx(0.0, abs=1e-12)
-    assert leq(const_window(1.0, 0.25)) == pytest.approx(0.0, abs=1e-12)
+    assert levels(const_window(1.0, 10.0)).leq_db == pytest.approx(0.0, abs=1e-12)
+    assert levels(const_window(1.0, 0.25)).leq_db == pytest.approx(0.0, abs=1e-12)
 
 
 def test_leq_equals_sel_for_one_second_window():
     rng = np.random.default_rng(9)
     x = rng.normal(scale=2000.0, size=int(FS))
-    win = make_buffer(x)
-    assert abs(sel(win) - leq(win)) < 1e-12
+    lv = levels(make_buffer(x))
+    assert abs(lv.sel_db - lv.leq_db) < 1e-12
 
 
 def test_sel_gaussian_pulse_matches_fine_grid():
@@ -110,7 +118,7 @@ def test_sel_gaussian_pulse_matches_fine_grid():
         t = np.arange(int(round(0.2 * rate))) / rate
         return np.exp(-0.5 * ((t - t0) / sigma) ** 2) * 1.0e5
 
-    coarse = sel(make_buffer(render(fs), fs=fs))
+    coarse = levels(make_buffer(render(fs), fs=fs)).sel_db
     x_fine = render(10 * fs)
     fine = 10.0 * math.log10(float(np.dot(x_fine, x_fine)) / (10 * fs))
     assert coarse == pytest.approx(fine, abs=0.05)
@@ -118,7 +126,7 @@ def test_sel_gaussian_pulse_matches_fine_grid():
 
 def test_sel_empty_errors():
     with pytest.raises(MeasureError):
-        sel(make_buffer([]))
+        window_levels(make_buffer([]))
 
 
 @settings(max_examples=50, deadline=None)
@@ -126,8 +134,8 @@ def test_sel_empty_errors():
 def test_sel_amplitude_scaling_law(k):
     rng = np.random.default_rng(21)
     x = rng.normal(scale=10.0, size=2048)
-    base = sel(make_buffer(x))
-    scaled = sel(make_buffer(k * x))
+    base = levels(make_buffer(x)).sel_db
+    scaled = levels(make_buffer(k * x)).sel_db
     assert scaled == pytest.approx(base + 20.0 * math.log10(k), abs=1e-9)
 
 
@@ -137,8 +145,8 @@ def test_sel_leq_identity_property(seed):
     rng = np.random.default_rng(seed)
     scale = 10.0 ** rng.uniform(-3, 6)
     x = rng.normal(scale=scale, size=int(FS))
-    win = make_buffer(x)
-    assert abs(sel(win) - leq(win)) < 1e-12
+    lv = levels(make_buffer(x))
+    assert abs(lv.sel_db - lv.leq_db) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +165,7 @@ def csel_run(windows):
 def test_csel_first_window_equals_its_sel():
     win = const_window(300.0, 0.4)
     lv, running = window_levels(win)
-    assert lv.csel_db == pytest.approx(sel(win), abs=1e-12)
+    assert lv.csel_db == pytest.approx(levels(win).sel_db, abs=1e-12)
     assert lv.csel_db == lv.sel_db
     assert running == window_energy(win)
 
@@ -211,7 +219,7 @@ def test_csel_accumulator_agrees_with_level_aggregation():
     rng = np.random.default_rng(17)
     wins = [make_buffer(rng.normal(scale=10.0 ** rng.uniform(2, 6), size=3200)) for _ in range(6)]
     level, _ = csel_run(wins)
-    assert level == pytest.approx(csel_of_levels([sel(w) for w in wins]), abs=1e-9)
+    assert level == pytest.approx(csel_of_levels([levels(w).sel_db for w in wins]), abs=1e-9)
 
 
 def test_csel_never_below_any_component():
@@ -221,7 +229,7 @@ def test_csel_never_below_any_component():
         win = make_buffer(rng.normal(scale=1e4, size=1600))
         lv, running = window_levels(win, running)
         assert lv.csel_db is not None
-        assert lv.csel_db >= sel(win) - 1e-12
+        assert lv.csel_db >= levels(win).sel_db - 1e-12
 
 
 # ---------------------------------------------------------------------------

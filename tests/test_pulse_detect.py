@@ -9,6 +9,8 @@ from airgunkit.errors import DetectionError
 from airgunkit.pulse_detect import (
     EVENTS_HEADER,
     MAX_EXCURSION_S,
+    SEARCH_AFTER_S,
+    SEARCH_BEFORE_S,
     DetectorConfig,
     PulseScanner,
     detect_pulses,
@@ -46,20 +48,18 @@ def chunked(x, fs, chunk_s):
 
 def test_config_validates_ipi_exceeds_window():
     with pytest.raises(ValueError):
-        DetectorConfig(threshold_db=100.0, min_ipi_s=1.0, search_window_s=1.5)
+        DetectorConfig(threshold_db=100.0, min_ipi_s=1.0)
     with pytest.raises(ValueError):
-        DetectorConfig(threshold_db=100.0, min_ipi_s=5.0, search_window_s=0.0)
-    with pytest.raises(ValueError):
-        DetectorConfig(threshold_db=100.0, min_ipi_s=1.5, search_window_s=1.5)
+        DetectorConfig(threshold_db=100.0, min_ipi_s=1.5)  # equal to the 1.5-s window
+    DetectorConfig(threshold_db=100.0, min_ipi_s=1.5000001)  # just above it is accepted
 
 
 def test_config_window_split_one_to_two():
-    cfg = DetectorConfig(threshold_db=100.0, min_ipi_s=5.0, search_window_s=1.5)
-    assert cfg.before_s == pytest.approx(0.5)
-    assert cfg.after_s == pytest.approx(1.0)
-    cfg2 = DetectorConfig(threshold_db=100.0, min_ipi_s=5.0, search_window_s=0.9)
-    assert cfg2.before_s == pytest.approx(0.3)
-    assert cfg2.after_s == pytest.approx(0.6)
+    # the window is fixed: 0.5 s before the anchor and 1.0 s after, in whole samples
+    assert (SEARCH_BEFORE_S, SEARCH_AFTER_S) == (0.5, 1.0)
+    for fs in (2000.0, 16000.0, 512000.0, 44100.0):
+        scanner = PulseScanner(DetectorConfig(threshold_db=100.0), fs)
+        assert (scanner.pre, scanner.post) == (round(fs / 2), round(fs))
 
 
 def test_threshold_db_to_pressure():
@@ -289,7 +289,7 @@ def test_long_excursion_is_cut_into_pieces_whatever_the_chunking():
         buf.append(c.samples)
         scanner.scan(buf)
         buf.trim(scanner.keep_from)
-        assert buf.end - buf.start <= (MAX_EXCURSION_S + CFG.search_window_s + 1.0) * FS
+        assert buf.end - buf.start <= (MAX_EXCURSION_S + SEARCH_BEFORE_S + SEARCH_AFTER_S + 1.0) * FS
 
 
 def test_cut_excursions_are_counted_once_whatever_the_chunking():

@@ -20,7 +20,6 @@ from airgunkit.runner import (
     BenchResult,
     RunConfig,
     bench,
-    cpu_count,
     report_text,
     run,
     weighted_chunks,
@@ -88,6 +87,13 @@ def test_config_rejects_repeated_channel(tmp_path):
     # and doubled channel-hours
     with pytest.raises(ValueError, match="repeats a channel id"):
         RunConfig(out_path=tmp_path / "c.csv", detector=DETECTOR, channels=(0, 1, 0))
+
+
+def test_config_rejects_repeated_weighting(tmp_path):
+    # a repeated weighting would write every record of its streams twice
+    kinds = (WeightingKind.MFC, WeightingKind.LINEAR, WeightingKind.MFC)
+    with pytest.raises(ValueError, match="repeats a weighting: mfc,linear,mfc"):
+        RunConfig(out_path=tmp_path / "c.csv", detector=DETECTOR, weightings=kinds)
 
 
 # ---------------------------------------------------------------------------
@@ -362,14 +368,6 @@ def test_failed_task_logs_its_error_not_a_pulse_count(tmp_path):
         run(RunConfig(out_path=tmp_path / "cat.csv", detector=DETECTOR), manifests, log=lines.append)
     assert [ln.split(": failed: ")[0] for ln in lines] == [f"channel 0 {k.value}" for k in CANONICAL_ORDER]
     assert all("AudioFormatError" in ln and "short read" in ln and "pulses" not in ln for ln in lines)
-
-
-# ---------------------------------------------------------------------------
-# runtime model
-
-
-def test_cpu_count_positive():
-    assert cpu_count() >= 1
 
 
 # ---------------------------------------------------------------------------
