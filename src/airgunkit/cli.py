@@ -173,12 +173,11 @@ def _detector(eff: dict[str, object]) -> DetectorConfig:
     return DetectorConfig(eff["threshold_db"], eff["min_ipi_s"])
 
 
-def _dump_filters(manifests) -> None:
-    states = []
-    for rate in sorted({cm.sample_rate_hz for cm in manifests.values()}):
-        for kind in CANONICAL_ORDER:
-            states.append(design_filter(WeightingSpec(kind), rate))
-    print(coefficients_text(states), end="")
+def _dump_filters(manifests, kinds) -> None:
+    """Print the filter design of each selected weighting, in canonical order, at every rate."""
+    rates = sorted({cm.sample_rate_hz for cm in manifests.values()})
+    print(coefficients_text([design_filter(WeightingSpec(kind), rate)
+                             for rate in rates for kind in CANONICAL_ORDER if kind in kinds]), end="")
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +219,7 @@ def _cmd_detect(ns: argparse.Namespace) -> int:
     manifests = open_manifest(_require(eff, "manifest"))
     out = _require(eff, "out")
     if eff["dump_filters"]:
-        _dump_filters(manifests)
+        _dump_filters(manifests, kinds)
     selected = _parse_channel_list(eff["channels"])
     channels = sorted(manifests) if selected is None else list(selected)
     detector = _detector(eff)
@@ -246,8 +245,9 @@ def _cmd_extract(ns: argparse.Namespace) -> int:
     manifest_path = _require(eff, "manifest")
     manifests = open_manifest(manifest_path)
     out = _require(eff, "out")
+    kinds = _parse_weightings(eff["weightings"])
     if eff["dump_filters"]:
-        _dump_filters(manifests)
+        _dump_filters(manifests, kinds)
     workers = eff["workers"]
     if workers is None:
         workers = 1 if eff["mode"] == "serial" else 4
@@ -258,7 +258,7 @@ def _cmd_extract(ns: argparse.Namespace) -> int:
             mode=eff["mode"],
             worker_count=workers,
             channels=_parse_channel_list(eff["channels"]),
-            weightings=_parse_weightings(eff["weightings"]),
+            weightings=kinds,
             run_id=eff["run_id"],
             chunk_s=eff["chunk_s"],
         )

@@ -18,14 +18,14 @@ still count as emitted feature points.  Levels and linear pressures print
 with 6 digits; written catalogs parse back to the exact same tokens.
 
 RecordBuilder turns the pulses of one (channel, weighting) stream into
-records while detect_pulses streams it: bounds and windows are sliced from
+records while detect_pulses streams it: bounds and windows are measured in
 the detector's rolling buffer of filtered samples, so no sample is read or
-filtered twice.
+filtered twice, and each window as soon as no later pulse can cut it, so a
+pending record holds at most one late window behind the scanner's own hold.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -101,31 +101,23 @@ class FeatureRecord:
 def extract_record(
     event: PulseEvent,
     bounds: EnergyBounds,
-    windows: Sequence[SampleBuffer | None],
-    csel_upa2s: list[float],
+    levels: Sequence[Levels],
     *,
     weighting: str,
     pulse_index: int,
     origin: Fraction = Fraction(0),
 ) -> FeatureRecord:
-    """Assemble one record from its pre-sliced windows.
+    """Assemble one record from the levels of its measured windows.
 
-    ``windows`` is the early window followed by the LATE_WINDOW_COUNT late
-    windows, None where a late window is invalid: it keeps its start time
-    but gets NA level measures.  ``csel_upa2s`` holds the running energy of
-    each of those slots and advances in place, so records of one stream
-    must be assembled in pulse order.  ``origin`` is the seconds of the
-    channel's sample 0.
+    ``levels`` holds the early window's levels, then those of the late
+    windows that were valid, in slot order: validity is a prefix of the
+    ladder.  The remaining slots keep their start times but get NA level
+    measures.  ``origin`` is the seconds of the channel's sample 0.
     """
-    levels: list[Levels] = []
-    for k, win in enumerate(windows):
-        if win is None:
-            levels.append(NA_LEVELS)
-        else:
-            lv, csel_upa2s[k] = window_levels(win, csel_upa2s[k])
-            levels.append(lv)
+    n_late = len(levels) - 1
     return FeatureRecord(event.channel_id, weighting, pulse_index, origin, event, bounds.i5, bounds.i95,
-                         tuple(win is not None for win in windows[1:]), levels[0], tuple(levels[1:]))
+                         (True,) * n_late + (False,) * (LATE_WINDOW_COUNT - n_late), levels[0],
+                         (*levels[1:], *(NA_LEVELS,) * (LATE_WINDOW_COUNT - n_late)))
 
 
 # ---------------------------------------------------------------------------
@@ -136,12 +128,12 @@ class RecordBuilder:
     """Builds the records of one weighted stream as detect_pulses streams it.
 
     Called after every scan (see pulse_detect.StreamConsumer), it measures
-    each newly kept pulse's energy bounds from the rolling buffer and
-    assembles pulse k's record as soon as its late window validity is
-    settled: once pulse k+1's bounds are known, once the scanner rules out
-    any later pulse starting before k's last late window ends (and the buffer
-    covers that window), or at end of stream.  It returns the start of the
-    oldest pending pulse's early window, the first sample it still needs.
+    each newly kept pulse's energy bounds and early window in the rolling
+    buffer, and each late window once no later pulse can start before it
+    ends: before the next pulse's 5 % bound, the end of stream, or else
+    ``min(buf.end, scanner.keep_from)``.  Slots unmeasured when the next
+    pulse or the end of stream comes are NA.  It returns the start of the
+    first unmeasured window, the first sample it still needs.
     """
 
     def __init__(self, cm: ChannelManifest, kind: WeightingKind) -> None:
@@ -151,39 +143,44 @@ class RecordBuilder:
         self.records: list[FeatureRecord] = []
         self.t_a_drops = 0
         self.cut_excursions = 0
-        self._pending: deque[tuple[PulseEvent, EnergyBounds]] = deque()
+        # the kept pulse whose record is pending, with the levels of its measured windows
+        self._pending: tuple[PulseEvent, EnergyBounds, list[Levels]] | None = None
         self._csel = [0.0] * (1 + LATE_WINDOW_COUNT)  # running energy of every window slot
 
     def __call__(self, buf: RollingBuffer, kept: list[PulseEvent], scanner: PulseScanner,
                  final: bool) -> int:
-        n_total = self.cm.n_samples
-        w = self.w_samp
-        for ev in kept:
-            a = ev.search_start_index
-            self._pending.append((ev, energy_bounds(buf.view(a, min(ev.search_end_index, n_total)), a)))
-        while self._pending:
-            ev, bk = self._pending[0]
-            if len(self._pending) > 1:
-                limit = self._pending[1][1].i5
-            elif final or bk.i95 + LATE_WINDOW_COUNT * w <= min(buf.end, scanner.keep_from):
-                limit = n_total
-            else:
-                break
-            windows = [self._window(buf, bk.i5, bk.i95 + 1)] + [
-                self._window(buf, bk.i95 + k * w, bk.i95 + (k + 1) * w) if ok else None
-                for k, ok in enumerate(layout_windows(bk.i95, limit, w))
-            ]
-            self.records.append(extract_record(
-                ev, bk, windows, self._csel, weighting=self.weighting,
-                pulse_index=len(self.records), origin=self.cm.origin,
-            ))
-            self._pending.popleft()
         self.t_a_drops = scanner.t_a_drops
         self.cut_excursions = scanner.cut_excursions
-        return self._pending[0][1].i5 if self._pending else buf.end
+        n_total = self.cm.n_samples
+        for ev in kept:
+            a = ev.search_start_index
+            bk = energy_bounds(buf.view(a, min(ev.search_end_index, n_total)), a)
+            if self._pending is not None:
+                self._measure_late(buf, bk.i5, settled=True)
+            self._pending = (ev, bk, [self._levels(buf, bk.i5, bk.i95 + 1, 0)])
+        if self._pending is None:
+            return buf.end
+        return self._measure_late(buf, n_total if final else min(buf.end, scanner.keep_from), final)
 
-    def _window(self, buf: RollingBuffer, a: int, b: int) -> SampleBuffer:
-        return SampleBuffer(buf.view(a, b), self.cm.sample_rate_hz, a, self.cm.channel_id)
+    def _measure_late(self, buf: RollingBuffer, bound: int, settled: bool) -> int:
+        """Measure the pending record's late windows ending by ``bound``; return the first sample it needs."""
+        ev, bk, levels = self._pending
+        w = self.w_samp
+        valid = layout_windows(bk.i95, bound, w)
+        while len(levels) <= LATE_WINDOW_COUNT and valid[len(levels) - 1]:
+            a = bk.i95 + (len(levels) - 1) * w
+            levels.append(self._levels(buf, a, a + w, len(levels)))
+        if settled or len(levels) > LATE_WINDOW_COUNT:
+            self.records.append(extract_record(ev, bk, levels, weighting=self.weighting,
+                                               pulse_index=len(self.records), origin=self.cm.origin))
+            self._pending = None
+            return buf.end
+        return bk.i95 + (len(levels) - 1) * w
+
+    def _levels(self, buf: RollingBuffer, a: int, b: int, slot: int) -> Levels:
+        win = SampleBuffer(buf.view(a, b), self.cm.sample_rate_hz, a, self.cm.channel_id)
+        lv, self._csel[slot] = window_levels(win, self._csel[slot])
+        return lv
 
 
 # ---------------------------------------------------------------------------

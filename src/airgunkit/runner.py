@@ -137,8 +137,8 @@ def extract_stream(
 
     Each chunk is read, calibrated and filtered once, in place in the one
     rolling buffer that detect_pulses decides anchors on; a RecordBuilder
-    slices every kept pulse's energy bounds, early window and late windows
-    from the same buffer.
+    measures every kept pulse's energy bounds, early window and late windows
+    in the same buffer.
     """
     builder = RecordBuilder(cm, kind)
     buffer = RollingBuffer()

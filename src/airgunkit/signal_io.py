@@ -177,6 +177,8 @@ class CalibrationSpec:
     def __post_init__(self) -> None:
         if self.counts_full_scale <= 0:
             raise ValueError("counts_full_scale must be positive")
+        if not math.isfinite(self.sensitivity_db):
+            raise ValueError(f"sensitivity_db must be finite, got {self.sensitivity_db}")
 
     @property
     def full_scale_upa(self) -> float:

@@ -174,6 +174,21 @@ def test_detect_dump_filters(survey_dir, tmp_path, capsys):
     assert "sos" in out or "section" in out
 
 
+@pytest.mark.parametrize("cmd, flag", [("detect", "--weighting"), ("extract", "--weightings")])
+def test_dump_filters_designs_only_the_selected_weightings(cmd, flag, tmp_path, capsys):
+    # at 250 Hz the mfc band's 150-Hz lower edge is above Nyquist, so only a
+    # run that selects mfc may design it
+    assert main(["synth", "--out", str(tmp_path / "s"), "--duration-s", "20",
+                 "--sample-rate", "250", "--pulse-count", "1"]) == 0
+    capsys.readouterr()
+    for kinds, want in (("linear", ["linear"]), ("lfc,linear", ["linear", "lfc"])):
+        code = main([cmd, "--manifest", str(tmp_path / "s" / "manifest.txt"),
+                     "--out", str(tmp_path / "o.csv"), flag, kinds, "--dump-filters"])
+        assert code == 0
+        dumped = re.findall(r"^weighting=(\w+) fs=250 Hz", capsys.readouterr().out, re.M)
+        assert dumped == want  # canonical order, whatever the selection order
+
+
 # ---------------------------------------------------------------------------
 # extract
 

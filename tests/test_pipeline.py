@@ -15,12 +15,19 @@ from airgunkit.pipeline import (
     sort_records,
     write_catalog,
 )
-from airgunkit.measures import NA
-from airgunkit.pulse_detect import DetectorConfig, PulseEvent, detect_pulses
+from airgunkit.measures import NA, window_levels
+from airgunkit.pulse_detect import (
+    MAX_EXCURSION_S,
+    SEARCH_AFTER_S,
+    SEARCH_BEFORE_S,
+    DetectorConfig,
+    PulseEvent,
+    detect_pulses,
+)
 from airgunkit.runner import extract_stream
 from airgunkit.signal_io import RollingBuffer, open_manifest, read_span, write_wav
 from airgunkit.weighting import CANONICAL_ORDER, WeightingKind, WeightingSpec, apply_filter, design_filter
-from airgunkit.windows import LATE_WINDOW_COUNT, EnergyBounds, energy_bounds, layout_windows
+from airgunkit.windows import LATE_WINDOW_COUNT, LATE_WINDOW_S, EnergyBounds, energy_bounds, layout_windows
 
 from conftest import csel_of_levels, make_buffer, read_rows
 
@@ -122,12 +129,23 @@ def const_windows(early_upa, late_upa, n_valid=LATE_WINDOW_COUNT):
     return [early] + late
 
 
+def measured(windows, csel):
+    """Levels of the early window and the valid late windows, advancing ``csel`` per slot."""
+    levels = []
+    for k, win in enumerate(windows):
+        if win is None:
+            break
+        lv, csel[k] = window_levels(win, csel[k])
+        levels.append(lv)
+    return levels
+
+
 BOUNDS = EnergyBounds(at(2.0), at(2.5))
 
 
 def const_record(csel, pulse_index, early_upa=1000.0, late_upa=10.0):
     return extract_record(
-        fake_event(2.1), BOUNDS, const_windows(early_upa, late_upa), csel,
+        fake_event(2.1), BOUNDS, measured(const_windows(early_upa, late_upa), csel),
         weighting="linear", pulse_index=pulse_index,
     )
 
@@ -141,7 +159,7 @@ def test_record_carries_61_cells_no_na_when_all_valid():
 
 def test_record_invalid_late_windows_are_na_blocks():
     rec = extract_record(
-        fake_event(2.1), BOUNDS, const_windows(500.0, 10.0, n_valid=4), new_csel(),
+        fake_event(2.1), BOUNDS, measured(const_windows(500.0, 10.0, n_valid=4), new_csel()),
         weighting="linear", pulse_index=0,
     )
     assert rec.late_valid == (True,) * 4 + (False,) * 6
@@ -275,7 +293,7 @@ def test_write_catalog_counts_and_round_trip(tmp_path):
 
 def test_catalog_writes_na_for_unmeasured_late_windows(tmp_path):
     rec = extract_record(
-        fake_event(2.1), BOUNDS, const_windows(500.0, 10.0, n_valid=1), new_csel(),
+        fake_event(2.1), BOUNDS, measured(const_windows(500.0, 10.0, n_valid=1), new_csel()),
         weighting="lfc", pulse_index=0,
     )
     path = tmp_path / "c.csv"
@@ -313,7 +331,7 @@ def whole_buffer_records(cm, kind, detector):
         for k, ok in enumerate(layout_windows(b.i95, limit, w)):
             a = b.i95 + k * w
             windows.append(make_buffer(filt.samples[a : a + w], fs=fs) if ok else None)
-        records.append(extract_record(ev, b, windows, csel, weighting=kind.value,
+        records.append(extract_record(ev, b, measured(windows, csel), weighting=kind.value,
                                       pulse_index=j, origin=cm.origin))
     return events, records
 
@@ -348,11 +366,25 @@ def test_extract_stream_chunk_size_does_not_matter(small_survey):
     assert [record_cells(r) for r in a] == [record_cells(r) for r in b] == [record_cells(r) for r in c]
 
 
+def recorded_holds(monkeypatch):
+    """Samples the rolling buffer holds after each trim, appended to the returned list."""
+    holds = []
+    trim = RollingBuffer.trim
+
+    def recording_trim(buf, keep_from):
+        trim(buf, keep_from)
+        holds.append(buf.end - buf.start)
+
+    monkeypatch.setattr(RollingBuffer, "trim", recording_trim)
+    return holds
+
+
 def test_largest_hold_is_an_open_excursion_behind_a_pending_record(tmp_path, monkeypatch):
     # a pulse whose energy spans its search window, then, before its last late
-    # window ends, a 20-s excursion that peaks on its first sample: the record
-    # waits on the open excursion, and the held samples near the README's
-    # bound of 1.5 + 10 + 15.5 = 27 s
+    # window ends, a 20-s excursion that peaks on its first sample: the open
+    # excursion holds 0.5 s before its peak until its first 15-s piece closes,
+    # and the record holds one late window behind that, within the README's
+    # bound of 15 + 0.5 + 1 = 16.5 s
     fs = 2000
     counts = np.zeros(60 * fs, dtype=np.int16)
     counts[int(4.5 * fs) : 6 * fs] = 100  # just below the 100 dB threshold
@@ -363,16 +395,24 @@ def test_largest_hold_is_an_open_excursion_behind_a_pending_record(tmp_path, mon
     write_wav(tmp_path / "a.wav", counts, fs)
     (tmp_path / "manifest.txt").write_text("calib 0 2048 126\nfile 0 a.wav 0\n")
     cm = open_manifest(tmp_path / "manifest.txt")[0]
-    holds = []
-    trim = RollingBuffer.trim
-
-    def recording_trim(buf, keep_from):
-        trim(buf, keep_from)
-        holds.append(buf.end - buf.start)
-
-    monkeypatch.setattr(RollingBuffer, "trim", recording_trim)
+    holds = recorded_holds(monkeypatch)
     for chunk_s in (0.05, 1.0):
         holds.clear()
         res = extract_stream(cm, WeightingKind.LINEAR, DetectorConfig(threshold_db=100.0), chunk_s)
         assert (len(res.records), res.cut_excursions) == (3, 1)
-        assert 24 * fs < max(holds) <= 27 * fs, (chunk_s, max(holds) / fs)
+        bound_s = MAX_EXCURSION_S + SEARCH_BEFORE_S + LATE_WINDOW_S + chunk_s
+        assert MAX_EXCURSION_S * fs < max(holds) <= bound_s * fs, (chunk_s, max(holds) / fs)
+
+
+def test_short_pulses_hold_a_search_window_and_one_late_window(small_survey, monkeypatch):
+    # with no long excursion the scanner holds at most a search window, and a
+    # pending record one late window behind it: the ten-window ladder is never held
+    spec, result = small_survey
+    cm = open_manifest(result.manifest_path)[0]
+    holds = recorded_holds(monkeypatch)
+    for chunk_s in (0.05, 1.0):
+        holds.clear()
+        res = extract_stream(cm, WeightingKind.LINEAR, DetectorConfig(threshold_db=100.0), chunk_s)
+        assert len(res.records) == spec.n_pulses
+        bound_s = SEARCH_BEFORE_S + SEARCH_AFTER_S + LATE_WINDOW_S + chunk_s
+        assert max(holds) <= bound_s * cm.sample_rate_hz, (chunk_s, max(holds) / cm.sample_rate_hz)

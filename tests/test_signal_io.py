@@ -63,6 +63,15 @@ def test_calibration_rejects_bad_full_scale():
         CalibrationSpec(counts_full_scale=0, sensitivity_db=120.0)
 
 
+@pytest.mark.parametrize("sens", ["nan", "inf", "-inf", "1e400"])
+def test_manifest_rejects_non_finite_sensitivity(tmp_path, sens):
+    # a non-finite full-scale level would calibrate every sample to NaN, 0 or inf
+    write_wav(tmp_path / "a.wav", np.ones(10, dtype=np.int16), FS)
+    man = write_manifest(tmp_path / "m.txt", ["# survey", f"calib 0 2048 {sens}", "file 0 a.wav 0.0"])
+    with pytest.raises(ManifestError, match=r"m\.txt:2: sensitivity_db must be finite"):
+        open_manifest(man)
+
+
 # ---------------------------------------------------------------------------
 # wav round trip
 

@@ -216,7 +216,7 @@ def test_design_is_bit_equal_to_scipy_butter_at_any_rate(fs, kind):
 
 @pytest.mark.parametrize("fs", [16000.0, 512000.0])
 def test_dump_filters_text_is_scipy_designs_text(fs, capsys):
-    _dump_filters({0: SimpleNamespace(sample_rate_hz=fs)})
+    _dump_filters({0: SimpleNamespace(sample_rate_hz=fs)}, CANONICAL_ORDER)
     oracle = [replace(st, sos=None if st.sos is None else scipy_sos(st.spec.kind, fs))
               for st in (fresh(kind, fs) for kind in CANONICAL_ORDER)]
     assert capsys.readouterr().out == coefficients_text(oracle)
