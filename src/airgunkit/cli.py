@@ -4,8 +4,8 @@ Configuration precedence: explicit flags override config-file values, which
 override built-in defaults.  Config files are flat ``key=value`` text (same
 keys as the long flags, dashes or underscores); the effective configuration
 is echoed into the run summary for provenance.  One table, ``_FLAGS``, holds
-each subcommand's flags as (name, type, default, help) rows: the parser,
-the config-file keys and their types, and the defaults all come from it.
+each subcommand's flags as (name, type, default, help) rows for the parser
+and the config file; a config type's default is read from it, not repeated.
 Exit codes: 0 success, 1 usage error, 2 runtime error.
 """
 
@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .errors import AirgunkitError
 from .pulse_detect import DetectorConfig, detect_pulses, format_event_row, write_events_csv
-from .runner import RunConfig, bench, report_text, run, weighted_chunks
+from .runner import PARALLEL_WORKERS, RunConfig, bench, preflight, report_text, run, weighted_chunks
 from .signal_io import RollingBuffer, open_manifest
 from .synth import SurveySpec, generate
 from .weighting import CANONICAL_ORDER, WeightingSpec, coefficients_text, design_filter, parse_kind
@@ -38,9 +38,14 @@ def _log(msg: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# the flag table: one (name, type, default, help) row per flag and config key
+# the flag table: one (name, type, default, help) row per flag and config key;
+# a dataclass field's default is its class attribute, e.g. RunConfig.chunk_s
 
 _Row = tuple[str, type, object, str]
+
+# the synth flags whose SurveySpec field has another name
+_SURVEY_FIELDS = {"channels": "channel_count", "sample_rate": "sample_rate_hz",
+                  "peak_upa": "peak_pressure_upa", "reverb_upa": "reverb_level_upa"}
 
 _MANIFEST: _Row = ("manifest", str, None, "survey manifest (required)")
 _CHANNEL_LIST: _Row = ("channels", str, None, "comma-separated channel ids (default all)")
@@ -48,29 +53,31 @@ _WEIGHTINGS: _Row = ("weightings", str, "all", "comma-separated weightings or 'a
 _DUMP_FILTERS: _Row = ("dump_filters", bool, False, "print weighting filter coefficients")
 _DETECTOR: tuple[_Row, ...] = (
     ("threshold_db", float, 100.0, "detection threshold, dB re 1 uPa"),
-    ("min_ipi_s", float, 5.0, "minimum spacing between detected pulses, s"),
-    ("chunk_s", float, 60.0, "longest streaming chunk, s; chunks never exceed 2**20 samples"),
+    ("min_ipi_s", float, DetectorConfig.min_ipi_s, "minimum spacing between detected pulses, s"),
+    ("chunk_s", float, RunConfig.chunk_s, "longest streaming chunk, s; chunks never exceed 2**20 samples"),
 )
 
 _FLAGS: dict[str, tuple[_Row, ...]] = {
     "synth": (
         ("out", str, None, "output directory (required)"),
-        ("channels", int, 1, "channel count"),
-        ("duration_s", float, 60.0, "survey length, s"),
-        ("sample_rate", int, 16_000, "sample rate, Hz"),
-        ("ipi_s", float, 10.0, "inter-pulse interval, s"),
-        ("first_pulse_s", float, 2.0, "first pulse onset, s"),
-        ("pulse_count", int, None, "pulses per channel (default: fit to duration)"),
-        ("peak_upa", float, 1.0e6, "pulse peak pressure, uPa"),
-        ("attack_s", float, 0.002, "attack time constant, s"),
-        ("decay_s", float, 0.03, "decay time constant, s"),
-        ("carrier_hz", float, 2000.0, "pulse carrier, Hz"),
-        ("reverb_upa", float, 0.0, "reverberation level, uPa"),
-        ("reverb_decay_s", float, 2.0, "reverberation decay, s"),
-        ("noise_rms_upa", float, 0.0, "white noise rms, uPa"),
-        ("counts_full_scale", int, 2048, "full-scale counts"),
-        ("sensitivity_db", float, 126.0, "full-scale level, dB re 1 uPa"),
-        ("seed", int, 0, "random seed"),
+        *((name, typ, getattr(SurveySpec, _SURVEY_FIELDS.get(name, name)), text) for name, typ, text in (
+            ("channels", int, "channel count"),
+            ("duration_s", float, "survey length, s"),
+            ("sample_rate", int, "sample rate, Hz"),
+            ("ipi_s", float, "inter-pulse interval, s"),
+            ("first_pulse_s", float, "first pulse onset, s"),
+            ("pulse_count", int, "pulses per channel (default: fit to duration)"),
+            ("peak_upa", float, "pulse peak pressure, uPa"),
+            ("attack_s", float, "attack time constant, s"),
+            ("decay_s", float, "decay time constant, s"),
+            ("carrier_hz", float, "pulse carrier, Hz"),
+            ("reverb_upa", float, "reverberation level, uPa"),
+            ("reverb_decay_s", float, "reverberation decay, s"),
+            ("noise_rms_upa", float, "white noise rms, uPa"),
+            ("counts_full_scale", int, "full-scale counts"),
+            ("sensitivity_db", float, "full-scale level, dB re 1 uPa"),
+            ("seed", int, "random seed"),
+        )),
     ),
     "detect": (
         _MANIFEST,
@@ -83,11 +90,12 @@ _FLAGS: dict[str, tuple[_Row, ...]] = {
     "extract": (
         _MANIFEST,
         ("out", str, None, "output catalog CSV (required)"),
-        ("mode", str, "serial", "execution mode: serial or parallel"),
-        ("workers", int, None, "worker processes (default: 1 serial, 4 parallel)"),
+        ("mode", str, RunConfig.mode, "execution mode: serial or parallel"),
+        ("workers", int, None,
+         f"worker processes (default: {RunConfig.worker_count} serial, {PARALLEL_WORKERS} parallel)"),
         _WEIGHTINGS,
         _CHANNEL_LIST,
-        ("run_id", str, "run", "run identifier stamped into the catalog"),
+        ("run_id", str, RunConfig.run_id, "run identifier stamped into the catalog"),
         ("summary", str, None, "summary path (default <out>.summary.txt)"),
         _DUMP_FILTERS,
         *_DETECTOR,
@@ -95,7 +103,7 @@ _FLAGS: dict[str, tuple[_Row, ...]] = {
     "bench": (
         _MANIFEST,
         ("out_dir", str, None, "where to write the two catalogs (default <manifest dir>/bench_out)"),
-        ("workers", int, 4, "parallel worker count"),
+        ("workers", int, PARALLEL_WORKERS, "parallel worker count"),
         _WEIGHTINGS,
         *_DETECTOR,
     ),
@@ -152,8 +160,6 @@ def _parse_channel_list(raw: object) -> tuple[int, ...] | None:
         ids = tuple(int(tok) for tok in str(raw).split(","))
     except ValueError:
         raise _UsageError(f"bad channel list {raw!r} (expected comma-separated integers)") from None
-    if len(set(ids)) != len(ids):
-        raise _UsageError(f"bad channel list {raw!r} (a channel id is repeated)")
     return ids
 
 
@@ -161,16 +167,19 @@ def _parse_weightings(raw: object) -> tuple:
     if raw in (None, "", "all"):
         return CANONICAL_ORDER
     try:
-        kinds = tuple(parse_kind(tok) for tok in str(raw).split(","))
+        return tuple(parse_kind(tok) for tok in str(raw).split(","))
     except AirgunkitError:
         raise _UsageError(f"bad weighting list {raw!r} (linear, lfc, mfc, or all)") from None
-    if len(set(kinds)) != len(kinds):
-        raise _UsageError(f"bad weighting list {raw!r} (a weighting is repeated)")
-    return kinds
 
 
 def _detector(eff: dict[str, object]) -> DetectorConfig:
     return DetectorConfig(eff["threshold_db"], eff["min_ipi_s"])
+
+
+def _run_config(eff: dict[str, object], out: str, weightings: object, **fields) -> RunConfig:
+    """The RunConfig of ``detect`` and ``extract``, which checks every setting it holds."""
+    return RunConfig(out_path=out, detector=_detector(eff), channels=_parse_channel_list(eff["channels"]),
+                     weightings=_parse_weightings(weightings), chunk_s=eff["chunk_s"], **fields)
 
 
 def _dump_filters(manifests, kinds) -> None:
@@ -187,24 +196,7 @@ def _dump_filters(manifests, kinds) -> None:
 def _cmd_synth(ns: argparse.Namespace) -> int:
     eff = _effective(ns)
     out_dir = _require(eff, "out")
-    spec = SurveySpec(
-        channel_count=eff["channels"],
-        duration_s=eff["duration_s"],
-        sample_rate_hz=eff["sample_rate"],
-        ipi_s=eff["ipi_s"],
-        first_pulse_s=eff["first_pulse_s"],
-        pulse_count=eff["pulse_count"],
-        peak_pressure_upa=eff["peak_upa"],
-        attack_s=eff["attack_s"],
-        decay_s=eff["decay_s"],
-        carrier_hz=eff["carrier_hz"],
-        reverb_level_upa=eff["reverb_upa"],
-        reverb_decay_s=eff["reverb_decay_s"],
-        noise_rms_upa=eff["noise_rms_upa"],
-        counts_full_scale=eff["counts_full_scale"],
-        sensitivity_db=eff["sensitivity_db"],
-        seed=eff["seed"],
-    )
+    spec = SurveySpec(**{_SURVEY_FIELDS.get(k, k): v for k, v in eff.items() if k != "out"})
     result = generate(spec, out_dir)
     for ch, wav in enumerate(result.wav_paths):
         _log(f"channel {ch}: {spec.n_pulses} pulses -> {wav}")
@@ -215,28 +207,20 @@ def _cmd_synth(ns: argparse.Namespace) -> int:
 
 def _cmd_detect(ns: argparse.Namespace) -> int:
     eff = _effective(ns)
-    kinds = _parse_weightings(eff["weighting"])
     manifests = open_manifest(_require(eff, "manifest"))
-    out = _require(eff, "out")
+    config = _run_config(eff, _require(eff, "out"), eff["weighting"])
     if eff["dump_filters"]:
-        _dump_filters(manifests, kinds)
-    selected = _parse_channel_list(eff["channels"])
-    channels = sorted(manifests) if selected is None else list(selected)
-    detector = _detector(eff)
+        _dump_filters(manifests, config.weightings)
 
     rows: list[str] = []
-    for ch in channels:
-        if ch not in manifests:
-            raise AirgunkitError(f"manifest does not cover channel {ch}")
-        for kind in kinds:
-            buffer = RollingBuffer()
-            chunks = weighted_chunks(manifests[ch], kind, eff["chunk_s"], buffer)
-            events = detect_pulses(chunks, detector, buffer=buffer)
-            origin = manifests[ch].origin
-            rows.extend(format_event_row(ev, kind.value, i, origin) for i, ev in enumerate(events))
-            _log(f"channel {ch} {kind.value}: {len(events)} pulses")
-    write_events_csv(out, rows)
-    print(f"events: {out}")
+    for cm, kind in preflight(config, manifests):
+        buffer = RollingBuffer()
+        chunks = weighted_chunks(cm, kind, config.chunk_s, buffer)
+        events = detect_pulses(chunks, config.detector, buffer=buffer)
+        rows.extend(format_event_row(ev, kind.value, i, cm.origin) for i, ev in enumerate(events))
+        _log(f"channel {cm.channel_id} {kind.value}: {len(events)} pulses")
+    write_events_csv(config.out_path, rows)
+    print(f"events: {config.out_path}")
     return 0
 
 
@@ -245,25 +229,13 @@ def _cmd_extract(ns: argparse.Namespace) -> int:
     manifest_path = _require(eff, "manifest")
     manifests = open_manifest(manifest_path)
     out = _require(eff, "out")
-    kinds = _parse_weightings(eff["weightings"])
-    if eff["dump_filters"]:
-        _dump_filters(manifests, kinds)
     workers = eff["workers"]
     if workers is None:
-        workers = 1 if eff["mode"] == "serial" else 4
-    try:
-        config = RunConfig(
-            out_path=out,
-            detector=_detector(eff),
-            mode=eff["mode"],
-            worker_count=workers,
-            channels=_parse_channel_list(eff["channels"]),
-            weightings=kinds,
-            run_id=eff["run_id"],
-            chunk_s=eff["chunk_s"],
-        )
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
+        workers = RunConfig.worker_count if eff["mode"] == "serial" else PARALLEL_WORKERS
+    config = _run_config(eff, out, eff["weightings"], mode=eff["mode"], worker_count=workers,
+                         run_id=eff["run_id"])
+    if eff["dump_filters"]:
+        _dump_filters(manifests, config.weightings)
 
     catalog_path, report = run(config, manifests, log=_log)
 

@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import DetectionError
 from .measures import NA, format_db, measure_peaks
-from .signal_io import RollingBuffer, SampleBuffer, format_time
+from .signal_io import RollingBuffer, SampleBuffer, db_to_upa, format_time
 
 SEARCH_BEFORE_S = 0.5
 SEARCH_AFTER_S = 1.0
@@ -59,14 +59,14 @@ class DetectorConfig:
     min_ipi_s: float = 5.0
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.threshold_db) and math.isfinite(self.min_ipi_s)):
-            raise ValueError("threshold_db and min_ipi_s must be finite")
-        if self.min_ipi_s <= SEARCH_BEFORE_S + SEARCH_AFTER_S:
-            raise ValueError(f"min_ipi_s must exceed the {SEARCH_BEFORE_S + SEARCH_AFTER_S:g}-s search window")
+        db_to_upa("threshold_db", self.threshold_db)
+        if not SEARCH_BEFORE_S + SEARCH_AFTER_S < self.min_ipi_s < math.inf:
+            raise ValueError(f"min_ipi_s must be finite and exceed the "
+                             f"{SEARCH_BEFORE_S + SEARCH_AFTER_S:g}-s search window, got {self.min_ipi_s:g}")
 
     @property
     def threshold_upa(self) -> float:
-        return 10.0 ** (self.threshold_db / 20.0)
+        return db_to_upa("threshold_db", self.threshold_db)
 
 
 @dataclass(frozen=True)

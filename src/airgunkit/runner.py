@@ -13,17 +13,18 @@ from __future__ import annotations
 import math
 import multiprocessing
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
 from .errors import RunError
 from .pipeline import FeatureRecord, RecordBuilder, sort_records, write_catalog
 from .pulse_detect import MAX_EXCURSION_S, DetectorConfig, detect_pulses
-from .signal_io import ChannelManifest, RollingBuffer, SampleBuffer, iter_chunks
+from .signal_io import ChannelManifest, RollingBuffer, SampleBuffer, chunk_samples, iter_chunks
 from .weighting import CANONICAL_ORDER, WeightingKind, WeightingSpec, apply_filter, design_filter
 
 LogFn = Callable[[str], None]
+PARALLEL_WORKERS = 4  # worker processes of a parallel run or bench unless given
 
 
 @dataclass(frozen=True)
@@ -131,7 +132,7 @@ def extract_stream(
     cm: ChannelManifest,
     kind: WeightingKind,
     detector: DetectorConfig,
-    chunk_s: float = 60.0,
+    chunk_s: float,
 ) -> StreamResult:
     """Detect and measure every pulse of one weighted stream in one pass.
 
@@ -166,6 +167,22 @@ class _TaskResult:
                 f"{s.filter_flushes} filter flushes")
 
 
+def preflight(config: RunConfig,
+              manifests: dict[int, ChannelManifest]) -> list[tuple[ChannelManifest, WeightingKind]]:
+    """The run's (channel, weighting) streams in catalog order, checked against the manifest.
+
+    Raises RunError when the manifest lacks a selected channel, and
+    ValueError when ``chunk_s`` is under one sample at a selected channel's rate.
+    """
+    channels = sorted(manifests if config.channels is None else config.channels)
+    missing = [ch for ch in channels if ch not in manifests]
+    if missing:
+        raise RunError(f"manifest does not cover requested channels: {missing}")
+    for ch in channels:
+        chunk_samples(manifests[ch], config.chunk_s)
+    return [(manifests[ch], kind) for ch in channels for kind in CANONICAL_ORDER if kind in config.weightings]
+
+
 def _run_task(args: tuple[ChannelManifest, str, DetectorConfig, float]) -> _TaskResult:
     """Detect and measure one (channel, weighting) stream; never raises."""
     cm, kind_value, detector, chunk_s = args
@@ -185,23 +202,11 @@ def run(
     """Execute the pipeline; returns the catalog path and runtime report.
 
     Any task failure aborts the whole run with a per-task error report, and
-    no catalog file is left behind.  A ``chunk_s`` under one sample of a
-    selected channel raises ValueError before any task starts.
+    no catalog file is left behind.  ``preflight`` checks the selection
+    before any task starts.
     """
-    channels = tuple(sorted(manifests)) if config.channels is None else tuple(config.channels)
-    missing = [ch for ch in channels if ch not in manifests]
-    if missing:
-        raise RunError(f"manifest does not cover requested channels: {missing}")
-    for ch in channels:
-        if round(config.chunk_s * manifests[ch].sample_rate_hz) < 1:
-            raise ValueError(f"chunk_s {config.chunk_s:g} is under one sample at channel {ch}'s "
-                             f"{manifests[ch].sample_rate_hz:g} Hz")
-
-    tasks = [
-        (manifests[ch], kind.value, config.detector, config.chunk_s)
-        for ch in channels
-        for kind in config.weightings
-    ]
+    streams = preflight(config, manifests)
+    tasks = [(cm, kind.value, config.detector, config.chunk_s) for cm, kind in streams]
 
     wall_start = time.perf_counter()
     results: list[_TaskResult] = []
@@ -223,7 +228,7 @@ def run(
         lines = [f"channel {r.channel_id} {r.kind_value}: {r.error}" for r in failures]
         raise RunError("run aborted; failed tasks:\n  " + "\n  ".join(lines))
 
-    per_channel: dict[int, float] = {ch: 0.0 for ch in channels}
+    per_channel: dict[int, float] = {cm.channel_id: 0.0 for cm, _ in streams}
     for r in results:
         per_channel[r.channel_id] += r.seconds
 
@@ -240,7 +245,7 @@ def run(
         wall_seconds=time.perf_counter() - wall_start,
         task_seconds=sum(r.seconds for r in results),
         worker_count=config.worker_count,
-        channel_hours=sum(manifests[ch].duration_s for ch in channels) / 3600.0,
+        channel_hours=sum(manifests[ch].duration_s for ch in per_channel) / 3600.0,
         n_records=summary.n_records,
         n_points=summary.n_points,
         t_a_drops=sum(r.stream.t_a_drops for r in results),
@@ -291,9 +296,9 @@ def bench(
     manifests: dict[int, ChannelManifest],
     detector: DetectorConfig,
     out_dir: Path | str,
-    worker_count: int = 4,
-    weightings: Sequence[WeightingKind] = CANONICAL_ORDER,
-    chunk_s: float = 60.0,
+    worker_count: int = PARALLEL_WORKERS,
+    weightings: Sequence[WeightingKind] = RunConfig.weightings,
+    chunk_s: float = RunConfig.chunk_s,
     log: LogFn | None = None,
 ) -> BenchResult:
     """Run serial then parallel over the same input and compare wall time.
@@ -302,10 +307,11 @@ def bench(
     serial/parallel wall seconds.
     """
     out = Path(out_dir)
-    base = dict(detector=detector, weightings=tuple(weightings), chunk_s=chunk_s)
-    serial = RunConfig(out_path=out / "catalog_serial.csv", mode="serial", **base)
-    parallel = RunConfig(out_path=out / "catalog_parallel.csv", mode="parallel",
-                         worker_count=worker_count, **base)
+    serial = RunConfig(out_path=out / "catalog_serial.csv", detector=detector,
+                       weightings=tuple(weightings), chunk_s=chunk_s)
+    parallel = replace(serial, out_path=out / "catalog_parallel.csv", mode="parallel",
+                       worker_count=worker_count)
+    preflight(serial, manifests)  # before the output directory is made
     out.mkdir(parents=True, exist_ok=True)
 
     t0 = time.perf_counter()

@@ -21,8 +21,9 @@ counted from it, and the pipeline carries only those indices.  A time is
 formed once, when it is written: ``format_time`` prints origin + i/fs,
 rounded to 1 ns with ties to even, in integer arithmetic.
 
-Audio must be 16-bit mono PCM WAV at 512 kHz or below.  Conversion from
-counts to micropascal is ``count / counts_full_scale * 10**(sensitivity_db/20)``.
+Audio must be 16-bit mono PCM WAV at 1 Hz to 512 kHz.  Conversion from
+counts to micropascal is ``count / counts_full_scale * 10**(sensitivity_db/20)``,
+and ``db_to_upa`` refuses a level whose pressure is not finite and positive.
 
 Memory is bounded at every rate: ``iter_chunks`` reads at most
 MAX_CHUNK_SAMPLES samples (8 MB as float64) at a time, and a RollingBuffer
@@ -167,6 +168,17 @@ class RollingBuffer:
             self.start = keep_from
 
 
+def db_to_upa(key: str, db: float) -> float:
+    """10**(db/20): a level in dB re 1 uPa as a pressure, which must be finite and positive."""
+    try:
+        upa = 10.0 ** (db / 20.0)
+    except OverflowError:
+        upa = math.inf
+    if not 0.0 < upa < math.inf:
+        raise ValueError(f"{key} must be finite and map to a finite, positive pressure, got {db:g}")
+    return upa
+
+
 @dataclass(frozen=True)
 class CalibrationSpec:
     """Maps recorder counts to micropascal."""
@@ -177,12 +189,11 @@ class CalibrationSpec:
     def __post_init__(self) -> None:
         if self.counts_full_scale <= 0:
             raise ValueError("counts_full_scale must be positive")
-        if not math.isfinite(self.sensitivity_db):
-            raise ValueError(f"sensitivity_db must be finite, got {self.sensitivity_db}")
+        db_to_upa("sensitivity_db", self.sensitivity_db)
 
     @property
     def full_scale_upa(self) -> float:
-        return 10.0 ** (self.sensitivity_db / 20.0)
+        return db_to_upa("sensitivity_db", self.sensitivity_db)
 
     @property
     def pressure_per_count(self) -> float:
@@ -241,8 +252,8 @@ def _wav_info(path: Path) -> tuple[int, int]:
             if w.getsampwidth() != 2:
                 raise AudioFormatError(f"{path}: expected 16-bit samples, got {8 * w.getsampwidth()}-bit")
             rate = w.getframerate()
-            if rate > MAX_SAMPLE_RATE_HZ:
-                raise AudioFormatError(f"{path}: sample rate {rate} above {MAX_SAMPLE_RATE_HZ} Hz cap")
+            if not 1 <= rate <= MAX_SAMPLE_RATE_HZ:
+                raise AudioFormatError(f"{path}: sample rate {rate} Hz outside 1 to {MAX_SAMPLE_RATE_HZ} Hz")
             return rate, w.getnframes()
     except wave.Error as exc:
         raise AudioFormatError(f"{path}: not a readable WAV file ({exc})") from exc
@@ -402,7 +413,16 @@ def read_span(cm: ChannelManifest, start_index: int, count: int,
     return SampleBuffer(samples, cm.sample_rate_hz, start_index, cm.channel_id)
 
 
-def iter_chunks(cm: ChannelManifest, chunk_s: float = 60.0,
+def chunk_samples(cm: ChannelManifest, chunk_s: float) -> int:
+    """Samples per chunk of at most ``chunk_s`` seconds: ValueError under one sample."""
+    step = round(chunk_s * cm.sample_rate_hz)
+    if step < 1:
+        raise ValueError(f"chunk_s {chunk_s:g} is under one sample at channel {cm.channel_id}'s "
+                         f"{cm.sample_rate_hz:g} Hz")
+    return min(step, MAX_CHUNK_SAMPLES)
+
+
+def iter_chunks(cm: ChannelManifest, chunk_s: float,
                 buffer: RollingBuffer | None = None) -> Iterator[SampleBuffer]:
     """Yield the whole channel as consecutive chunks (last one may be short).
 
@@ -412,11 +432,7 @@ def iter_chunks(cm: ChannelManifest, chunk_s: float = 60.0,
     tile the channel exactly: each starts where the previous ended.  Given a
     ``buffer``, each chunk is read into the slots ``buffer.reserve`` hands out.
     """
-    if not 0.0 < chunk_s < math.inf:
-        raise ValueError(f"chunk_s must be finite and positive, got {chunk_s}")
-    step = min(round(chunk_s * cm.sample_rate_hz), MAX_CHUNK_SAMPLES)
-    if step < 1:
-        raise ValueError("chunk_s too small for the sample rate")
+    step = chunk_samples(cm, chunk_s)
     for start in range(0, cm.n_samples, step):
         n = min(step, cm.n_samples - start)
         yield read_span(cm, start, n, out=None if buffer is None else buffer.reserve(n))

@@ -23,8 +23,6 @@ import numpy as np
 
 from .signal_io import MAX_SAMPLE_RATE_HZ, CalibrationSpec, write_wav
 
-DEFAULT_SAMPLE_RATE_HZ = 16_000
-DEFAULT_IPI_S = 10.0
 REVERB_CARRIER_HZ = 400.0  # carrier of the optional reverberation tail
 
 GROUND_TRUTH_HEADER = "channel_id,pulse_index,t_true_s,p_peak_pa,sel_analytic_db"
@@ -42,8 +40,8 @@ class SurveySpec:
 
     channel_count: int = 1
     duration_s: float = 60.0
-    sample_rate_hz: int = DEFAULT_SAMPLE_RATE_HZ
-    ipi_s: float = DEFAULT_IPI_S
+    sample_rate_hz: int = 16_000
+    ipi_s: float = 10.0
     first_pulse_s: float = 2.0
     pulse_count: int | None = None
     peak_pressure_upa: float = 1.0e6

@@ -114,7 +114,8 @@ def test_synth_rejects_overfull_schedule(tmp_path):
 @pytest.mark.parametrize(
     "flag,raw,key",
     [("--sample-rate", "600000", "sample_rate_hz"), ("--duration-s", "nan", "duration_s"),
-     ("--ipi-s", "inf", "ipi_s")],
+     ("--ipi-s", "inf", "ipi_s"), ("--sensitivity-db", "7000", "sensitivity_db"),
+     ("--sensitivity-db", "-7000", "sensitivity_db")],
 )
 def test_synth_rejects_unreadable_or_non_finite_parameters(tmp_path, capsys, flag, raw, key):
     out = tmp_path / "survey"
@@ -272,29 +273,30 @@ def test_bad_config_value_names_file_and_line(survey_dir, tmp_path, capsys):
         assert _effective(build_parser().parse_args(["extract", "--config", str(cfg)]))["dump_filters"] is want
 
 
-_NON_FINITE = [("threshold_db", v) for v in ("nan", "inf", "-inf")]
+# 7000 and -7000 dB are finite, but 10**(dB/20) overflows or underflows
+_NON_FINITE = [("threshold_db", v) for v in ("nan", "inf", "-inf", "7000", "-7000")]
 _NON_FINITE += [("min_ipi_s", v) for v in ("nan", "inf")]
 _NON_FINITE += [("chunk_s", v) for v in ("0", "-5", "nan", "inf")]
 
 
-@pytest.mark.parametrize("command", ["detect", "extract"])
+@pytest.mark.parametrize("command", ["detect", "extract", "bench"])
 @pytest.mark.parametrize("source", ["flag", "config"])
 @pytest.mark.parametrize("key,raw", _NON_FINITE)
 def test_non_finite_run_parameter_is_usage_error(survey_dir, tmp_path, capsys, command, source, key, raw):
     cfg = tmp_path / "p.cfg"
     cfg.write_text(f"{key} = {raw}\n")
     given = [f"--{key.replace('_', '-')}={raw}"] if source == "flag" else ["--config", str(cfg)]
-    out = tmp_path / "out.csv"
-    code = main([command, "--manifest", str(survey_dir / "manifest.txt"), "--out", str(out), *given])
+    out = ["--out-dir" if command == "bench" else "--out", str(tmp_path / "out")]
+    code = main([command, "--manifest", str(survey_dir / "manifest.txt"), *out, *given])
     assert code == 1
     assert key in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == [cfg]  # no events, catalog or summary
 
 
-@pytest.mark.parametrize("command", ["extract", "bench"])
+@pytest.mark.parametrize("command", ["detect", "extract", "bench"])
 def test_chunk_s_under_one_sample_is_usage_error(survey_dir, tmp_path, capsys, command):
     # 1e-5 s is 0.16 samples at 16 kHz: refused before any task starts
-    out = ["--out", str(tmp_path / "c.csv")] if command == "extract" else ["--out-dir", str(tmp_path)]
+    out = ["--out-dir", str(tmp_path)] if command == "bench" else ["--out", str(tmp_path / "c.csv")]
     code = main([command, "--manifest", str(survey_dir / "manifest.txt"), *out, "--chunk-s", "0.00001"])
     err = capsys.readouterr().err
     assert code == 1
@@ -378,7 +380,7 @@ def test_repeated_channel_id_is_usage_error(survey_dir, tmp_path, capsys, comman
         [command, "--manifest", str(survey_dir / "manifest.txt"), "--out", str(out), *channels]
     )
     assert code == 1
-    assert "repeated" in capsys.readouterr().err
+    assert "repeats a channel id: (0, 0)" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -394,8 +396,35 @@ def test_repeated_weighting_is_usage_error(survey_dir, tmp_path, capsys, command
     dest = ["--out-dir" if command == "bench" else "--out", str(out)]
     code = main([command, "--manifest", str(survey_dir / "manifest.txt"), *dest, *weightings])
     assert code == 1
-    assert "repeated" in capsys.readouterr().err
+    assert "repeats a weighting: mfc,lfc,mfc" in capsys.readouterr().err
     assert not out.exists()
+
+
+_BAD_SETTINGS = {
+    "repeated-channel": (["--channels", "0,0"], 1),
+    "repeated-weighting": (["--weightings", "mfc,lfc,mfc"], 1),
+    "uncovered-channel": (["--channels", "7"], 2),
+    "chunk-under-one-sample": (["--chunk-s", "0.00001"], 1),
+    "threshold-out-of-range": (["--threshold-db", "-7000"], 1),
+}
+
+
+@pytest.mark.parametrize("flag,value,code", [(f, v, c) for (f, v), c in _BAD_SETTINGS.values()],
+                         ids=list(_BAD_SETTINGS))
+def test_bad_setting_gets_one_answer_from_every_command(survey_dir, tmp_path, capsys, flag, value, code):
+    # detect, extract and bench (where it has the flag) share one check, run
+    # before any stream starts
+    answers = set()
+    for command in ("detect", "extract", "bench"):
+        if command == "bench" and flag == "--channels":
+            continue
+        given = ["--weighting" if command == "detect" and flag == "--weightings" else flag, value]
+        dest = ["--out-dir" if command == "bench" else "--out", str(tmp_path / "out")]
+        assert main([command, "--manifest", str(survey_dir / "manifest.txt"), *dest, *given]) == code
+        answers.add(capsys.readouterr().err)
+        assert list(tmp_path.iterdir()) == [], command
+    assert len(answers) == 1, answers
+    assert "pulses" not in answers.pop()  # no stream ran
 
 
 def test_extract_unknown_channel_is_runtime_error(survey_dir, tmp_path):

@@ -20,6 +20,7 @@ from airgunkit.runner import (
     BenchResult,
     RunConfig,
     bench,
+    preflight,
     report_text,
     run,
     weighted_chunks,
@@ -326,6 +327,16 @@ def test_repeat_run_is_byte_identical(twelve_pulse_survey, tmp_path):
     p1, _ = run(cfg1, manifests)
     p2, _ = run(cfg2, manifests)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_preflight_lists_streams_in_catalog_order(noisy_survey, tmp_path):
+    # detect writes its events in this order, whatever the order of the lists
+    manifests = open_manifest(noisy_survey.manifest_path)
+    config = RunConfig(out_path=tmp_path / "c.csv", detector=DETECTOR, channels=(1, 0),
+                       weightings=(WeightingKind.MFC, WeightingKind.LINEAR))
+    got = [(cm.channel_id, kind) for cm, kind in preflight(config, manifests)]
+    assert got == [(0, WeightingKind.LINEAR), (0, WeightingKind.MFC),
+                   (1, WeightingKind.LINEAR), (1, WeightingKind.MFC)]
 
 
 # ---------------------------------------------------------------------------

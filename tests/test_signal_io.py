@@ -1,3 +1,4 @@
+import struct
 import wave
 from fractions import Fraction
 
@@ -63,9 +64,10 @@ def test_calibration_rejects_bad_full_scale():
         CalibrationSpec(counts_full_scale=0, sensitivity_db=120.0)
 
 
-@pytest.mark.parametrize("sens", ["nan", "inf", "-inf", "1e400"])
+@pytest.mark.parametrize("sens", ["nan", "inf", "-inf", "1e400", "7000", "-7000"])
 def test_manifest_rejects_non_finite_sensitivity(tmp_path, sens):
-    # a non-finite full-scale level would calibrate every sample to NaN, 0 or inf
+    # a non-finite full-scale level would calibrate every sample to NaN, 0 or
+    # inf; so would 7000 or -7000 dB, whose 10**(dB/20) overflows or underflows
     write_wav(tmp_path / "a.wav", np.ones(10, dtype=np.int16), FS)
     man = write_manifest(tmp_path / "m.txt", ["# survey", f"calib 0 2048 {sens}", "file 0 a.wav 0.0"])
     with pytest.raises(ManifestError, match=r"m\.txt:2: sensitivity_db must be finite"):
@@ -126,6 +128,19 @@ def test_wav_rejects_absurd_rate(tmp_path):
         tmp_path / "m.txt", ["calib 0 2048 126.0", "file 0 fast.wav 0.0"]
     )
     with pytest.raises(AudioFormatError):
+        open_manifest(man)
+
+
+def test_wav_rejects_zero_rate(tmp_path):
+    # the wave module refuses to write a 0-Hz header, so build one by hand
+    data = np.zeros(100, dtype="<i2").tobytes()
+    fmt = struct.pack("<HHIIHH", 1, 1, 0, 0, 2, 16)  # PCM, mono, 0 Hz, 0 B/s, 2-B frames, 16 bits
+    (tmp_path / "still.wav").write_bytes(
+        b"RIFF" + struct.pack("<I", 4 + 8 + len(fmt) + 8 + len(data)) + b"WAVE"
+        + b"fmt " + struct.pack("<I", len(fmt)) + fmt + b"data" + struct.pack("<I", len(data)) + data
+    )
+    man = write_manifest(tmp_path / "m.txt", ["calib 0 2048 126.0", "file 0 still.wav 0.0"])
+    with pytest.raises(AudioFormatError, match=r"still\.wav: sample rate 0 Hz outside 1 to 512000 Hz"):
         open_manifest(man)
 
 
