@@ -22,8 +22,9 @@ formed once, when it is written: ``format_time`` prints origin + i/fs,
 rounded to 1 ns with ties to even, in integer arithmetic.
 
 Audio must be 16-bit mono PCM WAV at 1 Hz to 512 kHz.  Conversion from
-counts to micropascal is ``count / counts_full_scale * 10**(sensitivity_db/20)``,
-and ``db_to_upa`` refuses a level whose pressure is not finite and positive.
+counts to micropascal is ``count / counts_full_scale * 10**(sensitivity_db/20)``;
+``db_to_upa`` refuses a level whose pressure is not finite and positive, and
+``CalibrationSpec`` a pressure per count that is not positive.
 
 Memory is bounded at every rate: ``iter_chunks`` reads at most
 MAX_CHUNK_SAMPLES samples (8 MB as float64) at a time, and a RollingBuffer
@@ -38,10 +39,11 @@ from __future__ import annotations
 import math
 import re
 import wave
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -50,6 +52,9 @@ from .errors import AudioFormatError, GapError, ManifestError
 MAX_SAMPLE_RATE_HZ = 512_000
 # samples per chunk read, at most: 8 MB as float64, ~2 s at 512 kHz
 MAX_CHUNK_SAMPLES = 2**20
+# frames of one 16-bit mono WAV: RIFF's 32-bit size field counts 36 header
+# bytes plus 2 per frame, ~69.9 min at 512 kHz
+MAX_WAV_FRAMES = (2**32 - 1 - 36) // 2
 GAP_POLICIES = ("error", "zero_fill")
 _DECIMAL = re.compile(r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d{1,3})?")
 
@@ -189,7 +194,13 @@ class CalibrationSpec:
     def __post_init__(self) -> None:
         if self.counts_full_scale <= 0:
             raise ValueError("counts_full_scale must be positive")
-        db_to_upa("sensitivity_db", self.sensitivity_db)
+        try:
+            step = self.pressure_per_count  # finite, as the full scale is
+        except OverflowError:  # a counts_full_scale beyond float range: the quotient underflows
+            step = 0.0
+        if not step > 0.0:
+            raise ValueError("the pressure of one count, 10**(sensitivity_db/20) / counts_full_scale, "
+                             f"must be positive, got {step:g} uPa")
 
     @property
     def full_scale_upa(self) -> float:
@@ -270,14 +281,23 @@ def _read_wav_span(path: Path, start: int, count: int) -> np.ndarray:
     return out
 
 
-def write_wav(path: Path | str, counts: np.ndarray, sample_rate_hz: int) -> None:
-    """Write int16 counts as 16-bit mono PCM WAV."""
-    data = np.asarray(counts, dtype="<i2")
+@contextmanager
+def wav_writer(path: Path | str, n_frames: int,
+               sample_rate_hz: int) -> Iterator[Callable[[np.ndarray], None]]:
+    """Write ``n_frames`` counts as 16-bit mono PCM WAV, block by block.
+
+    Yields ``append``, which writes one block of counts as int16.  The
+    header states the frame count up front, so it is written once; the
+    blocks must add up to that count.
+    """
     with wave.open(str(path), "wb") as w:
         w.setnchannels(1)
         w.setsampwidth(2)
         w.setframerate(int(sample_rate_hz))
-        w.writeframes(data.tobytes())
+        w.setnframes(n_frames)
+        yield lambda counts: w.writeframesraw(np.ascontiguousarray(counts, dtype="<i2"))
+        if w.tell() != n_frames:
+            raise ValueError(f"{path}: wrote {w.tell()} of {n_frames} frames")
 
 
 def open_manifest(path: Path | str) -> dict[int, ChannelManifest]:

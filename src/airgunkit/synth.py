@@ -10,7 +10,9 @@ energy integrable in closed form (see pulse_energy_upa2s).  An optional
 deterministic reverberation tail and white Gaussian background noise can be
 layered on top.  Signals are quantized to recorder counts and written as
 16-bit PCM WAV with a matching manifest, so generated surveys flow through
-the exact ingestion path real data would.
+the exact ingestion path real data would.  A channel is rendered and written
+in blocks of at most MAX_CHUNK_SAMPLES samples, so memory does not grow with
+its duration.
 """
 
 from __future__ import annotations
@@ -18,10 +20,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
-from .signal_io import MAX_SAMPLE_RATE_HZ, CalibrationSpec, write_wav
+from .signal_io import MAX_CHUNK_SAMPLES, MAX_SAMPLE_RATE_HZ, MAX_WAV_FRAMES, CalibrationSpec, wav_writer
 
 REVERB_CARRIER_HZ = 400.0  # carrier of the optional reverberation tail
 
@@ -71,6 +74,10 @@ class SurveySpec:
         for name in ("first_pulse_s", "carrier_hz", "reverb_level_upa", "noise_rms_upa"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
+        if self.n_samples > MAX_WAV_FRAMES:
+            raise ValueError(f"duration_s {self.duration_s:g} at sample_rate_hz {self.sample_rate_hz} is "
+                             f"{self.n_samples} samples; one WAV file holds at most {MAX_WAV_FRAMES}, "
+                             f"{MAX_WAV_FRAMES / self.sample_rate_hz:.0f} s at this rate")
         if self.peak_pressure_upa > self.calibration.full_scale_upa:
             raise ValueError("peak_pressure_upa exceeds recorder full scale; it would clip")
         if self.n_pulses < 1:
@@ -138,59 +145,89 @@ class SynthResult:
     truths: tuple[GroundTruthRecord, ...] = field(repr=False)
 
 
-def _render_channel(spec: SurveySpec, channel_id: int) -> tuple[np.ndarray, list[GroundTruthRecord]]:
-    """Render one channel to quantized counts plus its ground truth rows."""
-    fs = spec.sample_rate_hz
-    n = spec.n_samples
-    signal = np.zeros(n)
+class _Pulse:
+    """One pulse while blocks reach it: its samples, and its highest count so far."""
 
-    pulse_span = round((spec.attack_s * 5.0 + spec.decay_s * 30.0) * fs)
-    pulse_span = max(pulse_span, 8)
-    spans: list[tuple[int, int, float]] = []  # (i0, i1, amplitude) per pulse
+    def __init__(self, spec: SurveySpec, index: int, onset: float, i0: int) -> None:
+        fs, n = spec.sample_rate_hz, spec.n_samples
+        span = max(round((spec.attack_s * 5.0 + spec.decay_s * 30.0) * fs), 8)
+        self.index, self.onset, self.i0, self.i1 = index, onset, i0, min(i0 + span, n)
+        reverb = spec.reverb_level_upa > 0.0
+        self.tail_end = min(i0 + round(spec.reverb_decay_s * 20.0 * fs), n) if reverb else i0
+        unit = _pulse_unit(np.arange(i0, self.i1) / fs - onset, spec.attack_s, spec.decay_s, spec.carrier_hz)
+        self.amp = spec.peak_pressure_upa / float(np.max(np.abs(unit)))
+        self.samples: np.ndarray | None = self.amp * unit  # None once its last block is rendered
+        self.peak, self.at = -(2**15) - 1, i0  # highest count in [i0, i1) so far, and its earliest sample
 
-    for onset in spec.onsets_s():
-        i0 = math.ceil(onset * fs - 1e-9)
-        i1 = min(i0 + pulse_span, n)
-        if i0 >= n:
-            break
-        t_rel = np.arange(i0, i1) / fs - onset
-        unit = _pulse_unit(t_rel, spec.attack_s, spec.decay_s, spec.carrier_hz)
-        m = float(np.max(np.abs(unit)))
-        amp = spec.peak_pressure_upa / m
-        signal[i0:i1] += amp * unit
-        spans.append((i0, i1, amp))
 
-        if spec.reverb_level_upa > 0.0:
-            r_span = min(i0 + round(spec.reverb_decay_s * 20.0 * fs), n)
-            t_r = np.arange(i0, r_span) / fs - onset
-            env = spec.reverb_level_upa * np.exp(-t_r / spec.reverb_decay_s)
-            signal[i0:r_span] += env * np.cos(2.0 * math.pi * REVERB_CARRIER_HZ * t_r)
+def _render_channel(spec: SurveySpec, channel_id: int,
+                    append: Callable[[np.ndarray], None]) -> list[GroundTruthRecord]:
+    """Render one channel to quantized counts, block by block, and return its ground truth rows.
 
-    if spec.noise_rms_upa > 0.0:
-        rng = np.random.default_rng((spec.seed, channel_id))
-        signal += rng.normal(0.0, spec.noise_rms_upa, n)
-
+    Each block of at most MAX_CHUNK_SAMPLES samples sums the pulses and
+    reverberation tails that reach into it, in pulse order (pulse k, its
+    tail, then pulse k + 1), adds its own draw of the channel's noise, is
+    quantized in place and goes to ``append``.  Successive draws continue one
+    noise stream, so the counts do not depend on the block size.  A pulse is
+    rendered when the first block reaches it and dropped after its last one;
+    its ground-truth peak is the earliest highest count across those blocks.
+    Memory so holds one block and the pulses that overlap it, whatever the
+    duration or pulse count.
+    """
+    fs, n = spec.sample_rate_hz, spec.n_samples
     calib = spec.calibration
-    counts = np.clip(
-        np.rint(signal / calib.pressure_per_count),
-        -spec.counts_full_scale,
-        spec.counts_full_scale - 1,
-    ).astype(np.int16)
-
+    rng = np.random.default_rng((spec.seed, channel_id))
+    onsets = spec.onsets_s()
+    starts = [math.ceil(onset * fs - 1e-9) for onset in onsets]
+    live: list[_Pulse] = []  # pulses, or their tails, that reach into the block
     truths: list[GroundTruthRecord] = []
-    for k, (i0, i1, amp) in enumerate(spans):
-        j = i0 + int(np.argmax(counts[i0:i1]))
-        truths.append(
-            GroundTruthRecord(
-                channel_id=channel_id,
-                pulse_index=k,
-                t_true_s=j / fs,
-                p_peak_upa=float(counts[j]) * calib.pressure_per_count,
-                sel_analytic_db=10.0
-                * math.log10(pulse_energy_upa2s(amp, spec.attack_s, spec.decay_s, spec.carrier_hz)),
-            )
-        )
-    return counts, truths
+    k = 0  # the next pulse to render
+    for b0 in range(0, n, MAX_CHUNK_SAMPLES):
+        b1 = min(b0 + MAX_CHUNK_SAMPLES, n)
+        while k < len(onsets) and starts[k] < b1:
+            live.append(_Pulse(spec, k, onsets[k], starts[k]))
+            k += 1
+
+        block = np.zeros(b1 - b0)
+        for p in live:
+            lo = max(p.i0, b0)
+            if p.samples is not None:  # a pulse reaches into every block until its last
+                hi = min(p.i1, b1)
+                block[lo - b0 : hi - b0] += p.samples[lo - p.i0 : hi - p.i0]
+            hi = min(p.tail_end, b1)
+            if lo < hi:
+                t_r = np.arange(lo, hi) / fs - p.onset
+                env = spec.reverb_level_upa * np.exp(-t_r / spec.reverb_decay_s)
+                block[lo - b0 : hi - b0] += env * np.cos(2.0 * math.pi * REVERB_CARRIER_HZ * t_r)
+        if spec.noise_rms_upa > 0.0:
+            block += rng.normal(0.0, spec.noise_rms_upa, b1 - b0)
+        np.divide(block, calib.pressure_per_count, out=block)
+        np.rint(block, out=block)
+        np.clip(block, -spec.counts_full_scale, spec.counts_full_scale - 1, out=block)
+        counts = block.astype(np.int16)
+        append(counts)
+
+        for p in live:
+            if p.samples is None:
+                continue
+            lo, hi = max(p.i0, b0) - b0, min(p.i1, b1) - b0
+            j = lo + int(np.argmax(counts[lo:hi]))
+            if int(counts[j]) > p.peak:
+                p.peak, p.at = int(counts[j]), b0 + j
+            if p.i1 <= b1:
+                p.samples = None
+                truths.append(
+                    GroundTruthRecord(
+                        channel_id=channel_id,
+                        pulse_index=p.index,
+                        t_true_s=p.at / fs,
+                        p_peak_upa=float(p.peak) * calib.pressure_per_count,
+                        sel_analytic_db=10.0
+                        * math.log10(pulse_energy_upa2s(p.amp, spec.attack_s, spec.decay_s, spec.carrier_hz)),
+                    )
+                )
+        live = [p for p in live if p.samples is not None or p.tail_end > b1]
+    return truths
 
 
 def generate(spec: SurveySpec, out_dir: Path | str) -> SynthResult:
@@ -202,11 +239,10 @@ def generate(spec: SurveySpec, out_dir: Path | str) -> SynthResult:
     truths: list[GroundTruthRecord] = []
     manifest_lines = ["# synthetic survey"]
     for ch in range(spec.channel_count):
-        counts, ch_truths = _render_channel(spec, ch)
         wav = out / f"ch{ch:02d}.wav"
-        write_wav(wav, counts, spec.sample_rate_hz)
+        with wav_writer(wav, spec.n_samples, spec.sample_rate_hz) as append:
+            truths.extend(_render_channel(spec, ch, append))
         wav_paths.append(wav)
-        truths.extend(ch_truths)
         manifest_lines.append(
             f"calib {ch} {spec.counts_full_scale} {spec.sensitivity_db:g}"
         )

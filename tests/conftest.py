@@ -3,7 +3,7 @@ import csv
 import numpy as np
 import pytest
 
-from airgunkit.signal_io import SampleBuffer
+from airgunkit.signal_io import SampleBuffer, wav_writer
 from airgunkit.synth import SurveySpec, generate
 
 
@@ -15,6 +15,12 @@ def csel_of_levels(sel_dbs) -> float:
     """Oracle: cumulative level of already-measured per-window SELs (energy sum in dB)."""
     arr = np.asarray(sel_dbs, dtype=np.float64)
     return float(10.0 * np.log10(np.sum(10.0 ** (arr / 10.0))))
+
+
+def write_wav(path, counts, sample_rate_hz) -> None:
+    """Write a whole array of counts as one WAV file, in one block."""
+    with wav_writer(path, len(counts), sample_rate_hz) as append:
+        append(counts)
 
 
 def read_rows(path) -> list[dict[str, str]]:

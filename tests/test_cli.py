@@ -11,7 +11,8 @@ from airgunkit import runner
 from airgunkit.cli import _FLAGS, _effective, build_parser, main
 from airgunkit.pipeline import CATALOG_HEADER
 from airgunkit.pulse_detect import EVENTS_HEADER
-from airgunkit.signal_io import write_wav
+
+from conftest import write_wav
 
 SYNTH_ARGS = [
     "synth",
@@ -115,13 +116,26 @@ def test_synth_rejects_overfull_schedule(tmp_path):
     "flag,raw,key",
     [("--sample-rate", "600000", "sample_rate_hz"), ("--duration-s", "nan", "duration_s"),
      ("--ipi-s", "inf", "ipi_s"), ("--sensitivity-db", "7000", "sensitivity_db"),
-     ("--sensitivity-db", "-7000", "sensitivity_db")],
+     ("--sensitivity-db", "-7000", "sensitivity_db"),
+     ("--sensitivity-db", "-6420", "the pressure of one count"),
+     ("--counts-full-scale", str(10**400), "the pressure of one count")],
+    ids=lambda v: v if len(v) < 40 else "1e400",
 )
 def test_synth_rejects_unreadable_or_non_finite_parameters(tmp_path, capsys, flag, raw, key):
     out = tmp_path / "survey"
     assert main(["synth", "--out", str(out), flag, raw]) == 1
     assert key in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("counts,sens", [("2048", "-6420"), (str(10**400), "126")], ids=["-6420dB", "1e400counts"])
+def test_manifest_count_worth_no_pressure_is_data_error(tmp_path, capsys, counts, sens):
+    # one of 2048 counts at -6420 dB is 0 uPa, and 10**400 counts do not fit a float
+    write_wav(tmp_path / "a.wav", np.ones(10, dtype=np.int16), 16000)
+    (tmp_path / "m.txt").write_text(f"calib 0 {counts} {sens}\nfile 0 a.wav 0.0\n")
+    assert main(["extract", "--manifest", str(tmp_path / "m.txt"), "--out", str(tmp_path / "c.csv")]) == 2
+    assert "m.txt:1: the pressure of one count" in capsys.readouterr().err
+    assert not (tmp_path / "c.csv").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -25,11 +25,11 @@ from airgunkit.pulse_detect import (
     detect_pulses,
 )
 from airgunkit.runner import extract_stream
-from airgunkit.signal_io import RollingBuffer, open_manifest, read_span, write_wav
+from airgunkit.signal_io import RollingBuffer, open_manifest, read_span
 from airgunkit.weighting import CANONICAL_ORDER, WeightingKind, WeightingSpec, apply_filter, design_filter
 from airgunkit.windows import LATE_WINDOW_COUNT, LATE_WINDOW_S, EnergyBounds, energy_bounds, layout_windows
 
-from conftest import csel_of_levels, make_buffer, read_rows
+from conftest import csel_of_levels, make_buffer, read_rows, write_wav
 
 FS = 16000.0
 

@@ -25,9 +25,11 @@ from airgunkit.runner import (
     run,
     weighted_chunks,
 )
-from airgunkit.signal_io import MAX_CHUNK_SAMPLES, open_manifest, read_span, write_wav
+from airgunkit.signal_io import MAX_CHUNK_SAMPLES, open_manifest, read_span
 from airgunkit.synth import SurveySpec, generate
 from airgunkit.weighting import CANONICAL_ORDER, WeightingKind, WeightingSpec, apply_filter, design_filter
+
+from conftest import write_wav
 
 DETECTOR = DetectorConfig(threshold_db=100.0, min_ipi_s=5.0)
 
@@ -506,3 +508,26 @@ def test_highrate_run_peaks_under_90_mb_in_bounded_chunks(tmp_path, monkeypatch)
     assert sum(spans) == spec.n_samples
     assert report.n_records == 3
     assert catalog.read_bytes() == (tmp_path / "child.csv").read_bytes()
+
+
+_GENERATE_HWM_CHILD = """
+import re, sys
+from airgunkit.synth import SurveySpec, generate
+spec = SurveySpec(duration_s=30.0, sample_rate_hz=512_000, pulse_count=3, first_pulse_s=2.5,
+                  noise_rms_upa=3000.0, seed=1)
+generate(spec, sys.argv[1])
+print(re.search(r"VmHWM:\\s+(\\d+) kB", open("/proc/self/status").read()).group(1))
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").is_file(), reason="VmHWM is read from Linux /proc")
+def test_highrate_generate_peaks_under_100_mb_in_blocks(tmp_path):
+    # 30 s at 512 kHz is 15.4 M samples, 123 MB as one float64 array; the
+    # whole-channel renderer peaked at 399 MB.  Rendered and written in blocks
+    # of 2**20 samples, a fresh child peaks at ~64 MB, as it does for 120 s.
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(airgunkit.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
+    child = subprocess.run([sys.executable, "-c", _GENERATE_HWM_CHILD, str(tmp_path / "survey")], env=env,
+                           capture_output=True, text=True, timeout=120, check=True)
+    assert int(child.stdout) <= 100 * 1024, f"VmHWM {int(child.stdout) / 1024:.0f} MB"
+    assert (tmp_path / "survey" / "ch00.wav").stat().st_size == 44 + 2 * 30 * 512_000

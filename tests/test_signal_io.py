@@ -16,8 +16,10 @@ from airgunkit.signal_io import (
     open_manifest,
     parse_time,
     read_span,
-    write_wav,
+    wav_writer,
 )
+
+from conftest import write_wav
 
 FS = 16000
 
@@ -74,6 +76,16 @@ def test_manifest_rejects_non_finite_sensitivity(tmp_path, sens):
         open_manifest(man)
 
 
+@pytest.mark.parametrize("counts,sens", [(2048, "-6420"), (10**400, "126")], ids=["-6420dB", "1e400counts"])
+def test_manifest_rejects_a_count_worth_no_pressure(tmp_path, counts, sens):
+    # -6420 dB is a finite, positive full scale of 1e-321 uPa, but one of
+    # 2048 counts underflows to 0 uPa; 10**400 counts do not fit a float
+    write_wav(tmp_path / "a.wav", np.ones(10, dtype=np.int16), FS)
+    man = write_manifest(tmp_path / "m.txt", ["# survey", f"calib 0 {counts} {sens}", "file 0 a.wav 0.0"])
+    with pytest.raises(ManifestError, match=r"m\.txt:2: the pressure of one count, .* must be positive, got 0 uPa"):
+        open_manifest(man)
+
+
 # ---------------------------------------------------------------------------
 # wav round trip
 
@@ -87,6 +99,18 @@ def test_wav_round_trip_exact_counts(tmp_path):
     assert np.array_equal(buf.samples, expected)
     assert buf.sample_rate_hz == FS
     assert len(buf) == len(counts)
+
+
+def test_wav_writer_appends_blocks_under_one_header(tmp_path):
+    counts = np.arange(-500, 500, dtype=np.int16)
+    write_wav(tmp_path / "whole.wav", counts, FS)
+    with wav_writer(tmp_path / "blocks.wav", len(counts), FS) as append:
+        for a in range(0, len(counts), 300):
+            append(counts[a : a + 300])
+    assert (tmp_path / "blocks.wav").read_bytes() == (tmp_path / "whole.wav").read_bytes()
+    with pytest.raises(ValueError, match="wrote 999 of 1000 frames"):
+        with wav_writer(tmp_path / "short.wav", len(counts), FS) as append:
+            append(counts[:-1])
 
 
 def test_wav_rejects_stereo(tmp_path):

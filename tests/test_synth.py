@@ -1,14 +1,19 @@
 import math
+import wave
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
+from airgunkit import synth
 from airgunkit.measures import window_levels
-from airgunkit.signal_io import MAX_SAMPLE_RATE_HZ, open_manifest, read_span
+from airgunkit.signal_io import MAX_SAMPLE_RATE_HZ, MAX_WAV_FRAMES, open_manifest, read_span
 from airgunkit.synth import (
     GROUND_TRUTH_HEADER,
+    REVERB_CARRIER_HZ,
+    GroundTruthRecord,
     SurveySpec,
+    _pulse_unit,
     generate,
     pulse_energy_upa2s,
 )
@@ -72,6 +77,18 @@ def test_sample_rate_above_the_reader_cap_rejected():
     assert quiet_spec(sample_rate_hz=MAX_SAMPLE_RATE_HZ).sample_rate_hz == MAX_SAMPLE_RATE_HZ
     with pytest.raises(ValueError, match="sample_rate_hz"):
         quiet_spec(sample_rate_hz=MAX_SAMPLE_RATE_HZ + 1)
+
+
+def test_channel_too_long_for_one_wav_is_rejected():
+    # RIFF's 32-bit size field must hold 36 header bytes plus 2 per frame
+    assert 2 * MAX_WAV_FRAMES + 36 <= 2**32 - 1 < 2 * (MAX_WAV_FRAMES + 1) + 36
+    assert SurveySpec(duration_s=float(MAX_WAV_FRAMES), sample_rate_hz=1).n_samples == MAX_WAV_FRAMES
+    with pytest.raises(ValueError, match="duration_s"):
+        SurveySpec(duration_s=float(MAX_WAV_FRAMES + 1), sample_rate_hz=1)
+    # ~69.9 min at 512 kHz: 9000 s would be 9.2 GB of samples
+    assert SurveySpec(duration_s=4194.0, sample_rate_hz=512_000).n_samples <= MAX_WAV_FRAMES
+    with pytest.raises(ValueError, match=r"^duration_s 9000 at sample_rate_hz 512000 is 4608000000 samples"):
+        SurveySpec(duration_s=9000, sample_rate_hz=512_000)
 
 
 # ---------------------------------------------------------------------------
@@ -200,3 +217,130 @@ def test_reverb_adds_late_energy(tmp_path):
         x = read_span(cm, start, int(2.0 * FS)).samples
         return float(np.dot(x, x))
     assert tail_energy(wet) > 100.0 * max(tail_energy(quiet), 1e-12)
+
+
+# ---------------------------------------------------------------------------
+# block rendering against the whole-array oracle
+
+
+def render_whole(spec, channel_id):
+    """Oracle: the whole channel in one array, as the generator did before it rendered blocks."""
+    fs = spec.sample_rate_hz
+    n = spec.n_samples
+    signal = np.zeros(n)
+
+    pulse_span = round((spec.attack_s * 5.0 + spec.decay_s * 30.0) * fs)
+    pulse_span = max(pulse_span, 8)
+    spans = []  # (i0, i1, amplitude) per pulse
+
+    for onset in spec.onsets_s():
+        i0 = math.ceil(onset * fs - 1e-9)
+        i1 = min(i0 + pulse_span, n)
+        if i0 >= n:
+            break
+        t_rel = np.arange(i0, i1) / fs - onset
+        unit = _pulse_unit(t_rel, spec.attack_s, spec.decay_s, spec.carrier_hz)
+        m = float(np.max(np.abs(unit)))
+        amp = spec.peak_pressure_upa / m
+        signal[i0:i1] += amp * unit
+        spans.append((i0, i1, amp))
+
+        if spec.reverb_level_upa > 0.0:
+            r_span = min(i0 + round(spec.reverb_decay_s * 20.0 * fs), n)
+            t_r = np.arange(i0, r_span) / fs - onset
+            env = spec.reverb_level_upa * np.exp(-t_r / spec.reverb_decay_s)
+            signal[i0:r_span] += env * np.cos(2.0 * math.pi * REVERB_CARRIER_HZ * t_r)
+
+    if spec.noise_rms_upa > 0.0:
+        rng = np.random.default_rng((spec.seed, channel_id))
+        signal += rng.normal(0.0, spec.noise_rms_upa, n)
+
+    calib = spec.calibration
+    counts = np.clip(
+        np.rint(signal / calib.pressure_per_count),
+        -spec.counts_full_scale,
+        spec.counts_full_scale - 1,
+    ).astype(np.int16)
+
+    truths = []
+    for k, (i0, i1, amp) in enumerate(spans):
+        j = i0 + int(np.argmax(counts[i0:i1]))
+        truths.append(
+            GroundTruthRecord(
+                channel_id=channel_id,
+                pulse_index=k,
+                t_true_s=j / fs,
+                p_peak_upa=float(counts[j]) * calib.pressure_per_count,
+                sel_analytic_db=10.0
+                * math.log10(pulse_energy_upa2s(amp, spec.attack_s, spec.decay_s, spec.carrier_hz)),
+            )
+        )
+    return counts, truths
+
+
+def generate_whole(spec, out):
+    """Oracle: the survey's files, each channel written in one piece by the wave module."""
+    out.mkdir()
+    truths = []
+    manifest_lines = ["# synthetic survey"]
+    for ch in range(spec.channel_count):
+        counts, ch_truths = render_whole(spec, ch)
+        with wave.open(str(out / f"ch{ch:02d}.wav"), "wb") as w:
+            w.setnchannels(1)
+            w.setsampwidth(2)
+            w.setframerate(spec.sample_rate_hz)
+            w.writeframes(counts.astype("<i2").tobytes())
+        truths.extend(ch_truths)
+        manifest_lines += [f"calib {ch} {spec.counts_full_scale} {spec.sensitivity_db:g}",
+                           f"file {ch} ch{ch:02d}.wav 0.0"]
+    (out / "manifest.txt").write_bytes(("\n".join(manifest_lines) + "\n").encode())
+    rows = [GROUND_TRUTH_HEADER] + [
+        f"{t.channel_id},{t.pulse_index},{t.t_true_s:.9f},{t.p_peak_upa:.6f},{t.sel_analytic_db:.6f}"
+        for t in truths]
+    (out / "ground_truth.csv").write_bytes(("\n".join(rows) + "\n").encode())
+    return truths
+
+
+def assert_same_files(a, b):
+    names = sorted(p.name for p in a.iterdir())
+    assert names == sorted(p.name for p in b.iterdir())
+    for name in names:
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+# pulses are 0.91 s long and reverberation tails 20 decay constants (40 s by
+# default), so at 1000 or 4097 samples a block both cross many block edges
+ORACLE_SURVEYS = {
+    "silent-16k": dict(duration_s=40.0),
+    "noisy-16k": dict(duration_s=40.0, noise_rms_upa=3000.0),
+    "reverb-2ch-16k": dict(duration_s=40.0, channel_count=2, reverb_level_upa=2.0e4, noise_rms_upa=3000.0),
+    "overlapping-16k": dict(duration_s=12.0, first_pulse_s=0.3, ipi_s=0.5, reverb_level_upa=2.0e4,
+                            reverb_decay_s=0.05),
+    "silent-512k": dict(duration_s=3.0, sample_rate_hz=512_000, first_pulse_s=0.4, ipi_s=1.0),
+    "reverb-2ch-512k": dict(duration_s=4.0, sample_rate_hz=512_000, first_pulse_s=0.4, ipi_s=1.5,
+                            channel_count=2, reverb_level_upa=2.0e4, noise_rms_upa=3000.0),
+}
+
+
+@pytest.mark.parametrize("block", [1000, 4097])
+@pytest.mark.parametrize("survey", ORACLE_SURVEYS)
+def test_block_rendering_matches_whole_array_oracle(tmp_path, monkeypatch, survey, block):
+    spec = SurveySpec(seed=7, **ORACLE_SURVEYS[survey])
+    want = generate_whole(spec, tmp_path / "whole")
+    monkeypatch.setattr(synth, "MAX_CHUNK_SAMPLES", block)
+    got = generate(spec, tmp_path / "blocks")
+    assert_same_files(tmp_path / "whole", tmp_path / "blocks")
+    assert got.truths == tuple(want)
+    assert len(want) == spec.n_pulses * spec.channel_count
+
+
+def test_peak_tied_across_a_block_edge_goes_to_the_earliest_sample(tmp_path, monkeypatch):
+    # at 512 kHz a 2 kHz crest spans several samples that quantize to one count
+    spec = SurveySpec(duration_s=2.0, sample_rate_hz=512_000, first_pulse_s=0.5, pulse_count=1)
+    counts, want = render_whole(spec, 0)
+    tied = np.flatnonzero(counts == counts.max())
+    assert len(tied) >= 2
+    monkeypatch.setattr(synth, "MAX_CHUNK_SAMPLES", int(tied[1]))  # a block starts at the second
+    got = generate(spec, tmp_path)
+    assert got.truths == tuple(want)
+    assert got.truths[0].t_true_s == tied[0] / spec.sample_rate_hz

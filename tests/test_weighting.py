@@ -17,7 +17,7 @@ from airgunkit.cli import _dump_filters
 from airgunkit.errors import FilterDesignError
 from airgunkit.pulse_detect import DetectorConfig
 from airgunkit.runner import RunConfig, run
-from airgunkit.signal_io import open_manifest, write_wav
+from airgunkit.signal_io import open_manifest
 from airgunkit.weighting import (
     BAND_EDGES,
     CANONICAL_ORDER,
@@ -33,7 +33,7 @@ from airgunkit.weighting import (
     parse_kind,
 )
 
-from conftest import make_buffer
+from conftest import make_buffer, write_wav
 
 
 def fresh(kind, fs):
