@@ -75,7 +75,7 @@ class RuntimeReport:
     per_channel_seconds: dict[int, float]
     wall_seconds: float
     task_seconds: float
-    worker_count: int
+    worker_count: int  # processes that ran the tasks: at most one per (channel, weighting) stream
     channel_hours: float
     n_records: int
     n_points: int
@@ -207,6 +207,7 @@ def run(
     """
     streams = preflight(config, manifests)
     tasks = [(cm, kind.value, config.detector, config.chunk_s) for cm, kind in streams]
+    worker_count = max(1, min(config.worker_count, len(tasks)))  # never more processes than tasks
 
     wall_start = time.perf_counter()
     results: list[_TaskResult] = []
@@ -217,7 +218,7 @@ def run(
             if log:
                 log(res.log_line())
     else:
-        with multiprocessing.Pool(processes=config.worker_count) as pool:
+        with multiprocessing.Pool(processes=worker_count) as pool:
             for res in pool.imap(_run_task, tasks):
                 results.append(res)
                 if log:
@@ -244,7 +245,7 @@ def run(
         per_channel_seconds=per_channel,
         wall_seconds=time.perf_counter() - wall_start,
         task_seconds=sum(r.seconds for r in results),
-        worker_count=config.worker_count,
+        worker_count=worker_count,
         channel_hours=sum(manifests[ch].duration_s for ch in per_channel) / 3600.0,
         n_records=summary.n_records,
         n_points=summary.n_points,
@@ -319,14 +320,14 @@ def bench(
     serial_s = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    parallel_path, _ = run(parallel, manifests, log=log)
+    parallel_path, parallel_report = run(parallel, manifests, log=log)
     parallel_s = time.perf_counter() - t0
 
     identical = serial_path.read_bytes() == parallel_path.read_bytes()
     return BenchResult(
         serial_seconds=serial_s,
         parallel_seconds=parallel_s,
-        worker_count=worker_count,
+        worker_count=parallel_report.worker_count,
         speedup=serial_s / parallel_s if parallel_s > 0 else float("inf"),
         identical=identical,
         serial_catalog=serial_path,

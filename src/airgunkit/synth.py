@@ -80,6 +80,9 @@ class SurveySpec:
                              f"{MAX_WAV_FRAMES / self.sample_rate_hz:.0f} s at this rate")
         if self.peak_pressure_upa > self.calibration.full_scale_upa:
             raise ValueError("peak_pressure_upa exceeds recorder full scale; it would clip")
+        if self.counts_full_scale > 2**15:
+            raise ValueError(f"counts_full_scale must be at most {2**15}, the full scale of the WAV's "
+                             f"int16 counts, got {self.counts_full_scale}")
         if self.n_pulses < 1:
             raise ValueError("survey too short for a single pulse")
         last = self.first_pulse_s + (self.n_pulses - 1) * self.ipi_s

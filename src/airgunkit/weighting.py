@@ -93,19 +93,17 @@ class FilterState:
 
     ``sos`` is None for the flat band (identity).  ``zi`` carries the section
     states between apply_filter calls, so feeding a signal chunk by chunk
-    produces bit-identical output to feeding it whole.  ``block_step`` maps
-    the flattened state across FLUSH_BLOCK samples of zero input.
-    ``position`` is the number of stream samples filtered so far and
-    ``zero_run`` the number of trailing exact-zero input samples among them,
-    counted up to FLUSH_BLOCK; together they place the flush checkpoints.
-    ``flushes`` counts the non-zero states reset to zeros.
+    produces bit-identical output to feeding it whole.  ``position`` is the
+    number of stream samples filtered so far and ``zero_run`` the number of
+    trailing exact-zero input samples among them, counted up to FLUSH_BLOCK;
+    together they place the flush checkpoints.  ``flushes`` counts the
+    non-zero states reset to zeros.
     """
 
     spec: WeightingSpec
     sample_rate_hz: float
     sos: np.ndarray | None
     zi: np.ndarray | None
-    block_step: np.ndarray | None = None
     position: int = 0
     zero_run: int = 0
     flushes: int = 0
@@ -136,13 +134,7 @@ def design_filter(spec: WeightingSpec, sample_rate_hz: float) -> FilterState:
             raise FilterDesignError(
                 f"{spec.kind.value}: unstable section at fs={sample_rate_hz} Hz"
             )
-    zi = np.zeros((sos.shape[0], 2))
-    # column j: the state after one block of zeros, started from unit state j
-    block_step = np.stack([
-        _sosfilt(sos, np.zeros(FLUSH_BLOCK), unit.reshape(zi.shape)).ravel()
-        for unit in np.eye(zi.size)
-    ], axis=1)
-    return FilterState(spec, sample_rate_hz, sos, zi, block_step)
+    return FilterState(spec, sample_rate_hz, sos, np.zeros((sos.shape[0], 2)))
 
 
 def _butter_sos(cutoff_hz: float, highpass: bool, sample_rate_hz: float) -> np.ndarray:
@@ -244,8 +236,9 @@ def apply_filter(state: FilterState, buffer: SampleBuffer,
     chunk's length (``out=buffer.samples`` filters in place), by default
     into a copy, or for the flat band the buffer itself.  Chunks must be fed
     in stream order.  The chunk is filtered up to each run of checkpoints
-    after an all-zero block, and through the run only while the state has
-    not been flushed; the rest of the run is zero, in input and output.
+    after an all-zero block, and through the run one block at a time until
+    the state is flushed or zero; the rest of the run is zero, in input and
+    output.
     """
     if buffer.sample_rate_hz != state.sample_rate_hz:
         raise FilterDesignError(
@@ -269,17 +262,15 @@ def apply_filter(state: FilterState, buffer: SampleBuffer,
         # the input is zero from a - FLUSH_BLOCK to b; a zero state stays zero over it
         if zi.any() or a - done > FLUSH_BLOCK:
             zi = _sosfilt(state.sos, out[done:a], zi)
-        c = a  # zi is the state at checkpoint c
-        while zi.any():
-            if np.max(np.abs(zi)) < FLUSH_FLOOR_UPA:
-                zi = np.zeros_like(zi)
-                flushes += 1
+        for c in range(a, b + 1, FLUSH_BLOCK):  # zi is the state at checkpoint c
+            size = np.abs(zi).max()
+            if size < FLUSH_FLOOR_UPA:  # flushed or zero, the state stays zero through the run
+                if size > 0.0:
+                    zi = np.zeros_like(zi)
+                    flushes += 1
                 break
-            if c == b:
-                break
-            nxt = c + FLUSH_BLOCK * _blocks_above_floor(state.block_step, zi, (b - c) // FLUSH_BLOCK)
-            zi = _sosfilt(state.sos, out[c:nxt], zi)
-            c = nxt
+            if c < b:
+                zi = _sosfilt(state.sos, out[c:c + FLUSH_BLOCK], zi)
         done = b
     if done < len(x):
         zi = _sosfilt(state.sos, out[done:], zi)
@@ -311,21 +302,6 @@ def _zero_runs(x: np.ndarray, position: int, zero_run: int) -> list[tuple[int, i
         else:
             runs.append((c, c))
     return runs
-
-
-def _blocks_above_floor(block_step: np.ndarray, zi: np.ndarray, limit: int) -> int:
-    """Blocks of zero input to filter before the next checkpoint that may flush, at most ``limit``.
-
-    The state is predicted block by block with the design's zero-input
-    block map.  A checkpoint predicted at twice the floor or more cannot
-    fall below it: prediction and filter differ by rounding only.
-    """
-    z = zi.ravel()
-    for k in range(1, limit):
-        z = block_step @ z
-        if np.max(np.abs(z)) < 2.0 * FLUSH_FLOOR_UPA:
-            return k
-    return limit
 
 
 def coefficients_text(states: list[FilterState]) -> str:

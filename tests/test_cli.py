@@ -118,7 +118,8 @@ def test_synth_rejects_overfull_schedule(tmp_path):
      ("--ipi-s", "inf", "ipi_s"), ("--sensitivity-db", "7000", "sensitivity_db"),
      ("--sensitivity-db", "-7000", "sensitivity_db"),
      ("--sensitivity-db", "-6420", "the pressure of one count"),
-     ("--counts-full-scale", str(10**400), "the pressure of one count")],
+     ("--counts-full-scale", str(10**400), "the pressure of one count"),
+     ("--counts-full-scale", "65536", "counts_full_scale must be at most 32768")],
     ids=lambda v: v if len(v) < 40 else "1e400",
 )
 def test_synth_rejects_unreadable_or_non_finite_parameters(tmp_path, capsys, flag, raw, key):

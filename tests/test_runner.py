@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from scipy import signal
 
 import airgunkit
-from airgunkit import signal_io
+from airgunkit import runner, signal_io
 from airgunkit.errors import RunError
 from airgunkit.pulse_detect import DetectorConfig, detect_pulses, format_event_row
 from airgunkit.runner import (
@@ -445,6 +445,39 @@ def test_weighted_chunks_equal_whole_filter(small_survey):
     whole = read_span(cm, 0, cm.n_samples)
     _, ref = apply_filter(design_filter(WeightingSpec(WeightingKind.LFC), cm.sample_rate_hz), whole)
     assert np.array_equal(glued, ref.samples)
+
+
+def test_pool_never_outnumbers_the_streams(small_survey, tmp_path, monkeypatch):
+    spec, result = small_survey
+    manifests = open_manifest(result.manifest_path)
+    started = []
+
+    class SerialPool:
+        """Stands in for ``multiprocessing.Pool``: records ``processes``, maps in this process."""
+
+        def __init__(self, processes):
+            started.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, func, tasks):
+            return map(func, tasks)
+
+    monkeypatch.setattr(runner.multiprocessing, "Pool", SerialPool)
+    serial, _ = run(RunConfig(out_path=tmp_path / "s.csv", detector=DETECTOR), manifests)
+    for workers, expected in ((5000, 6), (6, 6), (4, 4)):  # 2 channels x 3 weightings
+        out, report = run(RunConfig(out_path=tmp_path / f"w{workers}.csv", detector=DETECTOR,
+                                    mode="parallel", worker_count=workers), manifests)
+        assert out.read_bytes() == serial.read_bytes()
+        assert started[-1] == report.worker_count == expected
+        assert f"worker_count={expected}" in report_text(report)
+    res = bench(manifests, DETECTOR, tmp_path / "bench", worker_count=5000)
+    assert res.identical and res.worker_count == 6
+    assert started == [6, 6, 4, 6]
 
 
 # ---------------------------------------------------------------------------

@@ -73,6 +73,14 @@ def test_non_finite_parameter_is_rejected_by_name(name, value):
         quiet_spec(**{name: value})
 
 
+@pytest.mark.parametrize("counts", [2**15 + 1, 65536, 10**30])
+def test_counts_full_scale_beyond_int16_rejected(counts):
+    # the WAV holds int16 counts: a wider full scale would clip every peak
+    assert quiet_spec(counts_full_scale=2**15).counts_full_scale == 2**15
+    with pytest.raises(ValueError, match=f"^counts_full_scale must be at most 32768.*got {counts}$"):
+        quiet_spec(counts_full_scale=counts)
+
+
 def test_sample_rate_above_the_reader_cap_rejected():
     assert quiet_spec(sample_rate_hz=MAX_SAMPLE_RATE_HZ).sample_rate_hz == MAX_SAMPLE_RATE_HZ
     with pytest.raises(ValueError, match="sample_rate_hz"):

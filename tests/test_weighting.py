@@ -338,6 +338,59 @@ def test_flushed_stream_is_chunk_invariant(kind, fs, max_zero_blocks, data):
     assert state.position == in_place_state.position == len(x)
 
 
+def flush_reference(sos, x):
+    """The flush rule as written, on the public ``sosfilt``, one FLUSH_BLOCK at a time.
+
+    At every stream checkpoint whose preceding FLUSH_BLOCK inputs are all
+    zero, a nonzero state whose largest magnitude is under the floor is
+    reset to zeros.  Returns (output, final state, checkpoints flushed at).
+    """
+    zi = np.zeros((sos.shape[0], 2))
+    out = np.empty_like(x)
+    flushed = []
+    for a in range(0, len(x), FLUSH_BLOCK):
+        b = min(a + FLUSH_BLOCK, len(x))
+        out[a:b], zi = signal.sosfilt(sos, x[a:b], zi=zi)
+        if b - a == FLUSH_BLOCK and not x[a:b].any() and zi.any() and np.max(np.abs(zi)) < FLUSH_FLOOR_UPA:
+            zi = np.zeros_like(zi)
+            flushed.append(b)
+    return out, zi, flushed
+
+
+# (kind, fs, zero blocks that outlast the ring, zero blocks that do not):
+# after these bursts lfc needs ~50 blocks to reach the floor at 16 kHz and
+# ~1400 at 512 kHz, mfc ~3 at 16 kHz
+ORACLE_CASES = [
+    (WeightingKind.LFC, 16000.0, 80, 20),
+    (WeightingKind.MFC, 16000.0, 8, 1),
+    (WeightingKind.LFC, 512000.0, 2200, 600),
+]
+
+
+@pytest.mark.parametrize("kind,fs,long_blocks,short_blocks", ORACLE_CASES)
+def test_apply_filter_matches_the_flush_rule_as_written(kind, fs, long_blocks, short_blocks):
+    rng = np.random.default_rng(12)
+    parts = []
+    # zero runs off the grid and long or short against the ring, so some
+    # flush and some walk their all-zero blocks without reaching the floor
+    for burst, blocks in ((700, long_blocks), (1500, short_blocks), (333, long_blocks),
+                          (90, short_blocks), (2048, long_blocks)):
+        parts += [np.round(rng.normal(0.0, 20.0, burst)) * LSB_UPA,
+                  np.zeros(blocks * FLUSH_BLOCK + int(rng.integers(0, FLUSH_BLOCK)))]
+    x = np.concatenate(parts)
+    ref, ref_zi, flushed = flush_reference(fresh(kind, fs).sos, x)
+    assert len(flushed) == 3  # one flush per long run, none in the short ones
+
+    grid = range(FLUSH_BLOCK, len(x), len(x) // 9 // FLUSH_BLOCK * FLUSH_BLOCK)
+    for points in (flushed, grid):
+        for offset in (0, -1, 1):  # cuts on, before and after the grid
+            for cuts in ([], [c + offset for c in points if c + offset < len(x)]):
+                out, state = run_chunked(kind, fs, x, cuts)
+                assert out.tobytes() == ref.tobytes()
+                assert state.zi.tobytes() == ref_zi.tobytes()
+                assert state.flushes == len(flushed)
+
+
 def test_zero_runs_flush_and_then_emit_exact_zeros():
     fs = 16000.0
     rng = np.random.default_rng(4)
