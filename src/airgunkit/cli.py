@@ -54,7 +54,7 @@ _DUMP_FILTERS: _Row = ("dump_filters", bool, False, "print weighting filter coef
 _DETECTOR: tuple[_Row, ...] = (
     ("threshold_db", float, 100.0, "detection threshold, dB re 1 uPa"),
     ("min_ipi_s", float, DetectorConfig.min_ipi_s, "minimum spacing between detected pulses, s"),
-    ("chunk_s", float, RunConfig.chunk_s, "longest streaming chunk, s; chunks never exceed 2**20 samples"),
+    ("chunk_s", float, RunConfig.chunk_s, "longest streaming chunk, s; chunks never exceed 2**17 samples"),
 )
 
 _FLAGS: dict[str, tuple[_Row, ...]] = {

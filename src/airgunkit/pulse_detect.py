@@ -172,7 +172,7 @@ class PulseScanner:
         if len(x) == 0 and not final:
             return []
         op, self._open = self._open, None
-        idx = np.flatnonzero(np.abs(x) >= self.threshold)
+        idx = np.flatnonzero((x >= self.threshold) | (x <= -self.threshold))
         if idx.size == 0:
             return [] if op is None else [op.anchor]
         g = idx + self._pos

@@ -27,7 +27,7 @@ counts to micropascal is ``count / counts_full_scale * 10**(sensitivity_db/20)``
 ``CalibrationSpec`` a pressure per count that is not positive.
 
 Memory is bounded at every rate: ``iter_chunks`` reads at most
-MAX_CHUNK_SAMPLES samples (8 MB as float64) at a time, and a RollingBuffer
+MAX_CHUNK_SAMPLES samples (1 MB as float64) at a time, and a RollingBuffer
 keeps the retained tail of a stream in one array.  Given the buffer,
 ``iter_chunks`` calibrates each chunk straight into slots reserved at its
 tail, so a sample is written once and then moved a bounded number of times,
@@ -50,8 +50,8 @@ import numpy as np
 from .errors import AudioFormatError, GapError, ManifestError
 
 MAX_SAMPLE_RATE_HZ = 512_000
-# samples per chunk read, at most: 8 MB as float64, ~2 s at 512 kHz
-MAX_CHUNK_SAMPLES = 2**20
+# samples per chunk read, at most: 1 MB as float64, 0.256 s at 512 kHz
+MAX_CHUNK_SAMPLES = 2**17
 # frames of one 16-bit mono WAV: RIFF's 32-bit size field counts 36 header
 # bytes plus 2 per frame, ~69.9 min at 512 kHz
 MAX_WAV_FRAMES = (2**32 - 1 - 36) // 2
@@ -111,12 +111,13 @@ class RollingBuffer:
     the free slots at its tail, so a producer can write a chunk in place;
     ``append`` of that view commits it without a copy, and any other array
     is copied in.  ``trim`` only moves the start index.  When the tail has no
-    room for a chunk, the held samples move to the front of the array, or,
-    when they and the chunk would fill more than half of it, to a new array
-    of twice their size.  Every move so leaves at least half the array free:
-    the samples moved stay within twice the samples appended (counted in
-    ``moved``), and the array never exceeds twice the largest held-plus-chunk
-    count.
+    room for a chunk, the held samples move to the front of the array if
+    twice their count plus the chunk's fits in it, and otherwise to a new
+    array of twice the held-plus-chunk count.  A move to the front thus
+    leaves room after the chunk for at least as many samples as it moved,
+    and never copies onto its own source: the samples moved stay within
+    twice the samples appended (counted in ``moved``), and the array never
+    exceeds twice the largest held-plus-chunk count.
     """
 
     def __init__(self) -> None:
@@ -140,7 +141,7 @@ class RollingBuffer:
         """The ``n`` writable slots after the held samples, valid until the next reserve or append."""
         if self._hi + n > len(self._data):
             held = self._hi - self._lo
-            data = self._data if 2 * (held + n) <= len(self._data) else np.empty(2 * (held + n))
+            data = self._data if 2 * held + n <= len(self._data) else np.empty(2 * (held + n))
             data[:held] = self._data[self._lo : self._hi]
             self._data, self._lo, self._hi = data, 0, held
             self.moved += held

@@ -46,7 +46,8 @@ def energy_bounds(samples: np.ndarray, start: int = 0) -> EnergyBounds:
     """
     if len(samples) == 0:
         raise MeasureError("empty window")
-    energy = np.cumsum(np.square(samples))
+    energy = np.square(samples)
+    np.cumsum(energy, out=energy)
     total = energy[-1]
     if total <= 0.0:
         raise MeasureError("all-zero window has no energy bounds")

@@ -238,6 +238,39 @@ def test_vectorized_anchors_match_loop_reference(seed, chunk_s):
     assert set(got) <= set(ref) and got == sorted(got)
 
 
+_T = CFG.threshold_upa
+# samples at exactly +-t, one ulp either side of each, signed zeros and a
+# larger peak of each sign
+_EDGE_SAMPLES = (_T, -_T, np.nextafter(_T, 0.0), np.nextafter(_T, np.inf), np.nextafter(-_T, 0.0),
+                 np.nextafter(-_T, -np.inf), 0.0, -0.0, 2.0 * _T, -3.0 * _T)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 2900), st.lists(st.sampled_from(_EDGE_SAMPLES), min_size=1, max_size=40)),
+                min_size=1, max_size=12),
+       st.integers(1, 700))
+def test_anchor_mask_matches_the_rectified_reference_at_the_threshold(bursts, chunk):
+    # at 100 Hz a pulse's search window is 150 samples and min_ipi 500: a
+    # 3000-sample stream of bursts made of threshold-edge values, scanned in
+    # chunks of ``chunk`` samples
+    fs = 100.0
+    x = np.zeros(3000)
+    for start, values in bursts:
+        x[start : start + len(values)] = values
+    buf = RollingBuffer()
+    scanner = PulseScanner(CFG, fs)
+    kept = []
+    for c in chunked(x, fs, chunk / fs):
+        buf.append(c.samples)
+        kept += scanner.scan(buf)
+        buf.trim(scanner.keep_from)
+    kept += scanner.scan(buf, final=True)
+    ref = reference_anchors(x, CFG, fs)
+    got = [ev.anchor_index for ev in kept]
+    assert len(got) + scanner.t_a_drops == len(ref)
+    assert set(got) <= set(ref) and got == sorted(got)
+
+
 def test_t_a_spacing_drops_are_counted():
     # anchors (the big negative spikes) exactly 5.0 s apart; each pulse's
     # positive peak sits at the far end of its search window, so the t_A

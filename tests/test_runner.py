@@ -499,33 +499,72 @@ def test_bench_compares_catalogs(small_survey, tmp_path):
 # ---------------------------------------------------------------------------
 # bounded memory
 
+# Each child is a fresh exec, so its VmHWM is its own peak.  The gates bound
+# that peak above an import-only child of the same interpreter, which holds
+# the interpreter, numpy and the package: another numpy or Python build moves
+# both children alike.
 _HWM_CHILD = """
 import re, sys
 from airgunkit.pulse_detect import DetectorConfig
 from airgunkit.runner import RunConfig, run
 from airgunkit.signal_io import open_manifest
+from airgunkit.synth import SurveySpec, generate
 from airgunkit.weighting import WeightingKind
-config = RunConfig(out_path=sys.argv[2], detector=DetectorConfig(100.0), weightings=(WeightingKind.MFC,))
-run(config, open_manifest(sys.argv[1]))
+{}
 print(re.search(r"VmHWM:\\s+(\\d+) kB", open("/proc/self/status").read()).group(1))
 """
+_RUN = ("run(RunConfig(out_path=sys.argv[2], detector=DetectorConfig(100.0), "
+        "weightings=tuple(map(WeightingKind, sys.argv[3].split(',')))), open_manifest(sys.argv[1]))")
+_HIGHRATE = {"duration_s": 30.0, "sample_rate_hz": 512_000, "pulse_count": 3, "first_pulse_s": 2.5,
+             "noise_rms_upa": 3000.0, "seed": 1}
+
+
+def peak_above_import_mb(statement: str, *args) -> float:
+    """VmHWM of a fresh child that runs ``statement`` less that of one that only imports, in MB."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(airgunkit.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
+
+    def hwm_kb(code: str) -> int:
+        child = subprocess.run([sys.executable, "-c", _HWM_CHILD.format(code), *map(str, args)], env=env,
+                               capture_output=True, text=True, timeout=120, check=True)
+        return int(child.stdout)
+
+    return (hwm_kb(statement) - hwm_kb("")) / 1024
+
+
+def count_buffer_allocations(monkeypatch) -> list[list[int]]:
+    """Have ``runner`` make RollingBuffers that record each new capacity, one list per stream."""
+    streams: list[list[int]] = []
+
+    class RecordingBuffer(signal_io.RollingBuffer):
+        def __init__(self) -> None:
+            super().__init__()
+            self.capacities: list[int] = []
+            streams.append(self.capacities)
+
+        def reserve(self, n: int) -> np.ndarray:
+            slots = super().reserve(n)
+            if self.capacities[-1:] != [self.capacity]:
+                self.capacities.append(self.capacity)
+            return slots
+
+    monkeypatch.setattr(runner, "RollingBuffer", RecordingBuffer)
+    return streams
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").is_file(), reason="VmHWM is read from Linux /proc")
-def test_highrate_run_peaks_under_90_mb_in_bounded_chunks(tmp_path, monkeypatch):
+def test_highrate_run_peaks_in_bounded_chunks(tmp_path, monkeypatch):
     # 30 s at 512 kHz is 15.4 M samples; one whole-run chunk alone would be
-    # 123 MB.  The child is a fresh exec, so its VmHWM is its own peak: ~71
-    # MB, with each chunk read into the stream's rolling buffer and each late
-    # window measured as soon as no later pulse can cut it.
-    spec = SurveySpec(duration_s=30.0, sample_rate_hz=512_000, pulse_count=3, first_pulse_s=2.5,
-                      noise_rms_upa=3000.0, seed=1)
+    # 123 MB.  Each 2**17-sample chunk is read into the stream's rolling
+    # buffer and each late window is measured as soon as no later pulse can
+    # cut it, so the hold stays under ~1.8 s.  The buffer's array grows four
+    # times as that hold creeps up after each pulse (seven at 2**20-sample
+    # chunks), and the child peaks ~25 MB above the import-only one (~40 MB
+    # at 2**20).
+    spec = SurveySpec(**_HIGHRATE)
     survey = generate(spec, tmp_path / "survey")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [str(Path(airgunkit.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
-    child = subprocess.run([sys.executable, "-c", _HWM_CHILD, str(survey.manifest_path),
-                            str(tmp_path / "child.csv")], env=env, capture_output=True, text=True,
-                           timeout=120, check=True)
-    assert int(child.stdout) <= 90 * 1024, f"VmHWM {int(child.stdout) / 1024:.0f} MB"
+    excess = peak_above_import_mb(_RUN, survey.manifest_path, tmp_path / "child.csv", "mfc")
+    assert excess <= 32, f"VmHWM {excess:.1f} MB above import"
 
     spans = []
 
@@ -534,33 +573,64 @@ def test_highrate_run_peaks_under_90_mb_in_bounded_chunks(tmp_path, monkeypatch)
         return read_span(cm, start_index, count, out=out)
 
     monkeypatch.setattr(signal_io, "read_span", recording_read_span)
+    allocations = count_buffer_allocations(monkeypatch)
     catalog, report = run(RunConfig(out_path=tmp_path / "c.csv", detector=DETECTOR,
                                     weightings=(WeightingKind.MFC,)),
                           open_manifest(survey.manifest_path))
-    assert max(spans) <= MAX_CHUNK_SAMPLES == 2**20
+    assert max(spans) <= MAX_CHUNK_SAMPLES == 2**17
     assert sum(spans) == spec.n_samples
+    assert len(allocations) == 1 and len(allocations[0]) <= 5, allocations
     assert report.n_records == 3
     assert catalog.read_bytes() == (tmp_path / "child.csv").read_bytes()
 
 
-_GENERATE_HWM_CHILD = """
-import re, sys
-from airgunkit.synth import SurveySpec, generate
-spec = SurveySpec(duration_s=30.0, sample_rate_hz=512_000, pulse_count=3, first_pulse_s=2.5,
-                  noise_rms_upa=3000.0, seed=1)
-generate(spec, sys.argv[1])
-print(re.search(r"VmHWM:\\s+(\\d+) kB", open("/proc/self/status").read()).group(1))
-"""
+@pytest.mark.skipif(not Path("/proc/self/status").is_file(), reason="VmHWM is read from Linux /proc")
+def test_16_khz_run_peaks_in_one_array_per_stream(tmp_path, monkeypatch):
+    # 2 ch x 185 s of noise through all three weightings.  A stream holds
+    # ~2 s, under half a 2**17-sample chunk, so its array is allocated for the
+    # first chunk and the held samples then only move to its front: the
+    # child peaks ~5 MB above the import-only one (~25 MB with 60-s chunks
+    # and a second array per stream).
+    spec = SurveySpec(channel_count=2, duration_s=185.0, pulse_count=18, noise_rms_upa=3000.0, seed=2)
+    survey = generate(spec, tmp_path / "survey")
+    excess = peak_above_import_mb(_RUN, survey.manifest_path, tmp_path / "child.csv", "linear,lfc,mfc")
+    assert excess <= 12, f"VmHWM {excess:.1f} MB above import"
+
+    allocations = count_buffer_allocations(monkeypatch)
+    catalog, report = run(RunConfig(out_path=tmp_path / "c.csv", detector=DETECTOR),
+                          open_manifest(survey.manifest_path))
+    assert allocations == [[2 * MAX_CHUNK_SAMPLES]] * 6
+    assert report.n_records == 2 * 18 * 3
+    assert catalog.read_bytes() == (tmp_path / "child.csv").read_bytes()
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").is_file(), reason="VmHWM is read from Linux /proc")
-def test_highrate_generate_peaks_under_100_mb_in_blocks(tmp_path):
+def test_highrate_generate_peaks_in_blocks(tmp_path):
     # 30 s at 512 kHz is 15.4 M samples, 123 MB as one float64 array; the
     # whole-channel renderer peaked at 399 MB.  Rendered and written in blocks
-    # of 2**20 samples, a fresh child peaks at ~64 MB, as it does for 120 s.
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [str(Path(airgunkit.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
-    child = subprocess.run([sys.executable, "-c", _GENERATE_HWM_CHILD, str(tmp_path / "survey")], env=env,
-                           capture_output=True, text=True, timeout=120, check=True)
-    assert int(child.stdout) <= 100 * 1024, f"VmHWM {int(child.stdout) / 1024:.0f} MB"
+    # of 2**17 samples, a fresh child peaks ~23 MB above the import-only one
+    # (~34 MB in blocks of 2**20).
+    excess = peak_above_import_mb(f"generate(SurveySpec(**{_HIGHRATE!r}), sys.argv[1])", tmp_path / "survey")
+    assert excess <= 28, f"VmHWM {excess:.1f} MB above import"
     assert (tmp_path / "survey" / "ch00.wav").stat().st_size == 44 + 2 * 30 * 512_000
+
+
+@pytest.mark.parametrize("spec", [
+    SurveySpec(duration_s=130.0, pulse_count=12, reverb_level_upa=2.0e4, noise_rms_upa=3000.0, seed=4),
+    SurveySpec(duration_s=8.0, sample_rate_hz=512_000, ipi_s=5.5, first_pulse_s=1.5, pulse_count=2,
+               reverb_level_upa=2.0e4, noise_rms_upa=3000.0, seed=4),
+], ids=["16kHz", "512kHz"])
+def test_catalog_and_events_bytes_do_not_depend_on_the_chunk_cap(spec, tmp_path, monkeypatch):
+    from airgunkit.cli import main
+
+    survey = generate(spec, tmp_path / "survey")
+    outputs = []
+    for cap in (MAX_CHUNK_SAMPLES, 2**20):
+        monkeypatch.setattr(signal_io, "MAX_CHUNK_SAMPLES", cap)
+        catalog, events = tmp_path / f"catalog{cap}.csv", tmp_path / f"events{cap}.csv"
+        assert main(["extract", "--manifest", str(survey.manifest_path), "--out", str(catalog)]) == 0
+        assert main(["detect", "--manifest", str(survey.manifest_path), "--out", str(events),
+                     "--weighting", "all"]) == 0
+        outputs.append((catalog.read_bytes(), events.read_bytes()))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0].count(b"\n") == 1 + 3 * spec.pulse_count

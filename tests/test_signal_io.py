@@ -473,6 +473,21 @@ def test_rolling_buffer_moves_a_steady_hold_rarely():
     assert np.array_equal(buf.view(buf.start, buf.end), np.ones(990))
 
 
+@pytest.mark.parametrize("hold", [0, 1, 250, 500])
+def test_rolling_buffer_keeps_its_first_array_for_a_hold_of_half_a_chunk(hold):
+    # the first chunk sizes the array at twice its length; a hold of up to
+    # half a chunk then only moves to the front of that array
+    buf = RollingBuffer()
+    for k in range(20):
+        slots = buf.reserve(1000)
+        slots[:] = k
+        buf.append(slots)
+        buf.trim(buf.end - hold)
+        assert buf.capacity == 2000
+    assert buf.moved <= 20 * hold
+    assert np.array_equal(buf.view(buf.start, buf.end), np.full(hold, 19.0))
+
+
 def test_time_at_matches_grid(tmp_path):
     cm = simple_channel(tmp_path, np.ones(FS, dtype=np.int16), start=3.5)
     buf = read_span(cm, FS // 4, FS // 2)

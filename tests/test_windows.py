@@ -132,6 +132,25 @@ def test_bounds_coverage_and_minimality(attack_s, decay_s, carrier_hz):
     assert cum[i_hi - 1] < HIGH_FRACTION * total
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(min_value=-1e12, max_value=1e12), min_size=1, max_size=300),
+       st.integers(0, 5), st.integers(0, 10**9))
+def test_bounds_equal_the_two_temporary_reference(values, margin, start):
+    # the window is a view into a larger array, as a rolling buffer hands out
+    stream = np.concatenate((np.full(margin, 7.0), values, np.full(margin, 7.0)))
+    before = stream.copy()
+    window = stream[margin : margin + len(values)]
+    energy = np.cumsum(np.square(window))
+    if energy[-1] <= 0.0:
+        with pytest.raises(MeasureError):
+            energy_bounds(window, start)
+    else:
+        i5 = int(np.searchsorted(energy, LOW_FRACTION * energy[-1], side="left"))
+        i95 = int(np.searchsorted(energy, HIGH_FRACTION * energy[-1], side="left"))
+        assert energy_bounds(window, start) == EnergyBounds(start + i5, start + i95)
+    assert stream.tobytes() == before.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # late window layout, in samples: window k spans [i95 + k*W, i95 + (k+1)*W)
 
