@@ -39,7 +39,7 @@ def _log(msg: str) -> None:
 
 # ---------------------------------------------------------------------------
 # the flag table: one (name, type, default, help) row per flag and config key;
-# a dataclass field's default is its class attribute, e.g. RunConfig.chunk_s
+# a dataclass field's default is its class attribute, e.g. RunConfig.run_id
 
 _Row = tuple[str, type, object, str]
 
@@ -54,7 +54,6 @@ _DUMP_FILTERS: _Row = ("dump_filters", bool, False, "print weighting filter coef
 _DETECTOR: tuple[_Row, ...] = (
     ("threshold_db", float, 100.0, "detection threshold, dB re 1 uPa"),
     ("min_ipi_s", float, DetectorConfig.min_ipi_s, "minimum spacing between detected pulses, s"),
-    ("chunk_s", float, RunConfig.chunk_s, "longest streaming chunk, s; chunks never exceed 2**17 samples"),
 )
 
 _FLAGS: dict[str, tuple[_Row, ...]] = {
@@ -172,14 +171,14 @@ def _parse_weightings(raw: object) -> tuple:
         raise _UsageError(f"bad weighting list {raw!r} (linear, lfc, mfc, or all)") from None
 
 
-def _detector(eff: dict[str, object]) -> DetectorConfig:
-    return DetectorConfig(eff["threshold_db"], eff["min_ipi_s"])
+def _run_config(eff: dict[str, object], out: Path | str, weightings: object, **fields) -> RunConfig:
+    """The RunConfig of ``detect``, ``extract`` and ``bench``, which checks every setting it holds.
 
-
-def _run_config(eff: dict[str, object], out: str, weightings: object, **fields) -> RunConfig:
-    """The RunConfig of ``detect`` and ``extract``, which checks every setting it holds."""
-    return RunConfig(out_path=out, detector=_detector(eff), channels=_parse_channel_list(eff["channels"]),
-                     weightings=_parse_weightings(weightings), chunk_s=eff["chunk_s"], **fields)
+    ``bench`` has no ``channels`` setting: it runs every channel.
+    """
+    return RunConfig(out_path=out, detector=DetectorConfig(eff["threshold_db"], eff["min_ipi_s"]),
+                     channels=_parse_channel_list(eff.get("channels")),
+                     weightings=_parse_weightings(weightings), **fields)
 
 
 def _dump_filters(manifests, kinds) -> None:
@@ -215,7 +214,7 @@ def _cmd_detect(ns: argparse.Namespace) -> int:
     rows: list[str] = []
     for cm, kind in preflight(config, manifests):
         buffer = RollingBuffer()
-        chunks = weighted_chunks(cm, kind, config.chunk_s, buffer)
+        chunks = weighted_chunks(cm, kind, buffer=buffer)
         events = detect_pulses(chunks, config.detector, buffer=buffer)
         rows.extend(format_event_row(ev, kind.value, i, cm.origin) for i, ev in enumerate(events))
         _log(f"channel {cm.channel_id} {kind.value}: {len(events)} pulses")
@@ -249,7 +248,7 @@ def _cmd_extract(ns: argparse.Namespace) -> int:
     )
     print(f"catalog: {catalog_path}")
     print(f"summary: {summary_path}")
-    print(f"records={report.n_records} points={report.n_points} pulses={report.n_pulses}")
+    print(f"records={report.n_records} points={report.n_points}")
     return 0
 
 
@@ -258,15 +257,9 @@ def _cmd_bench(ns: argparse.Namespace) -> int:
     manifest_path = _require(eff, "manifest")
     manifests = open_manifest(manifest_path)
     out_dir = Path(eff["out_dir"]) if eff["out_dir"] else Path(manifest_path).parent / "bench_out"
-    result = bench(
-        manifests,
-        _detector(eff),
-        out_dir,
-        worker_count=eff["workers"],
-        weightings=_parse_weightings(eff["weightings"]),
-        chunk_s=eff["chunk_s"],
-        log=_log,
-    )
+    config = _run_config(eff, out_dir / "catalog_parallel.csv", eff["weightings"], mode="parallel",
+                         worker_count=eff["workers"])
+    result = bench(config, manifests, log=_log)
     print("bench comparison (same input, identical extraction code)")
     print(f"  serial   : {result.serial_seconds:.3f} s")
     print(f"  parallel : {result.parallel_seconds:.3f} s with {result.worker_count} workers")

@@ -34,6 +34,11 @@ def energy_db(energy_upa2s: float) -> float | None:
     return 10.0 * math.log10(energy_upa2s) if energy_upa2s > 0.0 else None
 
 
+def pressure_db(p: float) -> float | None:
+    """Level of a pressure, 20*log10(|p| / 1 uPa); None when the pressure is zero."""
+    return 20.0 * math.log10(abs(p)) if p != 0.0 else None
+
+
 class Levels(NamedTuple):
     """SPL/SEL/L_EQ/CSEL of one window; None marks a level that cannot exist."""
 
@@ -57,7 +62,7 @@ def window_levels(window: SampleBuffer, running_upa2s: float = 0.0) -> tuple[Lev
     sel_db = energy_db(energy)
     running_upa2s += energy
     return Levels(
-        20.0 * math.log10(peak) if peak > 0.0 else None,
+        pressure_db(peak),
         sel_db,
         None if sel_db is None else sel_db - 10.0 * math.log10(window.duration_s),
         energy_db(running_upa2s),
@@ -73,30 +78,30 @@ def format_db(v: float | None) -> str:
 
 
 class PeakMeasures(NamedTuple):
-    """Extremes of one window: global sample indices, linear pressures, and dB magnitudes."""
+    """Extremes of one window: global sample indices, linear pressures, and dB magnitudes.
+
+    A level is None where its pressure is exactly zero.
+    """
 
     pos_index: int
     p_pos_upa: float
-    p_pos_db: float
+    p_pos_db: float | None
     neg_index: int
     p_neg_upa: float
-    p_neg_db: float
+    p_neg_db: float | None
 
     @property
-    def p_pp_db(self) -> float:
-        """Peak-to-peak level, dB re 1 uPa."""
-        span = self.p_pos_upa - self.p_neg_upa
-        if span <= 0.0:
-            return -math.inf  # constant window; only reachable on degenerate input
-        return 20.0 * math.log10(span)
+    def p_pp_db(self) -> float | None:
+        """Peak-to-peak level, dB re 1 uPa; None for a constant window."""
+        return pressure_db(self.p_pos_upa - self.p_neg_upa)
 
 
 def measure_peaks(window: SampleBuffer) -> PeakMeasures:
     """Locate the positive and negative pressure extremes of a window.
 
-    Ties resolve to the earliest sample.  dB values are 20*log10(|p| / 1 uPa)
-    and go to -inf for an extreme that is exactly zero; an all-zero window is
-    an error.
+    Ties resolve to the earliest sample.  dB values are ``pressure_db`` of
+    each extreme, None for an extreme that is exactly zero; an all-zero
+    window is an error.
     """
     _check_window(window)
     x = window.samples
@@ -106,8 +111,5 @@ def measure_peaks(window: SampleBuffer) -> PeakMeasures:
     i_neg = int(np.argmin(x))
     p_pos = float(x[i_pos])
     p_neg = float(x[i_neg])
-    with np.errstate(divide="ignore"):
-        db_pos = float(20.0 * np.log10(abs(p_pos))) if p_pos != 0.0 else -math.inf
-        db_neg = float(20.0 * np.log10(abs(p_neg))) if p_neg != 0.0 else -math.inf
-    return PeakMeasures(window.start_index + i_pos, p_pos, db_pos,
-                        window.start_index + i_neg, p_neg, db_neg)
+    return PeakMeasures(window.start_index + i_pos, p_pos, pressure_db(p_pos),
+                        window.start_index + i_neg, p_neg, pressure_db(p_neg))

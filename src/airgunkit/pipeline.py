@@ -32,7 +32,7 @@ from typing import Iterable, Sequence
 
 from .errors import RunError
 from .measures import Levels, format_db, window_levels
-from .pulse_detect import PulseEvent, PulseScanner
+from .pulse_detect import PulseEvent, PulseScanner, peak_cells
 from .signal_io import ChannelManifest, RollingBuffer, SampleBuffer, format_time
 from .weighting import CANONICAL_ORDER, WeightingKind
 from .windows import LATE_WINDOW_COUNT, LATE_WINDOW_S, EnergyBounds, energy_bounds, layout_windows
@@ -184,31 +184,13 @@ class RecordBuilder:
 
 
 # ---------------------------------------------------------------------------
-# accounting
-
-
-def ledger_total(weightings: int, early: int, late: int, units: int, pulses: int) -> int:
-    """Total feature points: weightings * (early + late) * units * pulses."""
-    for name, v in (("weightings", weightings), ("early", early), ("late", late),
-                    ("units", units), ("pulses", pulses)):
-        if v < 0:
-            raise ValueError(f"{name} must be non-negative")
-    return weightings * (early + late) * units * pulses
-
-
-# ---------------------------------------------------------------------------
 # catalog serialization
 
 
 def record_cells(rec: FeatureRecord) -> list[str]:
     """The 61 feature cells of one record, in catalog column order."""
-    ev = rec.event
-    fs, origin = ev.sample_rate_hz, rec.origin
-    cells = [format_time(i, fs, origin) for i in (rec.i5, *rec.late_starts)]
-    cells += [
-        format_time(ev.pos_index, fs, origin), f"{ev.p_pos_upa:.6f}", format_db(ev.p_pos_db),
-        format_time(ev.neg_index, fs, origin), f"{ev.p_neg_upa:.6f}", format_db(ev.p_neg_db),
-    ]
+    cells = [format_time(i, rec.event.sample_rate_hz, rec.origin) for i in (rec.i5, *rec.late_starts)]
+    cells += peak_cells(rec.event, rec.origin)
     for lv in (rec.early, *rec.late):
         cells += [format_db(v) for v in lv]
     return cells
@@ -222,14 +204,8 @@ def sort_records(records: Iterable[FeatureRecord]) -> list[FeatureRecord]:
     )
 
 
-@dataclass(frozen=True)
-class CatalogSummary:
-    n_records: int
-    n_points: int
-
-
-def write_catalog(records: Sequence[FeatureRecord], path, run_id: str) -> CatalogSummary:
-    """Write the catalog CSV; returns counted records and points.
+def write_catalog(records: Iterable[FeatureRecord], path, run_id: str) -> int:
+    """Write the catalog CSV; returns the points counted.
 
     Points are counted from the cells actually emitted (NA included), with
     the early bound pair contributing its single point through the
@@ -244,4 +220,4 @@ def write_catalog(records: Sequence[FeatureRecord], path, run_id: str) -> Catalo
                 raise RunError(f"record emitted {len(cells)} cells, expected {FEATURES_PER_RECORD}")
             n_points += len(cells)
             fh.write(f"{run_id},{rec.channel_id},{rec.weighting},{rec.pulse_index}," + ",".join(cells) + "\n")
-    return CatalogSummary(n_records=len(records), n_points=n_points)
+    return n_points

@@ -83,11 +83,11 @@ class PulseEvent:
     sample_rate_hz: float
     pos_index: int
     p_pos_upa: float
-    p_pos_db: float
+    p_pos_db: float | None
     neg_index: int
     p_neg_upa: float
-    p_neg_db: float
-    p_pp_db: float
+    p_neg_db: float | None
+    p_pp_db: float | None
     search_start_index: int
     search_end_index: int
     anchor_index: int
@@ -265,20 +265,23 @@ EVENTS_HEADER = (
 )
 
 
-def format_event_row(ev: PulseEvent, weighting: str, pulse_index: int,
-                     origin: Fraction = Fraction(0)) -> str:
-    """One events-CSV row; times at ns precision, levels at micro-dB.
+def peak_cells(ev: PulseEvent, origin: Fraction = Fraction(0)) -> list[str]:
+    """The cells t_a_s, p_a_upa, p_a_db, t_b_s, p_b_upa, p_b_db of one pulse.
 
-    ``origin`` is the seconds of the channel's sample 0 (``ChannelManifest.origin``).
+    Times are at ns precision, pressures and levels at 6 decimals; ``origin``
+    is the seconds of the channel's sample 0 (``ChannelManifest.origin``).
     """
     fs = ev.sample_rate_hz
-    ipi = NA if ev.ipi_samples is None else format_time(ev.ipi_samples, fs)
-    return (
-        f"{ev.channel_id},{weighting},{pulse_index},"
-        f"{format_time(ev.pos_index, fs, origin)},{ev.p_pos_upa:.6f},{format_db(ev.p_pos_db)},"
-        f"{format_time(ev.neg_index, fs, origin)},{ev.p_neg_upa:.6f},{format_db(ev.p_neg_db)},"
-        f"{format_db(ev.p_pp_db)},{ipi}"
-    )
+    return [format_time(ev.pos_index, fs, origin), f"{ev.p_pos_upa:.6f}", format_db(ev.p_pos_db),
+            format_time(ev.neg_index, fs, origin), f"{ev.p_neg_upa:.6f}", format_db(ev.p_neg_db)]
+
+
+def format_event_row(ev: PulseEvent, weighting: str, pulse_index: int,
+                     origin: Fraction = Fraction(0)) -> str:
+    """One events-CSV row: the pulse's ``peak_cells``, then p_pp_db and ipi_s."""
+    ipi = NA if ev.ipi_samples is None else format_time(ev.ipi_samples, ev.sample_rate_hz)
+    return ",".join([str(ev.channel_id), weighting, str(pulse_index), *peak_cells(ev, origin),
+                     format_db(ev.p_pp_db), ipi])
 
 
 def write_events_csv(path, rows: Sequence[str]) -> None:

@@ -10,17 +10,16 @@ each accumulator lives entirely inside one task.
 
 from __future__ import annotations
 
-import math
 import multiprocessing
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
 from .errors import RunError
 from .pipeline import FeatureRecord, RecordBuilder, sort_records, write_catalog
 from .pulse_detect import MAX_EXCURSION_S, DetectorConfig, detect_pulses
-from .signal_io import ChannelManifest, RollingBuffer, SampleBuffer, chunk_samples, iter_chunks
+from .signal_io import CHUNK_S, ChannelManifest, RollingBuffer, SampleBuffer, iter_chunks
 from .weighting import CANONICAL_ORDER, WeightingKind, WeightingSpec, apply_filter, design_filter
 
 LogFn = Callable[[str], None]
@@ -38,7 +37,6 @@ class RunConfig:
     channels: tuple[int, ...] | None = None  # None = all manifest channels
     weightings: tuple[WeightingKind, ...] = CANONICAL_ORDER
     run_id: str = "run"
-    chunk_s: float = 60.0
 
     def __post_init__(self) -> None:
         if self.mode not in ("serial", "parallel"):
@@ -47,8 +45,6 @@ class RunConfig:
             raise ValueError("serial mode implies worker_count = 1")
         if self.worker_count < 1:
             raise ValueError("worker_count must be >= 1")
-        if not 0.0 < self.chunk_s < math.inf:
-            raise ValueError(f"chunk_s must be finite and positive, got {self.chunk_s}")
         if not self.weightings:
             raise ValueError("weighting selection is empty")
         if len(set(self.weightings)) != len(self.weightings):
@@ -69,7 +65,7 @@ class RuntimeReport:
     ``per_channel_seconds`` splits by channel.  The counters sum the
     per-task counts: pulses dropped by the t_A spacing rule, excursions cut
     into MAX_EXCURSION_S pieces, and weighting filter states flushed to zero.
-    Every kept pulse is one catalog record, so ``n_pulses`` is ``n_records``.
+    Every kept pulse is one catalog record.
     """
 
     per_channel_seconds: dict[int, float]
@@ -85,6 +81,7 @@ class RuntimeReport:
 
     @property
     def n_pulses(self) -> int:
+        """``n_records`` under its old name, which perfbench's self-test still reads."""
         return self.n_records
 
 
@@ -96,7 +93,7 @@ class _WeightedChunks:
     """
 
     def __init__(self, cm: ChannelManifest, kind: WeightingKind, chunk_s: float,
-                 buffer: RollingBuffer | None = None) -> None:
+                 buffer: RollingBuffer | None) -> None:
         self.state = design_filter(WeightingSpec(kind), cm.sample_rate_hz)
         self._chunks = iter_chunks(cm, chunk_s, buffer)
 
@@ -109,9 +106,9 @@ class _WeightedChunks:
         return filtered
 
 
-def weighted_chunks(cm: ChannelManifest, kind: WeightingKind, chunk_s: float,
+def weighted_chunks(cm: ChannelManifest, kind: WeightingKind, chunk_s: float = CHUNK_S,
                     buffer: RollingBuffer | None = None) -> _WeightedChunks:
-    """The channel's sample stream through one weighting filter, chunk by chunk.
+    """The channel's sample stream through one weighting filter, in ``iter_chunks`` chunks.
 
     Each chunk is read into the slots reserved at the tail of ``buffer``, when
     given, and filtered there in place: appending it to ``buffer`` copies nothing.
@@ -128,12 +125,7 @@ class StreamResult(NamedTuple):
     filter_flushes: int  # weighting filter states flushed to zero
 
 
-def extract_stream(
-    cm: ChannelManifest,
-    kind: WeightingKind,
-    detector: DetectorConfig,
-    chunk_s: float,
-) -> StreamResult:
+def extract_stream(cm: ChannelManifest, kind: WeightingKind, detector: DetectorConfig) -> StreamResult:
     """Detect and measure every pulse of one weighted stream in one pass.
 
     Each chunk is read, calibrated and filtered once, in place in the one
@@ -143,7 +135,7 @@ def extract_stream(
     """
     builder = RecordBuilder(cm, kind)
     buffer = RollingBuffer()
-    chunks = weighted_chunks(cm, kind, chunk_s, buffer)
+    chunks = weighted_chunks(cm, kind, buffer=buffer)
     detect_pulses(chunks, detector, builder, buffer)
     return StreamResult(builder.records, builder.t_a_drops, builder.cut_excursions,
                         chunks.state.flushes)
@@ -169,26 +161,23 @@ class _TaskResult:
 
 def preflight(config: RunConfig,
               manifests: dict[int, ChannelManifest]) -> list[tuple[ChannelManifest, WeightingKind]]:
-    """The run's (channel, weighting) streams in catalog order, checked against the manifest.
+    """The run's (channel, weighting) streams in catalog order.
 
-    Raises RunError when the manifest lacks a selected channel, and
-    ValueError when ``chunk_s`` is under one sample at a selected channel's rate.
+    Raises RunError when the manifest lacks a selected channel.
     """
     channels = sorted(manifests if config.channels is None else config.channels)
     missing = [ch for ch in channels if ch not in manifests]
     if missing:
         raise RunError(f"manifest does not cover requested channels: {missing}")
-    for ch in channels:
-        chunk_samples(manifests[ch], config.chunk_s)
     return [(manifests[ch], kind) for ch in channels for kind in CANONICAL_ORDER if kind in config.weightings]
 
 
-def _run_task(args: tuple[ChannelManifest, str, DetectorConfig, float]) -> _TaskResult:
+def _run_task(args: tuple[ChannelManifest, str, DetectorConfig]) -> _TaskResult:
     """Detect and measure one (channel, weighting) stream; never raises."""
-    cm, kind_value, detector, chunk_s = args
+    cm, kind_value, detector = args
     start = time.perf_counter()
     try:
-        stream, error = extract_stream(cm, WeightingKind(kind_value), detector, chunk_s), None
+        stream, error = extract_stream(cm, WeightingKind(kind_value), detector), None
     except Exception as exc:  # propagate through the pool as data
         stream, error = StreamResult([], 0, 0, 0), f"{type(exc).__name__}: {exc}"
     return _TaskResult(cm.channel_id, kind_value, time.perf_counter() - start, stream, error)
@@ -206,7 +195,7 @@ def run(
     before any task starts.
     """
     streams = preflight(config, manifests)
-    tasks = [(cm, kind.value, config.detector, config.chunk_s) for cm, kind in streams]
+    tasks = [(cm, kind.value, config.detector) for cm, kind in streams]
     worker_count = max(1, min(config.worker_count, len(tasks)))  # never more processes than tasks
 
     wall_start = time.perf_counter()
@@ -236,7 +225,7 @@ def run(
     records = sort_records([rec for r in results for rec in r.stream.records])
     out_path = Path(config.out_path)
     try:
-        summary = write_catalog(records, out_path, config.run_id)
+        n_points = write_catalog(records, out_path, config.run_id)
     except BaseException:
         out_path.unlink(missing_ok=True)  # never leave a partial catalog
         raise
@@ -247,8 +236,8 @@ def run(
         task_seconds=sum(r.seconds for r in results),
         worker_count=worker_count,
         channel_hours=sum(manifests[ch].duration_s for ch in per_channel) / 3600.0,
-        n_records=summary.n_records,
-        n_points=summary.n_points,
+        n_records=len(records),
+        n_points=n_points,
         t_a_drops=sum(r.stream.t_a_drops for r in results),
         cut_excursions=sum(r.stream.cut_excursions for r in results),
         filter_flushes=sum(r.stream.filter_flushes for r in results),
@@ -273,7 +262,6 @@ def report_text(report: RuntimeReport) -> str:
     lines.append(f"task_seconds={report.task_seconds:.3f}")
     lines.append(f"worker_count={report.worker_count}")
     lines.append(f"channel_hours={report.channel_hours:.6f}")
-    lines.append(f"pulses={report.n_pulses}")
     lines.append(f"t_a_drops={report.t_a_drops}")
     lines.append(f"cut_excursions={report.cut_excursions}")
     lines.append(f"filter_flushes={report.filter_flushes}")
@@ -293,34 +281,25 @@ class BenchResult:
     parallel_catalog: Path
 
 
-def bench(
-    manifests: dict[int, ChannelManifest],
-    detector: DetectorConfig,
-    out_dir: Path | str,
-    worker_count: int = PARALLEL_WORKERS,
-    weightings: Sequence[WeightingKind] = RunConfig.weightings,
-    chunk_s: float = RunConfig.chunk_s,
-    log: LogFn | None = None,
-) -> BenchResult:
-    """Run serial then parallel over the same input and compare wall time.
+def bench(config: RunConfig, manifests: dict[int, ChannelManifest],
+          log: LogFn | None = None) -> BenchResult:
+    """Run ``config`` serially, then as given, over the same input and compare wall time.
 
-    The two catalogs are compared byte for byte; the speedup is
-    serial/parallel wall seconds.
+    ``config`` is the parallel run; the serial run writes
+    ``catalog_serial.csv`` beside its catalog.  The two catalogs are compared
+    byte for byte; the speedup is serial/parallel wall seconds.
     """
-    out = Path(out_dir)
-    serial = RunConfig(out_path=out / "catalog_serial.csv", detector=detector,
-                       weightings=tuple(weightings), chunk_s=chunk_s)
-    parallel = replace(serial, out_path=out / "catalog_parallel.csv", mode="parallel",
-                       worker_count=worker_count)
+    serial = replace(config, out_path=Path(config.out_path).with_name("catalog_serial.csv"),
+                     mode="serial", worker_count=1)
     preflight(serial, manifests)  # before the output directory is made
-    out.mkdir(parents=True, exist_ok=True)
+    Path(config.out_path).parent.mkdir(parents=True, exist_ok=True)
 
     t0 = time.perf_counter()
     serial_path, _ = run(serial, manifests, log=log)
     serial_s = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    parallel_path, parallel_report = run(parallel, manifests, log=log)
+    parallel_path, parallel_report = run(config, manifests, log=log)
     parallel_s = time.perf_counter() - t0
 
     identical = serial_path.read_bytes() == parallel_path.read_bytes()

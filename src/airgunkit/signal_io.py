@@ -50,7 +50,10 @@ import numpy as np
 from .errors import AudioFormatError, GapError, ManifestError
 
 MAX_SAMPLE_RATE_HZ = 512_000
-# samples per chunk read, at most: 1 MB as float64, 0.256 s at 512 kHz
+# a chunk read is CHUNK_S seconds of samples, but at most MAX_CHUNK_SAMPLES:
+# 1 MB as float64, 0.256 s at 512 kHz.  At 2 kHz a chunk is 120,000 samples;
+# from 2185 Hz up the cap sets it.
+CHUNK_S = 60.0
 MAX_CHUNK_SAMPLES = 2**17
 # frames of one 16-bit mono WAV: RIFF's 32-bit size field counts 36 header
 # bytes plus 2 per frame, ~69.9 min at 512 kHz
@@ -434,15 +437,6 @@ def read_span(cm: ChannelManifest, start_index: int, count: int,
     return SampleBuffer(samples, cm.sample_rate_hz, start_index, cm.channel_id)
 
 
-def chunk_samples(cm: ChannelManifest, chunk_s: float) -> int:
-    """Samples per chunk of at most ``chunk_s`` seconds: ValueError under one sample."""
-    step = round(chunk_s * cm.sample_rate_hz)
-    if step < 1:
-        raise ValueError(f"chunk_s {chunk_s:g} is under one sample at channel {cm.channel_id}'s "
-                         f"{cm.sample_rate_hz:g} Hz")
-    return min(step, MAX_CHUNK_SAMPLES)
-
-
 def iter_chunks(cm: ChannelManifest, chunk_s: float,
                 buffer: RollingBuffer | None = None) -> Iterator[SampleBuffer]:
     """Yield the whole channel as consecutive chunks (last one may be short).
@@ -453,7 +447,7 @@ def iter_chunks(cm: ChannelManifest, chunk_s: float,
     tile the channel exactly: each starts where the previous ended.  Given a
     ``buffer``, each chunk is read into the slots ``buffer.reserve`` hands out.
     """
-    step = chunk_samples(cm, chunk_s)
+    step = min(round(chunk_s * cm.sample_rate_hz), MAX_CHUNK_SAMPLES)
     for start in range(0, cm.n_samples, step):
         n = min(step, cm.n_samples - start)
         yield read_span(cm, start, n, out=None if buffer is None else buffer.reserve(n))

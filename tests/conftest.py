@@ -17,6 +17,15 @@ def csel_of_levels(sel_dbs) -> float:
     return float(10.0 * np.log10(np.sum(10.0 ** (arr / 10.0))))
 
 
+def ledger_total(weightings: int, early: int, late: int, units: int, pulses: int) -> int:
+    """Oracle: total feature points, weightings * (early + late) * units * pulses."""
+    for name, v in (("weightings", weightings), ("early", early), ("late", late),
+                    ("units", units), ("pulses", pulses)):
+        if v < 0:
+            raise ValueError(f"{name} must be non-negative")
+    return weightings * (early + late) * units * pulses
+
+
 def write_wav(path, counts, sample_rate_hz) -> None:
     """Write a whole array of counts as one WAV file, in one block."""
     with wav_writer(path, len(counts), sample_rate_hz) as append:

@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 from airgunkit.measures import window_levels
-from airgunkit.pipeline import CATALOG_HEADER, ledger_total
+from airgunkit.pipeline import CATALOG_HEADER
 from airgunkit.pulse_detect import DetectorConfig
 from airgunkit.runner import RunConfig, run
 from airgunkit.signal_io import SampleBuffer, open_manifest
@@ -35,6 +35,8 @@ from airgunkit.weighting import (
     design_filter,
 )
 from airgunkit.windows import energy_bounds
+
+from conftest import ledger_total
 
 FS = 16_000.0
 DETECTOR = DetectorConfig(threshold_db=100.0, min_ipi_s=5.0)

@@ -1,13 +1,14 @@
 import csv
 import re
 import wave
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from airgunkit import runner
+from airgunkit import cli, runner
 from airgunkit.cli import _FLAGS, _effective, build_parser, main
 from airgunkit.pipeline import CATALOG_HEADER
 from airgunkit.pulse_detect import EVENTS_HEADER
@@ -291,7 +292,6 @@ def test_bad_config_value_names_file_and_line(survey_dir, tmp_path, capsys):
 # 7000 and -7000 dB are finite, but 10**(dB/20) overflows or underflows
 _NON_FINITE = [("threshold_db", v) for v in ("nan", "inf", "-inf", "7000", "-7000")]
 _NON_FINITE += [("min_ipi_s", v) for v in ("nan", "inf")]
-_NON_FINITE += [("chunk_s", v) for v in ("0", "-5", "nan", "inf")]
 
 
 @pytest.mark.parametrize("command", ["detect", "extract", "bench"])
@@ -309,15 +309,18 @@ def test_non_finite_run_parameter_is_usage_error(survey_dir, tmp_path, capsys, c
 
 
 @pytest.mark.parametrize("command", ["detect", "extract", "bench"])
-def test_chunk_s_under_one_sample_is_usage_error(survey_dir, tmp_path, capsys, command):
-    # 1e-5 s is 0.16 samples at 16 kHz: refused before any task starts
-    out = ["--out-dir", str(tmp_path)] if command == "bench" else ["--out", str(tmp_path / "c.csv")]
-    code = main([command, "--manifest", str(survey_dir / "manifest.txt"), *out, "--chunk-s", "0.00001"])
-    err = capsys.readouterr().err
-    assert code == 1
-    assert "chunk_s 1e-05 is under one sample at channel 0's 16000 Hz" in err
-    assert "channel 0 linear" not in err  # no task ran
-    assert list(tmp_path.iterdir()) == []  # no catalog or summary
+def test_chunk_length_is_no_setting(survey_dir, tmp_path, capsys, command):
+    # the chunk length is signal_io's: neither a flag nor a config key
+    assert main([command, "--help"]) == 0
+    assert "--chunk-s" not in capsys.readouterr().out
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("chunk_s = 60\n")
+    out = tmp_path / "out"
+    dest = ["--out-dir" if command == "bench" else "--out", str(out)]
+    for given in (["--config", str(cfg)], ["--chunk-s", "60"]):
+        assert main([command, "--manifest", str(survey_dir / "manifest.txt"), *dest, *given]) == 1
+    assert "c.cfg:1: unknown key 'chunk_s'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 _ROWS = [(command, row) for command, rows in _FLAGS.items() for row in rows]
@@ -419,7 +422,6 @@ _BAD_SETTINGS = {
     "repeated-channel": (["--channels", "0,0"], 1),
     "repeated-weighting": (["--weightings", "mfc,lfc,mfc"], 1),
     "uncovered-channel": (["--channels", "7"], 2),
-    "chunk-under-one-sample": (["--chunk-s", "0.00001"], 1),
     "threshold-out-of-range": (["--threshold-db", "-7000"], 1),
 }
 
@@ -525,27 +527,25 @@ def test_bench_reports_identical_catalogs(survey_dir, tmp_path, capsys):
     assert (tmp_path / "catalog_parallel.csv").is_file()
 
 
-def test_bench_honours_chunk_s(survey_dir, tmp_path, monkeypatch):
+def test_bench_runs_the_settings_of_extract_serially_then_in_parallel(survey_dir, tmp_path, monkeypatch):
     seen = []
     real_run = runner.run
 
     def recording_run(config, manifests, log=None):
-        seen.append(config.chunk_s)
+        seen.append(config)
         return real_run(config, manifests, log=log)
 
-    monkeypatch.setattr(runner, "run", recording_run)
-    code = main(
-        [
-            "bench",
-            "--manifest", str(survey_dir / "manifest.txt"),
-            "--out-dir", str(tmp_path),
-            "--weightings", "linear",
-            "--chunk-s", "0.9",
-            "--workers", "2",
-        ]
-    )
-    assert code == 0
-    assert seen == [0.9, 0.9]
+    monkeypatch.setattr(runner, "run", recording_run)  # as bench calls it
+    monkeypatch.setattr(cli, "run", recording_run)  # as extract calls it
+    settings = ["--weightings", "mfc,linear", "--threshold-db", "95", "--min-ipi-s", "6"]
+    assert main(["bench", "--manifest", str(survey_dir / "manifest.txt"), "--out-dir", str(tmp_path),
+                 "--workers", "2", *settings]) == 0
+    assert main(["extract", "--manifest", str(survey_dir / "manifest.txt"), "--out", str(tmp_path / "e.csv"),
+                 "--mode", "parallel", "--workers", "2", *settings]) == 0
+    bench_serial, bench_parallel, extract = seen
+    assert bench_parallel == replace(extract, out_path=tmp_path / "catalog_parallel.csv")
+    assert bench_serial == replace(extract, out_path=tmp_path / "catalog_serial.csv", mode="serial",
+                                   worker_count=1)
 
 
 def test_negative_only_pulse_writes_na_not_minus_inf(tmp_path):

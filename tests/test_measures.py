@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from airgunkit.errors import MeasureError
-from airgunkit.measures import NA, format_db, measure_peaks, window_energy, window_levels
+from airgunkit.measures import NA, format_db, measure_peaks, pressure_db, window_energy, window_levels
 
 from conftest import csel_of_levels, make_buffer
 
@@ -244,7 +244,7 @@ def test_peaks_single_positive_sample():
     assert m.pos_index == 40
     assert measure_peaks(make_buffer(x, start=1000)).pos_index == 1040  # a global index
     assert m.p_neg_upa == 0.0
-    assert m.p_neg_db == -math.inf
+    assert m.p_neg_db is None  # a zero pressure has no level
     assert m.p_pp_db == pytest.approx(120.0, abs=1e-12)
 
 
@@ -287,9 +287,24 @@ def test_format_db_writes_missing_and_non_finite_levels_as_na():
     x = np.zeros(100)
     x[40] = 1.0e6
     m = measure_peaks(make_buffer(x))
-    assert format_db(m.p_neg_db) == NA  # an extreme of exactly zero is -inf dB
+    assert format_db(m.p_neg_db) == NA  # an extreme of exactly zero has no level
     assert format_db(m.p_pos_db) == "120.000000"
     const = measure_peaks(make_buffer(np.full(10, 5.0)))
-    assert const.p_pp_db == -math.inf
+    assert const.p_pp_db is None
     assert format_db(const.p_pp_db) == NA
     assert [format_db(v) for v in (None, math.inf, math.nan)] == [NA] * 3
+
+
+def test_peak_spl_and_peak_levels_share_one_pressure_formula():
+    # spl_peak_db, p_a_db, p_b_db and p_pp_db are each pressure_db of their
+    # pressure, bit for bit, and pressure_db is math.log10 of |p|
+    rng = np.random.default_rng(7)
+    for scale in (1e-3, 1.0, 3e3, 1e9):
+        x = rng.normal(scale=scale, size=257)
+        m = measure_peaks(make_buffer(x))
+        lv, _ = window_levels(make_buffer(x))
+        assert m.p_pos_db == pressure_db(x.max()) == 20.0 * math.log10(x.max())
+        assert m.p_neg_db == pressure_db(x.min()) == 20.0 * math.log10(-x.min())
+        assert m.p_pp_db == pressure_db(x.max() - x.min())
+        assert lv.spl_db == pressure_db(max(x.max(), -x.min()))
+    assert pressure_db(0.0) is None and pressure_db(-0.0) is None

@@ -10,7 +10,6 @@ from airgunkit.pipeline import (
     NA_LEVELS,
     FeatureRecord,
     extract_record,
-    ledger_total,
     record_cells,
     sort_records,
     write_catalog,
@@ -24,12 +23,13 @@ from airgunkit.pulse_detect import (
     PulseEvent,
     detect_pulses,
 )
+from airgunkit import signal_io
 from airgunkit.runner import extract_stream
 from airgunkit.signal_io import RollingBuffer, open_manifest, read_span
 from airgunkit.weighting import CANONICAL_ORDER, WeightingKind, WeightingSpec, apply_filter, design_filter
 from airgunkit.windows import LATE_WINDOW_COUNT, LATE_WINDOW_S, EnergyBounds, energy_bounds, layout_windows
 
-from conftest import csel_of_levels, make_buffer, read_rows, write_wav
+from conftest import csel_of_levels, ledger_total, make_buffer, read_rows, write_wav
 
 FS = 16000.0
 
@@ -268,9 +268,7 @@ def test_write_catalog_counts_and_round_trip(tmp_path):
     state = new_csel()
     recs = [const_record(state, k) for k in range(3)]
     path = tmp_path / "catalog.csv"
-    summary = write_catalog(recs, path, run_id="t1")
-    assert summary.n_records == 3
-    assert summary.n_points == 3 * 61
+    assert write_catalog(recs, path, run_id="t1") == 3 * 61
 
     text = path.read_text()
     lines = text.splitlines()
@@ -336,16 +334,17 @@ def whole_buffer_records(cm, kind, detector):
     return events, records
 
 
-def test_extract_stream_matches_whole_buffer_reference(small_survey):
+def test_extract_stream_matches_whole_buffer_reference(small_survey, monkeypatch):
     spec, result = small_survey
     detector = DetectorConfig(threshold_db=100.0, min_ipi_s=5.0)
     manifests = open_manifest(result.manifest_path)
+    monkeypatch.setattr(signal_io, "MAX_CHUNK_SAMPLES", 112_000)  # 7 s at 16 kHz
     checked = 0
     for ch, cm in manifests.items():
         for kind in CANONICAL_ORDER:
             ref_events, ref_records = whole_buffer_records(cm, kind, detector)
             assert len(ref_events) == spec.n_pulses
-            got = extract_stream(cm, kind, detector, chunk_s=7.0)
+            got = extract_stream(cm, kind, detector)
             assert len(got.records) == len(ref_records)
             assert got.t_a_drops == 0
             for a, b in zip(got.records, ref_records):
@@ -354,16 +353,18 @@ def test_extract_stream_matches_whole_buffer_reference(small_survey):
     assert checked == 2 * 3 * spec.n_pulses
 
 
-def test_extract_stream_chunk_size_does_not_matter(small_survey):
+def test_extract_stream_chunk_size_does_not_matter(small_survey, monkeypatch):
     spec, result = small_survey
     detector = DetectorConfig(threshold_db=100.0, min_ipi_s=5.0)
     cm = open_manifest(result.manifest_path)[0]
     kind = CANONICAL_ORDER[1]
-    a = extract_stream(cm, kind, detector, chunk_s=60.0).records
-    b = extract_stream(cm, kind, detector, chunk_s=3.7).records
-    c = extract_stream(cm, kind, detector, chunk_s=0.7).records  # shorter than a search window
-    assert len(a) == spec.n_pulses
-    assert [record_cells(r) for r in a] == [record_cells(r) for r in b] == [record_cells(r) for r in c]
+    cells = []
+    # 8.192 s, 3.7 s and 0.7 s at 16 kHz, the last shorter than a search window
+    for cap in (2**17, 59_200, 11_200):
+        monkeypatch.setattr(signal_io, "MAX_CHUNK_SAMPLES", cap)
+        cells.append([record_cells(r) for r in extract_stream(cm, kind, detector).records])
+    assert len(cells[0]) == spec.n_pulses
+    assert cells[0] == cells[1] == cells[2]
 
 
 def recorded_holds(monkeypatch):
@@ -396,12 +397,13 @@ def test_largest_hold_is_an_open_excursion_behind_a_pending_record(tmp_path, mon
     (tmp_path / "manifest.txt").write_text("calib 0 2048 126\nfile 0 a.wav 0\n")
     cm = open_manifest(tmp_path / "manifest.txt")[0]
     holds = recorded_holds(monkeypatch)
-    for chunk_s in (0.05, 1.0):
+    for chunk in (100, 2000):  # 0.05 s and 1 s
+        monkeypatch.setattr(signal_io, "MAX_CHUNK_SAMPLES", chunk)
         holds.clear()
-        res = extract_stream(cm, WeightingKind.LINEAR, DetectorConfig(threshold_db=100.0), chunk_s)
+        res = extract_stream(cm, WeightingKind.LINEAR, DetectorConfig(threshold_db=100.0))
         assert (len(res.records), res.cut_excursions) == (3, 1)
-        bound_s = MAX_EXCURSION_S + SEARCH_BEFORE_S + LATE_WINDOW_S + chunk_s
-        assert MAX_EXCURSION_S * fs < max(holds) <= bound_s * fs, (chunk_s, max(holds) / fs)
+        bound = (MAX_EXCURSION_S + SEARCH_BEFORE_S + LATE_WINDOW_S) * fs + chunk
+        assert MAX_EXCURSION_S * fs < max(holds) <= bound, (chunk, max(holds) / fs)
 
 
 def test_short_pulses_hold_a_search_window_and_one_late_window(small_survey, monkeypatch):
@@ -410,9 +412,11 @@ def test_short_pulses_hold_a_search_window_and_one_late_window(small_survey, mon
     spec, result = small_survey
     cm = open_manifest(result.manifest_path)[0]
     holds = recorded_holds(monkeypatch)
-    for chunk_s in (0.05, 1.0):
+    fs = cm.sample_rate_hz
+    for chunk in (800, 16_000):  # 0.05 s and 1 s at 16 kHz
+        monkeypatch.setattr(signal_io, "MAX_CHUNK_SAMPLES", chunk)
         holds.clear()
-        res = extract_stream(cm, WeightingKind.LINEAR, DetectorConfig(threshold_db=100.0), chunk_s)
+        res = extract_stream(cm, WeightingKind.LINEAR, DetectorConfig(threshold_db=100.0))
         assert len(res.records) == spec.n_pulses
-        bound_s = SEARCH_BEFORE_S + SEARCH_AFTER_S + LATE_WINDOW_S + chunk_s
-        assert max(holds) <= bound_s * cm.sample_rate_hz, (chunk_s, max(holds) / cm.sample_rate_hz)
+        bound = (SEARCH_BEFORE_S + SEARCH_AFTER_S + LATE_WINDOW_S) * fs + chunk
+        assert max(holds) <= bound, (chunk, max(holds) / fs)

@@ -112,7 +112,6 @@ def test_serial_run_counts(twelve_pulse_survey, tmp_path):
     assert out.is_file()
     assert report.n_records == 12 * 3  # one record per pulse per weighting
     assert report.n_points == 12 * 3 * 61
-    assert report.n_pulses == 12 * 3
     assert report.worker_count == 1
     assert report.task_seconds == pytest.approx(
         sum(report.per_channel_seconds.values()), abs=1e-9
@@ -126,6 +125,7 @@ def test_serial_run_counts(twelve_pulse_survey, tmp_path):
     text = report_text(report)
     assert "records=36" in text
     assert "points=2196" in text
+    assert "pulses=" not in text  # each total is said once: a pulse is a record
     assert "worker_count=1" in text
     assert "wall_seconds=" in text and "task_seconds=" in text
     assert "t_a_drops=0" in text
@@ -181,7 +181,7 @@ def test_t_a_spacing_drops_are_counted_and_logged(tmp_path):
         open_manifest(tmp_path / "m.txt"),
         log=lines.append,
     )
-    assert (report.n_pulses, report.t_a_drops) == (1, 1)
+    assert (report.n_records, report.t_a_drops) == (1, 1)
     assert lines == [lines[0]] and "1 pulses" in lines[0] and "1 dropped by t_A spacing" in lines[0]
 
 
@@ -198,7 +198,7 @@ def test_cut_excursions_are_counted_and_logged(tmp_path):
         open_manifest(tmp_path / "m.txt"),
         log=lines.append,
     )
-    assert (report.n_pulses, report.cut_excursions) == (3, 1)
+    assert (report.n_records, report.cut_excursions) == (3, 1)
     assert "1 excursions cut into 15-s pieces" in lines[0]
     assert "cut_excursions=1" in report_text(report)
 
@@ -226,24 +226,27 @@ def test_parallel_matches_serial_bytes(small_survey, tmp_path, workers):
     assert parallel.read_bytes() == serial.read_bytes()
     assert rep.worker_count == workers
     assert srep.filter_flushes > 0
-    counters = ("n_pulses", "t_a_drops", "cut_excursions", "filter_flushes")
+    counters = ("n_records", "n_points", "t_a_drops", "cut_excursions", "filter_flushes")
     assert [getattr(rep, c) for c in counters] == [getattr(srep, c) for c in counters]
     # both modes report wall time and summed task time apart
     assert rep.task_seconds == pytest.approx(sum(rep.per_channel_seconds.values()), abs=1e-9)
     assert rep.wall_seconds > 0.0
 
 
+# chunk lengths in samples: 0.3 s at 16 kHz up to the cap
+CHUNK_SAMPLES = st.integers(min_value=4_800, max_value=MAX_CHUNK_SAMPLES)
+
+
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(chunk_s=st.floats(min_value=0.3, max_value=40.0), reverse=st.booleans())
+@given(chunk=CHUNK_SAMPLES, reverse=st.booleans())
 def test_catalog_bytes_do_not_depend_on_chunk_size_or_channel_order(
-    noisy_survey, reference_catalog, tmp_path, chunk_s, reverse
+    noisy_survey, reference_catalog, tmp_path, chunk, reverse
 ):
     manifests = open_manifest(noisy_survey.manifest_path)
     channels = tuple(sorted(manifests, reverse=reverse))
-    out, _ = run(
-        RunConfig(out_path=tmp_path / "h.csv", detector=DETECTOR, channels=channels, chunk_s=chunk_s),
-        manifests,
-    )
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(signal_io, "MAX_CHUNK_SAMPLES", chunk)
+        out, _ = run(RunConfig(out_path=tmp_path / "h.csv", detector=DETECTOR, channels=channels), manifests)
     assert out.read_bytes() == reference_catalog
 
 
@@ -267,9 +270,9 @@ def test_catalog_bytes_do_not_depend_on_file_splits(noisy_survey, reference_cata
             write_wav(out / f"c{ch}_{k}.wav", counts[a - (jitter < 0) : b], int(cm.sample_rate_hz))
             lines.append(f"file {ch} c{ch}_{k}.wav {(a + jitter) / cm.sample_rate_hz!r}")
     (out / "m.txt").write_text("\n".join(lines) + "\n")
-    chunk_s = data.draw(st.floats(min_value=0.5, max_value=60.0), label="chunk_s")
-    catalog, _ = run(RunConfig(out_path=out / "c.csv", detector=DETECTOR, chunk_s=chunk_s),
-                     open_manifest(out / "m.txt"))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(signal_io, "MAX_CHUNK_SAMPLES", data.draw(CHUNK_SAMPLES, label="chunk"))
+        catalog, _ = run(RunConfig(out_path=out / "c.csv", detector=DETECTOR), open_manifest(out / "m.txt"))
     assert catalog.read_bytes() == reference_catalog
 
 
@@ -292,7 +295,7 @@ def test_run_reads_and_filters_every_sample_once_per_task(noisy_survey, tmp_path
 
     monkeypatch.setattr(signal_io, "read_span", read)
     monkeypatch.setattr(runner, "apply_filter", filt)
-    run(RunConfig(out_path=tmp_path / "c.csv", detector=DETECTOR, chunk_s=9.0), manifests)
+    run(RunConfig(out_path=tmp_path / "c.csv", detector=DETECTOR), manifests)
     # serial tasks run one after another, channel by channel, weighting by weighting
     tasks = [(ch, kind) for ch in sorted(manifests) for kind in CANONICAL_ORDER]
     per_task = len(reads) // len(tasks)
@@ -475,7 +478,8 @@ def test_pool_never_outnumbers_the_streams(small_survey, tmp_path, monkeypatch):
         assert out.read_bytes() == serial.read_bytes()
         assert started[-1] == report.worker_count == expected
         assert f"worker_count={expected}" in report_text(report)
-    res = bench(manifests, DETECTOR, tmp_path / "bench", worker_count=5000)
+    res = bench(RunConfig(out_path=tmp_path / "bench" / "p.csv", detector=DETECTOR, mode="parallel",
+                          worker_count=5000), manifests)
     assert res.identical and res.worker_count == 6
     assert started == [6, 6, 4, 6]
 
@@ -487,8 +491,11 @@ def test_pool_never_outnumbers_the_streams(small_survey, tmp_path, monkeypatch):
 def test_bench_compares_catalogs(small_survey, tmp_path):
     spec, result = small_survey
     manifests = open_manifest(result.manifest_path)
-    res = bench(manifests, DETECTOR, tmp_path, worker_count=2)
+    res = bench(RunConfig(out_path=tmp_path / "catalog_parallel.csv", detector=DETECTOR, mode="parallel",
+                          worker_count=2), manifests)
     assert isinstance(res, BenchResult)
+    assert (res.serial_catalog, res.parallel_catalog) == (tmp_path / "catalog_serial.csv",
+                                                          tmp_path / "catalog_parallel.csv")
     assert res.identical is True
     assert res.serial_catalog.is_file()
     assert res.parallel_catalog.is_file()
