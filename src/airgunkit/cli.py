@@ -235,10 +235,11 @@ def _cmd_extract(ns: argparse.Namespace) -> int:
                          run_id=eff["run_id"])
     if eff["dump_filters"]:
         _dump_filters(manifests, config.weightings)
+    summary_path = Path(eff["summary"]) if eff["summary"] else Path(out + ".summary.txt")
+    preflight(config, manifests, summary_path)
 
     catalog_path, report = run(config, manifests, log=_log)
 
-    summary_path = Path(eff["summary"]) if eff["summary"] else Path(out + ".summary.txt")
     echo = "\n".join(f"{k}={eff[k]}" for k in sorted(eff))
     summary_path.write_text(
         f"# effective configuration\n{echo}\n# manifest\nmanifest={manifest_path}\n"

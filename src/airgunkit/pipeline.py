@@ -1,14 +1,15 @@
 """Feature record assembly, catalog serialization, and point accounting.
 
-One FeatureRecord holds the 61 feature values of a single pulse under a
-single weighting: the early window lower bound, ten late window start times,
-six peak measures, and four level measures (SPL, SEL, L_EQ, CSEL) for the
-early window and for each late window.  The early window's upper bound needs
-no column of its own because late window 1 starts exactly there.
+A record is the 61 feature values of a single pulse under a single
+weighting: the early window lower bound, ten late window start times, six
+peak measures, and four level measures (SPL, SEL, L_EQ, CSEL) for the early
+window and for each late window.  The early window's upper bound needs no
+column of its own because late window 1 starts exactly there.
 
-A record keeps its times as global sample indices: the bounds i5 and i95,
-the pulse's extremes, and late slot k at i95 + k * w for w samples per late
-window.  Seconds exist only in the written cells: signal_io.format_time
+A record is formatted where it settles: extract_record turns it into a
+CatalogRow, its sort key and its 61 cells as text.  Up to then its times are
+global sample indices: the bounds i5 and i95, the pulse's extremes, and late
+slot k at i95 + k * w for w samples per late window; signal_io.format_time
 prints origin + i/fs, rounded to 1 ns with ties to even.
 
 Catalog rows are ``run_id, channel_id, weighting, pulse_index`` followed by
@@ -18,7 +19,7 @@ still count as emitted feature points.  Levels and linear pressures print
 with 6 digits; written catalogs parse back to the exact same tokens.
 
 RecordBuilder turns the pulses of one (channel, weighting) stream into
-records while detect_pulses streams it: bounds and windows are measured in
+rows while detect_pulses streams it: bounds and windows are measured in
 the detector's rolling buffer of filtered samples, so no sample is read or
 filtered twice, and each window as soon as no later pulse can cut it, so a
 pending record holds at most one late window behind the scanner's own hold.
@@ -26,12 +27,11 @@ pending record holds at most one late window behind the scanner's own hold.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import RunError
-from .measures import Levels, format_db, window_levels
+from .measures import NA, Levels, format_db, window_levels
 from .pulse_detect import PulseEvent, PulseScanner, peak_cells
 from .signal_io import ChannelManifest, RollingBuffer, SampleBuffer, format_time
 from .weighting import CANONICAL_ORDER, WeightingKind
@@ -64,60 +64,38 @@ CATALOG_HEADER = ",".join(IDENTIFIER_COLUMNS + FEATURE_COLUMNS)
 WEIGHTING_RANK = {kind.value: i for i, kind in enumerate(CANONICAL_ORDER)}
 
 
-NA_LEVELS = Levels(None, None, None, None)
-
-
-@dataclass(frozen=True)
-class FeatureRecord:
-    """All feature values of one pulse under one weighting.
-
-    ``event`` holds the peak measures; i5 and i95 are the early window
-    bounds.  Times are sample indices of the channel, whose sample 0 sits at
-    ``origin`` seconds.
-    """
+class CatalogRow(NamedTuple):
+    """One record as its catalog row: the sort key, then the 61 feature cells joined by commas."""
 
     channel_id: int
-    weighting: str
     pulse_index: int
-    origin: Fraction
-    event: PulseEvent
-    i5: int
-    i95: int
-    late_valid: tuple[bool, ...]
-    early: Levels
-    late: tuple[Levels, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.late_valid) != LATE_WINDOW_COUNT or len(self.late) != LATE_WINDOW_COUNT:
-            raise ValueError(f"record must carry {LATE_WINDOW_COUNT} late windows")
-
-    @property
-    def late_starts(self) -> tuple[int, ...]:
-        """First sample of every late slot; slot 1 starts at the early window's upper bound."""
-        w = round(LATE_WINDOW_S * self.event.sample_rate_hz)
-        return tuple(self.i95 + k * w for k in range(LATE_WINDOW_COUNT))
+    weighting: str
+    cells: str
 
 
-def extract_record(
-    event: PulseEvent,
-    bounds: EnergyBounds,
-    levels: Sequence[Levels],
-    *,
-    weighting: str,
-    pulse_index: int,
-    origin: Fraction = Fraction(0),
-) -> FeatureRecord:
-    """Assemble one record from the levels of its measured windows.
+def extract_record(event: PulseEvent, bounds: EnergyBounds, levels: Sequence[Levels], *, weighting: str,
+                   pulse_index: int, origin: Fraction = Fraction(0)) -> CatalogRow:
+    """Format one record from the levels of its measured windows.
 
     ``levels`` holds the early window's levels, then those of the late
     windows that were valid, in slot order: validity is a prefix of the
     ladder.  The remaining slots keep their start times but get NA level
     measures.  ``origin`` is the seconds of the channel's sample 0.
     """
-    n_late = len(levels) - 1
-    return FeatureRecord(event.channel_id, weighting, pulse_index, origin, event, bounds.i5, bounds.i95,
-                         (True,) * n_late + (False,) * (LATE_WINDOW_COUNT - n_late), levels[0],
-                         (*levels[1:], *(NA_LEVELS,) * (LATE_WINDOW_COUNT - n_late)))
+    n_na = LATE_WINDOW_COUNT + 1 - len(levels)
+    if not 0 <= n_na <= LATE_WINDOW_COUNT:
+        raise ValueError(f"record takes 1 to {LATE_WINDOW_COUNT + 1} window levels, got {len(levels)}")
+    fs = event.sample_rate_hz
+    w = round(LATE_WINDOW_S * fs)
+    late_starts = range(bounds.i95, bounds.i95 + LATE_WINDOW_COUNT * w, w)
+    cells = [format_time(i, fs, origin) for i in (bounds.i5, *late_starts)]
+    cells += peak_cells(event, origin)
+    for lv in levels:
+        cells += map(format_db, lv)
+    cells += (NA,) * (len(_LEVEL_NAMES) * n_na)
+    if len(cells) != FEATURES_PER_RECORD:
+        raise RunError(f"record emitted {len(cells)} cells, expected {FEATURES_PER_RECORD}")
+    return CatalogRow(event.channel_id, pulse_index, weighting, ",".join(cells))
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +118,7 @@ class RecordBuilder:
         self.cm = cm
         self.weighting = kind.value
         self.w_samp = round(LATE_WINDOW_S * cm.sample_rate_hz)
-        self.records: list[FeatureRecord] = []
+        self.records: list[CatalogRow] = []
         self.t_a_drops = 0
         self.cut_excursions = 0
         # the kept pulse whose record is pending, with the levels of its measured windows
@@ -187,37 +165,19 @@ class RecordBuilder:
 # catalog serialization
 
 
-def record_cells(rec: FeatureRecord) -> list[str]:
-    """The 61 feature cells of one record, in catalog column order."""
-    cells = [format_time(i, rec.event.sample_rate_hz, rec.origin) for i in (rec.i5, *rec.late_starts)]
-    cells += peak_cells(rec.event, rec.origin)
-    for lv in (rec.early, *rec.late):
-        cells += [format_db(v) for v in lv]
-    return cells
-
-
-def sort_records(records: Iterable[FeatureRecord]) -> list[FeatureRecord]:
+def sort_records(records: Iterable[CatalogRow]) -> list[CatalogRow]:
     """Canonical catalog order: channel, pulse, then weighting rank."""
-    return sorted(
-        records,
-        key=lambda r: (r.channel_id, r.pulse_index, WEIGHTING_RANK[r.weighting]),
-    )
+    return sorted(records, key=lambda r: (r.channel_id, r.pulse_index, WEIGHTING_RANK[r.weighting]))
 
 
-def write_catalog(records: Iterable[FeatureRecord], path, run_id: str) -> int:
+def write_catalog(records: Sequence[CatalogRow], path, run_id: str) -> int:
     """Write the catalog CSV; returns the points counted.
 
-    Points are counted from the cells actually emitted (NA included), with
-    the early bound pair contributing its single point through the
-    early_t5_s column.
+    Every row carries FEATURES_PER_RECORD cells (NA included), with the
+    early bound pair contributing its single point through the early_t5_s
+    column.
     """
-    n_points = 0
     with open(path, "w", newline="") as fh:
         fh.write(CATALOG_HEADER + "\n")
-        for rec in records:
-            cells = record_cells(rec)
-            if len(cells) != FEATURES_PER_RECORD:
-                raise RunError(f"record emitted {len(cells)} cells, expected {FEATURES_PER_RECORD}")
-            n_points += len(cells)
-            fh.write(f"{run_id},{rec.channel_id},{rec.weighting},{rec.pulse_index}," + ",".join(cells) + "\n")
-    return n_points
+        fh.writelines(f"{run_id},{r.channel_id},{r.weighting},{r.pulse_index},{r.cells}\n" for r in records)
+    return len(records) * FEATURES_PER_RECORD

@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 from .errors import RunError
-from .pipeline import FeatureRecord, RecordBuilder, sort_records, write_catalog
+from .pipeline import CatalogRow, RecordBuilder, sort_records, write_catalog
 from .pulse_detect import MAX_EXCURSION_S, DetectorConfig, detect_pulses
 from .signal_io import CHUNK_S, ChannelManifest, RollingBuffer, SampleBuffer, iter_chunks
 from .weighting import CANONICAL_ORDER, WeightingKind, WeightingSpec, apply_filter, design_filter
@@ -119,7 +119,7 @@ def weighted_chunks(cm: ChannelManifest, kind: WeightingKind, chunk_s: float = C
 class StreamResult(NamedTuple):
     """Outcome of one (channel, weighting) stream."""
 
-    records: list[FeatureRecord]  # one per kept pulse
+    records: list[CatalogRow]  # one per kept pulse, formatted in the task
     t_a_drops: int  # pulses dropped by the t_A spacing rule
     cut_excursions: int  # excursions cut into MAX_EXCURSION_S pieces
     filter_flushes: int  # weighting filter states flushed to zero
@@ -159,16 +159,20 @@ class _TaskResult:
                 f"{s.filter_flushes} filter flushes")
 
 
-def preflight(config: RunConfig,
-              manifests: dict[int, ChannelManifest]) -> list[tuple[ChannelManifest, WeightingKind]]:
+def preflight(config: RunConfig, manifests: dict[int, ChannelManifest],
+              *also_written: Path | str) -> list[tuple[ChannelManifest, WeightingKind]]:
     """The run's (channel, weighting) streams in catalog order.
 
-    Raises RunError when the manifest lacks a selected channel.
+    Raises RunError when the manifest lacks a selected channel, or when the
+    directory of ``config.out_path`` or of a path in ``also_written`` is missing.
     """
     channels = sorted(manifests if config.channels is None else config.channels)
     missing = [ch for ch in channels if ch not in manifests]
     if missing:
         raise RunError(f"manifest does not cover requested channels: {missing}")
+    for path in (config.out_path, *also_written):
+        if not Path(path).parent.is_dir():
+            raise RunError(f"output directory does not exist: {Path(path).parent}")
     return [(manifests[ch], kind) for ch in channels for kind in CANONICAL_ORDER if kind in config.weightings]
 
 
@@ -291,7 +295,6 @@ def bench(config: RunConfig, manifests: dict[int, ChannelManifest],
     """
     serial = replace(config, out_path=Path(config.out_path).with_name("catalog_serial.csv"),
                      mode="serial", worker_count=1)
-    preflight(serial, manifests)  # before the output directory is made
     Path(config.out_path).parent.mkdir(parents=True, exist_ok=True)
 
     t0 = time.perf_counter()

@@ -71,7 +71,7 @@ class SurveySpec:
                      "attack_s", "decay_s", "reverb_decay_s"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        for name in ("first_pulse_s", "carrier_hz", "reverb_level_upa", "noise_rms_upa"):
+        for name in ("first_pulse_s", "carrier_hz", "reverb_level_upa", "noise_rms_upa", "seed"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
         if self.n_samples > MAX_WAV_FRAMES:

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from airgunkit import cli, runner
+from airgunkit import cli, runner, signal_io
 from airgunkit.cli import _FLAGS, _effective, build_parser, main
 from airgunkit.pipeline import CATALOG_HEADER
 from airgunkit.pulse_detect import EVENTS_HEADER
@@ -120,7 +120,8 @@ def test_synth_rejects_overfull_schedule(tmp_path):
      ("--sensitivity-db", "-7000", "sensitivity_db"),
      ("--sensitivity-db", "-6420", "the pressure of one count"),
      ("--counts-full-scale", str(10**400), "the pressure of one count"),
-     ("--counts-full-scale", "65536", "counts_full_scale must be at most 32768")],
+     ("--counts-full-scale", "65536", "counts_full_scale must be at most 32768"),
+     ("--seed", "-1", "seed must be non-negative")],
     ids=lambda v: v if len(v) < 40 else "1e400",
 )
 def test_synth_rejects_unreadable_or_non_finite_parameters(tmp_path, capsys, flag, raw, key):
@@ -454,6 +455,23 @@ def test_extract_unknown_channel_is_runtime_error(survey_dir, tmp_path):
         ]
     )
     assert code == 2
+
+
+@pytest.mark.parametrize("command,dest", [
+    ("extract", ["--out", "{missing}/c.csv"]),
+    ("extract", ["--out", "{tmp}/c.csv", "--summary", "{missing}/s.txt"]),
+    ("detect", ["--out", "{missing}/e.csv"]),
+], ids=["catalog", "summary", "events"])
+def test_missing_output_directory_fails_before_any_read(survey_dir, tmp_path, monkeypatch, capsys,
+                                                        command, dest):
+    reads = []
+    monkeypatch.setattr(signal_io, "read_span", lambda *args, **kwargs: reads.append(args))
+    missing = tmp_path / "nodir"
+    dest = [a.format(missing=missing, tmp=tmp_path) for a in dest]
+    assert main([command, "--manifest", str(survey_dir / "manifest.txt"), *dest]) == 2
+    assert f"output directory does not exist: {missing}" in capsys.readouterr().err
+    assert reads == []
+    assert list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------

@@ -7,14 +7,12 @@ from airgunkit.pipeline import (
     CATALOG_HEADER,
     FEATURE_COLUMNS,
     FEATURES_PER_RECORD,
-    NA_LEVELS,
-    FeatureRecord,
+    CatalogRow,
     extract_record,
-    record_cells,
     sort_records,
     write_catalog,
 )
-from airgunkit.measures import NA, window_levels
+from airgunkit.measures import NA, format_db, window_levels
 from airgunkit.pulse_detect import (
     MAX_EXCURSION_S,
     SEARCH_AFTER_S,
@@ -25,7 +23,7 @@ from airgunkit.pulse_detect import (
 )
 from airgunkit import signal_io
 from airgunkit.runner import extract_stream
-from airgunkit.signal_io import RollingBuffer, open_manifest, read_span
+from airgunkit.signal_io import RollingBuffer, format_time, open_manifest, read_span
 from airgunkit.weighting import CANONICAL_ORDER, WeightingKind, WeightingSpec, apply_filter, design_filter
 from airgunkit.windows import LATE_WINDOW_COUNT, LATE_WINDOW_S, EnergyBounds, energy_bounds, layout_windows
 
@@ -143,37 +141,41 @@ def measured(windows, csel):
 BOUNDS = EnergyBounds(at(2.0), at(2.5))
 
 
+def const_levels(csel, early_upa=1000.0, late_upa=10.0, n_valid=LATE_WINDOW_COUNT):
+    """The levels a record of constant windows is built from, advancing ``csel``."""
+    return measured(const_windows(early_upa, late_upa, n_valid), csel)
+
+
 def const_record(csel, pulse_index, early_upa=1000.0, late_upa=10.0):
-    return extract_record(
-        fake_event(2.1), BOUNDS, measured(const_windows(early_upa, late_upa), csel),
-        weighting="linear", pulse_index=pulse_index,
-    )
+    return extract_record(fake_event(2.1), BOUNDS, const_levels(csel, early_upa, late_upa),
+                          weighting="linear", pulse_index=pulse_index)
+
+
+def record_cells(levels):
+    """The 61 cells of the record of the pulse at 2.1 s that is built from ``levels``."""
+    return extract_record(fake_event(2.1), BOUNDS, levels, weighting="linear", pulse_index=0).cells.split(",")
 
 
 def test_record_carries_61_cells_no_na_when_all_valid():
     rec = const_record(new_csel(), 0)
-    cells = record_cells(rec)
+    assert rec[:3] == (0, 0, "linear")
+    cells = rec.cells.split(",")
     assert len(cells) == 61
     assert NA not in cells
 
 
 def test_record_invalid_late_windows_are_na_blocks():
-    rec = extract_record(
-        fake_event(2.1), BOUNDS, measured(const_windows(500.0, 10.0, n_valid=4), new_csel()),
-        weighting="linear", pulse_index=0,
-    )
-    assert rec.late_valid == (True,) * 4 + (False,) * 6
-    cells = record_cells(rec)
+    cells = record_cells(const_levels(new_csel(), 500.0, 10.0, n_valid=4))
     assert len(cells) == 61
     assert cells.count(NA) == 4 * 6  # six invalid windows, four measures each
+    assert NA not in cells[:37] and cells[37:] == [NA] * 24  # slots 5..10 hold the NA blocks
     # start times stay concrete even for invalid windows
     for i in range(10):
         assert cells[1 + i] != NA
 
 
 def test_record_level_formats():
-    rec = const_record(new_csel(), 0)
-    cells = record_cells(rec)
+    cells = record_cells(const_levels(new_csel()))
     assert cells[0] == "2.000000000"  # early_t5_s
     assert cells[1] == "2.500000000"  # late_01_start_s
     assert cells[11] == "2.100000000"  # t_a_s
@@ -188,49 +190,46 @@ def test_record_level_formats():
 def test_record_rejects_misaligned_late_ladder():
     # the ladder starts at i95 by construction: late_01_start_s is the early
     # window's upper bound and the slots follow one window apart
-    rec = const_record(new_csel(), 0)
-    assert rec.late_starts == tuple(BOUNDS.i95 + k * at(1.0) for k in range(LATE_WINDOW_COUNT))
-    # a validity flag or a level block without its slot is refused
-    fields = dict(channel_id=0, weighting="linear", pulse_index=0, origin=rec.origin,
-                  event=rec.event, i5=rec.i5, i95=rec.i95, early=NA_LEVELS)
-    with pytest.raises(ValueError):
-        FeatureRecord(**fields, late_valid=(True,) * 9, late=(NA_LEVELS,) * 10)
-    with pytest.raises(ValueError):
-        FeatureRecord(**fields, late_valid=(True,) * 10, late=(NA_LEVELS,) * 11)
+    cells = record_cells(const_levels(new_csel()))
+    assert cells[1:11] == [format_time(BOUNDS.i95 + k * at(1.0), FS) for k in range(LATE_WINDOW_COUNT)]
+    # a ladder without its early window, or with more late windows than slots, is refused
+    levels = const_levels(new_csel())
+    for bad in ([], levels + levels[-1:]):
+        with pytest.raises(ValueError):
+            extract_record(fake_event(2.1), BOUNDS, bad, weighting="linear", pulse_index=0)
 
 
 def test_csel_slots_accumulate_across_pulses():
     state = new_csel()
-    rec1 = const_record(state, 0, early_upa=1000.0)
-    rec2 = const_record(state, 1, early_upa=2000.0)
+    lv1 = const_levels(state, early_upa=1000.0)
+    lv2 = const_levels(state, early_upa=2000.0)
     e1 = 1000.0**2 * 0.5
     e2 = 2000.0**2 * 0.5
-    assert rec1.early.csel_db == pytest.approx(10.0 * math.log10(e1), abs=1e-9)
-    assert rec2.early.csel_db == pytest.approx(10.0 * math.log10(e1 + e2), abs=1e-9)
-    assert rec2.early.csel_db == pytest.approx(
-        csel_of_levels([rec1.early.sel_db, rec2.early.sel_db]), abs=1e-9
-    )
+    assert lv1[0].csel_db == pytest.approx(10.0 * math.log10(e1), abs=1e-9)
+    assert lv2[0].csel_db == pytest.approx(10.0 * math.log10(e1 + e2), abs=1e-9)
+    assert lv2[0].csel_db == pytest.approx(csel_of_levels([lv1[0].sel_db, lv2[0].sel_db]), abs=1e-9)
     # late slot 3 accumulated independently of the early slot
-    assert rec2.late[3].csel_db == pytest.approx(
-        csel_of_levels([rec1.late[3].sel_db, rec2.late[3].sel_db]), abs=1e-9
-    )
+    assert lv2[4].csel_db == pytest.approx(csel_of_levels([lv1[4].sel_db, lv2[4].sel_db]), abs=1e-9)
+    # the record prints the levels it is handed
+    cells = record_cells(lv2)
+    assert (cells[20], cells[17 + 4 * 4 + 3]) == (format_db(lv2[0].csel_db), format_db(lv2[4].csel_db))
 
 
 def test_zero_energy_window_keeps_cumulative_level():
     state = new_csel()
-    rec1 = const_record(state, 0, early_upa=1000.0)
-    rec2 = const_record(state, 1, early_upa=0.0)
-    assert rec2.early.spl_db is None
-    assert rec2.early.sel_db is None
-    assert rec2.early.leq_db is None
-    assert rec2.early.csel_db == rec1.early.csel_db
+    lv1 = const_levels(state, early_upa=1000.0)
+    lv2 = const_levels(state, early_upa=0.0)
+    assert lv2[0].spl_db is None
+    assert lv2[0].sel_db is None
+    assert lv2[0].leq_db is None
+    assert lv2[0].csel_db == lv1[0].csel_db
 
 
 def test_zero_energy_leading_window_has_no_csel():
     state = new_csel()
-    rec = const_record(state, 0, early_upa=0.0)
-    assert rec.early.csel_db is None
-    cells = record_cells(rec)
+    levels = const_levels(state, early_upa=0.0)
+    assert levels[0].csel_db is None
+    cells = record_cells(levels)
     assert cells[17] == NA and cells[20] == NA
 
 
@@ -239,23 +238,9 @@ def test_zero_energy_leading_window_has_no_csel():
 
 
 def test_sort_records_orders_by_channel_pulse_weighting():
-    recs = []
-    for ch in (1, 0):
-        for w in ("mfc", "linear", "lfc"):
-            for k in (1, 0):
-                r = const_record(new_csel(), k)
-                recs.append(
-                    FeatureRecord(
-                        **{
-                            **r.__dict__,
-                            "channel_id": ch,
-                            "weighting": w,
-                            "pulse_index": k,
-                        }
-                    )
-                )
-    ordered = sort_records(recs)
-    key = [(r.channel_id, r.pulse_index, r.weighting) for r in ordered]
+    cells = const_record(new_csel(), 0).cells
+    rows = [CatalogRow(ch, k, w, cells) for ch in (1, 0) for w in ("mfc", "linear", "lfc") for k in (1, 0)]
+    key = [(r.channel_id, r.pulse_index, r.weighting) for r in sort_records(rows)]
     assert key == [
         (0, 0, "linear"), (0, 0, "lfc"), (0, 0, "mfc"),
         (0, 1, "linear"), (0, 1, "lfc"), (0, 1, "mfc"),
@@ -347,8 +332,7 @@ def test_extract_stream_matches_whole_buffer_reference(small_survey, monkeypatch
             got = extract_stream(cm, kind, detector)
             assert len(got.records) == len(ref_records)
             assert got.t_a_drops == 0
-            for a, b in zip(got.records, ref_records):
-                assert record_cells(a) == record_cells(b)
+            assert got.records == ref_records
             checked += len(got.records)
     assert checked == 2 * 3 * spec.n_pulses
 
@@ -358,13 +342,13 @@ def test_extract_stream_chunk_size_does_not_matter(small_survey, monkeypatch):
     detector = DetectorConfig(threshold_db=100.0, min_ipi_s=5.0)
     cm = open_manifest(result.manifest_path)[0]
     kind = CANONICAL_ORDER[1]
-    cells = []
+    rows = []
     # 8.192 s, 3.7 s and 0.7 s at 16 kHz, the last shorter than a search window
     for cap in (2**17, 59_200, 11_200):
         monkeypatch.setattr(signal_io, "MAX_CHUNK_SAMPLES", cap)
-        cells.append([record_cells(r) for r in extract_stream(cm, kind, detector).records])
-    assert len(cells[0]) == spec.n_pulses
-    assert cells[0] == cells[1] == cells[2]
+        rows.append(extract_stream(cm, kind, detector).records)
+    assert len(rows[0]) == spec.n_pulses
+    assert rows[0] == rows[1] == rows[2]
 
 
 def recorded_holds(monkeypatch):

@@ -526,17 +526,18 @@ _HIGHRATE = {"duration_s": 30.0, "sample_rate_hz": 512_000, "pulse_count": 3, "f
              "noise_rms_upa": 3000.0, "seed": 1}
 
 
-def peak_above_import_mb(statement: str, *args) -> float:
-    """VmHWM of a fresh child that runs ``statement`` less that of one that only imports, in MB."""
+def child_peak_mb(statement: str, *args) -> float:
+    """VmHWM of a fresh child that runs ``statement`` with ``args`` as its sys.argv[1:], in MB."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(Path(airgunkit.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
+    child = subprocess.run([sys.executable, "-c", _HWM_CHILD.format(statement), *map(str, args)], env=env,
+                           capture_output=True, text=True, timeout=120, check=True)
+    return int(child.stdout) / 1024
 
-    def hwm_kb(code: str) -> int:
-        child = subprocess.run([sys.executable, "-c", _HWM_CHILD.format(code), *map(str, args)], env=env,
-                               capture_output=True, text=True, timeout=120, check=True)
-        return int(child.stdout)
 
-    return (hwm_kb(statement) - hwm_kb("")) / 1024
+def peak_above_import_mb(statement: str, *args) -> float:
+    """VmHWM of a fresh child that runs ``statement`` less that of one that only imports, in MB."""
+    return child_peak_mb(statement, *args) - child_peak_mb("", *args)
 
 
 def count_buffer_allocations(monkeypatch) -> list[list[int]]:
@@ -620,6 +621,22 @@ def test_highrate_generate_peaks_in_blocks(tmp_path):
     excess = peak_above_import_mb(f"generate(SurveySpec(**{_HIGHRATE!r}), sys.argv[1])", tmp_path / "survey")
     assert excess <= 28, f"VmHWM {excess:.1f} MB above import"
     assert (tmp_path / "survey" / "ch00.wav").stat().st_size == 44 + 2 * 30 * 512_000
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").is_file(), reason="VmHWM is read from Linux /proc")
+def test_held_records_cost_under_a_kilobyte_each(tmp_path):
+    # 1 ch at 2 kHz with a pulse every 6 s, through all three weightings: 1 h
+    # gives 1,800 records and 4 h 7,200.  A record is held from its stream's
+    # task to the catalog write as its formatted row, ~0.9 KB: the child
+    # peaks ~4.7 MB higher at 4 h than at 1 h.  Held as measurements and
+    # formatted at the write, a record took ~1.9 KB, ~10.3 MB more at 4 h.
+    peaks = []
+    for hours in (1, 4):
+        spec = SurveySpec(duration_s=3600.0 * hours, sample_rate_hz=2000, ipi_s=6.0)
+        assert 3 * spec.n_pulses == 1800 * hours
+        survey = generate(spec, tmp_path / f"survey{hours}")
+        peaks.append(child_peak_mb(_RUN, survey.manifest_path, tmp_path / f"c{hours}.csv", "linear,lfc,mfc"))
+    assert peaks[1] - peaks[0] <= 8, f"VmHWM {peaks[0]:.1f} MB at 1 h, {peaks[1]:.1f} MB at 4 h"
 
 
 @pytest.mark.parametrize("spec", [

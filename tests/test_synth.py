@@ -63,6 +63,12 @@ def test_nonpositive_parameters_rejected():
         quiet_spec(attack_s=0.0)
 
 
+def test_negative_seed_rejected_by_name():
+    assert quiet_spec(seed=0).seed == 0
+    with pytest.raises(ValueError, match="^seed must be non-negative"):
+        quiet_spec(seed=-1)
+
+
 _FLOAT_FIELDS = [f.name for f in fields(SurveySpec) if isinstance(f.default, float)]
 
 

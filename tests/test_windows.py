@@ -7,8 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from airgunkit.errors import MeasureError
+from airgunkit import pipeline
 from airgunkit.pipeline import RecordBuilder
 from airgunkit.pulse_detect import DetectorConfig, detect_pulses
+from airgunkit.signal_io import format_time
 from airgunkit.weighting import WeightingKind
 from airgunkit.windows import (
     HIGH_FRACTION,
@@ -157,12 +159,22 @@ def test_bounds_equal_the_two_temporary_reference(values, margin, start):
 I95 = 36_800  # 2.3 s
 
 
-def spike_records(spikes_s, duration_s):
-    """Records of a linear stream of single-sample spikes, each its own pulse.
+def spike_records(monkeypatch, spikes_s, duration_s):
+    """Rows of a linear stream of single-sample spikes, each its own pulse, and
+    the number of late windows measured for each.
 
     A lone spike's energy bounds collapse onto its sample, so each pulse's
-    i5 and i95 are the spike's index.
+    i5 and i95 are the spike's index.  The counts are read from the levels
+    that RecordBuilder hands to extract_record.
     """
+    n_late = []
+    extract_record = pipeline.extract_record
+
+    def counting_extract_record(event, bounds, levels, **kwargs):
+        n_late.append(len(levels) - 1)
+        return extract_record(event, bounds, levels, **kwargs)
+
+    monkeypatch.setattr(pipeline, "extract_record", counting_extract_record)
     x = np.zeros(int(duration_s * FS))
     for t in spikes_s:
         x[round(t * FS)] = 1.0e6
@@ -170,15 +182,15 @@ def spike_records(spikes_s, duration_s):
     builder = RecordBuilder(cm, WeightingKind.LINEAR)
     detect_pulses([make_buffer(x)], DetectorConfig(threshold_db=100.0, min_ipi_s=5.0), builder)
     assert len(builder.records) == len(spikes_s)
-    return builder.records
+    return builder.records, n_late
 
 
-def test_layout_defaults_ten_one_second_windows():
+def test_layout_defaults_ten_one_second_windows(monkeypatch):
     assert (LATE_WINDOW_COUNT, LATE_WINDOW_S) == (10, 1.0)
     assert layout_windows(I95, 10**9, W) == (True,) * 10
-    rec = spike_records([2.3], 60.0)[0]
-    assert rec.late_starts == tuple(I95 + k * W for k in range(10))
-    assert rec.late_valid == (True,) * 10
+    (row,), n_late = spike_records(monkeypatch, [2.3], 60.0)
+    assert row.cells.split(",")[1:11] == [format_time(I95 + k * W, FS) for k in range(10)]
+    assert n_late == [10]
 
 
 def test_layout_wide_gap_keeps_all_windows():
@@ -200,20 +212,17 @@ def test_layout_exact_boundary_window_is_valid():
     assert layout_windows(I95, I95 + W - 1, W)[0] is False
 
 
-def test_layout_last_pulse_limited_by_data_end():
-    rec = spike_records([2.3], 5.0)[0]
-    assert rec.late_valid == (True, True) + (False,) * 8
+def test_layout_last_pulse_limited_by_data_end(monkeypatch):
+    assert spike_records(monkeypatch, [2.3], 5.0)[1] == [2]
 
 
-def test_layout_last_pulse_with_long_tail():
-    rec = spike_records([2.3], 60.0)[0]
-    assert rec.late_valid == (True,) * 10
+def test_layout_last_pulse_with_long_tail(monkeypatch):
+    assert spike_records(monkeypatch, [2.3], 60.0)[1] == [10]
 
 
-def test_layout_next_pulse_wins_over_data_end():
-    first, last = spike_records([2.3, 8.0], 60.0)
-    assert first.late_valid == (True,) * 5 + (False,) * 5  # windows end by 7.3 s < 8.0 s
-    assert last.late_valid == (True,) * 10
+def test_layout_next_pulse_wins_over_data_end(monkeypatch):
+    # the first pulse's windows end by 7.3 s < 8.0 s
+    assert spike_records(monkeypatch, [2.3, 8.0], 60.0)[1] == [5, 10]
 
 
 def test_layout_zero_valid_when_next_pulse_is_close():
