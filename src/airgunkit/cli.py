@@ -216,7 +216,8 @@ def _cmd_detect(ns: argparse.Namespace) -> int:
         buffer = RollingBuffer()
         chunks = weighted_chunks(cm, kind, buffer=buffer)
         events = detect_pulses(chunks, config.detector, buffer=buffer)
-        rows.extend(format_event_row(ev, kind.value, i, cm.origin) for i, ev in enumerate(events))
+        rows.extend(format_event_row(ev, kind.value, i, cm.origin, nxt)
+                    for i, (ev, nxt) in enumerate(zip(events, [*events[1:], None])))
         _log(f"channel {cm.channel_id} {kind.value}: {len(events)} pulses")
     write_events_csv(config.out_path, rows)
     print(f"events: {config.out_path}")

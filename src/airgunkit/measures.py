@@ -78,30 +78,21 @@ def format_db(v: float | None) -> str:
 
 
 class PeakMeasures(NamedTuple):
-    """Extremes of one window: global sample indices, linear pressures, and dB magnitudes.
+    """Extremes of one window: global sample indices and linear pressures.
 
-    A level is None where its pressure is exactly zero.
+    Their levels are ``pressure_db`` of the pressures, taken where they are written.
     """
 
     pos_index: int
     p_pos_upa: float
-    p_pos_db: float | None
     neg_index: int
     p_neg_upa: float
-    p_neg_db: float | None
-
-    @property
-    def p_pp_db(self) -> float | None:
-        """Peak-to-peak level, dB re 1 uPa; None for a constant window."""
-        return pressure_db(self.p_pos_upa - self.p_neg_upa)
 
 
 def measure_peaks(window: SampleBuffer) -> PeakMeasures:
     """Locate the positive and negative pressure extremes of a window.
 
-    Ties resolve to the earliest sample.  dB values are ``pressure_db`` of
-    each extreme, None for an extreme that is exactly zero; an all-zero
-    window is an error.
+    Ties resolve to the earliest sample; an all-zero window is an error.
     """
     _check_window(window)
     x = window.samples
@@ -109,7 +100,5 @@ def measure_peaks(window: SampleBuffer) -> PeakMeasures:
         raise MeasureError("all-zero window has no peaks")
     i_pos = int(np.argmax(x))
     i_neg = int(np.argmin(x))
-    p_pos = float(x[i_pos])
-    p_neg = float(x[i_neg])
-    return PeakMeasures(window.start_index + i_pos, p_pos, pressure_db(p_pos),
-                        window.start_index + i_neg, p_neg, pressure_db(p_neg))
+    a = window.start_index
+    return PeakMeasures(a + i_pos, float(x[i_pos]), a + i_neg, float(x[i_neg]))

@@ -119,16 +119,14 @@ class RecordBuilder:
         self.weighting = kind.value
         self.w_samp = round(LATE_WINDOW_S * cm.sample_rate_hz)
         self.records: list[CatalogRow] = []
-        self.t_a_drops = 0
-        self.cut_excursions = 0
+        self.scanner: PulseScanner | None = None  # the stream's scanner, which counts its drops and cuts
         # the kept pulse whose record is pending, with the levels of its measured windows
         self._pending: tuple[PulseEvent, EnergyBounds, list[Levels]] | None = None
         self._csel = [0.0] * (1 + LATE_WINDOW_COUNT)  # running energy of every window slot
 
     def __call__(self, buf: RollingBuffer, kept: list[PulseEvent], scanner: PulseScanner,
                  final: bool) -> int:
-        self.t_a_drops = scanner.t_a_drops
-        self.cut_excursions = scanner.cut_excursions
+        self.scanner = scanner
         n_total = self.cm.n_samples
         for ev in kept:
             a = ev.search_start_index

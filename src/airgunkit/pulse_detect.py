@@ -11,7 +11,10 @@ the t_A of the last kept pulse is dropped, and the drop is counted.
 
 Everything here is a global sample index of the stream, which starts at the
 channel's sample 0; format_event_row turns indices into seconds through
-signal_io.format_time, only when it writes them.
+signal_io.format_time, only when it writes them.  A PulseEvent holds what
+the scan measured and nothing derived from it: format_event_row takes each
+level as ``pressure_db`` of the measured pressures, and the IPI as the gap
+to the next event, where it writes them.
 
 The scan is streaming.  A PulseScanner reads the samples appended to a
 RollingBuffer, decides every anchor once with its full search window in
@@ -31,14 +34,14 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import DetectionError
-from .measures import NA, format_db, measure_peaks
+from .measures import NA, format_db, measure_peaks, pressure_db
 from .signal_io import RollingBuffer, SampleBuffer, db_to_upa, format_time
 
 SEARCH_BEFORE_S = 0.5
@@ -69,29 +72,24 @@ class DetectorConfig:
         return db_to_upa("threshold_db", self.threshold_db)
 
 
-@dataclass(frozen=True)
-class PulseEvent:
-    """One detected pulse.
+class PulseEvent(NamedTuple):
+    """One detected pulse, as the scan measured it.
 
     *_index fields are global sample indices of the stream: the positive
     extreme (t_A), the negative extreme (t_B), the anchor and the search
-    window [search_start_index, search_end_index).  ipi_samples is the index
-    gap to the next event on the same stream, None for the last one.
+    window [search_start_index, search_end_index).  No level or IPI is
+    stored: format_event_row derives both where it writes them.
     """
 
     channel_id: int
     sample_rate_hz: float
     pos_index: int
     p_pos_upa: float
-    p_pos_db: float | None
     neg_index: int
     p_neg_upa: float
-    p_neg_db: float | None
-    p_pp_db: float | None
     search_start_index: int
     search_end_index: int
     anchor_index: int
-    ipi_samples: int | None = None
 
 
 class _OpenPiece(NamedTuple):
@@ -207,8 +205,8 @@ class PulseScanner:
         lo = max(anchor - self.pre, 0)
         hi = anchor + self.post
         pk = measure_peaks(SampleBuffer(buf.view(lo, min(hi, buf.end)), self.fs, lo, self.channel_id))
-        # PeakMeasures' six fields are PulseEvent's, in the same order
-        return PulseEvent(self.channel_id, self.fs, *pk, pk.p_pp_db, lo, hi, anchor)
+        # PeakMeasures' four fields are PulseEvent's, in the same order
+        return PulseEvent(self.channel_id, self.fs, *pk, lo, hi, anchor)
 
 
 # consumer(buf, kept, scanner, final) -> first sample it still needs
@@ -222,8 +220,7 @@ def detect_pulses(chunks: Iterable[SampleBuffer], config: DetectorConfig,
 
     Chunks must be contiguous from sample 0 (each starting where the previous
     ended) and share one sample rate; violations raise DetectionError.
-    Returns events ordered by time with ipi_samples filled between
-    consecutive events.
+    Returns the kept events in time order.
 
     A ``consumer`` is called after every scan with the rolling buffer, the
     newly kept pulses and the scanner, and once more with ``final`` at end of
@@ -256,8 +253,7 @@ def detect_pulses(chunks: Iterable[SampleBuffer], config: DetectorConfig,
     events += kept
     if consumer is not None:
         consumer(buf, kept, scanner, True)
-    return [replace(ev, ipi_samples=nxt.pos_index - ev.pos_index)
-            for ev, nxt in zip(events, events[1:])] + events[-1:]
+    return events
 
 
 EVENTS_HEADER = (
@@ -272,16 +268,19 @@ def peak_cells(ev: PulseEvent, origin: Fraction = Fraction(0)) -> list[str]:
     is the seconds of the channel's sample 0 (``ChannelManifest.origin``).
     """
     fs = ev.sample_rate_hz
-    return [format_time(ev.pos_index, fs, origin), f"{ev.p_pos_upa:.6f}", format_db(ev.p_pos_db),
-            format_time(ev.neg_index, fs, origin), f"{ev.p_neg_upa:.6f}", format_db(ev.p_neg_db)]
+    return [cell for i, p in ((ev.pos_index, ev.p_pos_upa), (ev.neg_index, ev.p_neg_upa))
+            for cell in (format_time(i, fs, origin), f"{p:.6f}", format_db(pressure_db(p)))]
 
 
-def format_event_row(ev: PulseEvent, weighting: str, pulse_index: int,
-                     origin: Fraction = Fraction(0)) -> str:
-    """One events-CSV row: the pulse's ``peak_cells``, then p_pp_db and ipi_s."""
-    ipi = NA if ev.ipi_samples is None else format_time(ev.ipi_samples, ev.sample_rate_hz)
+def format_event_row(ev: PulseEvent, weighting: str, pulse_index: int, origin: Fraction = Fraction(0),
+                     next_event: PulseEvent | None = None) -> str:
+    """One events-CSV row: the pulse's ``peak_cells``, then p_pp_db and ipi_s.
+
+    ipi_s is the gap to ``next_event``, the next pulse of the stream; NA without one.
+    """
+    ipi = NA if next_event is None else format_time(next_event.pos_index - ev.pos_index, ev.sample_rate_hz)
     return ",".join([str(ev.channel_id), weighting, str(pulse_index), *peak_cells(ev, origin),
-                     format_db(ev.p_pp_db), ipi])
+                     format_db(pressure_db(ev.p_pos_upa - ev.p_neg_upa)), ipi])
 
 
 def write_events_csv(path, rows: Sequence[str]) -> None:

@@ -1,20 +1,22 @@
 """Serial and parallel execution of the full extraction pipeline.
 
 The unit of parallelism is one (channel, weighting) task: one extract_stream
-pass, which reads, filters, detects and measures a single weighted stream.
-Tasks share nothing but read-only manifests, so worker results merge through
-one deterministic sort and the catalog bytes cannot depend on worker count or
-completion order.  Cumulative exposure stays exact under parallelism because
-each accumulator lives entirely inside one task.
+pass reads, filters, detects and measures a single weighted stream into one
+TaskResult, and run maps the tasks in one loop, in process or through a
+worker pool.  Tasks share nothing but read-only manifests, so worker results
+merge through one deterministic sort and the catalog bytes cannot depend on
+worker count or completion order.  Cumulative exposure stays exact under
+parallelism because each accumulator lives entirely inside one task.
 """
 
 from __future__ import annotations
 
+import contextlib
 import multiprocessing
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable
 
 from .errors import RunError
 from .pipeline import CatalogRow, RecordBuilder, sort_records, write_catalog
@@ -54,6 +56,8 @@ class RunConfig:
             raise ValueError("channel selection is empty")
         if self.channels is not None and len(set(self.channels)) != len(self.channels):
             raise ValueError(f"channel selection repeats a channel id: {self.channels}")
+        if any(c in self.run_id for c in ',"\r\n'):
+            raise ValueError(f"run_id must not hold a comma, quote, CR or LF, got {self.run_id!r}")
 
 
 @dataclass(frozen=True)
@@ -85,47 +89,53 @@ class RuntimeReport:
         return self.n_records
 
 
-class _WeightedChunks:
-    """Iterator over a channel's chunks through one weighting filter.
+class weighted_chunks:
+    """The channel's sample stream through one weighting filter, in ``iter_chunks`` chunks.
 
-    ``state`` is the filter state after the last chunk handed out.  Unlike a
-    generator frame, it keeps no chunk alive once the chunk is handed on.
+    Each chunk is read into the slots reserved at the tail of ``buffer``, when
+    given, and filtered there in place: appending it to ``buffer`` copies
+    nothing.  ``state`` is the filter state after the last chunk handed out.
+    Unlike a generator frame, the iterator keeps no chunk alive once the chunk
+    is handed on.
     """
 
-    def __init__(self, cm: ChannelManifest, kind: WeightingKind, chunk_s: float,
-                 buffer: RollingBuffer | None) -> None:
+    def __init__(self, cm: ChannelManifest, kind: WeightingKind, chunk_s: float = CHUNK_S,
+                 buffer: RollingBuffer | None = None) -> None:
         self.state = design_filter(WeightingSpec(kind), cm.sample_rate_hz)
         self._chunks = iter_chunks(cm, chunk_s, buffer)
 
-    def __iter__(self) -> _WeightedChunks:
+    def __iter__(self) -> weighted_chunks:
         return self
 
     def __next__(self) -> SampleBuffer:
         chunk = next(self._chunks)
-        self.state, filtered = apply_filter(self.state, chunk, out=chunk.samples)
-        return filtered
+        self.state = apply_filter(self.state, chunk)
+        return chunk
 
 
-def weighted_chunks(cm: ChannelManifest, kind: WeightingKind, chunk_s: float = CHUNK_S,
-                    buffer: RollingBuffer | None = None) -> _WeightedChunks:
-    """The channel's sample stream through one weighting filter, in ``iter_chunks`` chunks.
+@dataclass(frozen=True)
+class TaskResult:
+    """Outcome of one (channel, weighting) stream, or the error that ended it."""
 
-    Each chunk is read into the slots reserved at the tail of ``buffer``, when
-    given, and filtered there in place: appending it to ``buffer`` copies nothing.
-    """
-    return _WeightedChunks(cm, kind, chunk_s, buffer)
+    channel_id: int
+    kind_value: str
+    seconds: float = 0.0
+    records: list[CatalogRow] = field(default_factory=list, repr=False)  # one per kept pulse
+    t_a_drops: int = 0  # pulses dropped by the t_A spacing rule
+    cut_excursions: int = 0  # excursions cut into MAX_EXCURSION_S pieces
+    filter_flushes: int = 0  # weighting filter states flushed to zero
+    error: str | None = None
+
+    def log_line(self) -> str:
+        if self.error is not None:
+            return f"channel {self.channel_id} {self.kind_value}: failed: {self.error}"
+        return (f"channel {self.channel_id} {self.kind_value}: {len(self.records)} pulses "
+                f"in {self.seconds:.1f}s, {self.t_a_drops} dropped by t_A spacing, "
+                f"{self.cut_excursions} excursions cut into {MAX_EXCURSION_S:g}-s pieces, "
+                f"{self.filter_flushes} filter flushes")
 
 
-class StreamResult(NamedTuple):
-    """Outcome of one (channel, weighting) stream."""
-
-    records: list[CatalogRow]  # one per kept pulse, formatted in the task
-    t_a_drops: int  # pulses dropped by the t_A spacing rule
-    cut_excursions: int  # excursions cut into MAX_EXCURSION_S pieces
-    filter_flushes: int  # weighting filter states flushed to zero
-
-
-def extract_stream(cm: ChannelManifest, kind: WeightingKind, detector: DetectorConfig) -> StreamResult:
+def extract_stream(cm: ChannelManifest, kind: WeightingKind, detector: DetectorConfig) -> TaskResult:
     """Detect and measure every pulse of one weighted stream in one pass.
 
     Each chunk is read, calibrated and filtered once, in place in the one
@@ -133,58 +143,48 @@ def extract_stream(cm: ChannelManifest, kind: WeightingKind, detector: DetectorC
     measures every kept pulse's energy bounds, early window and late windows
     in the same buffer.
     """
+    start = time.perf_counter()
     builder = RecordBuilder(cm, kind)
     buffer = RollingBuffer()
     chunks = weighted_chunks(cm, kind, buffer=buffer)
     detect_pulses(chunks, detector, builder, buffer)
-    return StreamResult(builder.records, builder.t_a_drops, builder.cut_excursions,
-                        chunks.state.flushes)
-
-
-@dataclass(frozen=True)
-class _TaskResult:
-    channel_id: int
-    kind_value: str
-    seconds: float
-    stream: StreamResult = field(repr=False)
-    error: str | None = None
-
-    def log_line(self) -> str:
-        if self.error is not None:
-            return f"channel {self.channel_id} {self.kind_value}: failed: {self.error}"
-        s = self.stream
-        return (f"channel {self.channel_id} {self.kind_value}: {len(s.records)} pulses "
-                f"in {self.seconds:.1f}s, {s.t_a_drops} dropped by t_A spacing, "
-                f"{s.cut_excursions} excursions cut into {MAX_EXCURSION_S:g}-s pieces, "
-                f"{s.filter_flushes} filter flushes")
+    return TaskResult(cm.channel_id, kind.value, time.perf_counter() - start, builder.records,
+                      builder.scanner.t_a_drops, builder.scanner.cut_excursions, chunks.state.flushes)
 
 
 def preflight(config: RunConfig, manifests: dict[int, ChannelManifest],
               *also_written: Path | str) -> list[tuple[ChannelManifest, WeightingKind]]:
     """The run's (channel, weighting) streams in catalog order.
 
-    Raises RunError when the manifest lacks a selected channel, or when the
-    directory of ``config.out_path`` or of a path in ``also_written`` is missing.
+    Raises RunError when the manifest lacks a selected channel, or when
+    ``config.out_path`` or a path in ``also_written`` has no directory, is a
+    directory, or resolves to the manifest, to a WAV it lists or to another
+    of these outputs.
     """
     channels = sorted(manifests if config.channels is None else config.channels)
     missing = [ch for ch in channels if ch not in manifests]
     if missing:
         raise RunError(f"manifest does not cover requested channels: {missing}")
-    for path in (config.out_path, *also_written):
-        if not Path(path).parent.is_dir():
-            raise RunError(f"output directory does not exist: {Path(path).parent}")
+    taken = {p.resolve(): "an input" for cm in manifests.values()
+             for p in (cm.manifest_path, *(f.path for f in cm.files))}
+    for path in map(Path, (config.out_path, *also_written)):
+        if not path.parent.is_dir():
+            raise RunError(f"output directory does not exist: {path.parent}")
+        if path.is_dir():
+            raise RunError(f"output path is a directory: {path}")
+        if path.resolve() in taken:
+            raise RunError(f"output path {path} would overwrite {taken[path.resolve()]}")
+        taken[path.resolve()] = "another output"
     return [(manifests[ch], kind) for ch in channels for kind in CANONICAL_ORDER if kind in config.weightings]
 
 
-def _run_task(args: tuple[ChannelManifest, str, DetectorConfig]) -> _TaskResult:
+def _run_task(args: tuple[ChannelManifest, WeightingKind, DetectorConfig]) -> TaskResult:
     """Detect and measure one (channel, weighting) stream; never raises."""
-    cm, kind_value, detector = args
-    start = time.perf_counter()
+    cm, kind, detector = args
     try:
-        stream, error = extract_stream(cm, WeightingKind(kind_value), detector), None
+        return extract_stream(cm, kind, detector)
     except Exception as exc:  # propagate through the pool as data
-        stream, error = StreamResult([], 0, 0, 0), f"{type(exc).__name__}: {exc}"
-    return _TaskResult(cm.channel_id, kind_value, time.perf_counter() - start, stream, error)
+        return TaskResult(cm.channel_id, kind.value, error=f"{type(exc).__name__}: {exc}")
 
 
 def run(
@@ -199,23 +199,17 @@ def run(
     before any task starts.
     """
     streams = preflight(config, manifests)
-    tasks = [(cm, kind.value, config.detector) for cm, kind in streams]
+    tasks = [(cm, kind, config.detector) for cm, kind in streams]
     worker_count = max(1, min(config.worker_count, len(tasks)))  # never more processes than tasks
 
     wall_start = time.perf_counter()
-    results: list[_TaskResult] = []
-    if config.mode == "serial":
-        for t in tasks:
-            res = _run_task(t)
+    results: list[TaskResult] = []
+    parallel = config.mode == "parallel"
+    with multiprocessing.Pool(worker_count) if parallel else contextlib.nullcontext() as pool:
+        for res in (pool.imap if parallel else map)(_run_task, tasks):
             results.append(res)
             if log:
                 log(res.log_line())
-    else:
-        with multiprocessing.Pool(processes=worker_count) as pool:
-            for res in pool.imap(_run_task, tasks):
-                results.append(res)
-                if log:
-                    log(res.log_line())
 
     failures = [r for r in results if r.error is not None]
     if failures:
@@ -226,7 +220,7 @@ def run(
     for r in results:
         per_channel[r.channel_id] += r.seconds
 
-    records = sort_records([rec for r in results for rec in r.stream.records])
+    records = sort_records([rec for r in results for rec in r.records])
     out_path = Path(config.out_path)
     try:
         n_points = write_catalog(records, out_path, config.run_id)
@@ -242,9 +236,9 @@ def run(
         channel_hours=sum(manifests[ch].duration_s for ch in per_channel) / 3600.0,
         n_records=len(records),
         n_points=n_points,
-        t_a_drops=sum(r.stream.t_a_drops for r in results),
-        cut_excursions=sum(r.stream.cut_excursions for r in results),
-        filter_flushes=sum(r.stream.filter_flushes for r in results),
+        t_a_drops=sum(r.t_a_drops for r in results),
+        cut_excursions=sum(r.cut_excursions for r in results),
+        filter_flushes=sum(r.filter_flushes for r in results),
     )
     return out_path, report
 
@@ -296,6 +290,7 @@ def bench(config: RunConfig, manifests: dict[int, ChannelManifest],
     serial = replace(config, out_path=Path(config.out_path).with_name("catalog_serial.csv"),
                      mode="serial", worker_count=1)
     Path(config.out_path).parent.mkdir(parents=True, exist_ok=True)
+    preflight(config, manifests, serial.out_path)
 
     t0 = time.perf_counter()
     serial_path, _ = run(serial, manifests, log=log)

@@ -241,6 +241,7 @@ class ChannelManifest:
     calibration: CalibrationSpec
     gap_policy: str
     files: tuple[_FileEntry, ...] = field(repr=False)
+    manifest_path: Path = field(repr=False)  # the manifest that lists the files
 
     @property
     def origin(self) -> Fraction:
@@ -395,7 +396,7 @@ def open_manifest(path: Path | str) -> dict[int, ChannelManifest]:
                     )
             files.append(_FileEntry(fpath, start_s, gidx, nframes - trim, trim))
         assert rate is not None
-        out[ch] = ChannelManifest(ch, float(rate), calibs[ch], policies[ch], tuple(files))
+        out[ch] = ChannelManifest(ch, float(rate), calibs[ch], policies[ch], tuple(files), path)
     return out
 
 

@@ -3,11 +3,11 @@
 Three bands: a flat pass-through and two functional-hearing-group bandpasses
 (low-frequency and mid-frequency cetaceans).  Band edges are realized as a
 4th-order Butterworth high-pass cascaded with a 4th-order Butterworth
-low-pass, -3 dB at each cutoff, applied causally in second-order sections so
-state can be carried across chunk boundaries.  The low-pass stage is dropped
-when the upper edge reaches 0.95x Nyquist: at typical recorder rates the
-mid-frequency band upper edge (160 kHz) is far above Nyquist and the band
-degenerates to its high-pass edge alone.
+low-pass, -3 dB at each cutoff.  apply_filter runs them causally, in place,
+in second-order sections whose state carries across chunk boundaries.  The
+low-pass stage is dropped when the upper edge reaches 0.95x Nyquist: at
+typical recorder rates the mid-frequency band upper edge (160 kHz) is far
+above Nyquist and the band degenerates to its high-pass edge alone.
 
 Over exact-zero input the IIR state decays without end and reaches the
 IEEE-754 subnormal range, where every filter step costs tens of times more.
@@ -228,30 +228,23 @@ def _load_kernel():
 _sosfilt = _load_sosfilt()
 
 
-def apply_filter(state: FilterState, buffer: SampleBuffer,
-                 out: np.ndarray | None = None) -> tuple[FilterState, SampleBuffer]:
-    """Filter one chunk causally; returns advanced state and the filtered chunk.
+def apply_filter(state: FilterState, buffer: SampleBuffer) -> FilterState:
+    """Filter one chunk causally in place; returns the advanced state.
 
-    The output goes into ``out``, a C-contiguous float64 array of the
-    chunk's length (``out=buffer.samples`` filters in place), by default
-    into a copy, or for the flat band the buffer itself.  Chunks must be fed
-    in stream order.  The chunk is filtered up to each run of checkpoints
-    after an all-zero block, and through the run one block at a time until
-    the state is flushed or zero; the rest of the run is zero, in input and
-    output.
+    ``buffer.samples`` must be a writable C-contiguous float64 array; the
+    flat band leaves it as it is.  Chunks must be fed in stream order.  The
+    chunk is filtered up to each run of checkpoints after an all-zero block,
+    and through the run one block at a time until the state is flushed or
+    zero; the rest of the run is zero, in input and output.
     """
     if buffer.sample_rate_hz != state.sample_rate_hz:
         raise FilterDesignError(
             f"buffer rate {buffer.sample_rate_hz} != filter design rate {state.sample_rate_hz}"
         )
-    x = buffer.samples
-    if out is None:
-        out = x if state.sos is None else np.array(x, dtype=np.float64)
-    elif out is not x:
-        out[:] = x
     if state.sos is None:
-        return state, buffer if out is x else replace(buffer, samples=out)
-    # read the input's zero runs before ``out``, which may be the input, is filtered
+        return state
+    x = buffer.samples
+    # read the input's zero runs before it is filtered
     runs = _zero_runs(x, state.position, state.zero_run)
     tail = x[-FLUSH_BLOCK:]
     nonzero = np.flatnonzero(tail)
@@ -261,7 +254,7 @@ def apply_filter(state: FilterState, buffer: SampleBuffer,
     for a, b in runs:
         # the input is zero from a - FLUSH_BLOCK to b; a zero state stays zero over it
         if zi.any() or a - done > FLUSH_BLOCK:
-            zi = _sosfilt(state.sos, out[done:a], zi)
+            zi = _sosfilt(state.sos, x[done:a], zi)
         for c in range(a, b + 1, FLUSH_BLOCK):  # zi is the state at checkpoint c
             size = np.abs(zi).max()
             if size < FLUSH_FLOOR_UPA:  # flushed or zero, the state stays zero through the run
@@ -270,13 +263,12 @@ def apply_filter(state: FilterState, buffer: SampleBuffer,
                     flushes += 1
                 break
             if c < b:
-                zi = _sosfilt(state.sos, out[c:c + FLUSH_BLOCK], zi)
+                zi = _sosfilt(state.sos, x[c:c + FLUSH_BLOCK], zi)
         done = b
     if done < len(x):
-        zi = _sosfilt(state.sos, out[done:], zi)
-    state = replace(state, zi=zi, position=state.position + len(x),
-                    zero_run=min(zero_run, FLUSH_BLOCK), flushes=flushes)
-    return state, replace(buffer, samples=out)
+        zi = _sosfilt(state.sos, x[done:], zi)
+    return replace(state, zi=zi, position=state.position + len(x), zero_run=min(zero_run, FLUSH_BLOCK),
+                   flushes=flushes)
 
 
 def _zero_runs(x: np.ndarray, position: int, zero_run: int) -> list[tuple[int, int]]:

@@ -1,5 +1,6 @@
 import csv
 import re
+import shutil
 import wave
 from dataclasses import replace
 from fractions import Fraction
@@ -420,29 +421,37 @@ def test_repeated_weighting_is_usage_error(survey_dir, tmp_path, capsys, command
 
 
 _BAD_SETTINGS = {
-    "repeated-channel": (["--channels", "0,0"], 1),
-    "repeated-weighting": (["--weightings", "mfc,lfc,mfc"], 1),
-    "uncovered-channel": (["--channels", "7"], 2),
-    "threshold-out-of-range": (["--threshold-db", "-7000"], 1),
+    "repeated-channel": (["--channels", "0,0"], 1, "repeats a channel id"),
+    "repeated-weighting": (["--weightings", "mfc,lfc,mfc"], 1, "repeats a weighting"),
+    "uncovered-channel": (["--channels", "7"], 2, "does not cover requested channels"),
+    "threshold-out-of-range": (["--threshold-db", "-7000"], 1, "threshold_db"),
+    # a comma, quote, CR or LF in the run_id would split the first cell of every catalog row
+    **{f"run-id-{name}": (["--run-id", f"a{c}b"], 1, "run_id")
+       for name, c in (("comma", ","), ("quote", '"'), ("cr", "\r"), ("lf", "\n"))},
 }
 
 
-@pytest.mark.parametrize("flag,value,code", [(f, v, c) for (f, v), c in _BAD_SETTINGS.values()],
+@pytest.mark.parametrize("flag,value,code,says", [(f, v, c, m) for (f, v), c, m in _BAD_SETTINGS.values()],
                          ids=list(_BAD_SETTINGS))
-def test_bad_setting_gets_one_answer_from_every_command(survey_dir, tmp_path, capsys, flag, value, code):
+def test_bad_setting_gets_one_answer_from_every_command(survey_dir, tmp_path, monkeypatch, capsys,
+                                                        flag, value, code, says):
     # detect, extract and bench (where it has the flag) share one check, run
     # before any stream starts
+    reads = []
+    monkeypatch.setattr(signal_io, "read_span", lambda *args, **kwargs: reads.append(args))
     answers = set()
     for command in ("detect", "extract", "bench"):
-        if command == "bench" and flag == "--channels":
-            continue
         given = ["--weighting" if command == "detect" and flag == "--weightings" else flag, value]
+        if given[0][2:].replace("-", "_") not in {row[0] for row in _FLAGS[command]}:
+            continue  # bench has no --channels, and only extract has --run-id
         dest = ["--out-dir" if command == "bench" else "--out", str(tmp_path / "out")]
         assert main([command, "--manifest", str(survey_dir / "manifest.txt"), *dest, *given]) == code
         answers.add(capsys.readouterr().err)
         assert list(tmp_path.iterdir()) == [], command
     assert len(answers) == 1, answers
-    assert "pulses" not in answers.pop()  # no stream ran
+    answer = answers.pop()
+    assert says in answer
+    assert "pulses" not in answer and reads == []  # no stream ran
 
 
 def test_extract_unknown_channel_is_runtime_error(survey_dir, tmp_path):
@@ -472,6 +481,36 @@ def test_missing_output_directory_fails_before_any_read(survey_dir, tmp_path, mo
     assert f"output directory does not exist: {missing}" in capsys.readouterr().err
     assert reads == []
     assert list(tmp_path.iterdir()) == []
+
+
+# each case: the command and its outputs, with the output the check names
+_CLASHES = {
+    "catalog-is-a-wav": ("extract", ["--out", "{survey}/ch00.wav"], "{survey}/ch00.wav"),
+    "events-is-the-manifest": ("detect", ["--out", "{survey}/manifest.txt"], "{survey}/manifest.txt"),
+    "events-links-to-the-manifest": ("detect", ["--out", "{tmp}/link.csv"], "{tmp}/link.csv"),
+    "summary-is-the-catalog": ("extract", ["--out", "{tmp}/c.csv", "--summary", "{tmp}/c.csv"], "{tmp}/c.csv"),
+    "catalog-is-a-directory": ("extract", ["--out", "{tmp}/d"], "{tmp}/d"),
+    "events-is-a-directory": ("detect", ["--out", "{tmp}/d"], "{tmp}/d"),
+    "bench-catalog-is-a-directory": ("bench", ["--out-dir", "{tmp}"], "{tmp}/catalog_serial.csv"),
+}
+
+
+@pytest.mark.parametrize("command,dest,named", list(_CLASHES.values()), ids=list(_CLASHES))
+def test_output_never_overwrites_an_input_or_another_output(survey_dir, tmp_path, monkeypatch, capsys,
+                                                            command, dest, named):
+    survey = tmp_path / "survey"
+    shutil.copytree(survey_dir, survey)
+    (tmp_path / "link.csv").symlink_to(survey / "manifest.txt")
+    (tmp_path / "d").mkdir()
+    (tmp_path / "catalog_serial.csv").mkdir()
+    inputs = {p: p.read_bytes() for p in survey.iterdir()}
+    reads = []
+    monkeypatch.setattr(signal_io, "read_span", lambda *args, **kwargs: reads.append(args))
+    dest = [a.format(survey=survey, tmp=tmp_path) for a in dest]
+    assert main([command, "--manifest", str(survey / "manifest.txt"), *dest]) == 2
+    assert named.format(survey=survey, tmp=tmp_path) in capsys.readouterr().err
+    assert reads == []
+    assert {p: p.read_bytes() for p in survey.iterdir()} == inputs
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from airgunkit.errors import MeasureError
 from airgunkit.measures import NA, format_db, measure_peaks, pressure_db, window_energy, window_levels
+from airgunkit.pulse_detect import PulseEvent, format_event_row, peak_cells
 
 from conftest import csel_of_levels, make_buffer
 
@@ -240,12 +241,12 @@ def test_peaks_single_positive_sample():
     x = np.zeros(100)
     x[40] = 1.0e6
     m = measure_peaks(make_buffer(x))
-    assert m.p_pos_db == pytest.approx(120.0, abs=1e-12)
+    assert pressure_db(m.p_pos_upa) == pytest.approx(120.0, abs=1e-12)
     assert m.pos_index == 40
     assert measure_peaks(make_buffer(x, start=1000)).pos_index == 1040  # a global index
     assert m.p_neg_upa == 0.0
-    assert m.p_neg_db is None  # a zero pressure has no level
-    assert m.p_pp_db == pytest.approx(120.0, abs=1e-12)
+    assert pressure_db(m.p_neg_upa) is None  # a zero pressure has no level
+    assert pressure_db(m.p_pos_upa - m.p_neg_upa) == pytest.approx(120.0, abs=1e-12)
 
 
 def test_peaks_odd_symmetric_signal():
@@ -266,7 +267,7 @@ def test_peaks_brute_force_oracle():
     assert m.p_neg_upa == x[best_neg]
     assert m.neg_index == best_neg
     span = m.p_pos_upa - m.p_neg_upa
-    assert m.p_pp_db == pytest.approx(20.0 * math.log10(span), rel=1e-12)
+    assert pressure_db(span) == pytest.approx(20.0 * math.log10(span), rel=1e-12)
 
 
 def test_peaks_tie_takes_earliest_sample():
@@ -283,15 +284,20 @@ def test_peaks_all_zero_errors():
         measure_peaks(make_buffer(np.zeros(10)))
 
 
+def pulse(m, n):
+    """The PulseEvent of one window's PeakMeasures, searched over its ``n`` samples."""
+    return PulseEvent(0, FS, *m, 0, n, m.pos_index)
+
+
 def test_format_db_writes_missing_and_non_finite_levels_as_na():
     x = np.zeros(100)
     x[40] = 1.0e6
-    m = measure_peaks(make_buffer(x))
-    assert format_db(m.p_neg_db) == NA  # an extreme of exactly zero has no level
-    assert format_db(m.p_pos_db) == "120.000000"
+    cells = peak_cells(pulse(measure_peaks(make_buffer(x)), len(x)))
+    assert cells[2] == "120.000000"
+    assert cells[5] == NA  # an extreme of exactly zero has no level
     const = measure_peaks(make_buffer(np.full(10, 5.0)))
-    assert const.p_pp_db is None
-    assert format_db(const.p_pp_db) == NA
+    assert pressure_db(const.p_pos_upa - const.p_neg_upa) is None
+    assert format_event_row(pulse(const, 10), "linear", 0).split(",")[-2] == NA  # p_pp_db
     assert [format_db(v) for v in (None, math.inf, math.nan)] == [NA] * 3
 
 
@@ -303,8 +309,13 @@ def test_peak_spl_and_peak_levels_share_one_pressure_formula():
         x = rng.normal(scale=scale, size=257)
         m = measure_peaks(make_buffer(x))
         lv, _ = window_levels(make_buffer(x))
-        assert m.p_pos_db == pressure_db(x.max()) == 20.0 * math.log10(x.max())
-        assert m.p_neg_db == pressure_db(x.min()) == 20.0 * math.log10(-x.min())
-        assert m.p_pp_db == pressure_db(x.max() - x.min())
+        assert (m.p_pos_upa, m.p_neg_upa) == (x.max(), x.min())
+        assert pressure_db(m.p_pos_upa) == 20.0 * math.log10(x.max())
+        assert pressure_db(m.p_neg_upa) == 20.0 * math.log10(-x.min())
+        row = format_event_row(pulse(m, len(x)), "linear", 0).split(",")
+        # p_a_db, p_b_db and p_pp_db as written
+        assert [row[5], row[8], row[9]] == [format_db(pressure_db(p))
+                                            for p in (x.max(), x.min(), x.max() - x.min())]
+        assert row[3:9] == peak_cells(pulse(m, len(x)))
         assert lv.spl_db == pressure_db(max(x.max(), -x.min()))
     assert pressure_db(0.0) is None and pressure_db(-0.0) is None

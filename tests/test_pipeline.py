@@ -12,7 +12,7 @@ from airgunkit.pipeline import (
     sort_records,
     write_catalog,
 )
-from airgunkit.measures import NA, format_db, window_levels
+from airgunkit.measures import NA, format_db, pressure_db, window_levels
 from airgunkit.pulse_detect import (
     MAX_EXCURSION_S,
     SEARCH_AFTER_S,
@@ -103,15 +103,11 @@ def fake_event(t_anchor, channel_id=0):
         sample_rate_hz=FS,
         pos_index=at(t_anchor),
         p_pos_upa=1.0e5,
-        p_pos_db=100.0,
         neg_index=at(t_anchor + 0.01),
         p_neg_upa=-5.0e4,
-        p_neg_db=20.0 * math.log10(5.0e4),
-        p_pp_db=20.0 * math.log10(1.5e5),
         search_start_index=at(t_anchor) - 8000,
         search_end_index=at(t_anchor) + 16000,
         anchor_index=at(t_anchor),
-        ipi_samples=None,
     )
 
 
@@ -180,6 +176,8 @@ def test_record_level_formats():
     assert cells[1] == "2.500000000"  # late_01_start_s
     assert cells[11] == "2.100000000"  # t_a_s
     assert cells[12] == "100000.000000"  # p_a_upa
+    assert cells[13] == "100.000000"  # p_a_db, the level of p_a_upa
+    assert cells[16] == format_db(pressure_db(-5.0e4)) == "93.979400"  # p_b_db
     # early window: 1000 uPa over 0.5 s
     assert cells[17] == "60.000000"  # early_spl_peak_db
     assert cells[18] == "56.989700"  # early_sel_db
@@ -293,8 +291,8 @@ def test_catalog_writes_na_for_unmeasured_late_windows(tmp_path):
 
 def whole_buffer_records(cm, kind, detector):
     """Reference path: no chunking, no rolling buffer, no trimming."""
-    whole = read_span(cm, 0, cm.n_samples)
-    _, filt = apply_filter(design_filter(WeightingSpec(kind), cm.sample_rate_hz), whole)
+    filt = read_span(cm, 0, cm.n_samples)
+    apply_filter(design_filter(WeightingSpec(kind), cm.sample_rate_hz), filt)
     events = detect_pulses([filt], detector)
 
     fs = cm.sample_rate_hz

@@ -1,4 +1,5 @@
 import math
+from itertools import zip_longest
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from airgunkit.errors import DetectionError
+from airgunkit.measures import pressure_db
 from airgunkit.pulse_detect import (
     EVENTS_HEADER,
     MAX_EXCURSION_S,
@@ -35,6 +37,12 @@ def spike_train(times_s, amps_upa, duration_s, fs=FS):
 def at(t_s, fs=FS):
     """Sample index of a time in seconds, as spike_train places it."""
     return int(round(t_s * fs))
+
+
+def event_rows(events):
+    """The events-CSV rows of one stream's events, as ``detect`` writes them, split into cells."""
+    return [format_event_row(ev, "linear", i, next_event=nxt).split(",")
+            for i, (ev, nxt) in enumerate(zip_longest(events, events[1:]))]
 
 
 def chunked(x, fs, chunk_s):
@@ -87,8 +95,8 @@ def test_single_pulse_detected():
     assert len(events) == 1
     ev = events[0]
     assert ev.pos_index == at(3.0)
-    assert ev.p_pos_db == pytest.approx(100.0, abs=1e-9)
-    assert ev.ipi_samples is None
+    assert pressure_db(ev.p_pos_upa) == pytest.approx(100.0, abs=1e-9)
+    assert event_rows(events)[0][10] == "NA"  # no next pulse, no IPI
 
 
 def test_sample_exactly_at_threshold_fires():
@@ -104,7 +112,8 @@ def test_negative_spike_fires_and_reports_peaks():
     ev = events[0]
     assert ev.neg_index == at(2.0)
     assert ev.pos_index == at(2.01)
-    assert ev.p_pp_db == pytest.approx(20.0 * math.log10(2.5e5), abs=1e-9)
+    assert (ev.p_pos_upa, ev.p_neg_upa) == (5.0e4, -2.0e5)
+    assert float(event_rows(events)[0][9]) == pytest.approx(20.0 * math.log10(2.5e5), abs=1e-6)
 
 
 def test_pulse_near_stream_start_is_measured():
@@ -119,9 +128,7 @@ def test_ipi_fills_forward():
     x = spike_train([2.0, 12.0, 28.0], [1e5, 2e5, 1.5e5], 35.0)
     events = detect_pulses([make_buffer(x, fs=FS)], CFG)
     assert len(events) == 3
-    assert events[0].ipi_samples == at(10.0)
-    assert events[1].ipi_samples == at(16.0)
-    assert events[2].ipi_samples is None
+    assert [row[10] for row in event_rows(events)] == ["10.000000000", "16.000000000", "NA"]
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +167,7 @@ def test_anchor_is_largest_magnitude_in_window():
     events = detect_pulses([make_buffer(x, fs=FS)], CFG)
     assert len(events) == 1
     assert events[0].pos_index == at(4.3)
-    assert events[0].p_pos_db == pytest.approx(20.0 * math.log10(8e5), abs=1e-9)
+    assert pressure_db(events[0].p_pos_upa) == pytest.approx(20.0 * math.log10(8e5), abs=1e-9)
 
 
 def test_peak_window_straddles_anchor_asymmetrically():
@@ -447,11 +454,12 @@ def test_events_header_and_row_format():
     )
     x = spike_train([2.0, 12.0], [1e5, 1e5], 20.0)
     events = detect_pulses([make_buffer(x, fs=FS)], CFG)
-    rows = [format_event_row(ev, "linear", i) for i, ev in enumerate(events)]
-    first = rows[0].split(",")
+    rows = event_rows(events)
+    first = rows[0]
     assert first[0] == "0"
     assert first[1] == "linear"
     assert first[2] == "0"
     assert first[3] == "2.000000000"
     assert first[10] == "10.000000000"
-    assert rows[1].split(",")[10] == "NA"
+    assert rows[1][10] == "NA"
+    assert format_event_row(events[0], "linear", 0).split(",")[10] == "NA"  # no next event given

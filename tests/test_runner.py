@@ -2,8 +2,10 @@ import csv
 import os
 import subprocess
 import sys
+import tracemalloc
 import wave
 from dataclasses import replace
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -288,10 +290,10 @@ def test_run_reads_and_filters_every_sample_once_per_task(noisy_survey, tmp_path
         reads.append((cm.channel_id, start, count))
         return real_read(cm, start, count, out=out)
 
-    def filt(state, buffer, out=None):
+    def filt(state, buffer):
         nonlocal filtered
         filtered += len(buffer)
-        return real_filter(state, buffer, out=out)
+        return real_filter(state, buffer)
 
     monkeypatch.setattr(signal_io, "read_span", read)
     monkeypatch.setattr(runner, "apply_filter", filt)
@@ -390,25 +392,22 @@ def test_failed_task_logs_its_error_not_a_pulse_count(tmp_path):
 # flushed filter state against plain sosfilt
 
 
-def plain_sosfilt(state, buffer, out=None):
-    """Oracle filter: scipy's sosfilt with carried state, never flushed.
-
-    It ignores ``out`` and returns a new array, which the stream's rolling
-    buffer then copies in.
-    """
+def plain_sosfilt(state, buffer):
+    """Oracle filter: scipy's sosfilt with carried state, never flushed, into the buffer."""
     if state.sos is None:
-        return state, buffer
-    out, zi = signal.sosfilt(state.sos, buffer.samples, zi=state.zi)
-    return replace(state, zi=zi), replace(buffer, samples=out)
+        return state
+    buffer.samples[:], zi = signal.sosfilt(state.sos, buffer.samples, zi=state.zi)
+    return replace(state, zi=zi)
 
 
 def events_rows(manifests):
-    return [
-        format_event_row(ev, kind.value, i)
-        for ch in sorted(manifests)
-        for kind in CANONICAL_ORDER
-        for i, ev in enumerate(detect_pulses(weighted_chunks(manifests[ch], kind, 7.0), DETECTOR))
-    ]
+    rows = []
+    for ch in sorted(manifests):
+        for kind in CANONICAL_ORDER:
+            events = detect_pulses(weighted_chunks(manifests[ch], kind, 7.0), DETECTOR)
+            rows += [format_event_row(ev, kind.value, i, next_event=nxt)
+                     for i, (ev, nxt) in enumerate(zip_longest(events, events[1:]))]
+    return rows
 
 
 def test_flush_changes_only_cells_below_minus_100_db(small_survey, tmp_path, monkeypatch):
@@ -445,8 +444,8 @@ def test_weighted_chunks_equal_whole_filter(small_survey):
     glued = np.concatenate(
         [c.samples for c in weighted_chunks(cm, WeightingKind.LFC, chunk_s=7.0)]
     )
-    whole = read_span(cm, 0, cm.n_samples)
-    _, ref = apply_filter(design_filter(WeightingSpec(WeightingKind.LFC), cm.sample_rate_hz), whole)
+    ref = read_span(cm, 0, cm.n_samples)
+    apply_filter(design_filter(WeightingSpec(WeightingKind.LFC), cm.sample_rate_hz), ref)
     assert np.array_equal(glued, ref.samples)
 
 
@@ -637,6 +636,25 @@ def test_held_records_cost_under_a_kilobyte_each(tmp_path):
         survey = generate(spec, tmp_path / f"survey{hours}")
         peaks.append(child_peak_mb(_RUN, survey.manifest_path, tmp_path / f"c{hours}.csv", "linear,lfc,mfc"))
     assert peaks[1] - peaks[0] <= 8, f"VmHWM {peaks[0]:.1f} MB at 1 h, {peaks[1]:.1f} MB at 4 h"
+
+
+def test_held_events_cost_under_400_bytes_each(tmp_path):
+    # 1 ch at 2 kHz with a pulse every 6 s: the linear stream of 1 h has 600
+    # events.  An event holds what the scan measured, ~335 B under
+    # tracemalloc.  With its three levels and IPI stored, and the list copied
+    # at the end of the stream to fill the IPIs, it held ~480 B.
+    spec = SurveySpec(duration_s=3600.0, sample_rate_hz=2000, ipi_s=6.0)
+    cm = open_manifest(generate(spec, tmp_path / "survey").manifest_path)[0]
+    detect_pulses(weighted_chunks(cm, WeightingKind.LINEAR, 60.0), DETECTOR)  # first-use allocations
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        events = detect_pulses(weighted_chunks(cm, WeightingKind.LINEAR, 60.0), DETECTOR)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(events) == spec.n_pulses == 600
+    assert held / len(events) < 400, f"{held / len(events):.0f} B per event"
 
 
 @pytest.mark.parametrize("spec", [

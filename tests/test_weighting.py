@@ -51,8 +51,9 @@ def frequency_response_db(state, freqs_hz):
 
 
 def run_whole(kind, buf):
-    state = fresh(kind, buf.sample_rate_hz)
-    _, out = apply_filter(state, buf)
+    """Filter a copy of ``buf`` whole, in place; returns the copy."""
+    out = replace(buf, samples=buf.samples.copy())
+    apply_filter(fresh(kind, buf.sample_rate_hz), out)
     return out
 
 
@@ -158,7 +159,8 @@ def test_chunked_equals_whole_bitwise(kind):
         chunk = x[pos : pos + size]
         if len(chunk) == 0:
             break
-        state, out = apply_filter(state, make_buffer(chunk, fs=fs, start=pos / fs))
+        out = make_buffer(chunk.copy(), fs=fs, start=pos / fs)
+        state = apply_filter(state, out)
         pieces.append(out.samples)
         pos += len(chunk)
     glued = np.concatenate(pieces)
@@ -278,19 +280,16 @@ def test_stopband_tone_is_rejected():
 LSB_UPA = 10.0 ** (126.0 / 20.0) / 2048  # one recorder count at the default calibration
 
 
-def run_chunked(kind, fs, x, cuts, in_place=False):
-    """Filter x in chunks split at the sample indices ``cuts``; returns (output, final state).
+def run_chunked(kind, fs, x, cuts):
+    """Filter a copy of x in chunks split at the sample indices ``cuts``; returns (output, final state).
 
-    Each chunk is a view of ``x``; ``in_place`` filters it there, into ``x``.
+    Each chunk is a view of the copy, filtered there in place: the output is the copy.
     """
+    y = x.copy()
     state = fresh(kind, fs)
-    pieces = []
     for a, b in zip([0, *cuts], [*cuts, len(x)]):
-        chunk = make_buffer(x[a:b], fs=fs, start=a / fs)
-        state, out = apply_filter(state, chunk, out=chunk.samples if in_place else None)
-        assert (out.samples is chunk.samples) == in_place
-        pieces.append(out.samples)
-    return np.concatenate(pieces), state
+        state = apply_filter(state, make_buffer(y[a:b], fs=fs, start=a / fs))
+    return y, state
 
 
 # (kind, fs, longest zero run in blocks): each band decays below the floor
@@ -326,16 +325,12 @@ def test_flushed_stream_is_chunk_invariant(kind, fs, max_zero_blocks, data):
     cuts = data.draw(st.lists(st.integers(0, len(x)) | near_grid, min_size=1, max_size=8) | stride)
     cuts = sorted({c for c in cuts if 0 < c < len(x)})
 
-    x_bytes = x.tobytes()
     whole, whole_state = run_chunked(kind, fs, x, [])
     chunked, state = run_chunked(kind, fs, x, cuts)
-    assert x.tobytes() == x_bytes  # filtering into a new array leaves the input as it was
-    in_place, in_place_state = run_chunked(kind, fs, x.copy(), cuts, in_place=True)
-    assert chunked.tobytes() == whole.tobytes() == in_place.tobytes()
-    assert state.flushes == whole_state.flushes == in_place_state.flushes
-    assert np.array_equal(state.zi, whole_state.zi)
-    assert state.zi.tobytes() == in_place_state.zi.tobytes()
-    assert state.position == in_place_state.position == len(x)
+    assert chunked.tobytes() == whole.tobytes()
+    assert state.flushes == whole_state.flushes
+    assert state.zi.tobytes() == whole_state.zi.tobytes()
+    assert state.position == whole_state.position == len(x)
 
 
 def flush_reference(sos, x):
@@ -491,8 +486,7 @@ def test_public_sosfilt_fallback_gives_the_same_bytes(tmp_path, monkeypatch):
     detector = DetectorConfig(threshold_db=100.0, min_ipi_s=5.0)
 
     def outputs(name):
-        filtered = [run_chunked(kind, 16000.0, x.copy(), [700, 9000], in_place)
-                    for kind in (WeightingKind.LFC, WeightingKind.MFC) for in_place in (False, True)]
+        filtered = [run_chunked(kind, 16000.0, x, [700, 9000]) for kind in (WeightingKind.LFC, WeightingKind.MFC)]
         out, report = run(RunConfig(out_path=tmp_path / name, detector=detector), manifests)
         return ([(y.tobytes(), state.flushes, state.zi.tobytes()) for y, state in filtered],
                 out.read_bytes(), report.filter_flushes)
@@ -500,5 +494,4 @@ def test_public_sosfilt_fallback_gives_the_same_bytes(tmp_path, monkeypatch):
     kernel = outputs("kernel.csv")
     monkeypatch.setattr(weighting, "_sosfilt", weighting._public_sosfilt)
     assert outputs("public.csv") == kernel
-    assert kernel[0][0] == kernel[0][1] and kernel[0][2] == kernel[0][3]  # in place or not
-    assert [flushes for _, flushes, _ in kernel[0]] == [1, 1, 1, 1] and kernel[2] == 2
+    assert [flushes for _, flushes, _ in kernel[0]] == [1, 1] and kernel[2] == 2
