@@ -15,7 +15,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .errors import AirgunkitError
+from .errors import AirgunkitError, RunError
 from .pulse_detect import DetectorConfig, detect_pulses, format_event_row, write_events_csv
 from .runner import PARALLEL_WORKERS, RunConfig, bench, preflight, report_text, run, weighted_chunks
 from .signal_io import RollingBuffer, open_manifest
@@ -271,6 +271,8 @@ def _cmd_bench(ns: argparse.Namespace) -> int:
     print(f"parallel_seconds={result.parallel_seconds:.3f}")
     print(f"speedup={result.speedup:.3f}")
     print(f"identical={'true' if result.identical else 'false'}")
+    if not result.identical:
+        raise RunError(f"catalogs differ: {result.serial_catalog} and {result.parallel_catalog}")
     return 0
 
 

@@ -1,8 +1,9 @@
-"""Per-window acoustic levels: peak SPL, SEL, equivalent level, cumulative SEL.
+"""Acoustic levels of measured windows: peak SPL, SEL, equivalent level, cumulative SEL.
 
 All levels are referenced to 1 micropascal.  Energy integrals use the
 rectangle rule sum(p_i^2) * dt over the window's samples, which keeps the
 SEL / L_EQ duality exact: leq == sel - 10*log10(T / 1 s) by construction.
+Windows of one length are measured together, as the rows of one 2-D array.
 """
 
 from __future__ import annotations
@@ -13,20 +14,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import MeasureError
-from .signal_io import SampleBuffer
 
 
-def _check_window(window: SampleBuffer) -> None:
-    if len(window) == 0:
-        raise MeasureError("empty window")
-
-
-def window_energy(window: SampleBuffer) -> float:
-    """Integrated squared pressure over the window, in uPa^2 s."""
-    _check_window(window)
-    x = window.samples
+def window_energy(x: np.ndarray, sample_rate_hz: float) -> float:
+    """Integrated squared pressure over one window's samples, in uPa^2 s."""
     # einsum reduces in-thread; np.dot hands long windows to BLAS threads
-    return float(np.einsum("i,i->", x, x)) / window.sample_rate_hz
+    return float(np.einsum("i,i->", x, x)) / sample_rate_hz
 
 
 def energy_db(energy_upa2s: float) -> float | None:
@@ -48,25 +41,29 @@ class Levels(NamedTuple):
     csel_db: float | None
 
 
-def window_levels(window: SampleBuffer, running_upa2s: float = 0.0) -> tuple[Levels, float]:
-    """Measure one window and add its energy to a running cumulative sum.
+def ladder_levels(rows: np.ndarray, sample_rate_hz: float, running: list[float],
+                  slot: int = 0) -> list[Levels]:
+    """Measure windows of one length, the rows of ``rows``, in row order.
 
-    Returns the window's levels and the running sum after it.  csel_db is
-    the level of that sum, so a zero-energy window carries the running level
-    and has None for its own SPL/SEL/L_EQ; csel_db is None while the sum is
-    still zero.
+    Row k adds its energy to the running cumulative sum ``running[slot + k]``,
+    and its csel_db is the level of that sum after it: a zero-energy window
+    carries the running level and has None for its own SPL/SEL/L_EQ, and
+    csel_db is None while the sum is still zero.  Each energy is its own 1-D
+    ``window_energy`` call, since a batched sum is not bit-equal to it.
     """
-    energy = window_energy(window)
-    x = window.samples
-    peak = float(max(x.max(), -x.min()))  # max |x|, without a |x| temporary
-    sel_db = energy_db(energy)
-    running_upa2s += energy
-    return Levels(
-        pressure_db(peak),
-        sel_db,
-        None if sel_db is None else sel_db - 10.0 * math.log10(window.duration_s),
-        energy_db(running_upa2s),
-    ), running_upa2s
+    n, w = rows.shape
+    if w == 0:
+        raise MeasureError("empty window")
+    peaks = np.maximum(rows.max(axis=1), -rows.min(axis=1)).tolist()  # max |x|, without a |x| temporary
+    leq_offset_db = 10.0 * math.log10(w / sample_rate_hz)
+    levels = []
+    for k in range(n):
+        energy = window_energy(rows[k], sample_rate_hz)
+        sel_db = energy_db(energy)
+        running[slot + k] += energy
+        levels.append(Levels(pressure_db(peaks[k]), sel_db, None if sel_db is None else sel_db - leq_offset_db,
+                             energy_db(running[slot + k])))
+    return levels
 
 
 NA = "NA"
@@ -89,16 +86,14 @@ class PeakMeasures(NamedTuple):
     p_neg_upa: float
 
 
-def measure_peaks(window: SampleBuffer) -> PeakMeasures:
+def measure_peaks(x: np.ndarray, start: int) -> PeakMeasures:
     """Locate the positive and negative pressure extremes of a window.
 
-    Ties resolve to the earliest sample; an all-zero window is an error.
+    ``x`` is a window whose first sample has global index ``start``.  Ties
+    resolve to the earliest sample; an empty or all-zero window is an error.
     """
-    _check_window(window)
-    x = window.samples
     if not np.any(x):
         raise MeasureError("all-zero window has no peaks")
     i_pos = int(np.argmax(x))
     i_neg = int(np.argmin(x))
-    a = window.start_index
-    return PeakMeasures(a + i_pos, float(x[i_pos]), a + i_neg, float(x[i_neg]))
+    return PeakMeasures(start + i_pos, float(x[i_pos]), start + i_neg, float(x[i_neg]))

@@ -23,6 +23,8 @@ rows while detect_pulses streams it: bounds and windows are measured in
 the detector's rolling buffer of filtered samples, so no sample is read or
 filtered twice, and each window as soon as no later pulse can cut it, so a
 pending record holds at most one late window behind the scanner's own hold.
+The early window is a one-row ladder, and the late windows that become valid
+in one call are the rows of one buffer view (measures.ladder_levels).
 """
 
 from __future__ import annotations
@@ -31,11 +33,11 @@ from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import RunError
-from .measures import NA, Levels, format_db, window_levels
+from .measures import NA, Levels, format_db, ladder_levels
 from .pulse_detect import PulseEvent, PulseScanner, peak_cells
-from .signal_io import ChannelManifest, RollingBuffer, SampleBuffer, format_time
+from .signal_io import ChannelManifest, RollingBuffer, format_time
 from .weighting import CANONICAL_ORDER, WeightingKind
-from .windows import LATE_WINDOW_COUNT, LATE_WINDOW_S, EnergyBounds, energy_bounds, layout_windows
+from .windows import LATE_WINDOW_COUNT, LATE_WINDOW_S, EnergyBounds, energy_bounds, late_window_count
 
 # perfbench's tracer patches these names in pipeline
 from .measures import window_energy  # noqa: F401
@@ -117,7 +119,8 @@ class RecordBuilder:
     def __init__(self, cm: ChannelManifest, kind: WeightingKind) -> None:
         self.cm = cm
         self.weighting = kind.value
-        self.w_samp = round(LATE_WINDOW_S * cm.sample_rate_hz)
+        self.fs = cm.sample_rate_hz
+        self.w_samp = round(LATE_WINDOW_S * self.fs)
         self.records: list[CatalogRow] = []
         self.scanner: PulseScanner | None = None  # the stream's scanner, which counts its drops and cuts
         # the kept pulse whose record is pending, with the levels of its measured windows
@@ -133,7 +136,8 @@ class RecordBuilder:
             bk = energy_bounds(buf.view(a, min(ev.search_end_index, n_total)), a)
             if self._pending is not None:
                 self._measure_late(buf, bk.i5, settled=True)
-            self._pending = (ev, bk, [self._levels(buf, bk.i5, bk.i95 + 1, 0)])
+            early = buf.view(bk.i5, bk.i95 + 1).reshape(1, -1)  # a one-row ladder
+            self._pending = (ev, bk, ladder_levels(early, self.fs, self._csel))
         if self._pending is None:
             return buf.end
         return self._measure_late(buf, n_total if final else min(buf.end, scanner.keep_from), final)
@@ -142,21 +146,15 @@ class RecordBuilder:
         """Measure the pending record's late windows ending by ``bound``; return the first sample it needs."""
         ev, bk, levels = self._pending
         w = self.w_samp
-        valid = layout_windows(bk.i95, bound, w)
-        while len(levels) <= LATE_WINDOW_COUNT and valid[len(levels) - 1]:
-            a = bk.i95 + (len(levels) - 1) * w
-            levels.append(self._levels(buf, a, a + w, len(levels)))
+        slot = len(levels)  # the first unmeasured slot: late window k is slot k, at i95 + (k - 1) * w
+        end = bk.i95 + late_window_count(bk.i95, bound, w) * w
+        levels += ladder_levels(buf.view(bk.i95 + (slot - 1) * w, end).reshape(-1, w), self.fs, self._csel, slot)
         if settled or len(levels) > LATE_WINDOW_COUNT:
             self.records.append(extract_record(ev, bk, levels, weighting=self.weighting,
                                                pulse_index=len(self.records), origin=self.cm.origin))
             self._pending = None
             return buf.end
-        return bk.i95 + (len(levels) - 1) * w
-
-    def _levels(self, buf: RollingBuffer, a: int, b: int, slot: int) -> Levels:
-        win = SampleBuffer(buf.view(a, b), self.cm.sample_rate_hz, a, self.cm.channel_id)
-        lv, self._csel[slot] = window_levels(win, self._csel[slot])
-        return lv
+        return end
 
 
 # ---------------------------------------------------------------------------

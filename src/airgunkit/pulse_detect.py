@@ -204,7 +204,7 @@ class PulseScanner:
         """Measure one accepted anchor's search window, cut at the buffer end."""
         lo = max(anchor - self.pre, 0)
         hi = anchor + self.post
-        pk = measure_peaks(SampleBuffer(buf.view(lo, min(hi, buf.end)), self.fs, lo, self.channel_id))
+        pk = measure_peaks(buf.view(lo, min(hi, buf.end)), lo)
         # PeakMeasures' four fields are PulseEvent's, in the same order
         return PulseEvent(self.channel_id, self.fs, *pk, lo, hi, anchor)
 

@@ -49,6 +49,8 @@ class RunConfig:
             raise ValueError("worker_count must be >= 1")
         if not self.weightings:
             raise ValueError("weighting selection is empty")
+        if not all(isinstance(k, WeightingKind) for k in self.weightings):
+            raise ValueError(f"weightings must be WeightingKind members, got {self.weightings!r}")
         if len(set(self.weightings)) != len(self.weightings):
             raise ValueError("weighting selection repeats a weighting: "
                              + ",".join(k.value for k in self.weightings))

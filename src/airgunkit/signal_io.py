@@ -101,10 +101,6 @@ class SampleBuffer:
     def __len__(self) -> int:
         return len(self.samples)
 
-    @property
-    def duration_s(self) -> float:
-        return len(self.samples) / self.sample_rate_hz
-
 
 class RollingBuffer:
     """The retained tail of one sample stream, addressed by global sample index.

@@ -5,8 +5,9 @@ squared-pressure over its search window, so it holds 90% of the measured
 pulse energy while staying robust to where the excursion tails off.  After
 it, up to ten consecutive one-second windows track the late-time field; a
 late window only counts if it ends before the next pulse's early window
-starts (or before the data ends, for the last pulse).  Bounds and windows
-are global sample indices; seconds are left to record assembly.
+starts (or before the data ends, for the last pulse), so the valid ones are
+the first few: late_window_count counts them.  Bounds and windows are global
+sample indices; seconds are left to record assembly.
 """
 
 from __future__ import annotations
@@ -56,14 +57,14 @@ def energy_bounds(samples: np.ndarray, start: int = 0) -> EnergyBounds:
     return EnergyBounds(start + i_lo, start + i_hi)
 
 
-def layout_windows(i95: int, limit: int, w: int) -> tuple[bool, ...]:
-    """Validity of the late window ladder after one pulse's early window.
+def late_window_count(i95: int, limit: int, w: int) -> int:
+    """Late windows of one pulse that end by ``limit``.
 
     Window k (k = 0..LATE_WINDOW_COUNT-1) spans samples [i95 + k*w,
     i95 + (k+1)*w).  It is valid when it ends at or before ``limit``: the
     next pulse's 5% bound, or the sample count of the stream for the last
-    pulse.
+    pulse.  Validity is a prefix of the ladder, so it is one count.
     """
     if w < 1:
         raise ValueError("late window must hold at least one sample")
-    return tuple(i95 + (k + 1) * w <= limit for k in range(LATE_WINDOW_COUNT))
+    return min(LATE_WINDOW_COUNT, max(0, (limit - i95) // w))

@@ -1,8 +1,10 @@
 import csv
+import math
 
 import numpy as np
 import pytest
 
+from airgunkit.measures import Levels, energy_db, pressure_db
 from airgunkit.signal_io import SampleBuffer, wav_writer
 from airgunkit.synth import SurveySpec, generate
 
@@ -15,6 +17,24 @@ def csel_of_levels(sel_dbs) -> float:
     """Oracle: cumulative level of already-measured per-window SELs (energy sum in dB)."""
     arr = np.asarray(sel_dbs, dtype=np.float64)
     return float(10.0 * np.log10(np.sum(10.0 ** (arr / 10.0))))
+
+
+def window_levels(x, fs, running_upa2s=0.0) -> tuple[Levels, float]:
+    """Oracle: one window measured alone, and the running energy sum after it.
+
+    The window's energy is one in-thread sum of its squared samples; csel_db
+    is the level of the running sum, so a zero-energy window carries it.
+    """
+    energy = float(np.einsum("i,i->", x, x)) / fs
+    peak = float(max(x.max(), -x.min()))
+    sel_db = energy_db(energy)
+    running_upa2s += energy
+    return Levels(
+        pressure_db(peak),
+        sel_db,
+        None if sel_db is None else sel_db - 10.0 * math.log10(len(x) / fs),
+        energy_db(running_upa2s),
+    ), running_upa2s
 
 
 def ledger_total(weightings: int, early: int, late: int, units: int, pulses: int) -> int:

@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from airgunkit.measures import window_levels
+from airgunkit.measures import ladder_levels
 from airgunkit.pipeline import CATALOG_HEADER
 from airgunkit.pulse_detect import DetectorConfig
 from airgunkit.runner import RunConfig, run
@@ -108,8 +108,7 @@ def test_03_sel_equals_leq_on_unit_windows():
         worst = 0.0
         for _ in range(1000):
             scale = 10.0 ** rng.uniform(-3.0, 6.0)
-            buf = SampleBuffer(rng.normal(0.0, scale, int(FS)), FS, 0.0, 0)
-            lv, _ = window_levels(buf)
+            (lv,) = ladder_levels(rng.normal(0.0, scale, (1, int(FS))), FS, [0.0])
             worst = max(worst, abs(lv.sel_db - lv.leq_db))
         elapsed = time.perf_counter() - started
         assert worst < 1e-12
@@ -122,14 +121,13 @@ def test_04_csel_matches_energy_sum_identity():
         worst = 0.0
         for _ in range(100):
             n_windows = int(rng.integers(1, 24))
-            energy = 0.0
+            energy = [0.0]
             levels = []
             running = None
             for _ in range(n_windows):
                 count = int(rng.integers(50, 6000))
                 scale = 10.0 ** rng.uniform(0.0, 5.0)
-                buf = SampleBuffer(rng.normal(0.0, scale, count), 4000.0, 0.0, 0)
-                lv, energy = window_levels(buf, energy)
+                (lv,) = ladder_levels(rng.normal(0.0, scale, (1, count)), 4000.0, energy)
                 levels.append(lv.sel_db)
                 running = lv.csel_db
             manual = 10.0 * math.log10(
@@ -140,13 +138,15 @@ def test_04_csel_matches_energy_sum_identity():
 
         # a zero-energy window has no level of its own and carries the
         # running one; before any energy there is no cumulative level
-        silence = SampleBuffer(np.zeros(400), 4000.0, 0.0, 0)
-        lead, energy = window_levels(silence)
-        assert lead.csel_db is None and energy == 0.0
-        first, energy = window_levels(SampleBuffer(np.full(400, 30.0), 4000.0, 0.0, 0), energy)
-        carried, after = window_levels(silence, energy)
+        silence = np.zeros((1, 400))
+        energy = [0.0]
+        (lead,) = ladder_levels(silence, 4000.0, energy)
+        assert lead.csel_db is None and energy == [0.0]
+        (first,) = ladder_levels(np.full((1, 400), 30.0), 4000.0, energy)
+        before = list(energy)
+        (carried,) = ladder_levels(silence, 4000.0, energy)
         assert carried.sel_db is None
-        assert carried.csel_db == first.csel_db and after == energy
+        assert carried.csel_db == first.csel_db and energy == before
 
 
 def test_05_energy_bounds_within_one_sample_of_dense_oracle():
@@ -317,6 +317,7 @@ def test_09_four_way_parallel_halves_wall_time(tmp_path):
 
 ACCEPTANCE_CATALOG_SHA256 = "3e071666e61eb254ae632ff192b49bbcc180f34787bd7a8e9b4d6dbfbde23b2d"
 HIGHRATE_CATALOG_SHA256 = "a576ae3de990eab04eab1c634db99bc79b043fdde03f20e6d2865911477e6c86"
+PAPER_RATE_CATALOG_SHA256 = "4ddad7144e4318489b67130f10d4cdb520f0e316801a909e362e3199c1fb6929"
 
 
 def on_ninth_decimal_tie(cell: str, fs: int) -> bool:
@@ -344,3 +345,17 @@ def test_10_catalog_bytes_are_pinned(serial_run, tmp_path):
         ties = [v for v in times if on_ninth_decimal_tie(v, fs)]
         assert ties and all(int(v[-1]) % 2 == 0 for v in ties)
         assert hashlib.sha256(out.read_bytes()).hexdigest() == HIGHRATE_CATALOG_SHA256
+
+        # the paper's recorders: 2 kHz, one pulse per 25 s, in noise, so every
+        # late window holds energy in all three weightings; the last pulse's
+        # ladder is cut by the end of the recording
+        spec = SurveySpec(channel_count=1, duration_s=305.0, sample_rate_hz=2000, ipi_s=25.0,
+                          noise_rms_upa=3000.0, seed=2)
+        result = generate(spec, tmp_path / "paper_rate")
+        out, report = run(RunConfig(out_path=tmp_path / "paper_rate.csv", detector=DETECTOR),
+                          open_manifest(result.manifest_path))
+        assert report.n_records == 3 * 13
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert all(row["late_10_sel_db"] != "NA" for row in rows[:-3])
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == PAPER_RATE_CATALOG_SHA256

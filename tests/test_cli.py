@@ -584,6 +584,20 @@ def test_bench_reports_identical_catalogs(survey_dir, tmp_path, capsys):
     assert (tmp_path / "catalog_parallel.csv").is_file()
 
 
+def test_bench_fails_when_its_catalogs_differ(survey_dir, tmp_path, monkeypatch, capsys):
+    serial, parallel = tmp_path / "catalog_serial.csv", tmp_path / "catalog_parallel.csv"
+
+    def differing_bench(config, manifests, log=None):
+        return runner.BenchResult(1.0, 0.5, 2, 2.0, False, serial, parallel)
+
+    monkeypatch.setattr(cli, "bench", differing_bench)
+    assert main(["bench", "--manifest", str(survey_dir / "manifest.txt"), "--out-dir", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert "DIFFER [FAIL]" in captured.out and "identical=false" in captured.out  # the report still prints
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error:") and str(serial) in line and str(parallel) in line
+
+
 def test_bench_runs_the_settings_of_extract_serially_then_in_parallel(survey_dir, tmp_path, monkeypatch):
     seen = []
     real_run = runner.run

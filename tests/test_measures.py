@@ -6,22 +6,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from airgunkit.errors import MeasureError
-from airgunkit.measures import NA, format_db, measure_peaks, pressure_db, window_energy, window_levels
+from airgunkit.measures import NA, format_db, ladder_levels, measure_peaks, pressure_db, window_energy
 from airgunkit.pulse_detect import PulseEvent, format_event_row, peak_cells
 
-from conftest import csel_of_levels, make_buffer
+from conftest import csel_of_levels, window_levels
 
 FS = 16000.0
 
 
 def const_window(p_upa, duration_s, fs=FS):
-    n = int(round(duration_s * fs))
-    return make_buffer(np.full(n, p_upa), fs=fs)
+    return np.full(int(round(duration_s * fs)), p_upa)
 
 
-def levels(win):
+def measure(x, running=0.0, fs=FS):
+    """One window as a one-row ladder: its levels and the running energy sum after it."""
+    sums = [running]
+    (lv,) = ladder_levels(np.asarray(x, dtype=np.float64)[np.newaxis], fs, sums)
+    return lv, sums[0]
+
+
+def levels(x, fs=FS):
     """The window's own levels, with no exposure before it."""
-    return window_levels(win)[0]
+    return measure(x, fs=fs)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -29,16 +35,15 @@ def levels(win):
 
 
 def test_window_energy_rectangle_rule():
-    buf = make_buffer([1.0, 2.0, 3.0], fs=4.0)
     # (1 + 4 + 9) / 4
-    assert window_energy(buf) == pytest.approx(3.5, abs=0.0)
+    assert window_energy(np.array([1.0, 2.0, 3.0]), 4.0) == pytest.approx(3.5, abs=0.0)
 
 
 def test_window_energy_concatenation_additive():
     rng = np.random.default_rng(3)
     x = rng.normal(scale=100.0, size=4096)
-    whole = window_energy(make_buffer(x))
-    parts = window_energy(make_buffer(x[:1500])) + window_energy(make_buffer(x[1500:]))
+    whole = window_energy(x, FS)
+    parts = window_energy(x[:1500], FS) + window_energy(x[1500:], FS)
     assert parts == pytest.approx(whole, rel=1e-12)
 
 
@@ -51,32 +56,31 @@ def test_spl_reference_pressure_is_zero_db():
 
 
 def test_spl_megapascal_peak():
-    buf = make_buffer([0.0, -1.0e6, 3.0])
-    assert levels(buf).spl_db == pytest.approx(120.0, abs=1e-12)
+    assert levels([0.0, -1.0e6, 3.0]).spl_db == pytest.approx(120.0, abs=1e-12)
 
 
 def test_spl_uses_largest_magnitude():
     rng = np.random.default_rng(5)
     x = rng.normal(scale=50.0, size=2000)
     expected = 20.0 * math.log10(max(abs(v) for v in x))
-    assert levels(make_buffer(x)).spl_db == pytest.approx(expected, rel=1e-12)
+    assert levels(x).spl_db == pytest.approx(expected, rel=1e-12)
 
 
 def test_spl_all_zero_window_has_no_level():
     assert levels(const_window(0.0, 0.01)).spl_db is None
-    assert levels(make_buffer([0.0, -0.0])).spl_db is None
+    assert levels([0.0, -0.0]).spl_db is None
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=64))
 def test_spl_peak_is_the_largest_magnitude_bit_for_bit(values):
-    # the level step finds the peak as max(x.max(), -x.min()), with no |x|
-    # temporary; it must give the float of max |x| on every window,
+    # the ladder finds each row's peak as the larger of its max and -min, with
+    # no |x| temporary; it must give the float of max |x| on every window,
     # all-negative and signed-zero windows included
     x = np.array(values)
     for w in (x, -np.abs(x), np.zeros_like(x), -np.zeros_like(x)):
         peak = float(np.max(np.abs(w)))
-        assert levels(make_buffer(w)).spl_db == (20.0 * math.log10(peak) if peak > 0.0 else None)
+        assert levels(w).spl_db == (20.0 * math.log10(peak) if peak > 0.0 else None)
 
 
 # ---------------------------------------------------------------------------
@@ -106,7 +110,7 @@ def test_leq_constant_signal_duration_invariant():
 def test_leq_equals_sel_for_one_second_window():
     rng = np.random.default_rng(9)
     x = rng.normal(scale=2000.0, size=int(FS))
-    lv = levels(make_buffer(x))
+    lv = levels(x)
     assert abs(lv.sel_db - lv.leq_db) < 1e-12
 
 
@@ -119,7 +123,7 @@ def test_sel_gaussian_pulse_matches_fine_grid():
         t = np.arange(int(round(0.2 * rate))) / rate
         return np.exp(-0.5 * ((t - t0) / sigma) ** 2) * 1.0e5
 
-    coarse = levels(make_buffer(render(fs), fs=fs)).sel_db
+    coarse = levels(render(fs), fs).sel_db
     x_fine = render(10 * fs)
     fine = 10.0 * math.log10(float(np.dot(x_fine, x_fine)) / (10 * fs))
     assert coarse == pytest.approx(fine, abs=0.05)
@@ -127,7 +131,10 @@ def test_sel_gaussian_pulse_matches_fine_grid():
 
 def test_sel_empty_errors():
     with pytest.raises(MeasureError):
-        window_levels(make_buffer([]))
+        ladder_levels(np.empty((1, 0)), FS, [0.0])
+    # a ladder of no windows measures nothing, and leaves its sums alone
+    sums = [3.0]
+    assert ladder_levels(np.empty((0, 5)), FS, sums) == [] and sums == [3.0]
 
 
 @settings(max_examples=50, deadline=None)
@@ -135,8 +142,8 @@ def test_sel_empty_errors():
 def test_sel_amplitude_scaling_law(k):
     rng = np.random.default_rng(21)
     x = rng.normal(scale=10.0, size=2048)
-    base = levels(make_buffer(x)).sel_db
-    scaled = levels(make_buffer(k * x)).sel_db
+    base = levels(x).sel_db
+    scaled = levels(k * x).sel_db
     assert scaled == pytest.approx(base + 20.0 * math.log10(k), abs=1e-9)
 
 
@@ -146,7 +153,7 @@ def test_sel_leq_identity_property(seed):
     rng = np.random.default_rng(seed)
     scale = 10.0 ** rng.uniform(-3, 6)
     x = rng.normal(scale=scale, size=int(FS))
-    lv = levels(make_buffer(x))
+    lv = levels(x)
     assert abs(lv.sel_db - lv.leq_db) < 1e-12
 
 
@@ -158,17 +165,17 @@ def csel_run(windows):
     """Fold windows through the catalog's level computation; the last csel_db and the running energy."""
     running, level = 0.0, None
     for win in windows:
-        lv, running = window_levels(win, running)
+        lv, running = measure(win, running)
         level = lv.csel_db
     return level, running
 
 
 def test_csel_first_window_equals_its_sel():
     win = const_window(300.0, 0.4)
-    lv, running = window_levels(win)
+    lv, running = measure(win)
     assert lv.csel_db == pytest.approx(levels(win).sel_db, abs=1e-12)
     assert lv.csel_db == lv.sel_db
-    assert running == window_energy(win)
+    assert running == window_energy(win, FS)
 
 
 def test_csel_ten_identical_150db_pulses():
@@ -186,15 +193,15 @@ def test_csel_mixed_levels_frozen():
 
 
 def test_csel_zero_window_carries_running_level():
-    first, running = window_levels(const_window(500.0, 0.2))
-    lv, after = window_levels(const_window(0.0, 0.2), running)
+    first, running = measure(const_window(500.0, 0.2))
+    lv, after = measure(const_window(0.0, 0.2), running)
     assert lv.csel_db == first.csel_db
     assert after == running
     assert lv.spl_db is None and lv.sel_db is None and lv.leq_db is None
 
 
 def test_csel_leading_zero_window_has_no_level():
-    lv, running = window_levels(const_window(0.0, 0.2))
+    lv, running = measure(const_window(0.0, 0.2))
     assert lv == (None, None, None, None)
     assert running == 0.0
     assert [format_db(v) for v in lv] == [NA] * 4
@@ -218,7 +225,7 @@ def test_csel_permutation_invariance(levels, rnd):
 
 def test_csel_accumulator_agrees_with_level_aggregation():
     rng = np.random.default_rng(17)
-    wins = [make_buffer(rng.normal(scale=10.0 ** rng.uniform(2, 6), size=3200)) for _ in range(6)]
+    wins = [rng.normal(scale=10.0 ** rng.uniform(2, 6), size=3200) for _ in range(6)]
     level, _ = csel_run(wins)
     assert level == pytest.approx(csel_of_levels([levels(w).sel_db for w in wins]), abs=1e-9)
 
@@ -227,10 +234,53 @@ def test_csel_never_below_any_component():
     rng = np.random.default_rng(29)
     running = 0.0
     for _ in range(5):
-        win = make_buffer(rng.normal(scale=1e4, size=1600))
-        lv, running = window_levels(win, running)
+        win = rng.normal(scale=1e4, size=1600)
+        lv, running = measure(win, running)
         assert lv.csel_db is not None
         assert lv.csel_db >= levels(win).sel_db - 1e-12
+
+
+# ---------------------------------------------------------------------------
+# ladders
+
+
+def bits(lv):
+    """A Levels as the exact bits of its floats, None kept."""
+    return tuple(None if v is None else v.hex() for v in lv)
+
+
+ROW_KINDS = ("zero", "noise", "negative", "spike", "constant")
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_ladder_matches_windows_measured_one_by_one(data):
+    # each row's levels and running sum must be those of the window measured
+    # alone, bit for bit; at w >= 16,000 a batched row energy would differ
+    w = data.draw(st.one_of(st.integers(1, 2_000), st.integers(16_000, 20_000), st.integers(1, 20_000)), "w")
+    n = data.draw(st.integers(1, 10), "n")
+    slot = data.draw(st.integers(0, 11 - n), "slot")
+    sums = data.draw(st.lists(st.sampled_from([0.0, 1e-30, 3.5, 1e12]) | st.floats(0.0, 1e15),
+                              min_size=11, max_size=11), "running sums")
+    kinds = data.draw(st.lists(st.sampled_from(ROW_KINDS), min_size=n, max_size=n), "row kinds")
+    fs = data.draw(st.sampled_from([2000.0, 16000.0, 512000.0]), "fs")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), "seed"))
+    offset = data.draw(st.integers(0, 7), "offset")  # a ladder starts anywhere in its buffer
+    buf = np.empty(offset + n * w)
+    rows = buf[offset:].reshape(n, w)
+    for row, kind in zip(rows, kinds):
+        noise = rng.normal(scale=10.0 ** rng.uniform(-3, 9), size=w)
+        row[:] = {"zero": 0.0, "noise": noise, "negative": -np.abs(noise), "constant": noise[0],
+                  "spike": np.where(np.arange(w) == rng.integers(w), noise[0], 0.0)}[kind]
+    want_sums = list(sums)
+    want = []
+    for k in range(n):
+        lv, want_sums[slot + k] = window_levels(rows[k], fs, want_sums[slot + k])
+        want.append(lv)
+    got_sums = list(sums)
+    got = ladder_levels(rows, fs, got_sums, slot)
+    assert [bits(lv) for lv in got] == [bits(lv) for lv in want]
+    assert [v.hex() for v in got_sums] == [v.hex() for v in want_sums]
 
 
 # ---------------------------------------------------------------------------
@@ -240,10 +290,10 @@ def test_csel_never_below_any_component():
 def test_peaks_single_positive_sample():
     x = np.zeros(100)
     x[40] = 1.0e6
-    m = measure_peaks(make_buffer(x))
+    m = measure_peaks(x, 0)
     assert pressure_db(m.p_pos_upa) == pytest.approx(120.0, abs=1e-12)
     assert m.pos_index == 40
-    assert measure_peaks(make_buffer(x, start=1000)).pos_index == 1040  # a global index
+    assert measure_peaks(x, 1000).pos_index == 1040  # a global index
     assert m.p_neg_upa == 0.0
     assert pressure_db(m.p_neg_upa) is None  # a zero pressure has no level
     assert pressure_db(m.p_pos_upa - m.p_neg_upa) == pytest.approx(120.0, abs=1e-12)
@@ -252,14 +302,14 @@ def test_peaks_single_positive_sample():
 def test_peaks_odd_symmetric_signal():
     t = np.arange(int(FS * 0.01)) / FS
     x = 1000.0 * np.sin(2.0 * np.pi * 500.0 * t)
-    m = measure_peaks(make_buffer(x))
+    m = measure_peaks(x, 0)
     assert m.p_pos_upa == pytest.approx(-m.p_neg_upa, rel=1e-12)
 
 
 def test_peaks_brute_force_oracle():
     rng = np.random.default_rng(31)
     x = rng.normal(scale=100.0, size=500)
-    m = measure_peaks(make_buffer(x))
+    m = measure_peaks(x, 0)
     best_pos = max(range(len(x)), key=lambda i: (x[i], -i))
     best_neg = min(range(len(x)), key=lambda i: (x[i], i))
     assert m.p_pos_upa == x[best_pos]
@@ -274,14 +324,14 @@ def test_peaks_tie_takes_earliest_sample():
     x = np.zeros(50)
     x[10] = x[30] = 7.0
     x[20] = x[40] = -3.0
-    m = measure_peaks(make_buffer(x))
+    m = measure_peaks(x, 0)
     assert m.pos_index == 10
     assert m.neg_index == 20
 
 
 def test_peaks_all_zero_errors():
     with pytest.raises(MeasureError):
-        measure_peaks(make_buffer(np.zeros(10)))
+        measure_peaks(np.zeros(10), 0)
 
 
 def pulse(m, n):
@@ -292,10 +342,10 @@ def pulse(m, n):
 def test_format_db_writes_missing_and_non_finite_levels_as_na():
     x = np.zeros(100)
     x[40] = 1.0e6
-    cells = peak_cells(pulse(measure_peaks(make_buffer(x)), len(x)))
+    cells = peak_cells(pulse(measure_peaks(x, 0), len(x)))
     assert cells[2] == "120.000000"
     assert cells[5] == NA  # an extreme of exactly zero has no level
-    const = measure_peaks(make_buffer(np.full(10, 5.0)))
+    const = measure_peaks(np.full(10, 5.0), 0)
     assert pressure_db(const.p_pos_upa - const.p_neg_upa) is None
     assert format_event_row(pulse(const, 10), "linear", 0).split(",")[-2] == NA  # p_pp_db
     assert [format_db(v) for v in (None, math.inf, math.nan)] == [NA] * 3
@@ -307,8 +357,8 @@ def test_peak_spl_and_peak_levels_share_one_pressure_formula():
     rng = np.random.default_rng(7)
     for scale in (1e-3, 1.0, 3e3, 1e9):
         x = rng.normal(scale=scale, size=257)
-        m = measure_peaks(make_buffer(x))
-        lv, _ = window_levels(make_buffer(x))
+        m = measure_peaks(x, 0)
+        lv = levels(x)
         assert (m.p_pos_upa, m.p_neg_upa) == (x.max(), x.min())
         assert pressure_db(m.p_pos_upa) == 20.0 * math.log10(x.max())
         assert pressure_db(m.p_neg_upa) == 20.0 * math.log10(-x.min())

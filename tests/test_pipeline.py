@@ -12,7 +12,7 @@ from airgunkit.pipeline import (
     sort_records,
     write_catalog,
 )
-from airgunkit.measures import NA, format_db, pressure_db, window_levels
+from airgunkit.measures import NA, format_db, ladder_levels, pressure_db
 from airgunkit.pulse_detect import (
     MAX_EXCURSION_S,
     SEARCH_AFTER_S,
@@ -25,9 +25,9 @@ from airgunkit import signal_io
 from airgunkit.runner import extract_stream
 from airgunkit.signal_io import RollingBuffer, format_time, open_manifest, read_span
 from airgunkit.weighting import CANONICAL_ORDER, WeightingKind, WeightingSpec, apply_filter, design_filter
-from airgunkit.windows import LATE_WINDOW_COUNT, LATE_WINDOW_S, EnergyBounds, energy_bounds, layout_windows
+from airgunkit.windows import LATE_WINDOW_COUNT, LATE_WINDOW_S, EnergyBounds, energy_bounds
 
-from conftest import csel_of_levels, ledger_total, make_buffer, read_rows, write_wav
+from conftest import csel_of_levels, ledger_total, read_rows, window_levels, write_wav
 
 FS = 16000.0
 
@@ -116,30 +116,17 @@ def new_csel():
     return [0.0] * (1 + LATE_WINDOW_COUNT)
 
 
-def const_windows(early_upa, late_upa, n_valid=LATE_WINDOW_COUNT):
-    early = make_buffer(np.full(int(0.5 * FS), early_upa), start=at(2.0))
-    late = [make_buffer(np.full(int(FS), late_upa), start=at(2.5 + k)) if k < n_valid else None
-            for k in range(LATE_WINDOW_COUNT)]
-    return [early] + late
-
-
-def measured(windows, csel):
-    """Levels of the early window and the valid late windows, advancing ``csel`` per slot."""
-    levels = []
-    for k, win in enumerate(windows):
-        if win is None:
-            break
-        lv, csel[k] = window_levels(win, csel[k])
-        levels.append(lv)
-    return levels
-
-
 BOUNDS = EnergyBounds(at(2.0), at(2.5))
 
 
 def const_levels(csel, early_upa=1000.0, late_upa=10.0, n_valid=LATE_WINDOW_COUNT):
-    """The levels a record of constant windows is built from, advancing ``csel``."""
-    return measured(const_windows(early_upa, late_upa, n_valid), csel)
+    """The levels of a record of constant windows, advancing ``csel``.
+
+    The early window is 0.5 s long; ``n_valid`` one-second late windows follow it.
+    """
+    early = np.full((1, int(0.5 * FS)), early_upa)
+    late = np.full((n_valid, int(FS)), late_upa)
+    return ladder_levels(early, FS, csel) + ladder_levels(late, FS, csel, slot=1)
 
 
 def const_record(csel, pulse_index, early_upa=1000.0, late_upa=10.0):
@@ -274,7 +261,7 @@ def test_write_catalog_counts_and_round_trip(tmp_path):
 
 def test_catalog_writes_na_for_unmeasured_late_windows(tmp_path):
     rec = extract_record(
-        fake_event(2.1), BOUNDS, measured(const_windows(500.0, 10.0, n_valid=1), new_csel()),
+        fake_event(2.1), BOUNDS, const_levels(new_csel(), 500.0, 10.0, n_valid=1),
         weighting="lfc", pulse_index=0,
     )
     path = tmp_path / "c.csv"
@@ -290,7 +277,7 @@ def test_catalog_writes_na_for_unmeasured_late_windows(tmp_path):
 
 
 def whole_buffer_records(cm, kind, detector):
-    """Reference path: no chunking, no rolling buffer, no trimming."""
+    """Reference path: no chunking, no rolling buffer, no trimming, one window at a time."""
     filt = read_span(cm, 0, cm.n_samples)
     apply_filter(design_filter(WeightingSpec(kind), cm.sample_rate_hz), filt)
     events = detect_pulses([filt], detector)
@@ -308,12 +295,14 @@ def whole_buffer_records(cm, kind, detector):
     for j, ev in enumerate(events):
         b = all_bounds[j]
         limit = all_bounds[j + 1].i5 if j + 1 < len(events) else n_total
-        windows = [make_buffer(filt.samples[b.i5 : b.i95 + 1], fs=fs)]
-        for k, ok in enumerate(layout_windows(b.i95, limit, w)):
-            a = b.i95 + k * w
-            windows.append(make_buffer(filt.samples[a : a + w], fs=fs) if ok else None)
-        records.append(extract_record(ev, b, measured(windows, csel), weighting=kind.value,
-                                      pulse_index=j, origin=cm.origin))
+        # the early window, then each late window that ends by the limit
+        spans = [(b.i5, b.i95 + 1)]
+        spans += [(a, a + w) for a in range(b.i95, b.i95 + LATE_WINDOW_COUNT * w, w) if a + w <= limit]
+        levels = []
+        for slot, (a, e) in enumerate(spans):
+            lv, csel[slot] = window_levels(filt.samples[a:e], fs, csel[slot])
+            levels.append(lv)
+        records.append(extract_record(ev, b, levels, weighting=kind.value, pulse_index=j, origin=cm.origin))
     return events, records
 
 

@@ -85,6 +85,11 @@ def test_config_rejects_empty_selections(tmp_path):
         RunConfig(out_path=tmp_path / "c.csv", detector=DETECTOR, weightings=())
     with pytest.raises(ValueError):
         RunConfig(out_path=tmp_path / "c.csv", detector=DETECTOR, channels=())
+    # weighting names are not WeightingKind members and select no stream: the
+    # run would write a catalog of no records
+    for names in (("linear", "lfc"), (WeightingKind.LINEAR, "mfc"), ("mfc", "mfc")):
+        with pytest.raises(ValueError, match="weightings"):
+            RunConfig(out_path=tmp_path / "c.csv", detector=DETECTOR, weightings=names)
 
 
 def test_config_rejects_repeated_channel(tmp_path):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from airgunkit import synth
-from airgunkit.measures import window_levels
+from airgunkit.measures import ladder_levels
 from airgunkit.signal_io import MAX_SAMPLE_RATE_HZ, MAX_WAV_FRAMES, open_manifest, read_span
 from airgunkit.synth import (
     GROUND_TRUTH_HEADER,
@@ -217,7 +217,8 @@ def test_analytic_sel_matches_rendered_energy(tmp_path):
     cm = open_manifest(result.manifest_path)[0]
     # integrate the whole quiet channel: all energy belongs to the one pulse
     buf = read_span(cm, 0, cm.n_samples)
-    assert window_levels(buf)[0].sel_db == pytest.approx(result.truths[0].sel_analytic_db, abs=0.1)
+    (lv,) = ladder_levels(buf.samples[np.newaxis], cm.sample_rate_hz, [0.0])
+    assert lv.sel_db == pytest.approx(result.truths[0].sel_analytic_db, abs=0.1)
 
 
 def test_reverb_adds_late_energy(tmp_path):

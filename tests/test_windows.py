@@ -19,7 +19,7 @@ from airgunkit.windows import (
     LOW_FRACTION,
     EnergyBounds,
     energy_bounds,
-    layout_windows,
+    late_window_count,
 )
 
 from conftest import make_buffer
@@ -187,29 +187,27 @@ def spike_records(monkeypatch, spikes_s, duration_s):
 
 def test_layout_defaults_ten_one_second_windows(monkeypatch):
     assert (LATE_WINDOW_COUNT, LATE_WINDOW_S) == (10, 1.0)
-    assert layout_windows(I95, 10**9, W) == (True,) * 10
+    assert late_window_count(I95, 10**9, W) == 10
     (row,), n_late = spike_records(monkeypatch, [2.3], 60.0)
     assert row.cells.split(",")[1:11] == [format_time(I95 + k * W, FS) for k in range(10)]
     assert n_late == [10]
 
 
 def test_layout_wide_gap_keeps_all_windows():
-    assert layout_windows(I95, 228_800, W) == (True,) * 10  # next i5 12 s later
+    assert late_window_count(I95, 228_800, W) == 10  # next i5 12 s later
 
 
 def test_layout_short_gap_truncates():
     # next pulse's 5% bound 4 s after this one's 95% bound: windows ending
     # at +1, +2, +3 fit; +4 ends exactly at the limit and still fits
-    assert layout_windows(I95, I95 + 4 * W, W) == (True, True, True, True) + (False,) * 6
+    assert late_window_count(I95, I95 + 4 * W, W) == 4
 
 
 def test_layout_exact_boundary_window_is_valid():
-    valid = layout_windows(I95, I95 + W, W)
     # the first window spans [i95, i95 + W) and the next i5 is i95 + W
-    assert valid[0] is True
-    assert valid[1] is False
+    assert late_window_count(I95, I95 + W, W) == 1
     # one sample less and it no longer fits
-    assert layout_windows(I95, I95 + W - 1, W)[0] is False
+    assert late_window_count(I95, I95 + W - 1, W) == 0
 
 
 def test_layout_last_pulse_limited_by_data_end(monkeypatch):
@@ -226,22 +224,21 @@ def test_layout_next_pulse_wins_over_data_end(monkeypatch):
 
 
 def test_layout_zero_valid_when_next_pulse_is_close():
-    assert layout_windows(I95, I95 + 9_600, W) == (False,) * 10
+    assert late_window_count(I95, I95 + 9_600, W) == 0
 
 
 def test_layout_rejects_bad_shape():
     with pytest.raises(ValueError):
-        layout_windows(I95, 10**9, 0)
+        late_window_count(I95, 10**9, 0)
     with pytest.raises(ValueError):
-        layout_windows(I95, 10**9, -W)
+        late_window_count(I95, 10**9, -W)
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(min_value=0, max_value=20 * W))
+@given(st.integers(min_value=-2 * W, max_value=20 * W))
 def test_layout_valid_count_monotone_in_gap(gap):
-    valid = layout_windows(I95, I95 + gap, W)
-    wider = layout_windows(I95, I95 + gap + W // 2, W)
-    assert sum(wider) >= sum(valid)
-    assert sum(valid) == min(LATE_WINDOW_COUNT, gap // W)
-    # validity is a prefix: once a window is cut, all later ones are too
-    assert all(valid[i] or not valid[i + 1] for i in range(len(valid) - 1))
+    count = late_window_count(I95, I95 + gap, W)
+    assert late_window_count(I95, I95 + gap + W // 2, W) >= count
+    # the count is the windows that end by the limit: a window is valid
+    # exactly when it ends there, so validity is a prefix of the ladder
+    assert count == sum(I95 + (k + 1) * W <= I95 + gap for k in range(LATE_WINDOW_COUNT))
