@@ -6,8 +6,8 @@ peak measures, and four level measures (SPL, SEL, L_EQ, CSEL) for the early
 window and for each late window.  The early window's upper bound needs no
 column of its own because late window 1 starts exactly there.
 
-A record is formatted where it settles: extract_record turns it into a
-CatalogRow, its sort key and its 61 cells as text.  Up to then its times are
+A record is formatted where it settles: extract_record turns it into one
+line of text, its catalog row less the run id.  Up to then its times are
 global sample indices: the bounds i5 and i95, the pulse's extremes, and late
 slot k at i95 + k * w for w samples per late window; signal_io.format_time
 prints origin + i/fs, rounded to 1 ns with ties to even.
@@ -30,13 +30,14 @@ in one call are the rows of one buffer view (measures.ladder_levels).
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence
+from itertools import groupby, zip_longest
+from typing import Iterable, Iterator, Sequence
 
 from .errors import RunError
 from .measures import NA, Levels, format_db, ladder_levels
-from .pulse_detect import PulseEvent, PulseScanner, peak_cells
+from .pulse_detect import SEARCH_AFTER_S, SEARCH_BEFORE_S, PulseEvent, PulseScanner, peak_cells
 from .signal_io import ChannelManifest, RollingBuffer, format_time
-from .weighting import CANONICAL_ORDER, WeightingKind
+from .weighting import WeightingKind
 from .windows import LATE_WINDOW_COUNT, LATE_WINDOW_S, EnergyBounds, energy_bounds, late_window_count
 
 # perfbench's tracer patches these names in pipeline
@@ -63,21 +64,10 @@ FEATURE_COLUMNS = _feature_columns()
 FEATURES_PER_RECORD = len(FEATURE_COLUMNS)
 CATALOG_HEADER = ",".join(IDENTIFIER_COLUMNS + FEATURE_COLUMNS)
 
-WEIGHTING_RANK = {kind.value: i for i, kind in enumerate(CANONICAL_ORDER)}
-
-
-class CatalogRow(NamedTuple):
-    """One record as its catalog row: the sort key, then the 61 feature cells joined by commas."""
-
-    channel_id: int
-    pulse_index: int
-    weighting: str
-    cells: str
-
 
 def extract_record(event: PulseEvent, bounds: EnergyBounds, levels: Sequence[Levels], *, weighting: str,
-                   pulse_index: int, origin: Fraction = Fraction(0)) -> CatalogRow:
-    """Format one record from the levels of its measured windows.
+                   pulse_index: int, origin: Fraction = Fraction(0)) -> str:
+    """One record's catalog row less its run id, formatted from the levels of its measured windows.
 
     ``levels`` holds the early window's levels, then those of the late
     windows that were valid, in slot order: validity is a prefix of the
@@ -97,7 +87,7 @@ def extract_record(event: PulseEvent, bounds: EnergyBounds, levels: Sequence[Lev
     cells += (NA,) * (len(_LEVEL_NAMES) * n_na)
     if len(cells) != FEATURES_PER_RECORD:
         raise RunError(f"record emitted {len(cells)} cells, expected {FEATURES_PER_RECORD}")
-    return CatalogRow(event.channel_id, pulse_index, weighting, ",".join(cells))
+    return f"{event.channel_id},{weighting},{pulse_index},{','.join(cells)}"
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +111,9 @@ class RecordBuilder:
         self.weighting = kind.value
         self.fs = cm.sample_rate_hz
         self.w_samp = round(LATE_WINDOW_S * self.fs)
-        self.records: list[CatalogRow] = []
+        # a search window and one late window behind it: more than a stream of short pulses holds
+        self.hold = round(SEARCH_BEFORE_S * self.fs) + round(SEARCH_AFTER_S * self.fs) + self.w_samp
+        self.records: list[str] = []  # catalog rows less the run id, in pulse order
         self.scanner: PulseScanner | None = None  # the stream's scanner, which counts its drops and cuts
         # the kept pulse whose record is pending, with the levels of its measured windows
         self._pending: tuple[PulseEvent, EnergyBounds, list[Levels]] | None = None
@@ -161,19 +153,28 @@ class RecordBuilder:
 # catalog serialization
 
 
-def sort_records(records: Iterable[CatalogRow]) -> list[CatalogRow]:
-    """Canonical catalog order: channel, pulse, then weighting rank."""
-    return sorted(records, key=lambda r: (r.channel_id, r.pulse_index, WEIGHTING_RANK[r.weighting]))
+def sort_records(streams: Iterable[tuple[int, list[str]]]) -> Iterator[str]:
+    """Interleave (channel id, rows) streams, in ``runner.preflight`` order, into catalog order.
+
+    A channel's streams come in weighting order and each stream's rows in
+    pulse order, so one row per stream per pulse is the order (channel,
+    pulse, weighting) with no key.  perfbench's tracer wraps this name.
+    """
+    for _, channel in groupby(streams, key=lambda stream: stream[0]):
+        for pulse in zip_longest(*(rows for _, rows in channel)):
+            yield from (row for row in pulse if row is not None)
 
 
-def write_catalog(records: Sequence[CatalogRow], path, run_id: str) -> int:
-    """Write the catalog CSV; returns the points counted.
+def write_catalog(rows: Iterable[str], path, run_id: str) -> int:
+    """Write the catalog CSV, ``run_id`` before each row; returns the points counted.
 
     Every row carries FEATURES_PER_RECORD cells (NA included), with the
     early bound pair contributing its single point through the early_t5_s
     column.
     """
+    n_rows = 0
     with open(path, "w", newline="") as fh:
         fh.write(CATALOG_HEADER + "\n")
-        fh.writelines(f"{run_id},{r.channel_id},{r.weighting},{r.pulse_index},{r.cells}\n" for r in records)
-    return len(records) * FEATURES_PER_RECORD
+        for n_rows, row in enumerate(rows, 1):
+            fh.write(f"{run_id},{row}\n")
+    return n_rows * FEATURES_PER_RECORD

@@ -3,10 +3,10 @@
 The unit of parallelism is one (channel, weighting) task: one extract_stream
 pass reads, filters, detects and measures a single weighted stream into one
 TaskResult, and run maps the tasks in one loop, in process or through a
-worker pool.  Tasks share nothing but read-only manifests, so worker results
-merge through one deterministic sort and the catalog bytes cannot depend on
-worker count or completion order.  Cumulative exposure stays exact under
-parallelism because each accumulator lives entirely inside one task.
+worker pool.  Tasks share nothing but read-only manifests, and both loops
+return results in preflight's catalog order, so the catalog bytes cannot
+depend on worker count or completion order.  Cumulative exposure stays exact
+under parallelism because each accumulator lives entirely inside one task.
 """
 
 from __future__ import annotations
@@ -15,13 +15,14 @@ import contextlib
 import multiprocessing
 import time
 from dataclasses import dataclass, field, replace
+from numbers import Integral
 from pathlib import Path
 from typing import Callable
 
 from .errors import RunError
-from .pipeline import CatalogRow, RecordBuilder, sort_records, write_catalog
+from .pipeline import RecordBuilder, sort_records, write_catalog
 from .pulse_detect import MAX_EXCURSION_S, DetectorConfig, detect_pulses
-from .signal_io import CHUNK_S, ChannelManifest, RollingBuffer, SampleBuffer, iter_chunks
+from .signal_io import CHUNK_S, MAX_CHUNK_SAMPLES, ChannelManifest, RollingBuffer, SampleBuffer, iter_chunks
 from .weighting import CANONICAL_ORDER, WeightingKind, WeightingSpec, apply_filter, design_filter
 
 LogFn = Callable[[str], None]
@@ -56,6 +57,9 @@ class RunConfig:
                              + ",".join(k.value for k in self.weightings))
         if self.channels is not None and len(self.channels) == 0:
             raise ValueError("channel selection is empty")
+        if self.channels is not None and not all(isinstance(c, Integral) and not isinstance(c, bool)
+                                                 for c in self.channels):
+            raise ValueError(f"channels must be integer ids, got {self.channels!r}")
         if self.channels is not None and len(set(self.channels)) != len(self.channels):
             raise ValueError(f"channel selection repeats a channel id: {self.channels}")
         if any(c in self.run_id for c in ',"\r\n'):
@@ -122,7 +126,7 @@ class TaskResult:
     channel_id: int
     kind_value: str
     seconds: float = 0.0
-    records: list[CatalogRow] = field(default_factory=list, repr=False)  # one per kept pulse
+    records: list[str] = field(default_factory=list, repr=False)  # one catalog row per kept pulse
     t_a_drops: int = 0  # pulses dropped by the t_A spacing rule
     cut_excursions: int = 0  # excursions cut into MAX_EXCURSION_S pieces
     filter_flushes: int = 0  # weighting filter states flushed to zero
@@ -147,7 +151,7 @@ def extract_stream(cm: ChannelManifest, kind: WeightingKind, detector: DetectorC
     """
     start = time.perf_counter()
     builder = RecordBuilder(cm, kind)
-    buffer = RollingBuffer()
+    buffer = RollingBuffer(2 * builder.hold + MAX_CHUNK_SAMPLES)
     chunks = weighted_chunks(cm, kind, buffer=buffer)
     detect_pulses(chunks, detector, builder, buffer)
     return TaskResult(cm.channel_id, kind.value, time.perf_counter() - start, builder.records,
@@ -222,10 +226,10 @@ def run(
     for r in results:
         per_channel[r.channel_id] += r.seconds
 
-    records = sort_records([rec for r in results for rec in r.records])
     out_path = Path(config.out_path)
+    rows = sort_records((r.channel_id, r.records) for r in results)
     try:
-        n_points = write_catalog(records, out_path, config.run_id)
+        n_points = write_catalog(rows, out_path, config.run_id)
     except BaseException:
         out_path.unlink(missing_ok=True)  # never leave a partial catalog
         raise
@@ -236,7 +240,7 @@ def run(
         task_seconds=sum(r.seconds for r in results),
         worker_count=worker_count,
         channel_hours=sum(manifests[ch].duration_s for ch in per_channel) / 3600.0,
-        n_records=len(records),
+        n_records=sum(len(r.records) for r in results),
         n_points=n_points,
         t_a_drops=sum(r.t_a_drops for r in results),
         cut_excursions=sum(r.cut_excursions for r in results),

@@ -116,13 +116,14 @@ class RollingBuffer:
     leaves room after the chunk for at least as many samples as it moved,
     and never copies onto its own source: the samples moved stay within
     twice the samples appended (counted in ``moved``), and the array never
-    exceeds twice the largest held-plus-chunk count.
+    exceeds the larger of ``capacity`` and twice the largest held-plus-chunk
+    count: an array of twice the most ever held plus a chunk is the only one.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, capacity: int = 0) -> None:
         self.start = 0
         self.moved = 0  # samples moved to the front or into a larger array
-        self._data = np.empty(0)
+        self._data = np.empty(capacity)
         self._lo = 0  # array offset of sample ``start``
         self._hi = 0  # array offset one past the last held sample
         self._slots: np.ndarray | None = None  # the view ``reserve`` handed out

@@ -157,9 +157,12 @@ class _Pulse:
         self.index, self.onset, self.i0, self.i1 = index, onset, i0, min(i0 + span, n)
         reverb = spec.reverb_level_upa > 0.0
         self.tail_end = min(i0 + round(spec.reverb_decay_s * 20.0 * fs), n) if reverb else i0
-        unit = _pulse_unit(np.arange(i0, self.i1) / fs - onset, spec.attack_s, spec.decay_s, spec.carrier_hz)
-        self.amp = spec.peak_pressure_upa / float(np.max(np.abs(unit)))
-        self.samples: np.ndarray | None = self.amp * unit  # None once its last block is rendered
+        unit = np.empty(self.i1 - i0)  # rendered in blocks, then scaled in place
+        for a in range(0, len(unit), MAX_CHUNK_SAMPLES):
+            t_rel = np.arange(i0 + a, min(i0 + a + MAX_CHUNK_SAMPLES, self.i1)) / fs - onset
+            unit[a : a + len(t_rel)] = _pulse_unit(t_rel, spec.attack_s, spec.decay_s, spec.carrier_hz)
+        self.amp = spec.peak_pressure_upa / float(max(unit.max(), -unit.min()))
+        self.samples: np.ndarray | None = np.multiply(unit, self.amp, out=unit)  # None after its last block
         self.peak, self.at = -(2**15) - 1, i0  # highest count in [i0, i1) so far, and its earliest sample
 
 
@@ -219,16 +222,10 @@ def _render_channel(spec: SurveySpec, channel_id: int,
                 p.peak, p.at = int(counts[j]), b0 + j
             if p.i1 <= b1:
                 p.samples = None
-                truths.append(
-                    GroundTruthRecord(
-                        channel_id=channel_id,
-                        pulse_index=p.index,
-                        t_true_s=p.at / fs,
-                        p_peak_upa=float(p.peak) * calib.pressure_per_count,
-                        sel_analytic_db=10.0
-                        * math.log10(pulse_energy_upa2s(p.amp, spec.attack_s, spec.decay_s, spec.carrier_hz)),
-                    )
-                )
+                energy = pulse_energy_upa2s(p.amp, spec.attack_s, spec.decay_s, spec.carrier_hz)
+                truths.append(GroundTruthRecord(channel_id, p.index, t_true_s=p.at / fs,
+                                                p_peak_upa=float(p.peak) * calib.pressure_per_count,
+                                                sel_analytic_db=10.0 * math.log10(energy)))
         live = [p for p in live if p.samples is not None or p.tail_end > b1]
     return truths
 
@@ -246,10 +243,8 @@ def generate(spec: SurveySpec, out_dir: Path | str) -> SynthResult:
         with wav_writer(wav, spec.n_samples, spec.sample_rate_hz) as append:
             truths.extend(_render_channel(spec, ch, append))
         wav_paths.append(wav)
-        manifest_lines.append(
-            f"calib {ch} {spec.counts_full_scale} {spec.sensitivity_db:g}"
-        )
-        manifest_lines.append(f"file {ch} {wav.name} 0.0")
+        manifest_lines += [f"calib {ch} {spec.counts_full_scale} {spec.sensitivity_db:g}",
+                           f"file {ch} {wav.name} 0.0"]
 
     manifest_path = out / "manifest.txt"
     manifest_path.write_text("\n".join(manifest_lines) + "\n")
@@ -257,9 +252,6 @@ def generate(spec: SurveySpec, out_dir: Path | str) -> SynthResult:
     gt_path = out / "ground_truth.csv"
     with open(gt_path, "w", newline="") as fh:
         fh.write(GROUND_TRUTH_HEADER + "\n")
-        for t in truths:
-            fh.write(
-                f"{t.channel_id},{t.pulse_index},{t.t_true_s:.9f},"
-                f"{t.p_peak_upa:.6f},{t.sel_analytic_db:.6f}\n"
-            )
+        fh.writelines(f"{t.channel_id},{t.pulse_index},{t.t_true_s:.9f},{t.p_peak_upa:.6f},"
+                      f"{t.sel_analytic_db:.6f}\n" for t in truths)
     return SynthResult(manifest_path, gt_path, tuple(wav_paths), tuple(truths))

@@ -7,6 +7,7 @@ import pytest
 from airgunkit.measures import Levels, energy_db, pressure_db
 from airgunkit.signal_io import SampleBuffer, wav_writer
 from airgunkit.synth import SurveySpec, generate
+from airgunkit.weighting import CANONICAL_ORDER
 
 
 def make_buffer(samples, fs=16000.0, start=0, channel=0) -> SampleBuffer:
@@ -35,6 +36,17 @@ def window_levels(x, fs, running_upa2s=0.0) -> tuple[Levels, float]:
         None if sel_db is None else sel_db - 10.0 * math.log10(len(x) / fs),
         energy_db(running_upa2s),
     ), running_upa2s
+
+
+def catalog_sorted(rows) -> list[str]:
+    """Oracle: catalog rows less the run id, sorted by (channel, pulse index, weighting rank)."""
+    rank = {kind.value: i for i, kind in enumerate(CANONICAL_ORDER)}
+
+    def key(row):
+        channel, weighting, pulse = row.split(",", 3)[:3]
+        return int(channel), int(pulse), rank[weighting]
+
+    return sorted(rows, key=key)
 
 
 def ledger_total(weightings: int, early: int, late: int, units: int, pulses: int) -> int:

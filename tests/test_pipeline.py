@@ -2,12 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from airgunkit.pipeline import (
     CATALOG_HEADER,
     FEATURE_COLUMNS,
     FEATURES_PER_RECORD,
-    CatalogRow,
     extract_record,
     sort_records,
     write_catalog,
@@ -27,7 +28,7 @@ from airgunkit.signal_io import RollingBuffer, format_time, open_manifest, read_
 from airgunkit.weighting import CANONICAL_ORDER, WeightingKind, WeightingSpec, apply_filter, design_filter
 from airgunkit.windows import LATE_WINDOW_COUNT, LATE_WINDOW_S, EnergyBounds, energy_bounds
 
-from conftest import csel_of_levels, ledger_total, read_rows, window_levels, write_wav
+from conftest import catalog_sorted, csel_of_levels, ledger_total, read_rows, window_levels, write_wav
 
 FS = 16000.0
 
@@ -136,13 +137,13 @@ def const_record(csel, pulse_index, early_upa=1000.0, late_upa=10.0):
 
 def record_cells(levels):
     """The 61 cells of the record of the pulse at 2.1 s that is built from ``levels``."""
-    return extract_record(fake_event(2.1), BOUNDS, levels, weighting="linear", pulse_index=0).cells.split(",")
+    return extract_record(fake_event(2.1), BOUNDS, levels, weighting="linear", pulse_index=0).split(",")[3:]
 
 
 def test_record_carries_61_cells_no_na_when_all_valid():
-    rec = const_record(new_csel(), 0)
-    assert rec[:3] == (0, 0, "linear")
-    cells = rec.cells.split(",")
+    rec = const_record(new_csel(), 0).split(",")
+    assert rec[:3] == ["0", "linear", "0"]  # channel, weighting, pulse index
+    cells = rec[3:]
     assert len(cells) == 61
     assert NA not in cells
 
@@ -223,15 +224,29 @@ def test_zero_energy_leading_window_has_no_csel():
 
 
 def test_sort_records_orders_by_channel_pulse_weighting():
-    cells = const_record(new_csel(), 0).cells
-    rows = [CatalogRow(ch, k, w, cells) for ch in (1, 0) for w in ("mfc", "linear", "lfc") for k in (1, 0)]
-    key = [(r.channel_id, r.pulse_index, r.weighting) for r in sort_records(rows)]
+    cells = ",".join(record_cells(const_levels(new_csel())))
+    streams = [(ch, [f"{ch},{w},{k},{cells}" for k in range(2)])
+               for ch in (0, 1) for w in ("linear", "lfc", "mfc")]
+    key = [tuple(row.split(",")[:3]) for row in sort_records(streams)]
     assert key == [
-        (0, 0, "linear"), (0, 0, "lfc"), (0, 0, "mfc"),
-        (0, 1, "linear"), (0, 1, "lfc"), (0, 1, "mfc"),
-        (1, 0, "linear"), (1, 0, "lfc"), (1, 0, "mfc"),
-        (1, 1, "linear"), (1, 1, "lfc"), (1, 1, "mfc"),
+        ("0", "linear", "0"), ("0", "lfc", "0"), ("0", "mfc", "0"),
+        ("0", "linear", "1"), ("0", "lfc", "1"), ("0", "mfc", "1"),
+        ("1", "linear", "0"), ("1", "lfc", "0"), ("1", "mfc", "0"),
+        ("1", "linear", "1"), ("1", "lfc", "1"), ("1", "mfc", "1"),
     ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(st.integers(0, 30), min_size=3, max_size=3), min_size=1, max_size=4),
+       st.sets(st.sampled_from(CANONICAL_ORDER), min_size=1))
+def test_sort_records_interleave_equals_the_keyed_sort(lengths, kinds):
+    # each channel's streams in canonical weighting order, each stream's rows
+    # in pulse order and of its own length: the interleave is the keyed sort
+    kinds = [k.value for k in CANONICAL_ORDER if k in kinds]
+    streams = [(ch, [f"{ch},{w},{k},c" for k in range(n)])
+               for ch, ns in enumerate(lengths) for w, n in zip(kinds, ns)]
+    rows = list(sort_records(streams))
+    assert rows == catalog_sorted(row for _, stream in streams for row in stream)
 
 
 def test_write_catalog_counts_and_round_trip(tmp_path):

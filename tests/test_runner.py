@@ -90,6 +90,11 @@ def test_config_rejects_empty_selections(tmp_path):
     for names in (("linear", "lfc"), (WeightingKind.LINEAR, "mfc"), ("mfc", "mfc")):
         with pytest.raises(ValueError, match="weightings"):
             RunConfig(out_path=tmp_path / "c.csv", detector=DETECTOR, weightings=names)
+    # channel ids that are not integers: True and 0.0 would look up channels 1
+    # and 0, and "0" would fail only in preflight, as a data error
+    for ids in ((True,), (0.0,), ("0",), (0, False)):
+        with pytest.raises(ValueError, match="channels"):
+            RunConfig(out_path=tmp_path / "c.csv", detector=DETECTOR, channels=ids)
 
 
 def test_config_rejects_repeated_channel(tmp_path):
@@ -549,8 +554,8 @@ def count_buffer_allocations(monkeypatch) -> list[list[int]]:
     streams: list[list[int]] = []
 
     class RecordingBuffer(signal_io.RollingBuffer):
-        def __init__(self) -> None:
-            super().__init__()
+        def __init__(self, capacity: int = 0) -> None:
+            super().__init__(capacity)
             self.capacities: list[int] = []
             streams.append(self.capacities)
 
@@ -569,10 +574,10 @@ def test_highrate_run_peaks_in_bounded_chunks(tmp_path, monkeypatch):
     # 30 s at 512 kHz is 15.4 M samples; one whole-run chunk alone would be
     # 123 MB.  Each 2**17-sample chunk is read into the stream's rolling
     # buffer and each late window is measured as soon as no later pulse can
-    # cut it, so the hold stays under ~1.8 s.  The buffer's array grows four
-    # times as that hold creeps up after each pulse (seven at 2**20-sample
-    # chunks), and the child peaks ~25 MB above the import-only one (~40 MB
-    # at 2**20).
+    # cut it, so the hold stays under ~1.8 s, below the 2.5-s bound of a
+    # search window and a late window.  The buffer's one array holds twice
+    # that bound plus a chunk, 20.5 MB, and the child peaks ~28 MB above the
+    # import-only one.
     spec = SurveySpec(**_HIGHRATE)
     survey = generate(spec, tmp_path / "survey")
     excess = peak_above_import_mb(_RUN, survey.manifest_path, tmp_path / "child.csv", "mfc")
@@ -591,7 +596,7 @@ def test_highrate_run_peaks_in_bounded_chunks(tmp_path, monkeypatch):
                           open_manifest(survey.manifest_path))
     assert max(spans) <= MAX_CHUNK_SAMPLES == 2**17
     assert sum(spans) == spec.n_samples
-    assert len(allocations) == 1 and len(allocations[0]) <= 5, allocations
+    assert allocations == [[2 * round(2.5 * 512_000) + MAX_CHUNK_SAMPLES]]
     assert report.n_records == 3
     assert catalog.read_bytes() == (tmp_path / "child.csv").read_bytes()
 
@@ -599,10 +604,10 @@ def test_highrate_run_peaks_in_bounded_chunks(tmp_path, monkeypatch):
 @pytest.mark.skipif(not Path("/proc/self/status").is_file(), reason="VmHWM is read from Linux /proc")
 def test_16_khz_run_peaks_in_one_array_per_stream(tmp_path, monkeypatch):
     # 2 ch x 185 s of noise through all three weightings.  A stream holds
-    # ~2 s, under half a 2**17-sample chunk, so its array is allocated for the
-    # first chunk and the held samples then only move to its front: the
-    # child peaks ~5 MB above the import-only one (~25 MB with 60-s chunks
-    # and a second array per stream).
+    # ~2 s, under the 2.5-s bound of a search window and a late window, so
+    # its one array holds twice that bound plus a chunk and the held samples
+    # only move to its front: the child peaks ~5 MB above the import-only one
+    # (~25 MB with 60-s chunks and a second array per stream).
     spec = SurveySpec(channel_count=2, duration_s=185.0, pulse_count=18, noise_rms_upa=3000.0, seed=2)
     survey = generate(spec, tmp_path / "survey")
     excess = peak_above_import_mb(_RUN, survey.manifest_path, tmp_path / "child.csv", "linear,lfc,mfc")
@@ -611,19 +616,36 @@ def test_16_khz_run_peaks_in_one_array_per_stream(tmp_path, monkeypatch):
     allocations = count_buffer_allocations(monkeypatch)
     catalog, report = run(RunConfig(out_path=tmp_path / "c.csv", detector=DETECTOR),
                           open_manifest(survey.manifest_path))
-    assert allocations == [[2 * MAX_CHUNK_SAMPLES]] * 6
+    assert allocations == [[2 * 40_000 + MAX_CHUNK_SAMPLES]] * 6
     assert report.n_records == 2 * 18 * 3
     assert catalog.read_bytes() == (tmp_path / "child.csv").read_bytes()
+
+
+@pytest.mark.parametrize("first_pulse_s", [2.05, 2.4, 2.75])
+def test_highrate_array_does_not_depend_on_where_the_pulses_fall(tmp_path, monkeypatch, first_pulse_s):
+    # with 10-s IPIs the tenth late window of a pulse waits for the next
+    # pulse's search window, so the hold peaks at 1.6-2.2 s depending on
+    # where the pulses fall against the chunks.  An array grown with the hold
+    # would take its size, and the peak memory, from the schedule; the one
+    # array sized from the hold's bound is the same for every schedule
+    spec = SurveySpec(**{**_HIGHRATE, "duration_s": 24.0, "first_pulse_s": first_pulse_s, "pulse_count": 2})
+    survey = generate(spec, tmp_path / "survey")
+    allocations = count_buffer_allocations(monkeypatch)
+    _, report = run(RunConfig(out_path=tmp_path / "c.csv", detector=DETECTOR, weightings=(WeightingKind.MFC,)),
+                    open_manifest(survey.manifest_path))
+    assert report.n_records == 2
+    assert allocations == [[2 * round(2.5 * 512_000) + MAX_CHUNK_SAMPLES]]
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").is_file(), reason="VmHWM is read from Linux /proc")
 def test_highrate_generate_peaks_in_blocks(tmp_path):
     # 30 s at 512 kHz is 15.4 M samples, 123 MB as one float64 array; the
     # whole-channel renderer peaked at 399 MB.  Rendered and written in blocks
-    # of 2**17 samples, a fresh child peaks ~23 MB above the import-only one
-    # (~34 MB in blocks of 2**20).
+    # of 2**17 samples, each pulse's 0.91 s too, a fresh child peaks ~15.5 MB
+    # above the import-only one (~23 MB with each pulse rendered at once, ~34
+    # MB in blocks of 2**20).
     excess = peak_above_import_mb(f"generate(SurveySpec(**{_HIGHRATE!r}), sys.argv[1])", tmp_path / "survey")
-    assert excess <= 28, f"VmHWM {excess:.1f} MB above import"
+    assert excess <= 19, f"VmHWM {excess:.1f} MB above import"
     assert (tmp_path / "survey" / "ch00.wav").stat().st_size == 44 + 2 * 30 * 512_000
 
 
@@ -631,9 +653,10 @@ def test_highrate_generate_peaks_in_blocks(tmp_path):
 def test_held_records_cost_under_a_kilobyte_each(tmp_path):
     # 1 ch at 2 kHz with a pulse every 6 s, through all three weightings: 1 h
     # gives 1,800 records and 4 h 7,200.  A record is held from its stream's
-    # task to the catalog write as its formatted row, ~0.9 KB: the child
-    # peaks ~4.7 MB higher at 4 h than at 1 h.  Held as measurements and
-    # formatted at the write, a record took ~1.9 KB, ~10.3 MB more at 4 h.
+    # task to the catalog write as one line of text, ~0.66 KB: the child
+    # peaks ~3.6 MB higher at 4 h than at 1 h (~4.3 MB as a keyed row that
+    # was sorted).  Held as measurements and formatted at the write, a record
+    # took ~1.9 KB, ~10.3 MB more at 4 h.
     peaks = []
     for hours in (1, 4):
         spec = SurveySpec(duration_s=3600.0 * hours, sample_rate_hz=2000, ipi_s=6.0)

@@ -488,6 +488,22 @@ def test_rolling_buffer_keeps_its_first_array_for_a_hold_of_half_a_chunk(hold):
     assert np.array_equal(buf.view(buf.start, buf.end), np.full(hold, 19.0))
 
 
+@settings(max_examples=100, deadline=None)
+@given(hold=st.integers(0, 600), chunk=st.integers(1, 300), data=st.data())
+def test_rolling_buffer_given_twice_its_hold_plus_a_chunk_keeps_its_array(hold, chunk, data):
+    # a stream that never holds ``hold`` samples before a chunk of at most
+    # ``chunk`` comes keeps the array it was given, whatever its trims
+    buf = RollingBuffer(2 * hold + chunk)
+    for _ in range(data.draw(st.integers(1, 40), label="steps")):
+        n = data.draw(st.integers(0, chunk), label="append")
+        slots = buf.reserve(n)
+        slots[:] = np.arange(buf.end, buf.end + n)
+        buf.append(slots)
+        buf.trim(buf.end - data.draw(st.integers(0, hold - 1), label="keep") if hold else buf.end)
+        assert buf.capacity == 2 * hold + chunk
+        assert np.array_equal(buf.view(buf.start, buf.end), np.arange(buf.start, buf.end))
+
+
 def test_time_at_matches_grid(tmp_path):
     cm = simple_channel(tmp_path, np.ones(FS, dtype=np.int16), start=3.5)
     buf = read_span(cm, FS // 4, FS // 2)

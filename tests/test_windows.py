@@ -189,7 +189,7 @@ def test_layout_defaults_ten_one_second_windows(monkeypatch):
     assert (LATE_WINDOW_COUNT, LATE_WINDOW_S) == (10, 1.0)
     assert late_window_count(I95, 10**9, W) == 10
     (row,), n_late = spike_records(monkeypatch, [2.3], 60.0)
-    assert row.cells.split(",")[1:11] == [format_time(I95 + k * W, FS) for k in range(10)]
+    assert row.split(",")[4:14] == [format_time(I95 + k * W, FS) for k in range(10)]  # after 3 ids and t5
     assert n_late == [10]
 
 
