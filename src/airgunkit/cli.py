@@ -16,9 +16,9 @@ import sys
 from pathlib import Path
 
 from .errors import AirgunkitError, RunError
-from .pulse_detect import DetectorConfig, detect_pulses, format_event_row, write_events_csv
+from .pulse_detect import DetectorConfig, detect_pulses, format_event_row, search_hold, write_events_csv
 from .runner import PARALLEL_WORKERS, RunConfig, bench, preflight, report_text, run, weighted_chunks
-from .signal_io import RollingBuffer, open_manifest
+from .signal_io import open_manifest, stream_buffer
 from .synth import SurveySpec, generate
 from .weighting import CANONICAL_ORDER, WeightingSpec, coefficients_text, design_filter, parse_kind
 
@@ -213,7 +213,7 @@ def _cmd_detect(ns: argparse.Namespace) -> int:
 
     rows: list[str] = []
     for cm, kind in preflight(config, manifests):
-        buffer = RollingBuffer()
+        buffer = stream_buffer(cm.sample_rate_hz, search_hold(cm.sample_rate_hz))
         chunks = weighted_chunks(cm, kind, buffer=buffer)
         events = detect_pulses(chunks, config.detector, buffer=buffer)
         rows.extend(format_event_row(ev, kind.value, i, cm.origin, nxt)

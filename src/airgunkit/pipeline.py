@@ -35,7 +35,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import RunError
 from .measures import NA, Levels, format_db, ladder_levels
-from .pulse_detect import SEARCH_AFTER_S, SEARCH_BEFORE_S, PulseEvent, PulseScanner, peak_cells
+from .pulse_detect import PulseEvent, PulseScanner, peak_cells, search_hold
 from .signal_io import ChannelManifest, RollingBuffer, format_time
 from .weighting import WeightingKind
 from .windows import LATE_WINDOW_COUNT, LATE_WINDOW_S, EnergyBounds, energy_bounds, late_window_count
@@ -112,7 +112,7 @@ class RecordBuilder:
         self.fs = cm.sample_rate_hz
         self.w_samp = round(LATE_WINDOW_S * self.fs)
         # a search window and one late window behind it: more than a stream of short pulses holds
-        self.hold = round(SEARCH_BEFORE_S * self.fs) + round(SEARCH_AFTER_S * self.fs) + self.w_samp
+        self.hold = search_hold(self.fs) + self.w_samp
         self.records: list[str] = []  # catalog rows less the run id, in pulse order
         self.scanner: PulseScanner | None = None  # the stream's scanner, which counts its drops and cuts
         # the kept pulse whose record is pending, with the levels of its measured windows

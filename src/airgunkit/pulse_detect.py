@@ -49,6 +49,11 @@ SEARCH_AFTER_S = 1.0
 MAX_EXCURSION_S = 15.0
 
 
+def search_hold(sample_rate_hz: float) -> int:
+    """Samples of one search window: all a scanner holds before a chunk comes, if no excursion outlasts it."""
+    return round(SEARCH_BEFORE_S * sample_rate_hz) + round(SEARCH_AFTER_S * sample_rate_hz)
+
+
 @dataclass(frozen=True)
 class DetectorConfig:
     """Detection tuning: threshold in dB re 1 uPa, refractory spacing in s.

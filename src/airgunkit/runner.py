@@ -22,7 +22,7 @@ from typing import Callable
 from .errors import RunError
 from .pipeline import RecordBuilder, sort_records, write_catalog
 from .pulse_detect import MAX_EXCURSION_S, DetectorConfig, detect_pulses
-from .signal_io import CHUNK_S, MAX_CHUNK_SAMPLES, ChannelManifest, RollingBuffer, SampleBuffer, iter_chunks
+from .signal_io import CHUNK_S, ChannelManifest, RollingBuffer, SampleBuffer, iter_chunks, stream_buffer
 from .weighting import CANONICAL_ORDER, WeightingKind, WeightingSpec, apply_filter, design_filter
 
 LogFn = Callable[[str], None]
@@ -145,13 +145,13 @@ def extract_stream(cm: ChannelManifest, kind: WeightingKind, detector: DetectorC
     """Detect and measure every pulse of one weighted stream in one pass.
 
     Each chunk is read, calibrated and filtered once, in place in the one
-    rolling buffer that detect_pulses decides anchors on; a RecordBuilder
-    measures every kept pulse's energy bounds, early window and late windows
-    in the same buffer.
+    rolling buffer that detect_pulses decides anchors on, sized for the
+    builder's hold; a RecordBuilder measures every kept pulse's energy
+    bounds, early window and late windows in the same buffer.
     """
     start = time.perf_counter()
     builder = RecordBuilder(cm, kind)
-    buffer = RollingBuffer(2 * builder.hold + MAX_CHUNK_SAMPLES)
+    buffer = stream_buffer(cm.sample_rate_hz, builder.hold)
     chunks = weighted_chunks(cm, kind, buffer=buffer)
     detect_pulses(chunks, detector, builder, buffer)
     return TaskResult(cm.channel_id, kind.value, time.perf_counter() - start, builder.records,

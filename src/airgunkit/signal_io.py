@@ -115,14 +115,17 @@ class RollingBuffer:
     array of twice the held-plus-chunk count.  A move to the front thus
     leaves room after the chunk for at least as many samples as it moved,
     and never copies onto its own source: the samples moved stay within
-    twice the samples appended (counted in ``moved``), and the array never
-    exceeds the larger of ``capacity`` and twice the largest held-plus-chunk
-    count: an array of twice the most ever held plus a chunk is the only one.
+    twice the samples appended (counted in ``moved``), and an array grown
+    from empty never exceeds twice the largest held-plus-chunk count.  A
+    buffer given a ``capacity`` instead moves them to the front whenever
+    they fit there with the chunk, onto their own source if need be, as
+    numpy copies a 1-D slice forward: see ``stream_buffer``.
     """
 
     def __init__(self, capacity: int = 0) -> None:
         self.start = 0
         self.moved = 0  # samples moved to the front or into a larger array
+        self._spare = 1 if capacity else 2  # a move to the front needs room for held * this + chunk
         self._data = np.empty(capacity)
         self._lo = 0  # array offset of sample ``start``
         self._hi = 0  # array offset one past the last held sample
@@ -141,7 +144,7 @@ class RollingBuffer:
         """The ``n`` writable slots after the held samples, valid until the next reserve or append."""
         if self._hi + n > len(self._data):
             held = self._hi - self._lo
-            data = self._data if 2 * held + n <= len(self._data) else np.empty(2 * (held + n))
+            data = self._data if self._spare * held + n <= len(self._data) else np.empty(2 * (held + n))
             data[:held] = self._data[self._lo : self._hi]
             self._data, self._lo, self._hi = data, 0, held
             self.moved += held
@@ -435,6 +438,20 @@ def read_span(cm: ChannelManifest, start_index: int, count: int,
     return SampleBuffer(samples, cm.sample_rate_hz, start_index, cm.channel_id)
 
 
+def chunk_length(sample_rate_hz: float, chunk_s: float = CHUNK_S) -> int:
+    """Samples in a chunk of ``iter_chunks``: ``chunk_s`` seconds, but at most MAX_CHUNK_SAMPLES."""
+    return min(round(chunk_s * sample_rate_hz), MAX_CHUNK_SAMPLES)
+
+
+def stream_buffer(sample_rate_hz: float, hold: int) -> RollingBuffer:
+    """The buffer of a stream that holds at most ``hold`` samples when a chunk comes.
+
+    Its one array takes them, the chunk and the smaller of the two: 12.3 MB at 512 kHz.
+    """
+    chunk = chunk_length(sample_rate_hz)
+    return RollingBuffer(hold + chunk + min(hold, chunk))
+
+
 def iter_chunks(cm: ChannelManifest, chunk_s: float,
                 buffer: RollingBuffer | None = None) -> Iterator[SampleBuffer]:
     """Yield the whole channel as consecutive chunks (last one may be short).
@@ -445,7 +462,7 @@ def iter_chunks(cm: ChannelManifest, chunk_s: float,
     tile the channel exactly: each starts where the previous ended.  Given a
     ``buffer``, each chunk is read into the slots ``buffer.reserve`` hands out.
     """
-    step = min(round(chunk_s * cm.sample_rate_hz), MAX_CHUNK_SAMPLES)
+    step = chunk_length(cm.sample_rate_hz, chunk_s)
     for start in range(0, cm.n_samples, step):
         n = min(step, cm.n_samples - start)
         yield read_span(cm, start, n, out=None if buffer is None else buffer.reserve(n))

@@ -22,6 +22,7 @@ LOW_FRACTION = 0.05
 HIGH_FRACTION = 0.95
 LATE_WINDOW_S = 1.0
 LATE_WINDOW_COUNT = 10
+ENERGY_BLOCK = 2**16  # samples squared and summed at a time by energy_bounds, 0.5 MB
 
 
 @dataclass(frozen=True)
@@ -44,17 +45,34 @@ def energy_bounds(samples: np.ndarray, start: int = 0) -> EnergyBounds:
     each bound is the earliest sample whose cumulative share reaches or
     exceeds its fraction.  The bounds coincide only when one sample carries
     essentially all the energy.  All-zero windows are an error.
+
+    The sum runs in blocks of ENERGY_BLOCK samples, each one's first square added to
+    the sum before it; ``np.cumsum`` adds left to right, so it is the whole window's.
     """
-    if len(samples) == 0:
+    n = len(samples)
+    if n == 0:
         raise MeasureError("empty window")
-    energy = np.square(samples)
-    np.cumsum(energy, out=energy)
-    total = energy[-1]
+    energy = np.empty(min(n, ENERGY_BLOCK))
+    sums = [0.0]  # the running sum before each block, and the total
+
+    def running_sum(b0: int) -> np.ndarray:  # over the block from sample b0, in ``energy``
+        block = np.square(samples[b0 : b0 + ENERGY_BLOCK], out=energy[: min(ENERGY_BLOCK, n - b0)])
+        block[0] += sums[b0 // ENERGY_BLOCK]
+        return np.cumsum(block, out=block)
+
+    for b0 in range(0, n, ENERGY_BLOCK):
+        block = running_sum(b0)
+        sums.append(block[-1])
+    total = sums[-1]
     if total <= 0.0:
         raise MeasureError("all-zero window has no energy bounds")
-    i_lo = int(np.searchsorted(energy, LOW_FRACTION * total, side="left"))
-    i_hi = int(np.searchsorted(energy, HIGH_FRACTION * total, side="left"))
-    return EnergyBounds(start + i_lo, start + i_hi)
+    bounds = []
+    for level in (LOW_FRACTION * total, HIGH_FRACTION * total):
+        k = ENERGY_BLOCK * int(np.searchsorted(sums[1:], level, side="left"))
+        if k != b0:  # ``block`` holds the block from b0
+            block, b0 = running_sum(k), k
+        bounds.append(start + b0 + int(np.searchsorted(block, level, side="left")))
+    return EnergyBounds(*bounds)
 
 
 def late_window_count(i95: int, limit: int, w: int) -> int:

@@ -4,10 +4,12 @@ import math
 import numpy as np
 import pytest
 
+from airgunkit.errors import MeasureError
 from airgunkit.measures import Levels, energy_db, pressure_db
 from airgunkit.signal_io import SampleBuffer, wav_writer
 from airgunkit.synth import SurveySpec, generate
 from airgunkit.weighting import CANONICAL_ORDER
+from airgunkit.windows import HIGH_FRACTION, LOW_FRACTION, EnergyBounds
 
 
 def make_buffer(samples, fs=16000.0, start=0, channel=0) -> SampleBuffer:
@@ -36,6 +38,20 @@ def window_levels(x, fs, running_upa2s=0.0) -> tuple[Levels, float]:
         None if sel_db is None else sel_db - 10.0 * math.log10(len(x) / fs),
         energy_db(running_upa2s),
     ), running_upa2s
+
+
+def energy_bounds_whole(samples, start=0) -> EnergyBounds:
+    """Oracle: energy_bounds from one running sum over the whole window's squares."""
+    if len(samples) == 0:
+        raise MeasureError("empty window")
+    energy = np.square(samples)
+    np.cumsum(energy, out=energy)
+    total = energy[-1]
+    if total <= 0.0:
+        raise MeasureError("all-zero window has no energy bounds")
+    i_lo = int(np.searchsorted(energy, LOW_FRACTION * total, side="left"))
+    i_hi = int(np.searchsorted(energy, HIGH_FRACTION * total, side="left"))
+    return EnergyBounds(start + i_lo, start + i_hi)
 
 
 def catalog_sorted(rows) -> list[str]:

@@ -17,7 +17,7 @@ from scipy import signal
 import airgunkit
 from airgunkit import runner, signal_io
 from airgunkit.errors import RunError
-from airgunkit.pulse_detect import DetectorConfig, detect_pulses, format_event_row
+from airgunkit.pulse_detect import DetectorConfig, detect_pulses, format_event_row, write_events_csv
 from airgunkit.runner import (
     BenchResult,
     RunConfig,
@@ -550,7 +550,7 @@ def peak_above_import_mb(statement: str, *args) -> float:
 
 
 def count_buffer_allocations(monkeypatch) -> list[list[int]]:
-    """Have ``runner`` make RollingBuffers that record each new capacity, one list per stream."""
+    """Have ``stream_buffer`` make RollingBuffers that record each new capacity, one list per stream."""
     streams: list[list[int]] = []
 
     class RecordingBuffer(signal_io.RollingBuffer):
@@ -565,7 +565,7 @@ def count_buffer_allocations(monkeypatch) -> list[list[int]]:
                 self.capacities.append(self.capacity)
             return slots
 
-    monkeypatch.setattr(runner, "RollingBuffer", RecordingBuffer)
+    monkeypatch.setattr(signal_io, "RollingBuffer", RecordingBuffer)
     return streams
 
 
@@ -575,13 +575,15 @@ def test_highrate_run_peaks_in_bounded_chunks(tmp_path, monkeypatch):
     # 123 MB.  Each 2**17-sample chunk is read into the stream's rolling
     # buffer and each late window is measured as soon as no later pulse can
     # cut it, so the hold stays under ~1.8 s, below the 2.5-s bound of a
-    # search window and a late window.  The buffer's one array holds twice
-    # that bound plus a chunk, 20.5 MB, and the child peaks ~28 MB above the
-    # import-only one.
+    # search window and a late window.  The buffer's one array holds that
+    # bound plus two chunks, 12.3 MB, the energy bounds square one 0.5-MB
+    # block at a time, and the child peaks ~14.4 MB above the import-only
+    # one (~28 MB with an array of twice the bound plus a chunk, 21.5 MB,
+    # and a search window squared at once).
     spec = SurveySpec(**_HIGHRATE)
     survey = generate(spec, tmp_path / "survey")
     excess = peak_above_import_mb(_RUN, survey.manifest_path, tmp_path / "child.csv", "mfc")
-    assert excess <= 32, f"VmHWM {excess:.1f} MB above import"
+    assert excess <= 20, f"VmHWM {excess:.1f} MB above import"
 
     spans = []
 
@@ -596,7 +598,7 @@ def test_highrate_run_peaks_in_bounded_chunks(tmp_path, monkeypatch):
                           open_manifest(survey.manifest_path))
     assert max(spans) <= MAX_CHUNK_SAMPLES == 2**17
     assert sum(spans) == spec.n_samples
-    assert allocations == [[2 * round(2.5 * 512_000) + MAX_CHUNK_SAMPLES]]
+    assert allocations == [[round(2.5 * 512_000) + 2 * MAX_CHUNK_SAMPLES]] == [[1_542_144]]
     assert report.n_records == 3
     assert catalog.read_bytes() == (tmp_path / "child.csv").read_bytes()
 
@@ -627,14 +629,26 @@ def test_highrate_array_does_not_depend_on_where_the_pulses_fall(tmp_path, monke
     # pulse's search window, so the hold peaks at 1.6-2.2 s depending on
     # where the pulses fall against the chunks.  An array grown with the hold
     # would take its size, and the peak memory, from the schedule; the one
-    # array sized from the hold's bound is the same for every schedule
+    # array sized from the hold's bound is the same for every schedule.  So
+    # is that of ``detect``, sized from the 1.5-s search window the scanner
+    # holds, and its events are those of a buffer that grows from empty
+    from airgunkit.cli import main
+
     spec = SurveySpec(**{**_HIGHRATE, "duration_s": 24.0, "first_pulse_s": first_pulse_s, "pulse_count": 2})
     survey = generate(spec, tmp_path / "survey")
+    cm = open_manifest(survey.manifest_path)[0]
+    grown = detect_pulses(weighted_chunks(cm, WeightingKind.MFC), DETECTOR)
+    write_events_csv(tmp_path / "grown.csv", [format_event_row(ev, "mfc", i, cm.origin, nxt)
+                                              for i, (ev, nxt) in enumerate(zip_longest(grown, grown[1:]))])
     allocations = count_buffer_allocations(monkeypatch)
     _, report = run(RunConfig(out_path=tmp_path / "c.csv", detector=DETECTOR, weightings=(WeightingKind.MFC,)),
                     open_manifest(survey.manifest_path))
-    assert report.n_records == 2
-    assert allocations == [[2 * round(2.5 * 512_000) + MAX_CHUNK_SAMPLES]]
+    assert main(["detect", "--manifest", str(survey.manifest_path), "--out", str(tmp_path / "events.csv"),
+                 "--weighting", "mfc", "--min-ipi-s", str(DETECTOR.min_ipi_s)]) == 0
+    assert report.n_records == len(grown) == 2
+    assert allocations == [[round(2.5 * 512_000) + 2 * MAX_CHUNK_SAMPLES],
+                           [round(1.5 * 512_000) + 2 * MAX_CHUNK_SAMPLES]] == [[1_542_144], [1_030_144]]
+    assert (tmp_path / "events.csv").read_bytes() == (tmp_path / "grown.csv").read_bytes()
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").is_file(), reason="VmHWM is read from Linux /proc")

@@ -488,20 +488,30 @@ def test_rolling_buffer_keeps_its_first_array_for_a_hold_of_half_a_chunk(hold):
     assert np.array_equal(buf.view(buf.start, buf.end), np.full(hold, 19.0))
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(hold=st.integers(0, 600), chunk=st.integers(1, 300), data=st.data())
-def test_rolling_buffer_given_twice_its_hold_plus_a_chunk_keeps_its_array(hold, chunk, data):
-    # a stream that never holds ``hold`` samples before a chunk of at most
-    # ``chunk`` comes keeps the array it was given, whatever its trims
-    buf = RollingBuffer(2 * hold + chunk)
-    for _ in range(data.draw(st.integers(1, 40), label="steps")):
+def test_rolling_buffer_given_its_hold_and_two_chunks_keeps_its_array(hold, chunk, data):
+    # an array of hold + chunk + min(hold, chunk) samples takes the held
+    # samples and the next chunk whenever they are at most ``hold`` and
+    # ``chunk``; they move to its front, onto themselves if need be, at most
+    # once per min(hold, chunk) samples appended
+    capacity = hold + chunk + min(hold, chunk)
+    buf = RollingBuffer(capacity)
+    appended = 0
+    for _ in range(data.draw(st.integers(1, 60), label="steps")):
         n = data.draw(st.integers(0, chunk), label="append")
-        slots = buf.reserve(n)
-        slots[:] = np.arange(buf.end, buf.end + n)
-        buf.append(slots)
-        buf.trim(buf.end - data.draw(st.integers(0, hold - 1), label="keep") if hold else buf.end)
-        assert buf.capacity == 2 * hold + chunk
+        values = np.arange(buf.end, buf.end + n, dtype=float)
+        if data.draw(st.booleans(), label="in place"):
+            slots = buf.reserve(n)
+            slots[:] = values
+            buf.append(slots)
+        else:
+            buf.append(values)
+        appended += n
+        buf.trim(buf.end - data.draw(st.integers(0, hold), label="keep"))
+        assert buf.capacity == capacity
         assert np.array_equal(buf.view(buf.start, buf.end), np.arange(buf.start, buf.end))
+        assert buf.moved * min(hold, chunk) <= appended * hold + hold * min(hold, chunk)
 
 
 def test_time_at_matches_grid(tmp_path):

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -13,6 +14,7 @@ from airgunkit.pulse_detect import DetectorConfig, detect_pulses
 from airgunkit.signal_io import format_time
 from airgunkit.weighting import WeightingKind
 from airgunkit.windows import (
+    ENERGY_BLOCK,
     HIGH_FRACTION,
     LATE_WINDOW_COUNT,
     LATE_WINDOW_S,
@@ -22,7 +24,7 @@ from airgunkit.windows import (
     late_window_count,
 )
 
-from conftest import make_buffer
+from conftest import energy_bounds_whole, make_buffer
 
 FS = 16000.0
 W = 16000  # one late window at FS
@@ -96,8 +98,9 @@ def test_bounds_start_time_offsets_both():
 
 
 def test_bounds_all_zero_errors():
-    with pytest.raises(MeasureError):
-        energy_bounds(np.zeros(64))
+    for n in (1, 64, ENERGY_BLOCK, ENERGY_BLOCK + 1, 3 * ENERGY_BLOCK + 1):
+        with pytest.raises(MeasureError):
+            energy_bounds(np.zeros(n))
     with pytest.raises(MeasureError):
         energy_bounds(np.zeros(0))
 
@@ -142,15 +145,70 @@ def test_bounds_equal_the_two_temporary_reference(values, margin, start):
     stream = np.concatenate((np.full(margin, 7.0), values, np.full(margin, 7.0)))
     before = stream.copy()
     window = stream[margin : margin + len(values)]
-    energy = np.cumsum(np.square(window))
-    if energy[-1] <= 0.0:
+    if np.sum(np.square(window)) <= 0.0:
         with pytest.raises(MeasureError):
             energy_bounds(window, start)
     else:
-        i5 = int(np.searchsorted(energy, LOW_FRACTION * energy[-1], side="left"))
-        i95 = int(np.searchsorted(energy, HIGH_FRACTION * energy[-1], side="left"))
-        assert energy_bounds(window, start) == EnergyBounds(start + i5, start + i95)
+        assert energy_bounds(window, start) == energy_bounds_whole(window, start)
     assert stream.tobytes() == before.tobytes()
+
+
+@st.composite
+def block_windows(draw):
+    """Windows of 1 to 3 blocks and a sample: noise, a constant or one spike, after leading zeros.
+
+    The zeros and the spike fall on or next to a block edge as often as anywhere else.
+    """
+    n = draw(st.integers(1, 3 * ENERGY_BLOCK + 1), label="length")
+    edges = [min(k * ENERGY_BLOCK + d, n) for k in (1, 2, 3) for d in (-1, 0, 1)]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    kind = draw(st.sampled_from(["noise", "constant", "spike"]), label="kind")
+    scale = 10.0 ** draw(st.integers(-6, 12), label="exponent")
+    x = np.full(n, scale) if kind == "constant" else rng.standard_normal(n) * scale
+    if kind == "spike":
+        x *= 1e-3
+        x[min(draw(st.one_of(st.integers(0, n), st.sampled_from(edges)), label="spike"), n - 1)] = scale
+    x[: draw(st.one_of(st.integers(0, n), st.sampled_from(edges)), label="zeros")] = 0.0
+    return x
+
+
+@settings(max_examples=150, deadline=None)
+@given(block_windows(), st.integers(0, 10**9))
+def test_bounds_in_blocks_equal_one_running_sum_over_the_window(x, start):
+    # each block's running sum starts from the last block's total, so every
+    # partial sum, and so each bound, is that of the whole window's cumsum
+    try:
+        expected = energy_bounds_whole(x, start)
+    except MeasureError:
+        with pytest.raises(MeasureError):
+            energy_bounds(x, start)
+    else:
+        assert energy_bounds(x, start) == expected
+
+
+def test_bounds_on_a_block_edge_at_an_exact_fraction():
+    # ones fill the first block and fours carry the rest: the total is 20
+    # blocks' worth and 5 % of it is exactly the first block's running sum,
+    # so the 5 % bound is that block's last sample
+    x = np.concatenate((np.ones(ENERGY_BLOCK), np.full(19 * ENERGY_BLOCK // 16, 4.0)))
+    assert LOW_FRACTION * np.sum(np.square(x)) == ENERGY_BLOCK
+    assert energy_bounds(x) == energy_bounds_whole(x)
+    assert energy_bounds(x).i5 == ENERGY_BLOCK - 1
+
+
+def test_bounds_of_a_search_window_at_512_khz_allocate_one_block():
+    # a 1.5-s search window at 512 kHz is 768,000 samples: squared at once
+    # it was one 6.1-MB temporary; summed in blocks it is one of 0.5 MB
+    x = np.random.default_rng(1).standard_normal(768_000)
+    energy_bounds(x)  # first-use allocations
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        energy_bounds(x)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * ENERGY_BLOCK + 2**14, f"{peak / 2**20:.2f} MiB"
 
 
 # ---------------------------------------------------------------------------
