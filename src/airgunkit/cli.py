@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .errors import AirgunkitError, RunError
 from .pulse_detect import DetectorConfig, detect_pulses, format_event_row, search_hold, write_events_csv
-from .runner import PARALLEL_WORKERS, RunConfig, bench, preflight, report_text, run, weighted_chunks
+from .runner import PARALLEL_WORKERS, RunConfig, preflight, report_text, run, weighted_chunks
 from .signal_io import open_manifest, stream_buffer
 from .synth import SurveySpec, generate
 from .weighting import CANONICAL_ORDER, WeightingSpec, coefficients_text, design_filter, parse_kind
@@ -259,20 +260,28 @@ def _cmd_bench(ns: argparse.Namespace) -> int:
     manifest_path = _require(eff, "manifest")
     manifests = open_manifest(manifest_path)
     out_dir = Path(eff["out_dir"]) if eff["out_dir"] else Path(manifest_path).parent / "bench_out"
-    config = _run_config(eff, out_dir / "catalog_parallel.csv", eff["weightings"], mode="parallel",
-                         worker_count=eff["workers"])
-    result = bench(config, manifests, log=_log)
+    parallel = _run_config(eff, out_dir / "catalog_parallel.csv", eff["weightings"], mode="parallel",
+                           worker_count=eff["workers"])
+    serial = replace(parallel, out_path=out_dir / "catalog_serial.csv", mode="serial", worker_count=1)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    preflight(parallel, manifests, serial.out_path)
+
+    serial_path, serial_report = run(serial, manifests, log=_log)
+    parallel_path, parallel_report = run(parallel, manifests, log=_log)
+    serial_s, parallel_s = serial_report.wall_seconds, parallel_report.wall_seconds
+    speedup = serial_s / parallel_s if parallel_s > 0 else float("inf")
+    identical = serial_path.read_bytes() == parallel_path.read_bytes()
     print("bench comparison (same input, identical extraction code)")
-    print(f"  serial   : {result.serial_seconds:.3f} s")
-    print(f"  parallel : {result.parallel_seconds:.3f} s with {result.worker_count} workers")
-    print(f"  speedup  : {result.speedup:.2f}x")
-    print(f"  catalogs : {'identical [OK]' if result.identical else 'DIFFER [FAIL]'}")
-    print(f"serial_seconds={result.serial_seconds:.3f}")
-    print(f"parallel_seconds={result.parallel_seconds:.3f}")
-    print(f"speedup={result.speedup:.3f}")
-    print(f"identical={'true' if result.identical else 'false'}")
-    if not result.identical:
-        raise RunError(f"catalogs differ: {result.serial_catalog} and {result.parallel_catalog}")
+    print(f"  serial   : {serial_s:.3f} s")
+    print(f"  parallel : {parallel_s:.3f} s with {parallel_report.worker_count} workers")
+    print(f"  speedup  : {speedup:.2f}x")
+    print(f"  catalogs : {'identical [OK]' if identical else 'DIFFER [FAIL]'}")
+    print(f"serial_seconds={serial_s:.3f}")
+    print(f"parallel_seconds={parallel_s:.3f}")
+    print(f"speedup={speedup:.3f}")
+    print(f"identical={'true' if identical else 'false'}")
+    if not identical:
+        raise RunError(f"catalogs differ: {serial_path} and {parallel_path}")
     return 0
 
 
@@ -309,16 +318,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        ns = build_parser().parse_args(argv)
+        return int(ns.func(ns))
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
-    try:
-        return int(ns.func(ns))
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -14,7 +14,7 @@ from __future__ import annotations
 import contextlib
 import multiprocessing
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from numbers import Integral
 from pathlib import Path
 from typing import Callable
@@ -44,6 +44,8 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.mode not in ("serial", "parallel"):
             raise ValueError(f"mode must be serial or parallel, got {self.mode!r}")
+        if isinstance(self.worker_count, bool) or not isinstance(self.worker_count, Integral):
+            raise ValueError(f"worker_count must be an integer, got {self.worker_count!r}")
         if self.mode == "serial" and self.worker_count != 1:
             raise ValueError("serial mode implies worker_count = 1")
         if self.worker_count < 1:
@@ -272,47 +274,3 @@ def report_text(report: RuntimeReport) -> str:
     lines.append(f"records={report.n_records}")
     lines.append(f"points={report.n_points}")
     return "\n".join(lines) + "\n"
-
-
-@dataclass(frozen=True)
-class BenchResult:
-    serial_seconds: float
-    parallel_seconds: float
-    worker_count: int
-    speedup: float
-    identical: bool
-    serial_catalog: Path
-    parallel_catalog: Path
-
-
-def bench(config: RunConfig, manifests: dict[int, ChannelManifest],
-          log: LogFn | None = None) -> BenchResult:
-    """Run ``config`` serially, then as given, over the same input and compare wall time.
-
-    ``config`` is the parallel run; the serial run writes
-    ``catalog_serial.csv`` beside its catalog.  The two catalogs are compared
-    byte for byte; the speedup is serial/parallel wall seconds.
-    """
-    serial = replace(config, out_path=Path(config.out_path).with_name("catalog_serial.csv"),
-                     mode="serial", worker_count=1)
-    Path(config.out_path).parent.mkdir(parents=True, exist_ok=True)
-    preflight(config, manifests, serial.out_path)
-
-    t0 = time.perf_counter()
-    serial_path, _ = run(serial, manifests, log=log)
-    serial_s = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    parallel_path, parallel_report = run(config, manifests, log=log)
-    parallel_s = time.perf_counter() - t0
-
-    identical = serial_path.read_bytes() == parallel_path.read_bytes()
-    return BenchResult(
-        serial_seconds=serial_s,
-        parallel_seconds=parallel_s,
-        worker_count=parallel_report.worker_count,
-        speedup=serial_s / parallel_s if parallel_s > 0 else float("inf"),
-        identical=identical,
-        serial_catalog=serial_path,
-        parallel_catalog=parallel_path,
-    )

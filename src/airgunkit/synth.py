@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
+from numbers import Integral
 from pathlib import Path
 from typing import Callable
 
@@ -60,8 +61,13 @@ class SurveySpec:
 
     def __post_init__(self) -> None:
         for f in fields(self):  # annotations are strings under postponed evaluation
-            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
-                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
+            value = getattr(self, f.name)
+            if f.type == "float" and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
+            if f.type == "int | None" and value is None:
+                continue
+            if f.type.startswith("int") and (isinstance(value, bool) or not isinstance(value, Integral)):
+                raise ValueError(f"{f.name} must be an integer, got {value!r}")
         if self.channel_count < 1:
             raise ValueError("channel_count must be >= 1")
         if self.sample_rate_hz > MAX_SAMPLE_RATE_HZ:

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from airgunkit import runner
 from airgunkit.errors import MeasureError
 from airgunkit.measures import Levels, energy_db, pressure_db
 from airgunkit.signal_io import SampleBuffer, wav_writer
@@ -100,3 +101,27 @@ def small_survey(tmp_path_factory):
     out = tmp_path_factory.mktemp("small_survey")
     result = generate(spec, out)
     return spec, result
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The ``processes`` of every worker pool a run starts; each pool maps in this process."""
+    started = []
+
+    class SerialPool:
+        """Stands in for ``multiprocessing.Pool``: records ``processes``, maps in this process."""
+
+        def __init__(self, processes):
+            started.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, func, tasks):
+            return map(func, tasks)
+
+    monkeypatch.setattr(runner.multiprocessing, "Pool", SerialPool)
+    return started

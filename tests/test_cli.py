@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from airgunkit import cli, runner, signal_io
+from airgunkit import cli, signal_io
 from airgunkit.cli import _FLAGS, _effective, build_parser, main
 from airgunkit.pipeline import CATALOG_HEADER
 from airgunkit.pulse_detect import EVENTS_HEADER
@@ -578,36 +578,73 @@ def test_bench_reports_identical_catalogs(survey_dir, tmp_path, capsys):
     )
     assert code == 0
     out = capsys.readouterr().out
-    assert "identical=true" in out
-    assert "speedup=" in out
+    values = dict(line.split("=") for line in out.splitlines() if "=" in line)
+    assert values["identical"] == "true"
+    serial_s, parallel_s = float(values["serial_seconds"]), float(values["parallel_seconds"])
+    assert serial_s > 0 and parallel_s > 0 and float(values["speedup"]) > 0
     assert (tmp_path / "catalog_serial.csv").is_file()
     assert (tmp_path / "catalog_parallel.csv").is_file()
 
 
+def test_bench_caps_its_workers_at_the_streams(small_survey, tmp_path, pool_sizes, capsys):
+    _, result = small_survey  # 2 channels x 3 weightings
+    assert main(["bench", "--manifest", str(result.manifest_path), "--out-dir", str(tmp_path),
+                 "--workers", "5000"]) == 0
+    out = capsys.readouterr().out
+    assert pool_sizes == [6]
+    assert "with 6 workers" in out and "identical=true" in out
+
+
+@pytest.mark.parametrize("serial_s,parallel_s,printed", [
+    (3.0, 1.5, ["serial   : 3.000 s", "parallel : 1.500 s", "speedup  : 2.00x", "serial_seconds=3.000",
+                "parallel_seconds=1.500", "speedup=2.000"]),
+    (0.25, 0.0, ["parallel_seconds=0.000", "speedup  : infx", "speedup=inf"]),
+])
+def test_bench_prints_the_wall_seconds_of_its_two_runs(survey_dir, tmp_path, monkeypatch, capsys,
+                                                       serial_s, parallel_s, printed):
+    real_run = cli.run
+
+    def timed_run(config, manifests, log=None):
+        path, report = real_run(config, manifests, log=log)
+        return path, replace(report, wall_seconds=serial_s if config.mode == "serial" else parallel_s)
+
+    monkeypatch.setattr(cli, "run", timed_run)
+    assert main(["bench", "--manifest", str(survey_dir / "manifest.txt"), "--out-dir", str(tmp_path),
+                 "--workers", "2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    for text in printed:
+        assert any(text in line for line in lines), text
+
+
 def test_bench_fails_when_its_catalogs_differ(survey_dir, tmp_path, monkeypatch, capsys):
     serial, parallel = tmp_path / "catalog_serial.csv", tmp_path / "catalog_parallel.csv"
+    real_run = cli.run
 
-    def differing_bench(config, manifests, log=None):
-        return runner.BenchResult(1.0, 0.5, 2, 2.0, False, serial, parallel)
+    def one_byte_off(config, manifests, log=None):
+        path, report = real_run(config, manifests, log=log)
+        if config.mode == "parallel":
+            data = bytearray(path.read_bytes())
+            data[-2] ^= 1  # the last character of the last row
+            path.write_bytes(bytes(data))
+        return path, report
 
-    monkeypatch.setattr(cli, "bench", differing_bench)
+    monkeypatch.setattr(cli, "run", one_byte_off)
     assert main(["bench", "--manifest", str(survey_dir / "manifest.txt"), "--out-dir", str(tmp_path)]) == 2
     captured = capsys.readouterr()
     assert "DIFFER [FAIL]" in captured.out and "identical=false" in captured.out  # the report still prints
-    (line,) = captured.err.splitlines()
-    assert line.startswith("error:") and str(serial) in line and str(parallel) in line
+    errors = [line for line in captured.err.splitlines() if line.startswith("error:")]
+    assert errors == [f"error: catalogs differ: {serial} and {parallel}"]
 
 
 def test_bench_runs_the_settings_of_extract_serially_then_in_parallel(survey_dir, tmp_path, monkeypatch):
     seen = []
-    real_run = runner.run
+    real_run = cli.run
 
     def recording_run(config, manifests, log=None):
         seen.append(config)
         return real_run(config, manifests, log=log)
 
-    monkeypatch.setattr(runner, "run", recording_run)  # as bench calls it
-    monkeypatch.setattr(cli, "run", recording_run)  # as extract calls it
+    monkeypatch.setattr(cli, "run", recording_run)
     settings = ["--weightings", "mfc,linear", "--threshold-db", "95", "--min-ipi-s", "6"]
     assert main(["bench", "--manifest", str(survey_dir / "manifest.txt"), "--out-dir", str(tmp_path),
                  "--workers", "2", *settings]) == 0

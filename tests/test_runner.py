@@ -15,18 +15,10 @@ from hypothesis import strategies as st
 from scipy import signal
 
 import airgunkit
-from airgunkit import runner, signal_io
+from airgunkit import signal_io
 from airgunkit.errors import RunError
 from airgunkit.pulse_detect import DetectorConfig, detect_pulses, format_event_row, write_events_csv
-from airgunkit.runner import (
-    BenchResult,
-    RunConfig,
-    bench,
-    preflight,
-    report_text,
-    run,
-    weighted_chunks,
-)
+from airgunkit.runner import RunConfig, preflight, report_text, run, weighted_chunks
 from airgunkit.signal_io import MAX_CHUNK_SAMPLES, open_manifest, read_span
 from airgunkit.synth import SurveySpec, generate
 from airgunkit.weighting import CANONICAL_ORDER, WeightingKind, WeightingSpec, apply_filter, design_filter
@@ -95,6 +87,12 @@ def test_config_rejects_empty_selections(tmp_path):
     for ids in ((True,), (0.0,), ("0",), (0, False)):
         with pytest.raises(ValueError, match="channels"):
             RunConfig(out_path=tmp_path / "c.csv", detector=DETECTOR, channels=ids)
+    # a worker count that is not an integer: 2.5 would pass preflight and fail
+    # in the pool, and True would run as one worker
+    for mode, workers in (("parallel", 2.5), ("parallel", True), ("serial", True), ("serial", 1.0),
+                          ("parallel", "2")):
+        with pytest.raises(ValueError, match="^worker_count must be an integer"):
+            RunConfig(out_path=tmp_path / "c.csv", detector=DETECTOR, mode=mode, worker_count=workers)
 
 
 def test_config_rejects_repeated_channel(tmp_path):
@@ -459,57 +457,17 @@ def test_weighted_chunks_equal_whole_filter(small_survey):
     assert np.array_equal(glued, ref.samples)
 
 
-def test_pool_never_outnumbers_the_streams(small_survey, tmp_path, monkeypatch):
+def test_pool_never_outnumbers_the_streams(small_survey, tmp_path, pool_sizes):
     spec, result = small_survey
     manifests = open_manifest(result.manifest_path)
-    started = []
-
-    class SerialPool:
-        """Stands in for ``multiprocessing.Pool``: records ``processes``, maps in this process."""
-
-        def __init__(self, processes):
-            started.append(processes)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def imap(self, func, tasks):
-            return map(func, tasks)
-
-    monkeypatch.setattr(runner.multiprocessing, "Pool", SerialPool)
     serial, _ = run(RunConfig(out_path=tmp_path / "s.csv", detector=DETECTOR), manifests)
     for workers, expected in ((5000, 6), (6, 6), (4, 4)):  # 2 channels x 3 weightings
         out, report = run(RunConfig(out_path=tmp_path / f"w{workers}.csv", detector=DETECTOR,
                                     mode="parallel", worker_count=workers), manifests)
         assert out.read_bytes() == serial.read_bytes()
-        assert started[-1] == report.worker_count == expected
+        assert pool_sizes[-1] == report.worker_count == expected
         assert f"worker_count={expected}" in report_text(report)
-    res = bench(RunConfig(out_path=tmp_path / "bench" / "p.csv", detector=DETECTOR, mode="parallel",
-                          worker_count=5000), manifests)
-    assert res.identical and res.worker_count == 6
-    assert started == [6, 6, 4, 6]
-
-
-# ---------------------------------------------------------------------------
-# bench harness
-
-
-def test_bench_compares_catalogs(small_survey, tmp_path):
-    spec, result = small_survey
-    manifests = open_manifest(result.manifest_path)
-    res = bench(RunConfig(out_path=tmp_path / "catalog_parallel.csv", detector=DETECTOR, mode="parallel",
-                          worker_count=2), manifests)
-    assert isinstance(res, BenchResult)
-    assert (res.serial_catalog, res.parallel_catalog) == (tmp_path / "catalog_serial.csv",
-                                                          tmp_path / "catalog_parallel.csv")
-    assert res.identical is True
-    assert res.serial_catalog.is_file()
-    assert res.parallel_catalog.is_file()
-    assert res.serial_seconds > 0 and res.parallel_seconds > 0
-    assert res.speedup == pytest.approx(res.serial_seconds / res.parallel_seconds)
+    assert pool_sizes == [6, 6, 4]
 
 
 # ---------------------------------------------------------------------------

@@ -79,6 +79,20 @@ def test_non_finite_parameter_is_rejected_by_name(name, value):
         quiet_spec(**{name: value})
 
 
+_INT_FIELDS = [f.name for f in fields(SurveySpec) if f.type.startswith("int")]
+
+
+@pytest.mark.parametrize("value", [2.0, 16000.5, True, "2"])
+@pytest.mark.parametrize("name", _INT_FIELDS)
+def test_non_integer_parameter_is_rejected_by_name(tmp_path, name, value):
+    # a float sample rate would write a WAV at its truncated rate under ground
+    # truth on the float grid; a float channel count failed only after the
+    # output directory was made
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value!r}$"):
+        generate(quiet_spec(**{name: value}), tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("counts", [2**15 + 1, 65536, 10**30])
 def test_counts_full_scale_beyond_int16_rejected(counts):
     # the WAV holds int16 counts: a wider full scale would clip every peak
