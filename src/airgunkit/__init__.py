@@ -2,10 +2,15 @@
 
 The package root holds only the exception classes; the entry points live in
 their modules (``signal_io.open_manifest``, ``runner.RunConfig`` and
-``runner.run``, ``synth.generate``), which a bare ``import airgunkit`` loads.
+``runner.run``, ``synth.generate``).  A bare ``import airgunkit`` loads none
+of them, so it loads no numpy: each module is imported on first attribute
+access (``airgunkit.runner``).  This lets ``airgunkit.cli`` set the BLAS
+thread count of its own process before numpy loads; the package root itself
+changes no environment variable.
 """
 
-from . import errors, measures, pipeline, pulse_detect, runner, signal_io, synth, weighting  # noqa: F401
+import importlib
+
 from .errors import (
     AirgunkitError,
     AudioFormatError,
@@ -29,3 +34,12 @@ __all__ = [
     "MeasureError",
     "RunError",
 ]
+
+_SUBMODULES = frozenset({"measures", "pipeline", "pulse_detect", "runner", "signal_io", "synth", "weighting"})
+
+
+def __getattr__(name: str):
+    # an imported submodule is bound on the package, so this runs once per name
+    if name in _SUBMODULES:
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -7,14 +7,22 @@ is echoed into the run summary for provenance.  One table, ``_FLAGS``, holds
 each subcommand's flags as (name, type, default, help) rows for the parser
 and the config file; a config type's default is read from it, not repeated.
 Exit codes: 0 success, 1 usage error, 2 runtime error.
+
+A CLI process and the pool workers it forks run BLAS on one thread unless
+``OPENBLAS_NUM_THREADS`` is already set: no step calls BLAS, and the worker
+threads that OpenBLAS starts when numpy loads only spin.  The package root
+imports no numpy, so this module sets the variable before numpy loads.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # before the imports below load numpy
 
 from .errors import AirgunkitError, RunError
 from .pulse_detect import DetectorConfig, detect_pulses, format_event_row, search_hold, write_events_csv

@@ -42,7 +42,7 @@ import numpy as np
 
 from .errors import DetectionError
 from .measures import NA, format_db, measure_peaks, pressure_db
-from .signal_io import RollingBuffer, SampleBuffer, db_to_upa, format_time
+from .signal_io import RollingBuffer, SampleBuffer, db_to_upa, format_time, require_real
 
 SEARCH_BEFORE_S = 0.5
 SEARCH_AFTER_S = 1.0
@@ -67,6 +67,8 @@ class DetectorConfig:
     min_ipi_s: float = 5.0
 
     def __post_init__(self) -> None:
+        require_real("threshold_db", self.threshold_db)
+        require_real("min_ipi_s", self.min_ipi_s)
         db_to_upa("threshold_db", self.threshold_db)
         if not SEARCH_BEFORE_S + SEARCH_AFTER_S < self.min_ipi_s < math.inf:
             raise ValueError(f"min_ipi_s must be finite and exceed the "

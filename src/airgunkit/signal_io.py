@@ -42,6 +42,7 @@ import wave
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
+from numbers import Real
 from pathlib import Path
 from typing import Callable, Iterator
 
@@ -175,6 +176,12 @@ class RollingBuffer:
         if keep_from > self.start:
             self._lo += keep_from - self.start
             self.start = keep_from
+
+
+def require_real(key: str, value: object) -> None:
+    """Refuse a bool (which would pass as 0 or 1) or a non-real ``value`` by its name, ``key``."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise ValueError(f"{key} must be a real number, got {value!r}")
 
 
 def db_to_upa(key: str, db: float) -> float:

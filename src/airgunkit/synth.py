@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .signal_io import MAX_CHUNK_SAMPLES, MAX_SAMPLE_RATE_HZ, MAX_WAV_FRAMES, CalibrationSpec, wav_writer
+from .signal_io import MAX_CHUNK_SAMPLES, MAX_SAMPLE_RATE_HZ, MAX_WAV_FRAMES, CalibrationSpec, require_real, wav_writer
 
 REVERB_CARRIER_HZ = 400.0  # carrier of the optional reverberation tail
 
@@ -62,8 +62,10 @@ class SurveySpec:
     def __post_init__(self) -> None:
         for f in fields(self):  # annotations are strings under postponed evaluation
             value = getattr(self, f.name)
-            if f.type == "float" and not math.isfinite(value):
-                raise ValueError(f"{f.name} must be finite, got {value}")
+            if f.type == "float":
+                require_real(f.name, value)
+                if not math.isfinite(value):
+                    raise ValueError(f"{f.name} must be finite, got {value}")
             if f.type == "int | None" and value is None:
                 continue
             if f.type.startswith("int") and (isinstance(value, bool) or not isinstance(value, Integral)):

@@ -62,6 +62,15 @@ def test_config_validates_ipi_exceeds_window():
     DetectorConfig(threshold_db=100.0, min_ipi_s=1.5000001)  # just above it is accepted
 
 
+@pytest.mark.parametrize("value", [True, False, "100", None])
+@pytest.mark.parametrize("name", ["threshold_db", "min_ipi_s"])
+def test_config_rejects_a_non_real_field_by_name(name, value):
+    # threshold_db=True was a 1-dB threshold; a str failed with a bare TypeError
+    fields = {"threshold_db": 100.0, "min_ipi_s": 5.0, name: value}
+    with pytest.raises(ValueError, match=f"^{name} must be a real number, got {value!r}$"):
+        DetectorConfig(**fields)
+
+
 def test_config_window_split_one_to_two():
     # the window is fixed: 0.5 s before the anchor and 1.0 s after, in whole samples
     assert (SEARCH_BEFORE_S, SEARCH_AFTER_S) == (0.5, 1.0)

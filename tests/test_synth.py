@@ -79,6 +79,16 @@ def test_non_finite_parameter_is_rejected_by_name(name, value):
         quiet_spec(**{name: value})
 
 
+@pytest.mark.parametrize("value", [True, False, "3", None])
+@pytest.mark.parametrize("name", _FLOAT_FIELDS)
+def test_non_real_parameter_is_rejected_by_name(tmp_path, name, value):
+    # a bool passed as 0 or 1 (ipi_s=True built a 1-s pulse spacing); a str
+    # or None failed with a bare TypeError from math.isfinite
+    with pytest.raises(ValueError, match=f"^{name} must be a real number, got {value!r}$"):
+        generate(quiet_spec(**{name: value}), tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
 _INT_FIELDS = [f.name for f in fields(SurveySpec) if f.type.startswith("int")]
 
 
