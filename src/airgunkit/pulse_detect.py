@@ -42,7 +42,7 @@ import numpy as np
 
 from .errors import DetectionError
 from .measures import NA, format_db, measure_peaks, pressure_db
-from .signal_io import RollingBuffer, SampleBuffer, db_to_upa, format_time, require_real
+from .signal_io import RollingBuffer, SampleBuffer, db_to_upa, format_time, require_real, stream_buffer
 
 SEARCH_BEFORE_S = 0.5
 SEARCH_AFTER_S = 1.0
@@ -232,34 +232,37 @@ def detect_pulses(chunks: Iterable[SampleBuffer], config: DetectorConfig,
     A ``consumer`` is called after every scan with the rolling buffer, the
     newly kept pulses and the scanner, and once more with ``final`` at end of
     stream; the buffer is trimmed no further than the sample it returns.
-    The rolling buffer is ``buffer``, if given, so that chunks read into its reserved slots are not copied.
+    The rolling buffer is ``buffer``, if given, so that chunks read into its
+    reserved slots are not copied; otherwise the first chunk's rate sizes
+    it as ``detect`` does, for one search window (``search_hold``).
     """
     scanner: PulseScanner | None = None
-    buf = RollingBuffer() if buffer is None else buffer
     events: list[PulseEvent] = []
     for chunk in chunks:
         if scanner is None:
             scanner = PulseScanner(config, chunk.sample_rate_hz, chunk.channel_id)
+            if buffer is None:
+                buffer = stream_buffer(chunk.sample_rate_hz, search_hold(chunk.sample_rate_hz))
         elif chunk.sample_rate_hz != scanner.fs:
             raise DetectionError("sample rate changed mid-stream")
-        if chunk.start_index != buf.end:
+        if chunk.start_index != buffer.end:
             raise DetectionError(
-                f"chunk starts at sample {chunk.start_index}, expected {buf.end} (stream must be contiguous)"
+                f"chunk starts at sample {chunk.start_index}, expected {buffer.end} (stream must be contiguous)"
             )
-        buf.append(chunk.samples)
+        buffer.append(chunk.samples)
         del chunk  # appended: a chunk the buffer copied is freed before the next is read
-        kept = scanner.scan(buf)
+        kept = scanner.scan(buffer)
         events += kept
         keep_from = scanner.keep_from
         if consumer is not None:
-            keep_from = min(keep_from, consumer(buf, kept, scanner, False))
-        buf.trim(keep_from)
+            keep_from = min(keep_from, consumer(buffer, kept, scanner, False))
+        buffer.trim(keep_from)
     if scanner is None:
         return []
-    kept = scanner.scan(buf, final=True)
+    kept = scanner.scan(buffer, final=True)
     events += kept
     if consumer is not None:
-        consumer(buf, kept, scanner, True)
+        consumer(buffer, kept, scanner, True)
     return events
 
 

@@ -30,8 +30,7 @@ Memory is bounded at every rate: ``iter_chunks`` reads at most
 MAX_CHUNK_SAMPLES samples (1 MB as float64) at a time, and a RollingBuffer
 keeps the retained tail of a stream in one array.  Given the buffer,
 ``iter_chunks`` calibrates each chunk straight into slots reserved at its
-tail, so a sample is written once and then moved a bounded number of times,
-amortized.
+tail, so a sample is written once; RollingBuffer states when it moves.
 """
 
 from __future__ import annotations
@@ -107,27 +106,25 @@ class RollingBuffer:
     """The retained tail of one sample stream, addressed by global sample index.
 
     Chunks are appended in stream order; ``trim`` releases the samples before
-    an index.  The samples live in one float64 array.  ``reserve`` hands out
-    the free slots at its tail, so a producer can write a chunk in place;
-    ``append`` of that view commits it without a copy, and any other array
-    is copied in.  ``trim`` only moves the start index.  When the tail has no
-    room for a chunk, the held samples move to the front of the array if
-    twice their count plus the chunk's fits in it, and otherwise to a new
-    array of twice the held-plus-chunk count.  A move to the front thus
-    leaves room after the chunk for at least as many samples as it moved,
-    and never copies onto its own source: the samples moved stay within
-    twice the samples appended (counted in ``moved``), and an array grown
-    from empty never exceeds twice the largest held-plus-chunk count.  A
-    buffer given a ``capacity`` instead moves them to the front whenever
-    they fit there with the chunk, onto their own source if need be, as
-    numpy copies a 1-D slice forward: see ``stream_buffer``.
+    an index.  The samples live in one float64 array, sized for a stream
+    that holds at most ``hold`` samples when a chunk of at most ``chunk``
+    comes: it takes them, the chunk and the smaller of the two.  ``reserve``
+    hands out the free slots at its tail, so a producer can write a chunk in
+    place; ``append`` of that view commits it without a copy, and any other
+    array is copied in.  ``trim`` only moves the start index.  When the tail
+    has no room for a chunk, the held samples move to the front of the array
+    if they fit there with the chunk, onto their own source if need be, as
+    numpy copies a 1-D slice forward; otherwise they move to a new array of
+    twice the held-plus-chunk count.  Within its bounds a buffer thus keeps
+    its array, and each move, of at most ``hold`` samples, follows at least
+    ``min(hold, chunk)`` appended ones; the array never exceeds the larger
+    of its first size and twice the largest held-plus-chunk count.
     """
 
-    def __init__(self, capacity: int = 0) -> None:
+    def __init__(self, hold: int, chunk: int) -> None:
         self.start = 0
         self.moved = 0  # samples moved to the front or into a larger array
-        self._spare = 1 if capacity else 2  # a move to the front needs room for held * this + chunk
-        self._data = np.empty(capacity)
+        self._data = np.empty(hold + chunk + min(hold, chunk))
         self._lo = 0  # array offset of sample ``start``
         self._hi = 0  # array offset one past the last held sample
         self._slots: np.ndarray | None = None  # the view ``reserve`` handed out
@@ -145,7 +142,7 @@ class RollingBuffer:
         """The ``n`` writable slots after the held samples, valid until the next reserve or append."""
         if self._hi + n > len(self._data):
             held = self._hi - self._lo
-            data = self._data if self._spare * held + n <= len(self._data) else np.empty(2 * (held + n))
+            data = self._data if held + n <= len(self._data) else np.empty(2 * (held + n))
             data[:held] = self._data[self._lo : self._hi]
             self._data, self._lo, self._hi = data, 0, held
             self.moved += held
@@ -451,12 +448,8 @@ def chunk_length(sample_rate_hz: float, chunk_s: float = CHUNK_S) -> int:
 
 
 def stream_buffer(sample_rate_hz: float, hold: int) -> RollingBuffer:
-    """The buffer of a stream that holds at most ``hold`` samples when a chunk comes.
-
-    Its one array takes them, the chunk and the smaller of the two: 12.3 MB at 512 kHz.
-    """
-    chunk = chunk_length(sample_rate_hz)
-    return RollingBuffer(hold + chunk + min(hold, chunk))
+    """The buffer of a stream that holds at most ``hold`` samples when an ``iter_chunks`` chunk comes."""
+    return RollingBuffer(hold, chunk_length(sample_rate_hz))
 
 
 def iter_chunks(cm: ChannelManifest, chunk_s: float,

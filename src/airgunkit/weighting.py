@@ -48,7 +48,7 @@ FLUSH_BLOCK = 1024
 # a 1-uPa unit impulse intact: the band-edge gate reads the 7 Hz edge of lfc
 # at 512 kHz from a 16-s impulse response, and floors of 1e-3 and 1e-6 uPa
 # move it from -3.01 dB to -4.5 dB.  At 1e-20 uPa, 20 decades under that
-# impulse and 23 under one recorder LSB (~976 uPa at the default
+# impulse and 23 under one recorder LSB (974.25 uPa at the default
 # calibration), every catalog level the flush changes was below -400 dB,
 # while the state is still ~290 decades above the subnormal range.
 FLUSH_FLOOR_UPA = 1e-20

@@ -1,16 +1,19 @@
 import csv
 import math
+import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from airgunkit import runner
 from airgunkit.errors import MeasureError
-from airgunkit.measures import Levels, energy_db, pressure_db
+from airgunkit.measures import NA, Levels, energy_db, pressure_db
+from airgunkit.pipeline import CATALOG_HEADER
 from airgunkit.signal_io import SampleBuffer, wav_writer
 from airgunkit.synth import SurveySpec, generate
 from airgunkit.weighting import CANONICAL_ORDER
-from airgunkit.windows import HIGH_FRACTION, LOW_FRACTION, EnergyBounds
+from airgunkit.windows import HIGH_FRACTION, LOW_FRACTION, LATE_WINDOW_COUNT, LATE_WINDOW_S, EnergyBounds
 
 
 def make_buffer(samples, fs=16000.0, start=0, channel=0) -> SampleBuffer:
@@ -85,6 +88,66 @@ def read_rows(path) -> list[dict[str, str]]:
     """Every row of a CSV the toolkit wrote, as column -> token."""
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
+
+
+_TIME_CELL = re.compile(r"-?\d+\.\d{9}")  # seconds, a whole number of ns
+_DB_CELL = re.compile(r"NA|-?\d+\.\d{6}")
+_SLOTS = ("early", *(f"late_{k:02d}" for k in range(1, LATE_WINDOW_COUNT + 1)))
+
+
+def check_catalog_cells(path, sample_rate_hz: int) -> int:
+    """Oracle: every row of a written catalog obeys the rules its columns claim; returns the rows checked.
+
+    - the 61 feature cells parse, and every time is a whole number of ns;
+    - the late windows start w / fs apart, w = round(LATE_WINDOW_S * fs),
+      the first at or after early_t5_s;
+    - in each window slot, spl_peak_db, sel_db and leq_db are NA together;
+    - SPL >= L_EQ, and a late window's leq_db cell equals its sel_db cell;
+    - early L_EQ = SEL - 10 log10(T) to the printed precision, where T is the
+      i95 - i5 + 1 samples from early_t5_s to late_01_start_s, inclusive, over fs;
+    - per (channel, weighting, slot), csel_db never falls from one pulse to
+      the next and is >= that window's SEL.
+
+    Two printed times are each within 0.5 ns of their sample's time, so a
+    difference of them counts samples to within ``fs`` ns.
+    """
+    fs = Fraction(sample_rate_hz)
+    w = round(LATE_WINDOW_S * sample_rate_hz)
+    ns = fs / 10**9  # samples in 1 ns
+    rows = read_rows(path)
+    assert rows and tuple(rows[0]) == tuple(CATALOG_HEADER.split(",")), f"{path}: no rows, or another header"
+    last_csel: dict[tuple[str, str, str], float] = {}
+    for row in rows:
+        key = f"{path}: channel {row['channel_id']} {row['weighting']} pulse {row['pulse_index']}"
+        assert None not in row and None not in row.values(), f"{key}: not 65 cells"
+        for col, cell in row.items():
+            if col.endswith("_s"):
+                assert _TIME_CELL.fullmatch(cell), f"{key}: {col} = {cell!r}"
+            elif col.endswith("_db"):
+                assert _DB_CELL.fullmatch(cell), f"{key}: {col} = {cell!r}"
+        assert all(math.isfinite(float(row[col])) for col in ("p_a_upa", "p_b_upa")), key
+        t5 = Fraction(row["early_t5_s"])
+        starts = [Fraction(row[f"late_{k:02d}_start_s"]) for k in range(1, LATE_WINDOW_COUNT + 1)]
+        assert starts[0] >= t5, f"{key}: late 1 starts before early_t5_s"
+        for k, t in enumerate(starts):
+            assert abs((t - starts[0]) * fs - k * w) <= ns, f"{key}: late {k + 1} starts off its step"
+        n_early = round((starts[0] - t5) * fs) + 1
+        for slot in _SLOTS:
+            spl, sel, leq, csel = (row[f"{slot}_{m}"] for m in ("spl_peak_db", "sel_db", "leq_db", "csel_db"))
+            assert (spl == NA) == (sel == NA) == (leq == NA), f"{key}: {slot} SPL, SEL, L_EQ not NA together"
+            if sel != NA:
+                assert float(spl) >= float(leq) - 1e-6, f"{key}: {slot} SPL {spl} < L_EQ {leq}"
+                if slot == "early":
+                    want = float(sel) - 10.0 * math.log10(n_early / sample_rate_hz)
+                    assert abs(float(leq) - want) <= 1e-6 + 1e-9, f"{key}: early L_EQ {leq}, want {want:.6f}"
+                else:
+                    assert leq == sel, f"{key}: {slot} L_EQ {leq} != SEL {sel}"
+                assert csel != NA and float(csel) >= float(sel), f"{key}: {slot} CSEL {csel} < SEL {sel}"
+            if csel != NA:
+                stream_slot = (row["channel_id"], row["weighting"], slot)
+                assert float(csel) >= last_csel.get(stream_slot, -math.inf), f"{key}: {slot} CSEL fell"
+                last_csel[stream_slot] = float(csel)
+    return len(rows)
 
 
 @pytest.fixture(scope="session")

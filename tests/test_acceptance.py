@@ -36,7 +36,7 @@ from airgunkit.weighting import (
 )
 from airgunkit.windows import energy_bounds
 
-from conftest import ledger_total
+from conftest import check_catalog_cells, ledger_total
 
 FS = 16_000.0
 DETECTOR = DetectorConfig(threshold_db=100.0, min_ipi_s=5.0)
@@ -330,6 +330,7 @@ def test_10_catalog_bytes_are_pinned(serial_run, tmp_path):
     path, _, _ = serial_run
     with criterion(10, "catalog bytes pinned"):
         assert hashlib.sha256(path.read_bytes()).hexdigest() == ACCEPTANCE_CATALOG_SHA256
+        assert check_catalog_cells(path, 16_000) == 5 * 46 * 3
 
         # 512 kHz sample times have 12 decimals; 1 in 8 sits on a 9th-decimal
         # tie, which the exact time formatter settles to the even digit
@@ -345,6 +346,7 @@ def test_10_catalog_bytes_are_pinned(serial_run, tmp_path):
         ties = [v for v in times if on_ninth_decimal_tie(v, fs)]
         assert ties and all(int(v[-1]) % 2 == 0 for v in ties)
         assert hashlib.sha256(out.read_bytes()).hexdigest() == HIGHRATE_CATALOG_SHA256
+        assert check_catalog_cells(out, fs) == 2
 
         # the paper's recorders: 2 kHz, one pulse per 25 s, in noise, so every
         # late window holds energy in all three weightings; the last pulse's
@@ -359,3 +361,4 @@ def test_10_catalog_bytes_are_pinned(serial_run, tmp_path):
             rows = list(csv.DictReader(fh))
         assert all(row["late_10_sel_db"] != "NA" for row in rows[:-3])
         assert hashlib.sha256(out.read_bytes()).hexdigest() == PAPER_RATE_CATALOG_SHA256
+        assert check_catalog_cells(out, 2000) == 3 * 13

@@ -17,8 +17,9 @@ from airgunkit.pulse_detect import (
     PulseScanner,
     detect_pulses,
     format_event_row,
+    search_hold,
 )
-from airgunkit.signal_io import RollingBuffer
+from airgunkit.signal_io import stream_buffer
 
 from conftest import make_buffer
 
@@ -240,7 +241,7 @@ def test_vectorized_anchors_match_loop_reference(seed, chunk_s):
         i = int(t * FS)
         n = int(rng.integers(10, 4000))
         x[i : i + n] = np.round(rng.normal(scale=2e4, size=len(x[i : i + n])), -3)
-    buf = RollingBuffer()
+    buf = stream_buffer(FS, search_hold(FS))
     scanner = PulseScanner(CFG, FS)
     kept = []
     for c in chunked(x, FS, chunk_s):
@@ -273,7 +274,7 @@ def test_anchor_mask_matches_the_rectified_reference_at_the_threshold(bursts, ch
     x = np.zeros(3000)
     for start, values in bursts:
         x[start : start + len(values)] = values
-    buf = RollingBuffer()
+    buf = stream_buffer(fs, search_hold(fs))
     scanner = PulseScanner(CFG, fs)
     kept = []
     for c in chunked(x, fs, chunk / fs):
@@ -292,7 +293,7 @@ def test_t_a_spacing_drops_are_counted():
     # positive peak sits at the far end of its search window, so the t_A
     # values are 3.52 s apart and the second pulse is dropped
     x = spike_train([10.0, 10.99, 15.0, 14.51], [-1e5, 5e3, -1e5, 5e3], 25.0)
-    buf = RollingBuffer()
+    buf = stream_buffer(FS, search_hold(FS))
     buf.append(x)
     scanner = PulseScanner(CFG, FS)
     kept = scanner.scan(buf, final=True)
@@ -312,7 +313,7 @@ def test_t_a_exactly_min_gap_apart_are_both_kept():
         x = np.zeros(at(25.0))
         x[[at(10.0), at(15.0)]] = -1e5
         x[[t_a, t_a + min_gap - closer]] = 5e3
-        buf = RollingBuffer()
+        buf = stream_buffer(FS, search_hold(FS))
         buf.append(x)
         scanner = PulseScanner(CFG, FS)
         kept = scanner.scan(buf, final=True)
@@ -332,7 +333,7 @@ def test_long_excursion_is_cut_into_pieces_whatever_the_chunking():
     for chunk_s in (0.9, 7.3, 16.0):
         assert events_key(detect_pulses(chunked(x, FS, chunk_s), CFG)) == events_key(whole)
     # the scanner never asks to hold much more than one piece
-    buf = RollingBuffer()
+    buf = stream_buffer(FS, search_hold(FS))
     scanner = PulseScanner(CFG, FS)
     for c in chunked(x, FS, 1.0):
         buf.append(c.samples)
@@ -349,7 +350,7 @@ def test_cut_excursions_are_counted_once_whatever_the_chunking():
     for start, length in ((int(2 * FS), piece), (int(30 * FS), int(35 * FS)), (int(80 * FS), piece + 1)):
         x[start : start + length] = 2e4
     for chunk_s in (0.9, 7.3, 16.0, 120.0):
-        buf = RollingBuffer()
+        buf = stream_buffer(FS, search_hold(FS))
         scanner = PulseScanner(CFG, FS)
         for c in chunked(x, FS, chunk_s):
             buf.append(c.samples)

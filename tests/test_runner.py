@@ -23,7 +23,7 @@ from airgunkit.signal_io import MAX_CHUNK_SAMPLES, open_manifest, read_span
 from airgunkit.synth import SurveySpec, generate
 from airgunkit.weighting import CANONICAL_ORDER, WeightingKind, WeightingSpec, apply_filter, design_filter
 
-from conftest import write_wav
+from conftest import check_catalog_cells, write_wav
 
 DETECTOR = DetectorConfig(threshold_db=100.0, min_ipi_s=5.0)
 
@@ -234,6 +234,7 @@ def test_parallel_matches_serial_bytes(small_survey, tmp_path, workers):
         manifests,
     )
     assert parallel.read_bytes() == serial.read_bytes()
+    assert check_catalog_cells(serial, spec.sample_rate_hz) == srep.n_records
     assert rep.worker_count == workers
     assert srep.filter_flushes > 0
     counters = ("n_records", "n_points", "t_a_drops", "cut_excursions", "filter_flushes")
@@ -512,8 +513,8 @@ def count_buffer_allocations(monkeypatch) -> list[list[int]]:
     streams: list[list[int]] = []
 
     class RecordingBuffer(signal_io.RollingBuffer):
-        def __init__(self, capacity: int = 0) -> None:
-            super().__init__(capacity)
+        def __init__(self, hold: int, chunk: int) -> None:
+            super().__init__(hold, chunk)
             self.capacities: list[int] = []
             streams.append(self.capacities)
 
@@ -589,24 +590,27 @@ def test_highrate_array_does_not_depend_on_where_the_pulses_fall(tmp_path, monke
     # would take its size, and the peak memory, from the schedule; the one
     # array sized from the hold's bound is the same for every schedule.  So
     # is that of ``detect``, sized from the 1.5-s search window the scanner
-    # holds, and its events are those of a buffer that grows from empty
+    # holds, and a bare ``detect_pulses`` call, given no buffer, sizes its
+    # array the same way and finds the same events
     from airgunkit.cli import main
 
     spec = SurveySpec(**{**_HIGHRATE, "duration_s": 24.0, "first_pulse_s": first_pulse_s, "pulse_count": 2})
     survey = generate(spec, tmp_path / "survey")
     cm = open_manifest(survey.manifest_path)[0]
-    grown = detect_pulses(weighted_chunks(cm, WeightingKind.MFC), DETECTOR)
-    write_events_csv(tmp_path / "grown.csv", [format_event_row(ev, "mfc", i, cm.origin, nxt)
-                                              for i, (ev, nxt) in enumerate(zip_longest(grown, grown[1:]))])
     allocations = count_buffer_allocations(monkeypatch)
+    bare = detect_pulses(weighted_chunks(cm, WeightingKind.MFC), DETECTOR)
+    write_events_csv(tmp_path / "bare.csv", [format_event_row(ev, "mfc", i, cm.origin, nxt)
+                                             for i, (ev, nxt) in enumerate(zip_longest(bare, bare[1:]))])
     _, report = run(RunConfig(out_path=tmp_path / "c.csv", detector=DETECTOR, weightings=(WeightingKind.MFC,)),
                     open_manifest(survey.manifest_path))
     assert main(["detect", "--manifest", str(survey.manifest_path), "--out", str(tmp_path / "events.csv"),
                  "--weighting", "mfc", "--min-ipi-s", str(DETECTOR.min_ipi_s)]) == 0
-    assert report.n_records == len(grown) == 2
-    assert allocations == [[round(2.5 * 512_000) + 2 * MAX_CHUNK_SAMPLES],
-                           [round(1.5 * 512_000) + 2 * MAX_CHUNK_SAMPLES]] == [[1_542_144], [1_030_144]]
-    assert (tmp_path / "events.csv").read_bytes() == (tmp_path / "grown.csv").read_bytes()
+    assert report.n_records == len(bare) == 2
+    # the bare call, then ``run``, then ``detect``
+    assert allocations == [[round(1.5 * 512_000) + 2 * MAX_CHUNK_SAMPLES],
+                           [round(2.5 * 512_000) + 2 * MAX_CHUNK_SAMPLES],
+                           [round(1.5 * 512_000) + 2 * MAX_CHUNK_SAMPLES]] == [[1_030_144], [1_542_144], [1_030_144]]
+    assert (tmp_path / "events.csv").read_bytes() == (tmp_path / "bare.csv").read_bytes()
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").is_file(), reason="VmHWM is read from Linux /proc")
