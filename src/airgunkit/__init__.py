@@ -14,7 +14,6 @@ import importlib
 from .errors import (
     AirgunkitError,
     AudioFormatError,
-    DetectionError,
     FilterDesignError,
     GapError,
     ManifestError,
@@ -27,7 +26,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AirgunkitError",
     "AudioFormatError",
-    "DetectionError",
     "FilterDesignError",
     "GapError",
     "ManifestError",

@@ -25,9 +25,9 @@ from pathlib import Path
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # before the imports below load numpy
 
 from .errors import AirgunkitError, RunError
-from .pulse_detect import DetectorConfig, detect_pulses, format_event_row, search_hold, write_events_csv
+from .pulse_detect import DetectorConfig, detect_pulses, format_event_row, write_events_csv
 from .runner import PARALLEL_WORKERS, RunConfig, preflight, report_text, run, weighted_chunks
-from .signal_io import open_manifest, stream_buffer
+from .signal_io import open_manifest
 from .synth import SurveySpec, generate
 from .weighting import CANONICAL_ORDER, WeightingSpec, coefficients_text, design_filter, parse_kind
 
@@ -222,9 +222,7 @@ def _cmd_detect(ns: argparse.Namespace) -> int:
 
     rows: list[str] = []
     for cm, kind in preflight(config, manifests):
-        buffer = stream_buffer(cm.sample_rate_hz, search_hold(cm.sample_rate_hz))
-        chunks = weighted_chunks(cm, kind, buffer=buffer)
-        events = detect_pulses(chunks, config.detector, buffer=buffer)
+        events = detect_pulses(weighted_chunks(cm, kind), config.detector)
         rows.extend(format_event_row(ev, kind.value, i, cm.origin, nxt)
                     for i, (ev, nxt) in enumerate(zip(events, [*events[1:], None])))
         _log(f"channel {cm.channel_id} {kind.value}: {len(events)} pulses")

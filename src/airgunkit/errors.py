@@ -21,10 +21,6 @@ class FilterDesignError(AirgunkitError):
     """Weighting filter cannot be realized at the given sample rate."""
 
 
-class DetectionError(AirgunkitError):
-    """Detector preconditions violated (bad config, non-contiguous chunks)."""
-
-
 class MeasureError(AirgunkitError):
     """Level measurement asked of an empty or all-zero window."""
 

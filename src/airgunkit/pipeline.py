@@ -20,7 +20,7 @@ with 6 digits; written catalogs parse back to the exact same tokens.
 
 RecordBuilder turns the pulses of one (channel, weighting) stream into
 rows while detect_pulses streams it: bounds and windows are measured in
-the detector's rolling buffer of filtered samples, so no sample is read or
+the stream's rolling buffer of filtered samples, so no sample is read or
 filtered twice, and each window as soon as no later pulse can cut it, so a
 pending record holds at most one late window behind the scanner's own hold.
 The early window is a one-row ladder, and the late windows that become valid

@@ -1,4 +1,4 @@
-"""Threshold pulse detection over a streamed sample buffer.
+"""Threshold pulse detection over a sample stream and its rolling buffer.
 
 An excursion is a maximal run of samples with |p| at or above the detection
 threshold.  Each excursion nominates its largest-|p| sample (earliest on
@@ -16,13 +16,14 @@ the scan measured and nothing derived from it: format_event_row takes each
 level as ``pressure_db`` of the measured pressures, and the IPI as the gap
 to the next event, where it writes them.
 
-The scan is streaming.  A PulseScanner reads the samples appended to a
+The scan is streaming.  A PulseScanner reads the samples added to a
 RollingBuffer, decides every anchor once with its full search window in
 view, and names through ``keep_from`` the first sample it may still need.
-detect_pulses is the one loop over a chunk stream: it appends each chunk to
-the buffer once, scans it, and hands the kept pulses to an optional consumer
-that measures them from the same buffer (the extraction pipeline's record
-builder).  Any chunking gives the events of one whole buffer.
+detect_pulses is the one loop over a stream (runner.weighted_chunks), which
+owns its buffer and reads each chunk into it: after each step the loop
+scans the buffer, hands the kept pulses to an optional consumer that
+measures them from the same buffer (the extraction pipeline's record
+builder), and trims it.  Any chunking gives the events of one whole buffer.
 
 An excursion longer than MAX_EXCURSION_S is cut into pieces of that length,
 counted from its first sample, and each piece nominates its own anchor: this
@@ -40,9 +41,8 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DetectionError
 from .measures import NA, format_db, measure_peaks, pressure_db
-from .signal_io import RollingBuffer, SampleBuffer, db_to_upa, format_time, require_real, stream_buffer
+from .signal_io import RollingBuffer, db_to_upa, format_time, require_real
 
 SEARCH_BEFORE_S = 0.5
 SEARCH_AFTER_S = 1.0
@@ -111,7 +111,7 @@ class _OpenPiece(NamedTuple):
 class PulseScanner:
     """Streaming detector state of one sample stream.
 
-    Call ``scan`` after each append to the RollingBuffer, then trim the
+    Call ``scan`` after each chunk added to the RollingBuffer, then trim the
     buffer no further than ``keep_from``; call ``scan(buf, final=True)`` once
     at end of stream.  ``t_a_drops`` counts the pulses dropped by the t_A
     spacing rule, ``cut_excursions`` the excursions cut into pieces.
@@ -145,7 +145,7 @@ class PulseScanner:
         return max(first - self.pre, 0)
 
     def scan(self, buf: RollingBuffer, final: bool = False) -> list[PulseEvent]:
-        """Scan the samples appended since the last call; return the newly kept pulses.
+        """Scan the samples added since the last call; return the newly kept pulses.
 
         ``final`` marks the end of the stream: the open excursion closes and
         search windows are cut at the last sample.
@@ -220,45 +220,27 @@ class PulseScanner:
 StreamConsumer = Callable[[RollingBuffer, list[PulseEvent], PulseScanner, bool], int]
 
 
-def detect_pulses(chunks: Iterable[SampleBuffer], config: DetectorConfig,
-                  consumer: StreamConsumer | None = None,
-                  buffer: RollingBuffer | None = None) -> list[PulseEvent]:
-    """Run threshold detection over an in-order chunk stream.
+def detect_pulses(stream: Iterable, config: DetectorConfig,
+                  consumer: StreamConsumer | None = None) -> list[PulseEvent]:
+    """Run threshold detection over a stream; returns the kept events in time order.
 
-    Chunks must be contiguous from sample 0 (each starting where the previous
-    ended) and share one sample rate; violations raise DetectionError.
-    Returns the kept events in time order.
-
-    A ``consumer`` is called after every scan with the rolling buffer, the
-    newly kept pulses and the scanner, and once more with ``final`` at end of
-    stream; the buffer is trimmed no further than the sample it returns.
-    The rolling buffer is ``buffer``, if given, so that chunks read into its
-    reserved slots are not copied; otherwise the first chunk's rate sizes
-    it as ``detect`` does, for one search window (``search_hold``).
+    ``stream`` is one channel's samples from its sample 0, at
+    ``stream.sample_rate_hz``, as runner.weighted_chunks gives them: each
+    step adds a chunk to ``stream.buffer``, and the loop then scans it.  A
+    ``consumer`` is called after every scan with the buffer, the newly kept
+    pulses and the scanner, and once more with ``final`` at end of stream;
+    the buffer is trimmed no further than the sample it returns.
     """
-    scanner: PulseScanner | None = None
+    buffer = stream.buffer
+    scanner = PulseScanner(config, stream.sample_rate_hz, stream.channel_id)
     events: list[PulseEvent] = []
-    for chunk in chunks:
-        if scanner is None:
-            scanner = PulseScanner(config, chunk.sample_rate_hz, chunk.channel_id)
-            if buffer is None:
-                buffer = stream_buffer(chunk.sample_rate_hz, search_hold(chunk.sample_rate_hz))
-        elif chunk.sample_rate_hz != scanner.fs:
-            raise DetectionError("sample rate changed mid-stream")
-        if chunk.start_index != buffer.end:
-            raise DetectionError(
-                f"chunk starts at sample {chunk.start_index}, expected {buffer.end} (stream must be contiguous)"
-            )
-        buffer.append(chunk.samples)
-        del chunk  # appended: a chunk the buffer copied is freed before the next is read
+    for _ in stream:
         kept = scanner.scan(buffer)
         events += kept
         keep_from = scanner.keep_from
         if consumer is not None:
             keep_from = min(keep_from, consumer(buffer, kept, scanner, False))
         buffer.trim(keep_from)
-    if scanner is None:
-        return []
     kept = scanner.scan(buffer, final=True)
     events += kept
     if consumer is not None:

@@ -3,10 +3,13 @@
 The unit of parallelism is one (channel, weighting) task: one extract_stream
 pass reads, filters, detects and measures a single weighted stream into one
 TaskResult, and run maps the tasks in one loop, in process or through a
-worker pool.  Tasks share nothing but read-only manifests, and both loops
-return results in preflight's catalog order, so the catalog bytes cannot
-depend on worker count or completion order.  Cumulative exposure stays exact
-under parallelism because each accumulator lives entirely inside one task.
+worker pool.  The stream, weighted_chunks, owns the one buffer its chunks
+are read and filtered in, and detect_pulses and the record builder scan and
+measure that buffer.  Tasks share nothing but read-only manifests, and both
+loops return results in preflight's catalog order, so the catalog bytes
+cannot depend on worker count or completion order.  Cumulative exposure
+stays exact under parallelism because each accumulator lives entirely
+inside one task.
 """
 
 from __future__ import annotations
@@ -19,10 +22,12 @@ from numbers import Integral
 from pathlib import Path
 from typing import Callable
 
+import numpy as np
+
 from .errors import RunError
 from .pipeline import RecordBuilder, sort_records, write_catalog
-from .pulse_detect import MAX_EXCURSION_S, DetectorConfig, detect_pulses
-from .signal_io import CHUNK_S, ChannelManifest, RollingBuffer, SampleBuffer, iter_chunks, stream_buffer
+from .pulse_detect import MAX_EXCURSION_S, DetectorConfig, detect_pulses, search_hold
+from .signal_io import CHUNK_S, ChannelManifest, iter_chunks, stream_buffer
 from .weighting import CANONICAL_ORDER, WeightingKind, WeightingSpec, apply_filter, design_filter
 
 LogFn = Callable[[str], None]
@@ -100,25 +105,28 @@ class RuntimeReport:
 class weighted_chunks:
     """The channel's sample stream through one weighting filter, in ``iter_chunks`` chunks.
 
-    Each chunk is read into the slots reserved at the tail of ``buffer``, when
-    given, and filtered there in place: appending it to ``buffer`` copies
-    nothing.  ``state`` is the filter state after the last chunk handed out.
-    Unlike a generator frame, the iterator keeps no chunk alive once the chunk
-    is handed on.
+    The stream owns ``buffer``, sized for a consumer that holds at most
+    ``hold`` samples when a chunk comes, one search window unless given.
+    Each step reads the next chunk into the buffer, filters it there in
+    place and yields it, an array in the buffer valid until the next step.
+    ``state`` is the filter state after the last chunk.
     """
 
     def __init__(self, cm: ChannelManifest, kind: WeightingKind, chunk_s: float = CHUNK_S,
-                 buffer: RollingBuffer | None = None) -> None:
+                 hold: int | None = None) -> None:
+        self.sample_rate_hz = cm.sample_rate_hz
+        self.channel_id = cm.channel_id
         self.state = design_filter(WeightingSpec(kind), cm.sample_rate_hz)
-        self._chunks = iter_chunks(cm, chunk_s, buffer)
+        self.buffer = stream_buffer(cm.sample_rate_hz, search_hold(cm.sample_rate_hz) if hold is None else hold)
+        self._chunks = iter_chunks(cm, chunk_s, self.buffer)
 
     def __iter__(self) -> weighted_chunks:
         return self
 
-    def __next__(self) -> SampleBuffer:
-        chunk = next(self._chunks)
-        self.state = apply_filter(self.state, chunk)
-        return chunk
+    def __next__(self) -> np.ndarray:
+        x = next(self._chunks)
+        self.state = apply_filter(self.state, x)
+        return x
 
 
 @dataclass(frozen=True)
@@ -146,16 +154,15 @@ class TaskResult:
 def extract_stream(cm: ChannelManifest, kind: WeightingKind, detector: DetectorConfig) -> TaskResult:
     """Detect and measure every pulse of one weighted stream in one pass.
 
-    Each chunk is read, calibrated and filtered once, in place in the one
-    rolling buffer that detect_pulses decides anchors on, sized for the
-    builder's hold; a RecordBuilder measures every kept pulse's energy
+    Each chunk is read, calibrated and filtered once, in place in the
+    stream's buffer, sized for the builder's hold, that detect_pulses
+    decides anchors on; a RecordBuilder measures every kept pulse's energy
     bounds, early window and late windows in the same buffer.
     """
     start = time.perf_counter()
     builder = RecordBuilder(cm, kind)
-    buffer = stream_buffer(cm.sample_rate_hz, builder.hold)
-    chunks = weighted_chunks(cm, kind, buffer=buffer)
-    detect_pulses(chunks, detector, builder, buffer)
+    chunks = weighted_chunks(cm, kind, hold=builder.hold)
+    detect_pulses(chunks, detector, builder)
     return TaskResult(cm.channel_id, kind.value, time.perf_counter() - start, builder.records,
                       builder.scanner.t_a_drops, builder.scanner.cut_excursions, chunks.state.flushes)
 

@@ -28,9 +28,10 @@ counts to micropascal is ``count / counts_full_scale * 10**(sensitivity_db/20)``
 
 Memory is bounded at every rate: ``iter_chunks`` reads at most
 MAX_CHUNK_SAMPLES samples (1 MB as float64) at a time, and a RollingBuffer
-keeps the retained tail of a stream in one array.  Given the buffer,
-``iter_chunks`` calibrates each chunk straight into slots reserved at its
-tail, so a sample is written once; RollingBuffer states when it moves.
+keeps the retained tail of a stream in one array.  ``iter_chunks``
+calibrates each chunk straight into the slots its stream's buffer extends
+by, so a chunk is an array in that buffer and a sample is written once;
+RollingBuffer states when it moves.
 """
 
 from __future__ import annotations
@@ -81,44 +82,22 @@ def format_time(i: int, sample_rate_hz: float, origin: Fraction = Fraction(0)) -
     return f"{'-' if ns < 0 else ''}{s}.{frac:09d}"
 
 
-@dataclass(frozen=True)
-class SampleBuffer:
-    """Contiguous run of calibrated samples of one channel.
-
-    samples are pressures in micropascal; ``samples[k]`` is the channel's
-    sample ``start_index + k``.
-    """
-
-    samples: np.ndarray
-    sample_rate_hz: float
-    start_index: int
-    channel_id: int
-
-    def __post_init__(self) -> None:
-        if self.sample_rate_hz <= 0:
-            raise ValueError("sample_rate_hz must be positive")
-
-    def __len__(self) -> int:
-        return len(self.samples)
-
-
 class RollingBuffer:
     """The retained tail of one sample stream, addressed by global sample index.
 
-    Chunks are appended in stream order; ``trim`` releases the samples before
-    an index.  The samples live in one float64 array, sized for a stream
-    that holds at most ``hold`` samples when a chunk of at most ``chunk``
-    comes: it takes them, the chunk and the smaller of the two.  ``reserve``
-    hands out the free slots at its tail, so a producer can write a chunk in
-    place; ``append`` of that view commits it without a copy, and any other
-    array is copied in.  ``trim`` only moves the start index.  When the tail
-    has no room for a chunk, the held samples move to the front of the array
-    if they fit there with the chunk, onto their own source if need be, as
-    numpy copies a 1-D slice forward; otherwise they move to a new array of
-    twice the held-plus-chunk count.  Within its bounds a buffer thus keeps
-    its array, and each move, of at most ``hold`` samples, follows at least
-    ``min(hold, chunk)`` appended ones; the array never exceeds the larger
-    of its first size and twice the largest held-plus-chunk count.
+    ``extend(n)`` commits the stream's next ``n`` samples and returns their
+    slots, so a producer writes a chunk in place; ``trim`` releases the
+    samples before an index, and only moves the start index.  The samples
+    live in one float64 array, sized for a stream that holds at most
+    ``hold`` samples when a chunk of at most ``chunk`` comes: it takes them,
+    the chunk and the smaller of the two.  When the tail has no room for a
+    chunk, the held samples move to the front of the array if they fit
+    there with the chunk, onto their own source if need be, as numpy copies
+    a 1-D slice forward; otherwise they move to a new array of twice the
+    held-plus-chunk count.  Within its bounds a buffer thus keeps its array,
+    and each move, of at most ``hold`` samples, follows at least
+    ``min(hold, chunk)`` added ones; the array never exceeds the larger of
+    its first size and twice the largest held-plus-chunk count.
     """
 
     def __init__(self, hold: int, chunk: int) -> None:
@@ -127,7 +106,6 @@ class RollingBuffer:
         self._data = np.empty(hold + chunk + min(hold, chunk))
         self._lo = 0  # array offset of sample ``start``
         self._hi = 0  # array offset one past the last held sample
-        self._slots: np.ndarray | None = None  # the view ``reserve`` handed out
 
     @property
     def end(self) -> int:
@@ -138,31 +116,26 @@ class RollingBuffer:
         """Samples the array holds before the next move."""
         return len(self._data)
 
-    def reserve(self, n: int) -> np.ndarray:
-        """The ``n`` writable slots after the held samples, valid until the next reserve or append."""
+    def extend(self, n: int) -> np.ndarray:
+        """Commit ``n`` more samples and return their slots, to be written in place before the next extend."""
         if self._hi + n > len(self._data):
             held = self._hi - self._lo
             data = self._data if held + n <= len(self._data) else np.empty(2 * (held + n))
             data[:held] = self._data[self._lo : self._hi]
             self._data, self._lo, self._hi = data, 0, held
             self.moved += held
-        self._slots = self._data[self._hi : self._hi + n]
-        return self._slots
+        self._hi += n
+        return self._data[self._hi - n : self._hi]
 
     def append(self, samples: np.ndarray) -> None:
-        """Add samples at the end: the view ``reserve`` returned as it is, any other array as a copy."""
-        n = len(samples)
-        if samples is not self._slots:
-            self.reserve(n)[:] = samples
-        self._slots = None
-        self._hi += n
+        """Copy ``samples`` in at the end (a test's stream of given arrays)."""
+        self.extend(len(samples))[:] = samples
 
     def view(self, a: int, b: int) -> np.ndarray:
         """Samples [a, b) by global index; they must still be held.
 
         The view shares the buffer's array, so it is valid only until the
-        next ``reserve`` or ``append``, which may move other samples into its
-        place.
+        next ``extend``, which may move other samples into its place.
         """
         if a < self.start or b > self.end:
             raise ValueError(f"span [{a}, {b}) outside the held samples [{self.start}, {self.end})")
@@ -405,8 +378,8 @@ def open_manifest(path: Path | str) -> dict[int, ChannelManifest]:
 
 
 def read_span(cm: ChannelManifest, start_index: int, count: int,
-              out: np.ndarray | None = None) -> SampleBuffer:
-    """Read a calibrated span by global sample index, into ``out`` when it is given.
+              out: np.ndarray | None = None) -> np.ndarray:
+    """Read a calibrated span by global sample index, in uPa, into ``out`` when it is given.
 
     Each file's part of the span is calibrated straight into the one output
     array, and samples no file covers are written as zeros (under
@@ -439,7 +412,7 @@ def read_span(cm: ChannelManifest, start_index: int, count: int,
         raise GapError(
             f"channel {cm.channel_id}: span [{start_index}, {end}) crosses an uncovered gap"
         )
-    return SampleBuffer(samples, cm.sample_rate_hz, start_index, cm.channel_id)
+    return samples
 
 
 def chunk_length(sample_rate_hz: float, chunk_s: float = CHUNK_S) -> int:
@@ -452,17 +425,15 @@ def stream_buffer(sample_rate_hz: float, hold: int) -> RollingBuffer:
     return RollingBuffer(hold, chunk_length(sample_rate_hz))
 
 
-def iter_chunks(cm: ChannelManifest, chunk_s: float,
-                buffer: RollingBuffer | None = None) -> Iterator[SampleBuffer]:
-    """Yield the whole channel as consecutive chunks (last one may be short).
+def iter_chunks(cm: ChannelManifest, chunk_s: float, buffer: RollingBuffer) -> Iterator[np.ndarray]:
+    """Read the whole channel into ``buffer``, yielding each chunk as its slots there (the last may be short).
 
     A chunk is ``chunk_s`` seconds of samples, but never more than
     MAX_CHUNK_SAMPLES, whatever the rate: ``chunk_s`` is an upper bound.
     Chunk boundaries are computed in integer samples, so consecutive chunks
-    tile the channel exactly: each starts where the previous ended.  Given a
-    ``buffer``, each chunk is read into the slots ``buffer.reserve`` hands out.
+    tile the channel exactly: each starts where the previous ended.
     """
     step = chunk_length(cm.sample_rate_hz, chunk_s)
     for start in range(0, cm.n_samples, step):
         n = min(step, cm.n_samples - start)
-        yield read_span(cm, start, n, out=None if buffer is None else buffer.reserve(n))
+        yield read_span(cm, start, n, out=buffer.extend(n))

@@ -37,7 +37,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FilterDesignError
-from .signal_io import SampleBuffer
 
 EDGE_ORDER = 4
 NYQUIST_GUARD = 0.95
@@ -228,22 +227,18 @@ def _load_kernel():
 _sosfilt = _load_sosfilt()
 
 
-def apply_filter(state: FilterState, buffer: SampleBuffer) -> FilterState:
-    """Filter one chunk causally in place; returns the advanced state.
+def apply_filter(state: FilterState, x: np.ndarray) -> FilterState:
+    """Filter one chunk ``x`` causally in place; returns the advanced state.
 
-    ``buffer.samples`` must be a writable C-contiguous float64 array; the
-    flat band leaves it as it is.  Chunks must be fed in stream order.  The
-    chunk is filtered up to each run of checkpoints after an all-zero block,
-    and through the run one block at a time until the state is flushed or
-    zero; the rest of the run is zero, in input and output.
+    ``x`` must be a writable C-contiguous float64 array sampled at the
+    state's design rate; the flat band leaves it as it is.  Chunks must be
+    fed in stream order.  The chunk is filtered up to each run of
+    checkpoints after an all-zero block, and through the run one block at a
+    time until the state is flushed or zero; the rest of the run is zero, in
+    input and output.
     """
-    if buffer.sample_rate_hz != state.sample_rate_hz:
-        raise FilterDesignError(
-            f"buffer rate {buffer.sample_rate_hz} != filter design rate {state.sample_rate_hz}"
-        )
     if state.sos is None:
         return state
-    x = buffer.samples
     # read the input's zero runs before it is filtered
     runs = _zero_runs(x, state.position, state.zero_run)
     tail = x[-FLUSH_BLOCK:]

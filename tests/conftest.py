@@ -10,14 +10,30 @@ from airgunkit import runner
 from airgunkit.errors import MeasureError
 from airgunkit.measures import NA, Levels, energy_db, pressure_db
 from airgunkit.pipeline import CATALOG_HEADER
-from airgunkit.signal_io import SampleBuffer, wav_writer
+from airgunkit.pulse_detect import search_hold
+from airgunkit.signal_io import stream_buffer, wav_writer
 from airgunkit.synth import SurveySpec, generate
 from airgunkit.weighting import CANONICAL_ORDER
 from airgunkit.windows import HIGH_FRACTION, LOW_FRACTION, LATE_WINDOW_COUNT, LATE_WINDOW_S, EnergyBounds
 
 
-def make_buffer(samples, fs=16000.0, start=0, channel=0) -> SampleBuffer:
-    return SampleBuffer(np.asarray(samples, dtype=np.float64), fs, start, channel)
+class ArrayStream:
+    """A sample stream of given arrays, as ``detect_pulses`` takes one: each is appended to ``buffer`` in turn.
+
+    The buffer is sized as ``detect``'s, for one search window, or for
+    ``hold`` samples when given.
+    """
+
+    def __init__(self, chunks, fs, channel=0, hold=None) -> None:
+        self.sample_rate_hz = fs
+        self.channel_id = channel
+        self.buffer = stream_buffer(fs, search_hold(fs) if hold is None else hold)
+        self._chunks = chunks
+
+    def __iter__(self):
+        for x in self._chunks:
+            self.buffer.append(np.asarray(x, dtype=np.float64))
+            yield self.buffer.view(self.buffer.end - len(x), self.buffer.end)
 
 
 def csel_of_levels(sel_dbs) -> float:

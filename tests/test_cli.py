@@ -14,7 +14,7 @@ from airgunkit.cli import _FLAGS, _effective, build_parser, main
 from airgunkit.pipeline import CATALOG_HEADER
 from airgunkit.pulse_detect import EVENTS_HEADER
 
-from conftest import write_wav
+from conftest import check_catalog_cells, write_wav
 
 SYNTH_ARGS = [
     "synth",
@@ -227,6 +227,7 @@ def test_extract_end_to_end(survey_dir, tmp_path, capsys):
     assert lines[0] == CATALOG_HEADER
     assert len(lines) == 1 + 3 * 3  # 3 pulses x 3 weightings
     assert all(ln.startswith("cli-test,") for ln in lines[1:])
+    assert check_catalog_cells(out, 16_000) == 9
 
     summary = (tmp_path / "catalog.csv.summary.txt").read_text()
     assert "threshold_db=100.0" in summary
@@ -387,6 +388,7 @@ def test_extract_channel_subset(survey_dir, tmp_path):
     )
     assert code == 0
     assert len(out.read_text().splitlines()) == 1 + 3
+    assert check_catalog_cells(out, 16_000) == 3
 
 
 @pytest.mark.parametrize("command", ["detect", "extract"])
@@ -549,6 +551,8 @@ def test_epoch_origin_times_are_exact_in_catalog_and_events(tmp_path):
             assert main(argv) == 0
             with open(out, newline="") as fh:
                 tables.append(list(csv.DictReader(fh)))
+            if command == "extract":
+                assert check_catalog_cells(out, fs) == len(tables[-1])
         assert len(tables[0]) == len(tables[1]) > 0
         for at_zero, at_epoch in zip(*tables):
             for col, cell in at_zero.items():
@@ -582,8 +586,8 @@ def test_bench_reports_identical_catalogs(survey_dir, tmp_path, capsys):
     assert values["identical"] == "true"
     serial_s, parallel_s = float(values["serial_seconds"]), float(values["parallel_seconds"])
     assert serial_s > 0 and parallel_s > 0 and float(values["speedup"]) > 0
-    assert (tmp_path / "catalog_serial.csv").is_file()
-    assert (tmp_path / "catalog_parallel.csv").is_file()
+    for mode in ("serial", "parallel"):
+        assert check_catalog_cells(tmp_path / f"catalog_{mode}.csv", 16_000) == 9
 
 
 def test_bench_caps_its_workers_at_the_streams(small_survey, tmp_path, pool_sizes, capsys):
@@ -674,3 +678,4 @@ def test_negative_only_pulse_writes_na_not_minus_inf(tmp_path):
         assert (cells["p_a_upa"], cells["p_a_db"]) == ("0.000000", "NA")
         assert cells["p_b_db"] == "123.295226"
         assert "inf" not in row
+    assert check_catalog_cells(catalog, 16_000) == 1

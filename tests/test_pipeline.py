@@ -28,7 +28,7 @@ from airgunkit.signal_io import RollingBuffer, format_time, open_manifest, read_
 from airgunkit.weighting import CANONICAL_ORDER, WeightingKind, WeightingSpec, apply_filter, design_filter
 from airgunkit.windows import LATE_WINDOW_COUNT, LATE_WINDOW_S, EnergyBounds, energy_bounds
 
-from conftest import catalog_sorted, csel_of_levels, ledger_total, read_rows, window_levels, write_wav
+from conftest import ArrayStream, catalog_sorted, csel_of_levels, ledger_total, read_rows, window_levels, write_wav
 
 FS = 16000.0
 
@@ -295,13 +295,13 @@ def whole_buffer_records(cm, kind, detector):
     """Reference path: no chunking, no rolling buffer, no trimming, one window at a time."""
     filt = read_span(cm, 0, cm.n_samples)
     apply_filter(design_filter(WeightingSpec(kind), cm.sample_rate_hz), filt)
-    events = detect_pulses([filt], detector)
+    events = detect_pulses(ArrayStream([filt], cm.sample_rate_hz, cm.channel_id), detector)
 
     fs = cm.sample_rate_hz
     n_total = cm.n_samples
     w = round(fs)
     all_bounds = [
-        energy_bounds(filt.samples[ev.search_start_index:min(ev.search_end_index, n_total)],
+        energy_bounds(filt[ev.search_start_index:min(ev.search_end_index, n_total)],
                       ev.search_start_index)
         for ev in events
     ]
@@ -315,7 +315,7 @@ def whole_buffer_records(cm, kind, detector):
         spans += [(a, a + w) for a in range(b.i95, b.i95 + LATE_WINDOW_COUNT * w, w) if a + w <= limit]
         levels = []
         for slot, (a, e) in enumerate(spans):
-            lv, csel[slot] = window_levels(filt.samples[a:e], fs, csel[slot])
+            lv, csel[slot] = window_levels(filt[a:e], fs, csel[slot])
             levels.append(lv)
         records.append(extract_record(ev, b, levels, weighting=kind.value, pulse_index=j, origin=cm.origin))
     return events, records

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from airgunkit.errors import DetectionError
 from airgunkit.measures import pressure_db
 from airgunkit.pulse_detect import (
     EVENTS_HEADER,
@@ -21,7 +20,7 @@ from airgunkit.pulse_detect import (
 )
 from airgunkit.signal_io import stream_buffer
 
-from conftest import make_buffer
+from conftest import ArrayStream
 
 FS = 16000.0
 CFG = DetectorConfig(threshold_db=80.0, min_ipi_s=5.0)
@@ -48,7 +47,7 @@ def event_rows(events):
 
 def chunked(x, fs, chunk_s):
     step = int(round(chunk_s * fs))
-    return [make_buffer(x[i : i + step], fs=fs, start=i) for i in range(0, len(x), step)]
+    return [x[i : i + step] for i in range(0, len(x), step)]
 
 
 # ---------------------------------------------------------------------------
@@ -90,18 +89,18 @@ def test_threshold_db_to_pressure():
 
 
 def test_silence_yields_no_events():
-    assert detect_pulses([make_buffer(np.zeros(int(10 * FS)))], CFG) == []
+    assert detect_pulses(ArrayStream([np.zeros(int(10 * FS))], FS), CFG) == []
 
 
 def test_subthreshold_signal_yields_no_events():
     rng = np.random.default_rng(3)
     x = rng.normal(scale=100.0, size=int(10 * FS))  # ~40 dB under threshold
-    assert detect_pulses([make_buffer(x, fs=FS)], CFG) == []
+    assert detect_pulses(ArrayStream([x], FS), CFG) == []
 
 
 def test_single_pulse_detected():
     x = spike_train([3.0], [1.0e5], 10.0)
-    events = detect_pulses([make_buffer(x, fs=FS)], CFG)
+    events = detect_pulses(ArrayStream([x], FS), CFG)
     assert len(events) == 1
     ev = events[0]
     assert ev.pos_index == at(3.0)
@@ -111,13 +110,13 @@ def test_single_pulse_detected():
 
 def test_sample_exactly_at_threshold_fires():
     x = spike_train([2.0], [1.0e4], 6.0)  # exactly 80 dB
-    events = detect_pulses([make_buffer(x, fs=FS)], CFG)
+    events = detect_pulses(ArrayStream([x], FS), CFG)
     assert len(events) == 1
 
 
 def test_negative_spike_fires_and_reports_peaks():
     x = spike_train([2.0, 2.01], [-2.0e5, 5.0e4], 8.0)
-    events = detect_pulses([make_buffer(x, fs=FS)], CFG)
+    events = detect_pulses(ArrayStream([x], FS), CFG)
     assert len(events) == 1
     ev = events[0]
     assert ev.neg_index == at(2.0)
@@ -128,7 +127,7 @@ def test_negative_spike_fires_and_reports_peaks():
 
 def test_pulse_near_stream_start_is_measured():
     x = spike_train([0.1], [1.0e5], 5.0)
-    events = detect_pulses([make_buffer(x, fs=FS)], CFG)
+    events = detect_pulses(ArrayStream([x], FS), CFG)
     assert len(events) == 1
     assert events[0].pos_index == at(0.1)
     assert events[0].search_start_index == 0  # clipped at stream head
@@ -136,7 +135,7 @@ def test_pulse_near_stream_start_is_measured():
 
 def test_ipi_fills_forward():
     x = spike_train([2.0, 12.0, 28.0], [1e5, 2e5, 1.5e5], 35.0)
-    events = detect_pulses([make_buffer(x, fs=FS)], CFG)
+    events = detect_pulses(ArrayStream([x], FS), CFG)
     assert len(events) == 3
     assert [row[10] for row in event_rows(events)] == ["10.000000000", "16.000000000", "NA"]
 
@@ -147,21 +146,21 @@ def test_ipi_fills_forward():
 
 def test_pulses_closer_than_min_ipi_merge():
     x = spike_train([10.0, 13.0], [1e5, 9e4], 20.0)
-    events = detect_pulses([make_buffer(x, fs=FS)], CFG)
+    events = detect_pulses(ArrayStream([x], FS), CFG)
     assert len(events) == 1
     assert events[0].pos_index == at(10.0)
 
 
 def test_pulses_beyond_min_ipi_both_fire():
     x = spike_train([10.0, 16.0], [1e5, 9e4], 22.0)
-    events = detect_pulses([make_buffer(x, fs=FS)], CFG)
+    events = detect_pulses(ArrayStream([x], FS), CFG)
     assert len(events) == 2
 
 
 def test_echo_inside_search_window_does_not_double_fire():
     # strong pulse with an above-threshold echo 0.4 s later
     x = spike_train([5.0, 5.4], [3e5, 5e4], 12.0)
-    events = detect_pulses([make_buffer(x, fs=FS)], CFG)
+    events = detect_pulses(ArrayStream([x], FS), CFG)
     assert len(events) == 1
     assert events[0].pos_index == at(5.0)
 
@@ -174,7 +173,7 @@ def test_anchor_is_largest_magnitude_in_window():
     # first crest crosses the threshold but the bigger crest 0.3 s later
     # must win the anchor
     x = spike_train([4.0, 4.3], [2e4, 8e5], 10.0)
-    events = detect_pulses([make_buffer(x, fs=FS)], CFG)
+    events = detect_pulses(ArrayStream([x], FS), CFG)
     assert len(events) == 1
     assert events[0].pos_index == at(4.3)
     assert pressure_db(events[0].p_pos_upa) == pytest.approx(20.0 * math.log10(8e5), abs=1e-9)
@@ -185,7 +184,7 @@ def test_peak_window_straddles_anchor_asymmetrically():
     # inside [5.5, 7.0) still count for the signed extremes, while anything
     # past the window end does not
     x = spike_train([6.0, 5.7, 6.9, 7.05], [8e5, -9.0e3, -9.9e3, -9.95e3], 12.0)
-    events = detect_pulses([make_buffer(x, fs=FS)], CFG)
+    events = detect_pulses(ArrayStream([x], FS), CFG)
     assert len(events) == 1
     ev = events[0]
     assert ev.pos_index == at(6.0)
@@ -196,7 +195,7 @@ def test_first_excursion_anchors_despite_bigger_neighbour():
     # two isolated excursions 0.3 s apart: the earlier one opens the event,
     # the larger one lands inside its search window as the measured peak
     x = spike_train([5.7, 6.0], [-3e5, 8e5], 12.0)
-    events = detect_pulses([make_buffer(x, fs=FS)], CFG)
+    events = detect_pulses(ArrayStream([x], FS), CFG)
     assert len(events) == 1
     ev = events[0]
     assert ev.neg_index == at(5.7)
@@ -211,9 +210,9 @@ def test_equal_peaks_in_one_excursion_anchor_on_the_earlier():
     x[i : i + 200] = 2e4
     x[i + 50] = 9e4
     x[i + 150] = -9e4
-    whole = detect_pulses([make_buffer(x, fs=FS)], CFG)
+    whole = detect_pulses(ArrayStream([x], FS), CFG)
     assert [ev.anchor_index for ev in whole] == [i + 50]
-    split = [make_buffer(x[: i + 100], fs=FS), make_buffer(x[i + 100 :], fs=FS, start=i + 100)]
+    split = ArrayStream([x[: i + 100], x[i + 100 :]], FS)
     assert events_key(detect_pulses(split, CFG)) == events_key(whole)
 
 
@@ -245,7 +244,7 @@ def test_vectorized_anchors_match_loop_reference(seed, chunk_s):
     scanner = PulseScanner(CFG, FS)
     kept = []
     for c in chunked(x, FS, chunk_s):
-        buf.append(c.samples)
+        buf.append(c)
         kept += scanner.scan(buf)
         buf.trim(scanner.keep_from)
     kept += scanner.scan(buf, final=True)
@@ -278,7 +277,7 @@ def test_anchor_mask_matches_the_rectified_reference_at_the_threshold(bursts, ch
     scanner = PulseScanner(CFG, fs)
     kept = []
     for c in chunked(x, fs, chunk / fs):
-        buf.append(c.samples)
+        buf.append(c)
         kept += scanner.scan(buf)
         buf.trim(scanner.keep_from)
     kept += scanner.scan(buf, final=True)
@@ -300,7 +299,7 @@ def test_t_a_spacing_drops_are_counted():
     assert [ev.anchor_index for ev in kept] == [int(10.0 * FS)]
     assert kept[0].pos_index == at(10.99)
     assert scanner.t_a_drops == 1
-    assert events_key(detect_pulses([make_buffer(x, fs=FS)], CFG)) == events_key(kept)
+    assert events_key(detect_pulses(ArrayStream([x], FS), CFG)) == events_key(kept)
 
 
 def test_t_a_exactly_min_gap_apart_are_both_kept():
@@ -319,7 +318,7 @@ def test_t_a_exactly_min_gap_apart_are_both_kept():
         kept = scanner.scan(buf, final=True)
         assert [ev.pos_index for ev in kept] == want_kept
         assert scanner.t_a_drops == want_drops
-        assert events_key(detect_pulses([make_buffer(x, fs=FS)], CFG)) == events_key(kept)
+        assert events_key(detect_pulses(ArrayStream([x], FS), CFG)) == events_key(kept)
 
 
 def test_long_excursion_is_cut_into_pieces_whatever_the_chunking():
@@ -328,15 +327,15 @@ def test_long_excursion_is_cut_into_pieces_whatever_the_chunking():
     x[int(2 * FS) : int(42 * FS)] = 2e4
     x[int(5 * FS)] = 5e4
     x[int(20 * FS)] = 6e4
-    whole = detect_pulses([make_buffer(x, fs=FS)], CFG)
+    whole = detect_pulses(ArrayStream([x], FS), CFG)
     assert [ev.anchor_index for ev in whole] == [int(t * FS) for t in (5.0, 20.0, 32.0)]
     for chunk_s in (0.9, 7.3, 16.0):
-        assert events_key(detect_pulses(chunked(x, FS, chunk_s), CFG)) == events_key(whole)
+        assert events_key(detect_pulses(ArrayStream(chunked(x, FS, chunk_s), FS), CFG)) == events_key(whole)
     # the scanner never asks to hold much more than one piece
     buf = stream_buffer(FS, search_hold(FS))
     scanner = PulseScanner(CFG, FS)
     for c in chunked(x, FS, 1.0):
-        buf.append(c.samples)
+        buf.append(c)
         scanner.scan(buf)
         buf.trim(scanner.keep_from)
         assert buf.end - buf.start <= (MAX_EXCURSION_S + SEARCH_BEFORE_S + SEARCH_AFTER_S + 1.0) * FS
@@ -353,7 +352,7 @@ def test_cut_excursions_are_counted_once_whatever_the_chunking():
         buf = stream_buffer(FS, search_hold(FS))
         scanner = PulseScanner(CFG, FS)
         for c in chunked(x, FS, chunk_s):
-            buf.append(c.samples)
+            buf.append(c)
             scanner.scan(buf)
             buf.trim(scanner.keep_from)
         scanner.scan(buf, final=True)
@@ -377,18 +376,18 @@ def test_chunked_equals_whole():
     times = times[np.diff(np.concatenate([[-10.0], times])) > 6.0]
     amps = rng.uniform(5e4, 9e5, size=len(times))
     x = spike_train(times, amps, 300.0)
-    whole = detect_pulses([make_buffer(x, fs=FS)], CFG)
+    whole = detect_pulses(ArrayStream([x], FS), CFG)
     assert len(whole) == len(times)
     for chunk_s in (7.3, 60.0, 1.0):
-        parts = detect_pulses(chunked(x, FS, chunk_s), CFG)
+        parts = detect_pulses(ArrayStream(chunked(x, FS, chunk_s), FS), CFG)
         assert events_key(parts) == events_key(whole), chunk_s
 
 
 def test_pulse_straddling_chunk_boundary():
     # anchor 3 samples before a 60 s boundary; the undecided tail must carry
     x = spike_train([59.99981, 60.4], [6e5, -2e5], 90.0)
-    whole = detect_pulses([make_buffer(x, fs=FS)], CFG)
-    parts = detect_pulses(chunked(x, FS, 60.0), CFG)
+    whole = detect_pulses(ArrayStream([x], FS), CFG)
+    parts = detect_pulses(ArrayStream(chunked(x, FS, 60.0), FS), CFG)
     assert events_key(parts) == events_key(whole)
     assert len(parts) == 1
     assert parts[0].neg_index == at(60.4)
@@ -403,7 +402,7 @@ def test_detection_invariants_random_trains(seed, chunk_s):
     times = np.sort(rng.uniform(1.0, 115.0, size=n))
     amps = 10.0 ** rng.uniform(4.2, 6.0, size=n) * rng.choice([-1.0, 1.0], size=n)
     x = spike_train(times, amps, 120.0)
-    events = detect_pulses(chunked(x, FS, chunk_s), CFG)
+    events = detect_pulses(ArrayStream(chunked(x, FS, chunk_s), FS), CFG)
 
     # spacing respects the refractory interval on anchors and on t_A; the
     # larger window extreme is not always the anchor (a bigger spike can sit
@@ -415,7 +414,7 @@ def test_detection_invariants_random_trains(seed, chunk_s):
     for ev in events:
         assert max(ev.p_pos_upa, -ev.p_neg_upa) >= CFG.threshold_upa
     # chunking must not change the outcome
-    whole = detect_pulses([make_buffer(x, fs=FS)], CFG)
+    whole = detect_pulses(ArrayStream([x], FS), CFG)
     assert events_key(events) == events_key(whole)
 
 
@@ -424,33 +423,18 @@ def test_amplitude_scaling_equivariance():
     times = [3.0, 11.0, 25.0]
     amps = [2e5, -6e5, 9e4]
     x = spike_train(times, amps, 30.0)
-    base = detect_pulses([make_buffer(x, fs=FS)], CFG)
+    base = detect_pulses(ArrayStream([x], FS), CFG)
     k = 37.5
     scaled_cfg = DetectorConfig(
         threshold_db=CFG.threshold_db + 20.0 * math.log10(k), min_ipi_s=CFG.min_ipi_s
     )
-    scaled = detect_pulses([make_buffer(k * x, fs=FS)], scaled_cfg)
+    scaled = detect_pulses(ArrayStream([k * x], FS), scaled_cfg)
     assert [ev.anchor_index for ev in scaled] == [ev.anchor_index for ev in base]
     assert [ev.pos_index for ev in scaled] == [ev.pos_index for ev in base]
 
 
-def test_gap_between_chunks_errors():
-    x = np.zeros(int(2 * FS))
-    a = make_buffer(x, fs=FS, start=0)
-    b = make_buffer(x, fs=FS, start=at(2.5))  # half-second hole
-    with pytest.raises(DetectionError):
-        detect_pulses([a, b], CFG)
-
-
-def test_rate_change_between_chunks_errors():
-    a = make_buffer(np.zeros(int(2 * FS)), fs=FS, start=0)
-    b = make_buffer(np.zeros(100), fs=8000.0, start=len(a))
-    with pytest.raises(DetectionError):
-        detect_pulses([a, b], CFG)
-
-
 def test_empty_stream_is_empty():
-    assert detect_pulses([], CFG) == []
+    assert detect_pulses(ArrayStream([], FS), CFG) == []
 
 
 # ---------------------------------------------------------------------------
@@ -463,7 +447,7 @@ def test_events_header_and_row_format():
         "t_b_s,p_b_upa,p_b_db,p_pp_db,ipi_s"
     )
     x = spike_train([2.0, 12.0], [1e5, 1e5], 20.0)
-    events = detect_pulses([make_buffer(x, fs=FS)], CFG)
+    events = detect_pulses(ArrayStream([x], FS), CFG)
     rows = event_rows(events)
     first = rows[0]
     assert first[0] == "0"

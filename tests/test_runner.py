@@ -17,7 +17,7 @@ from scipy import signal
 import airgunkit
 from airgunkit import signal_io
 from airgunkit.errors import RunError
-from airgunkit.pulse_detect import DetectorConfig, detect_pulses, format_event_row, write_events_csv
+from airgunkit.pulse_detect import DetectorConfig, detect_pulses, format_event_row, search_hold, write_events_csv
 from airgunkit.runner import RunConfig, preflight, report_text, run, weighted_chunks
 from airgunkit.signal_io import MAX_CHUNK_SAMPLES, open_manifest, read_span
 from airgunkit.synth import SurveySpec, generate
@@ -257,8 +257,9 @@ def test_catalog_bytes_do_not_depend_on_chunk_size_or_channel_order(
     channels = tuple(sorted(manifests, reverse=reverse))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(signal_io, "MAX_CHUNK_SAMPLES", chunk)
-        out, _ = run(RunConfig(out_path=tmp_path / "h.csv", detector=DETECTOR, channels=channels), manifests)
+        out, report = run(RunConfig(out_path=tmp_path / "h.csv", detector=DETECTOR, channels=channels), manifests)
     assert out.read_bytes() == reference_catalog
+    assert check_catalog_cells(out, 16_000) == report.n_records == 2 * 4 * 3
 
 
 @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -283,8 +284,9 @@ def test_catalog_bytes_do_not_depend_on_file_splits(noisy_survey, reference_cata
     (out / "m.txt").write_text("\n".join(lines) + "\n")
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(signal_io, "MAX_CHUNK_SAMPLES", data.draw(CHUNK_SAMPLES, label="chunk"))
-        catalog, _ = run(RunConfig(out_path=out / "c.csv", detector=DETECTOR), open_manifest(out / "m.txt"))
+        catalog, report = run(RunConfig(out_path=out / "c.csv", detector=DETECTOR), open_manifest(out / "m.txt"))
     assert catalog.read_bytes() == reference_catalog
+    assert check_catalog_cells(catalog, 16_000) == report.n_records == 2 * 4 * 3
 
 
 def test_run_reads_and_filters_every_sample_once_per_task(noisy_survey, tmp_path, monkeypatch):
@@ -299,10 +301,10 @@ def test_run_reads_and_filters_every_sample_once_per_task(noisy_survey, tmp_path
         reads.append((cm.channel_id, start, count))
         return real_read(cm, start, count, out=out)
 
-    def filt(state, buffer):
+    def filt(state, x):
         nonlocal filtered
-        filtered += len(buffer)
-        return real_filter(state, buffer)
+        filtered += len(x)
+        return real_filter(state, x)
 
     monkeypatch.setattr(signal_io, "read_span", read)
     monkeypatch.setattr(runner, "apply_filter", filt)
@@ -401,11 +403,11 @@ def test_failed_task_logs_its_error_not_a_pulse_count(tmp_path):
 # flushed filter state against plain sosfilt
 
 
-def plain_sosfilt(state, buffer):
-    """Oracle filter: scipy's sosfilt with carried state, never flushed, into the buffer."""
+def plain_sosfilt(state, x):
+    """Oracle filter: scipy's sosfilt with carried state, never flushed, into ``x``."""
     if state.sos is None:
         return state
-    buffer.samples[:], zi = signal.sosfilt(state.sos, buffer.samples, zi=state.zi)
+    x[:], zi = signal.sosfilt(state.sos, x, zi=state.zi)
     return replace(state, zi=zi)
 
 
@@ -447,15 +449,35 @@ def test_flush_changes_only_cells_below_minus_100_db(small_survey, tmp_path, mon
 # weighted chunk stream
 
 
-def test_weighted_chunks_equal_whole_filter(small_survey):
-    spec, result = small_survey
-    cm = open_manifest(result.manifest_path)[0]
-    glued = np.concatenate(
-        [c.samples for c in weighted_chunks(cm, WeightingKind.LFC, chunk_s=7.0)]
-    )
-    ref = read_span(cm, 0, cm.n_samples)
-    apply_filter(design_filter(WeightingSpec(WeightingKind.LFC), cm.sample_rate_hz), ref)
-    assert np.array_equal(glued, ref.samples)
+@pytest.fixture(scope="module")
+def lfc_channel(small_survey):
+    """Channel 0 of the small survey, and its samples through the lfc filter at once."""
+    cm = open_manifest(small_survey[1].manifest_path)[0]
+    whole = read_span(cm, 0, cm.n_samples)
+    apply_filter(design_filter(WeightingSpec(WeightingKind.LFC), cm.sample_rate_hz), whole)
+    return cm, whole
+
+
+@settings(max_examples=25, deadline=None)
+@given(cap=st.integers(min_value=1_000, max_value=MAX_CHUNK_SAMPLES), chunk_s=st.floats(0.05, 60.0))
+def test_weighted_chunks_equal_whole_filter(lfc_channel, cap, chunk_s):
+    # each chunk is the slots the stream's buffer extended by, filtered there
+    # in place; trimmed as ``detect`` trims it, the buffer moves its held
+    # samples, and the chunks still tile the channel and filter as one
+    cm, whole = lfc_channel
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(signal_io, "MAX_CHUNK_SAMPLES", cap)
+        step = signal_io.chunk_length(cm.sample_rate_hz, chunk_s)
+        stream = weighted_chunks(cm, WeightingKind.LFC, chunk_s=chunk_s)
+        copies, ends = [], []
+        for x in stream:
+            end = stream.buffer.end
+            assert np.shares_memory(x, stream.buffer.view(end - len(x), end))
+            copies.append(x.copy())
+            ends.append(end)
+            stream.buffer.trim(end - search_hold(cm.sample_rate_hz))
+    assert ends == [*range(step, cm.n_samples, step), cm.n_samples]
+    assert np.array_equal(np.concatenate(copies), whole)
 
 
 def test_pool_never_outnumbers_the_streams(small_survey, tmp_path, pool_sizes):
@@ -518,8 +540,8 @@ def count_buffer_allocations(monkeypatch) -> list[list[int]]:
             self.capacities: list[int] = []
             streams.append(self.capacities)
 
-        def reserve(self, n: int) -> np.ndarray:
-            slots = super().reserve(n)
+        def extend(self, n: int) -> np.ndarray:
+            slots = super().extend(n)
             if self.capacities[-1:] != [self.capacity]:
                 self.capacities.append(self.capacity)
             return slots
@@ -590,8 +612,8 @@ def test_highrate_array_does_not_depend_on_where_the_pulses_fall(tmp_path, monke
     # would take its size, and the peak memory, from the schedule; the one
     # array sized from the hold's bound is the same for every schedule.  So
     # is that of ``detect``, sized from the 1.5-s search window the scanner
-    # holds, and a bare ``detect_pulses`` call, given no buffer, sizes its
-    # array the same way and finds the same events
+    # holds, and a bare ``weighted_chunks`` stream sizes its array the same
+    # way and finds the same events
     from airgunkit.cli import main
 
     spec = SurveySpec(**{**_HIGHRATE, "duration_s": 24.0, "first_pulse_s": first_pulse_s, "pulse_count": 2})

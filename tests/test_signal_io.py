@@ -94,11 +94,11 @@ def test_wav_round_trip_exact_counts(tmp_path):
     rng = np.random.default_rng(1)
     counts = rng.integers(-2048, 2048, size=5000, dtype=np.int16)
     cm = simple_channel(tmp_path, counts, cfs=2048, sens=126.0)
-    buf = read_span(cm, 0, len(counts))
+    samples = read_span(cm, 0, len(counts))
     expected = counts.astype(np.float64) * cm.calibration.pressure_per_count
-    assert np.array_equal(buf.samples, expected)
-    assert buf.sample_rate_hz == FS
-    assert len(buf) == len(counts)
+    assert np.array_equal(samples, expected)
+    assert cm.sample_rate_hz == FS
+    assert len(samples) == len(counts)
 
 
 def test_wav_writer_appends_blocks_under_one_header(tmp_path):
@@ -281,15 +281,14 @@ def test_split_files_read_equals_single_file(tmp_path):
     split = split_files_channel(tmp_path / "two", x[: FS + 13], x[FS + 13 :])
     a = read_span(single, 0, 3 * FS)
     b = read_span(split, 0, 3 * FS)
-    assert np.array_equal(a.samples, b.samples)
+    assert np.array_equal(a, b)
 
 
 def test_read_chunk_straddles_file_boundary(tmp_path):
     x = np.arange(-1000, 1000, dtype=np.int16)
     cm = split_files_channel(tmp_path, x[:1200], x[1200:])
-    buf = read_span(cm, 1100, 200)
     expected = x[1100:1300] * cm.calibration.pressure_per_count
-    assert np.array_equal(buf.samples, expected)
+    assert np.array_equal(read_span(cm, 1100, 200), expected)
 
 
 def test_overlap_beyond_one_sample_errors(tmp_path):
@@ -303,7 +302,7 @@ def test_one_sample_overlap_keeps_earlier_copy(tmp_path):
     cm = split_files_channel(tmp_path, x0, x1, gap_samples=-1)
     assert cm.n_samples == 199
     buf = read_span(cm, 0, 199)
-    counts = np.round(buf.samples / cm.calibration.pressure_per_count).astype(int)
+    counts = np.round(buf / cm.calibration.pressure_per_count).astype(int)
     assert counts[99] == 7
     assert counts[100] == 9
 
@@ -314,7 +313,7 @@ def test_one_sample_gap_snaps_to_adjacency(tmp_path):
     cm = split_files_channel(tmp_path, x0, x1, gap_samples=1)
     assert cm.n_samples == 200
     buf = read_span(cm, 0, 200)
-    counts = np.round(buf.samples / cm.calibration.pressure_per_count).astype(int)
+    counts = np.round(buf / cm.calibration.pressure_per_count).astype(int)
     assert counts[99] == 7
     assert counts[100] == 9
 
@@ -330,7 +329,7 @@ def test_wide_gap_zero_fill_reads_zeros(tmp_path):
     cm = split_files_channel(tmp_path, x0, x1, gap_samples=40, policy="zero_fill")
     assert cm.n_samples == 240
     buf = read_span(cm, 0, 240)
-    counts = np.round(buf.samples / cm.calibration.pressure_per_count).astype(int)
+    counts = np.round(buf / cm.calibration.pressure_per_count).astype(int)
     assert np.all(counts[100:140] == 0)
     assert np.all(counts[140:] == 6)
 
@@ -346,8 +345,8 @@ def test_read_chunk_decomposes(tmp_path):
     whole = read_span(cm, 0, 10 * FS)
     first = read_span(cm, 0, 5 * FS)
     second = read_span(cm, 5 * FS, 5 * FS)
-    assert np.array_equal(whole.samples, np.concatenate([first.samples, second.samples]))
-    assert second.start_index == first.start_index + len(first) == 5 * FS
+    assert np.array_equal(whole, np.concatenate([first, second]))
+    assert len(first) == len(second) == 5 * FS
 
 
 def test_read_span_outside_coverage(tmp_path):
@@ -394,9 +393,9 @@ def test_read_span_into_a_stale_array_equals_a_fresh_read(tmp_path_factory, data
     stale = np.full(count + 2, np.nan)
     got = read_span(cm, a, count, out=stale[1:-1])
     fresh = read_span(cm, a, count)
-    assert np.shares_memory(got.samples, stale)
-    assert np.array_equal(got.samples, fresh.samples)
-    assert np.array_equal(fresh.samples, expected[a : a + count] * cm.calibration.pressure_per_count)
+    assert np.shares_memory(got, stale)
+    assert np.array_equal(got, fresh)
+    assert np.array_equal(fresh, expected[a : a + count] * cm.calibration.pressure_per_count)
     assert np.isnan(stale[[0, -1]]).all()
 
 
@@ -404,13 +403,16 @@ def test_iter_chunks_tiles_exactly(tmp_path):
     rng = np.random.default_rng(10)
     counts = rng.integers(-2048, 2048, size=int(7.3 * FS), dtype=np.int16)
     cm = simple_channel(tmp_path, counts, cfs=2048, sens=126.0)
-    chunks = list(iter_chunks(cm, chunk_s=2.0))
-    assert sum(len(c) for c in chunks) == cm.n_samples
-    assert len(chunks[-1]) == cm.n_samples - 3 * (2 * FS)
-    glued = np.concatenate([c.samples for c in chunks])
-    assert np.array_equal(glued, read_span(cm, 0, cm.n_samples).samples)
-    for prev, nxt in zip(chunks, chunks[1:]):
-        assert nxt.start_index == prev.start_index + len(prev)
+    buf = RollingBuffer(0, 2 * FS)
+    chunks, ends = [], []
+    for c in iter_chunks(cm, 2.0, buf):  # each chunk is the slots the buffer extended by
+        assert np.shares_memory(c, buf.view(buf.end - len(c), buf.end))
+        chunks.append(c.copy())
+        ends.append(buf.end)
+    assert ends == [2 * FS, 4 * FS, 6 * FS, cm.n_samples]
+    glued = np.concatenate(chunks)
+    assert np.array_equal(glued, read_span(cm, 0, cm.n_samples))
+    assert np.array_equal(buf.view(0, cm.n_samples), glued)
 
 
 # ---------------------------------------------------------------------------
@@ -425,9 +427,8 @@ def test_rolling_buffer_matches_a_concatenate_reference(hold, chunk, data):
     # some that hold far more than ``hold``, as a long excursion does; every
     # view must equal the naive concatenate-and-slice stream, and the array
     # grows to at most twice the largest held-plus-chunk count; a chunk is
-    # written either into the slots ``reserve`` hands out, which ``append``
-    # then holds as they are, or into an array of its own, which ``append``
-    # copies
+    # written either into the slots ``extend`` commits and hands out, or into
+    # an array of its own, which ``append`` copies
     buf = RollingBuffer(hold, chunk)
     first = buf.capacity
     stream = np.empty(0)
@@ -437,9 +438,8 @@ def test_rolling_buffer_matches_a_concatenate_reference(hold, chunk, data):
         largest = max(largest, buf.end - buf.start + n)
         chunk_values = np.arange(len(stream), len(stream) + n, dtype=float)
         if data.draw(st.booleans(), label="in place"):
-            slots = buf.reserve(n)
+            slots = buf.extend(n)
             slots[:] = chunk_values
-            buf.append(slots)
             assert n == 0 or np.shares_memory(buf.view(buf.end - n, buf.end), slots)
         else:
             buf.append(chunk_values)
@@ -475,9 +475,7 @@ def test_rolling_buffer_given_its_hold_and_two_chunks_keeps_its_array(hold, chun
         n = data.draw(st.integers(0, chunk), label="append")
         values = np.arange(buf.end, buf.end + n, dtype=float)
         if data.draw(st.booleans(), label="in place"):
-            slots = buf.reserve(n)
-            slots[:] = values
-            buf.append(slots)
+            buf.extend(n)[:] = values
         else:
             buf.append(values)
         appended += n
@@ -489,11 +487,9 @@ def test_rolling_buffer_given_its_hold_and_two_chunks_keeps_its_array(hold, chun
 
 def test_time_at_matches_grid(tmp_path):
     cm = simple_channel(tmp_path, np.ones(FS, dtype=np.int16), start=3.5)
-    buf = read_span(cm, FS // 4, FS // 2)
     assert cm.origin == Fraction(7, 2)
-    assert buf.start_index == FS // 4
-    assert format_time(buf.start_index, buf.sample_rate_hz, cm.origin) == "3.750000000"
-    assert format_time(buf.start_index + 100, buf.sample_rate_hz, cm.origin) == "3.756250000"
+    assert format_time(FS // 4, cm.sample_rate_hz, cm.origin) == "3.750000000"
+    assert format_time(FS // 4 + 100, cm.sample_rate_hz, cm.origin) == "3.756250000"
 
 
 # ---------------------------------------------------------------------------

@@ -228,7 +228,7 @@ def test_rendered_peak_matches_requested_level(tmp_path):
     spec = quiet_spec(peak_pressure_upa=1.0e6)
     result = generate(spec, tmp_path)
     cm = open_manifest(result.manifest_path)[0]
-    x = read_span(cm, 0, cm.n_samples).samples
+    x = read_span(cm, 0, cm.n_samples)
     step = cm.calibration.pressure_per_count
     assert np.max(x) == pytest.approx(1.0e6, abs=step)
     for rec in result.truths:
@@ -241,7 +241,7 @@ def test_analytic_sel_matches_rendered_energy(tmp_path):
     cm = open_manifest(result.manifest_path)[0]
     # integrate the whole quiet channel: all energy belongs to the one pulse
     buf = read_span(cm, 0, cm.n_samples)
-    (lv,) = ladder_levels(buf.samples[np.newaxis], cm.sample_rate_hz, [0.0])
+    (lv,) = ladder_levels(buf[np.newaxis], cm.sample_rate_hz, [0.0])
     assert lv.sel_db == pytest.approx(result.truths[0].sel_analytic_db, abs=0.1)
 
 
@@ -253,7 +253,7 @@ def test_reverb_adds_late_energy(tmp_path):
     def tail_energy(result):
         cm = open_manifest(result.manifest_path)[0]
         start = int(3.0 * FS)  # 1 s past onset: pulse itself has died off
-        x = read_span(cm, start, int(2.0 * FS)).samples
+        x = read_span(cm, start, int(2.0 * FS))
         return float(np.dot(x, x))
     assert tail_energy(wet) > 100.0 * max(tail_energy(quiet), 1e-12)
 

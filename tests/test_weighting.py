@@ -33,7 +33,7 @@ from airgunkit.weighting import (
     parse_kind,
 )
 
-from conftest import make_buffer, write_wav
+from conftest import write_wav
 
 
 def fresh(kind, fs):
@@ -50,10 +50,10 @@ def frequency_response_db(state, freqs_hz):
         return 20.0 * np.log10(np.abs(h))
 
 
-def run_whole(kind, buf):
-    """Filter a copy of ``buf`` whole, in place; returns the copy."""
-    out = replace(buf, samples=buf.samples.copy())
-    apply_filter(fresh(kind, buf.sample_rate_hz), out)
+def run_whole(kind, x, fs=16000.0):
+    """Filter a copy of ``x`` whole, in place; returns the copy."""
+    out = np.array(x, dtype=np.float64)
+    apply_filter(fresh(kind, fs), out)
     return out
 
 
@@ -90,10 +90,7 @@ def test_band_edges_table():
 def test_linear_is_bit_exact_identity():
     rng = np.random.default_rng(2)
     x = rng.normal(scale=1e4, size=5000)
-    buf = make_buffer(x, start=123)
-    out = run_whole(WeightingKind.LINEAR, buf)
-    assert np.array_equal(out.samples, x)
-    assert out.start_index == buf.start_index
+    assert np.array_equal(run_whole(WeightingKind.LINEAR, x), x)
 
 
 def test_linear_state_has_no_sections():
@@ -135,9 +132,9 @@ def test_impulse_response_decays():
     x = np.zeros(int(10 * fs))
     x[0] = 1.0
     for kind in (WeightingKind.LFC, WeightingKind.MFC):
-        out = run_whole(kind, make_buffer(x, fs=fs))
-        head = np.max(np.abs(out.samples[: int(fs)]))
-        tail = np.max(np.abs(out.samples[-int(fs) :]))
+        out = run_whole(kind, x, fs)
+        head = np.max(np.abs(out[: int(fs)]))
+        tail = np.max(np.abs(out[-int(fs) :]))
         assert tail < head * 1e-9
 
 
@@ -150,7 +147,7 @@ def test_chunked_equals_whole_bitwise(kind):
     fs = 16000.0
     rng = np.random.default_rng(6)
     x = rng.normal(scale=1e3, size=int(4.7 * fs))
-    whole = run_whole(kind, make_buffer(x, fs=fs))
+    whole = run_whole(kind, x, fs)
 
     state = fresh(kind, fs)
     pieces = []
@@ -159,18 +156,12 @@ def test_chunked_equals_whole_bitwise(kind):
         chunk = x[pos : pos + size]
         if len(chunk) == 0:
             break
-        out = make_buffer(chunk.copy(), fs=fs, start=pos / fs)
+        out = chunk.copy()
         state = apply_filter(state, out)
-        pieces.append(out.samples)
+        pieces.append(out)
         pos += len(chunk)
     glued = np.concatenate(pieces)
-    assert np.array_equal(glued, whole.samples)
-
-
-def test_apply_rejects_rate_mismatch():
-    state = fresh(WeightingKind.LFC, 16000.0)
-    with pytest.raises(FilterDesignError):
-        apply_filter(state, make_buffer(np.ones(10), fs=8000.0))
+    assert np.array_equal(glued, whole)
 
 
 def test_filter_is_linear():
@@ -178,17 +169,17 @@ def test_filter_is_linear():
     rng = np.random.default_rng(12)
     a = rng.normal(size=8000)
     b = rng.normal(size=8000)
-    fa = run_whole(WeightingKind.LFC, make_buffer(a, fs=fs)).samples
-    fb = run_whole(WeightingKind.LFC, make_buffer(b, fs=fs)).samples
-    fab = run_whole(WeightingKind.LFC, make_buffer(3.0 * a - 2.0 * b, fs=fs)).samples
+    fa = run_whole(WeightingKind.LFC, a, fs)
+    fb = run_whole(WeightingKind.LFC, b, fs)
+    fab = run_whole(WeightingKind.LFC, 3.0 * a - 2.0 * b, fs)
     ref = 3.0 * fa - 2.0 * fb
     scale = np.max(np.abs(ref))
     assert np.max(np.abs(fab - ref)) < 1e-9 * scale
 
 
 def test_zero_in_zero_out():
-    out = run_whole(WeightingKind.MFC, make_buffer(np.zeros(1000)))
-    assert np.all(out.samples == 0.0)
+    out = run_whole(WeightingKind.MFC, np.zeros(1000))
+    assert np.all(out == 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +250,7 @@ def test_passband_tone_passes_within_half_db():
     fs = 16000.0
     t = np.arange(int(4 * fs)) / fs
     x = 1000.0 * np.sin(2.0 * np.pi * 1000.0 * t)
-    out = run_whole(WeightingKind.LFC, make_buffer(x, fs=fs)).samples
+    out = run_whole(WeightingKind.LFC, x, fs)
     # steady state after the transient dies
     gain_db = 20.0 * math.log10(np.max(np.abs(out[int(2 * fs) :])) / 1000.0)
     assert abs(gain_db) < 0.5
@@ -269,7 +260,7 @@ def test_stopband_tone_is_rejected():
     fs = 16000.0
     t = np.arange(int(8 * fs)) / fs
     x = 1000.0 * np.sin(2.0 * np.pi * 1.0 * t)  # 1 Hz, well below the 7 Hz edge
-    out = run_whole(WeightingKind.LFC, make_buffer(x, fs=fs)).samples
+    out = run_whole(WeightingKind.LFC, x, fs)
     gain_db = 20.0 * math.log10(np.max(np.abs(out[int(4 * fs) :])) / 1000.0)
     assert gain_db < -20.0
 
@@ -288,7 +279,7 @@ def run_chunked(kind, fs, x, cuts):
     y = x.copy()
     state = fresh(kind, fs)
     for a, b in zip([0, *cuts], [*cuts, len(x)]):
-        state = apply_filter(state, make_buffer(y[a:b], fs=fs, start=a / fs))
+        state = apply_filter(state, y[a:b])
     return y, state
 
 
@@ -460,10 +451,9 @@ def test_filtering_never_imports_scipy_signal():
     # importing scipy.signal also imports scipy.stats: over a second of start-up
     code = (
         "import sys, numpy as np, airgunkit, airgunkit.cli\n"
-        "from airgunkit.signal_io import SampleBuffer\n"
         "from airgunkit.weighting import WeightingKind, WeightingSpec, apply_filter, design_filter\n"
         "state = design_filter(WeightingSpec(WeightingKind.MFC), 16000.0)\n"
-        "apply_filter(state, SampleBuffer(np.ones(5000), 16000.0, 0.0, 0))\n"
+        "apply_filter(state, np.ones(5000))\n"
         "print(sorted(m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules))\n"
     )
     src = str(Path(weighting.__file__).parents[1])

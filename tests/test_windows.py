@@ -24,7 +24,7 @@ from airgunkit.windows import (
     late_window_count,
 )
 
-from conftest import energy_bounds_whole, make_buffer
+from conftest import ArrayStream, energy_bounds_whole
 
 FS = 16000.0
 W = 16000  # one late window at FS
@@ -238,7 +238,7 @@ def spike_records(monkeypatch, spikes_s, duration_s):
         x[round(t * FS)] = 1.0e6
     cm = SimpleNamespace(sample_rate_hz=FS, n_samples=len(x), origin=Fraction(0), channel_id=0)
     builder = RecordBuilder(cm, WeightingKind.LINEAR)
-    detect_pulses([make_buffer(x)], DetectorConfig(threshold_db=100.0, min_ipi_s=5.0), builder)
+    detect_pulses(ArrayStream([x], FS, hold=builder.hold), DetectorConfig(threshold_db=100.0, min_ipi_s=5.0), builder)
     assert len(builder.records) == len(spikes_s)
     return builder.records, n_late
 
