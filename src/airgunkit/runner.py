@@ -117,7 +117,8 @@ class weighted_chunks:
         self.sample_rate_hz = cm.sample_rate_hz
         self.channel_id = cm.channel_id
         self.state = design_filter(WeightingSpec(kind), cm.sample_rate_hz)
-        self.buffer = stream_buffer(cm.sample_rate_hz, search_hold(cm.sample_rate_hz) if hold is None else hold)
+        self.buffer = stream_buffer(cm.sample_rate_hz, search_hold(cm.sample_rate_hz) if hold is None else hold,
+                                    chunk_s)
         self._chunks = iter_chunks(cm, chunk_s, self.buffer)
 
     def __iter__(self) -> weighted_chunks:
@@ -174,7 +175,7 @@ def preflight(config: RunConfig, manifests: dict[int, ChannelManifest],
     Raises RunError when the manifest lacks a selected channel, or when
     ``config.out_path`` or a path in ``also_written`` has no directory, is a
     directory, or resolves to the manifest, to a WAV it lists or to another
-    of these outputs.
+    output; FilterDesignError when a selected band has no filter at its rate.
     """
     channels = sorted(manifests if config.channels is None else config.channels)
     missing = [ch for ch in channels if ch not in manifests]
@@ -190,7 +191,10 @@ def preflight(config: RunConfig, manifests: dict[int, ChannelManifest],
         if path.resolve() in taken:
             raise RunError(f"output path {path} would overwrite {taken[path.resolve()]}")
         taken[path.resolve()] = "another output"
-    return [(manifests[ch], kind) for ch in channels for kind in CANONICAL_ORDER if kind in config.weightings]
+    streams = [(manifests[ch], kind) for ch in channels for kind in CANONICAL_ORDER if kind in config.weightings]
+    for rate, kind in dict.fromkeys((cm.sample_rate_hz, kind) for cm, kind in streams):
+        design_filter(WeightingSpec(kind), rate)  # a band the rate cannot hold fails before any read
+    return streams
 
 
 def _run_task(args: tuple[ChannelManifest, WeightingKind, DetectorConfig]) -> TaskResult:

@@ -416,13 +416,15 @@ def read_span(cm: ChannelManifest, start_index: int, count: int,
 
 
 def chunk_length(sample_rate_hz: float, chunk_s: float = CHUNK_S) -> int:
-    """Samples in a chunk of ``iter_chunks``: ``chunk_s`` seconds, but at most MAX_CHUNK_SAMPLES."""
+    """Samples in a chunk of ``iter_chunks``: ``chunk_s`` seconds, but at most MAX_CHUNK_SAMPLES and at least one."""
+    if not 0.5 < chunk_s * sample_rate_hz < math.inf:  # round() gives 0 at 0.5 and fails on NaN and inf
+        raise ValueError(f"chunk_s {chunk_s!r} s gives no sample at {sample_rate_hz:g} Hz")
     return min(round(chunk_s * sample_rate_hz), MAX_CHUNK_SAMPLES)
 
 
-def stream_buffer(sample_rate_hz: float, hold: int) -> RollingBuffer:
-    """The buffer of a stream that holds at most ``hold`` samples when an ``iter_chunks`` chunk comes."""
-    return RollingBuffer(hold, chunk_length(sample_rate_hz))
+def stream_buffer(sample_rate_hz: float, hold: int, chunk_s: float = CHUNK_S) -> RollingBuffer:
+    """The buffer of a stream holding at most ``hold`` samples when an ``iter_chunks`` chunk of ``chunk_s`` comes."""
+    return RollingBuffer(hold, chunk_length(sample_rate_hz, chunk_s))
 
 
 def iter_chunks(cm: ChannelManifest, chunk_s: float, buffer: RollingBuffer) -> Iterator[np.ndarray]:

@@ -271,24 +271,21 @@ def _zero_runs(x: np.ndarray, position: int, zero_run: int) -> list[tuple[int, i
 
     ``x`` starts at stream sample ``position``, after ``zero_run`` zero
     samples.  Returns (first, last) chunk-relative checkpoints in
-    (0, len(x)].  Each checkpoint is screened on three samples of its block
-    before the whole block is checked.
+    (0, len(x)].  The first checkpoint's block may reach back before the
+    chunk, into the ``zero_run`` samples; the blocks of the checkpoints
+    after it tile ``x`` from the first checkpoint on, so they are the rows
+    of one view.  A row is checked whole only when its last sample is zero.
     """
     first = -position % FLUSH_BLOCK or FLUSH_BLOCK
-    ends = np.arange(first, len(x) + 1, FLUSH_BLOCK)
-    screen = np.ones(ends.size, dtype=bool)
-    for back in (1, FLUSH_BLOCK // 2, FLUSH_BLOCK):
-        i = ends - back  # negative: a sample before the chunk, zero iff within zero_run
-        screen &= np.where(i >= 0, x[np.maximum(i, 0)] == 0.0, -i <= zero_run)
-    runs: list[tuple[int, int]] = []
-    for c in ends[screen].tolist():
-        if c < FLUSH_BLOCK - zero_run or x[max(c - FLUSH_BLOCK, 0):c].any():
-            continue
-        if runs and runs[-1][1] == c - FLUSH_BLOCK:
-            runs[-1] = (runs[-1][0], c)
-        else:
-            runs.append((c, c))
-    return runs
+    if first > len(x):
+        return []
+    blocks = x[first:first + (len(x) - first) // FLUSH_BLOCK * FLUSH_BLOCK].reshape(-1, FLUSH_BLOCK)
+    quiet = np.zeros(len(blocks) + 3, dtype=bool)  # the checkpoints, between two non-quiet ends
+    quiet[1] = first + zero_run >= FLUSH_BLOCK and not x[max(first - FLUSH_BLOCK, 0):first].any()
+    screened = blocks[:, -1] == 0.0
+    quiet[2:-1][screened] = ~(blocks[screened] != 0.0).any(axis=1)
+    edges = np.flatnonzero(np.diff(quiet)) * FLUSH_BLOCK + first
+    return list(zip(edges[::2].tolist(), (edges[1::2] - FLUSH_BLOCK).tolist()))
 
 
 def coefficients_text(states: list[FilterState]) -> str:

@@ -208,6 +208,32 @@ def test_dump_filters_designs_only_the_selected_weightings(cmd, flag, tmp_path, 
         assert dumped == want  # canonical order, whatever the selection order
 
 
+@pytest.mark.parametrize("args", [["detect", "--weighting", "all", "--out", "o.csv"],
+                                  ["extract", "--out", "o.csv"],
+                                  ["bench", "--out-dir", "b"]])
+def test_impossible_weighting_fails_before_any_stream(args, tmp_path, capsys, monkeypatch):
+    # at 250 Hz the mfc band's 150-Hz lower edge is above Nyquist
+    assert main(["synth", "--out", str(tmp_path / "s"), "--duration-s", "20",
+                 "--sample-rate", "250", "--pulse-count", "1"]) == 0
+    capsys.readouterr()
+    reads = []
+    read_span = signal_io.read_span
+
+    def recording_read_span(cm, start_index, count, out=None):
+        reads.append(count)
+        return read_span(cm, start_index, count, out=out)
+
+    monkeypatch.setattr(signal_io, "read_span", recording_read_span)
+    monkeypatch.chdir(tmp_path)
+    code = main([*args, "--manifest", str(tmp_path / "s" / "manifest.txt")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == "error: mfc: lower edge 150.0 Hz at or above Nyquist 125.0 Hz\n"
+    assert reads == []
+    assert not (tmp_path / "o.csv").exists()
+    assert not list(tmp_path.glob("b/*.csv"))
+
+
 # ---------------------------------------------------------------------------
 # extract
 

@@ -480,6 +480,13 @@ def test_weighted_chunks_equal_whole_filter(lfc_channel, cap, chunk_s):
     assert np.array_equal(np.concatenate(copies), whole)
 
 
+@pytest.mark.parametrize("chunk_s", [-1.0, 0.0, 1e-6, float("nan"), float("inf")])
+def test_a_chunk_of_no_sample_is_refused_when_the_stream_is_built(lfc_channel, chunk_s):
+    cm, _ = lfc_channel
+    with pytest.raises(ValueError, match="chunk_s"):
+        weighted_chunks(cm, WeightingKind.LFC, chunk_s)
+
+
 def test_pool_never_outnumbers_the_streams(small_survey, tmp_path, pool_sizes):
     spec, result = small_survey
     manifests = open_manifest(result.manifest_path)
@@ -548,6 +555,18 @@ def count_buffer_allocations(monkeypatch) -> list[list[int]]:
 
     monkeypatch.setattr(signal_io, "RollingBuffer", RecordingBuffer)
     return streams
+
+
+def test_a_stream_sizes_its_buffer_for_its_own_chunk(tmp_path, monkeypatch):
+    # at 2 kHz a 65-s chunk is 130,000 samples, more than the 120,000 of a
+    # 60-s one: the buffer takes them, the 3,000-sample hold and the smaller
+    # of the two, and never moves into a second array
+    survey = generate(SurveySpec(channel_count=1, duration_s=140.0, sample_rate_hz=2000, pulse_count=2, seed=4),
+                      tmp_path)
+    allocations = count_buffer_allocations(monkeypatch)
+    cm = open_manifest(survey.manifest_path)[0]
+    detect_pulses(weighted_chunks(cm, WeightingKind.LFC, 65.0), DETECTOR)
+    assert allocations == [[130_000 + 2 * search_hold(2000)]] == [[136_000]]
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").is_file(), reason="VmHWM is read from Linux /proc")

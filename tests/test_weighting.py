@@ -394,6 +394,49 @@ def test_zero_runs_flush_and_then_emit_exact_zeros():
         assert np.array_equal(out[: changed[0]], ref[: changed[0]])
 
 
+def quiet_checkpoint_runs(x, position, zero_run):
+    """The quiet checkpoints of a chunk, as defined, one checkpoint at a time.
+
+    A checkpoint is quiet when the FLUSH_BLOCK inputs before it are zero: those
+    before the chunk count as zero when they are among its ``zero_run``.
+    Consecutive quiet checkpoints merge into one (first, last) run.
+    """
+    runs = []
+    for c in range(1, len(x) + 1):
+        if (position + c) % FLUSH_BLOCK:
+            continue
+        before_chunk = max(FLUSH_BLOCK - c, 0)
+        if before_chunk > zero_run or np.any(x[c - FLUSH_BLOCK + before_chunk : c] != 0.0):
+            continue
+        if runs and runs[-1][1] == c - FLUSH_BLOCK:
+            runs[-1] = (runs[-1][0], c)
+        else:
+            runs.append((c, c))
+    return runs
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_zero_runs_are_the_quiet_checkpoints(data):
+    position = data.draw(st.integers(0, 3 * FLUSH_BLOCK))
+    zero_run = data.draw(st.integers(0, FLUSH_BLOCK))
+    first = -position % FLUSH_BLOCK or FLUSH_BLOCK  # the chunk's first checkpoint
+    # any length, or one ending just before, on or just after the first checkpoint
+    n = data.draw(st.integers(0, 6 * FLUSH_BLOCK) | st.sampled_from([first - 1, first, first + 1]))
+    # each block before a checkpoint is zero, or zero but for one sample at
+    # its start, its end or inside it
+    offsets = st.sampled_from([0, FLUSH_BLOCK - 1]) | st.integers(1, FLUSH_BLOCK - 2)
+    spike = st.none() | st.tuples(offsets, st.sampled_from([LSB_UPA, -1e-300, 5e-324]))
+    x = np.zeros(n)
+    for k, drawn in enumerate(data.draw(st.lists(spike, min_size=7, max_size=7))):
+        if drawn is None:
+            continue
+        i = first + (k - 1) * FLUSH_BLOCK + drawn[0]  # block k precedes checkpoint first + k * FLUSH_BLOCK
+        if 0 <= i < n:
+            x[i] = drawn[1]
+    assert weighting._zero_runs(x, position, zero_run) == quiet_checkpoint_runs(x, position, zero_run)
+
+
 def test_input_without_an_all_zero_block_is_plain_sosfilt():
     fs = 16000.0
     rng = np.random.default_rng(9)
@@ -401,7 +444,7 @@ def test_input_without_an_all_zero_block_is_plain_sosfilt():
     # ~1 LSB rms of quantized noise: most samples are exactly zero
     x = np.round(rng.normal(0.0, 1.0, n)) * LSB_UPA
     grid = np.arange(FLUSH_BLOCK, n + 1, FLUSH_BLOCK)
-    # every checkpoint passes the three-sample screen, yet no block is all zero
+    # every block ends on zero samples, as an all-zero block does, yet no block is all zero
     for back in (1, FLUSH_BLOCK // 2, FLUSH_BLOCK):
         x[grid - back] = 0.0
     x[grid - 3] = LSB_UPA
