@@ -15,7 +15,6 @@ inside one task.
 from __future__ import annotations
 
 import contextlib
-import multiprocessing
 import time
 from dataclasses import dataclass, field
 from numbers import Integral
@@ -224,6 +223,8 @@ def run(
     wall_start = time.perf_counter()
     results: list[TaskResult] = []
     parallel = config.mode == "parallel"
+    if parallel:
+        import multiprocessing  # only here, so a serial run never pays for the import
     with multiprocessing.Pool(worker_count) if parallel else contextlib.nullcontext() as pool:
         for res in (pool.imap if parallel else map)(_run_task, tasks):
             results.append(res)

@@ -271,19 +271,20 @@ def _zero_runs(x: np.ndarray, position: int, zero_run: int) -> list[tuple[int, i
 
     ``x`` starts at stream sample ``position``, after ``zero_run`` zero
     samples.  Returns (first, last) chunk-relative checkpoints in
-    (0, len(x)].  The first checkpoint's block may reach back before the
-    chunk, into the ``zero_run`` samples; the blocks of the checkpoints
+    (0, len(x)].  One nonzero mask of the chunk, a byte per sample, answers
+    every quiet test.  The first checkpoint's block may reach back before
+    the chunk, into the ``zero_run`` samples; the blocks of the checkpoints
     after it tile ``x`` from the first checkpoint on, so they are the rows
-    of one view.  A row is checked whole only when its last sample is zero.
+    of one view of the mask.
     """
     first = -position % FLUSH_BLOCK or FLUSH_BLOCK
     if first > len(x):
         return []
-    blocks = x[first:first + (len(x) - first) // FLUSH_BLOCK * FLUSH_BLOCK].reshape(-1, FLUSH_BLOCK)
-    quiet = np.zeros(len(blocks) + 3, dtype=bool)  # the checkpoints, between two non-quiet ends
-    quiet[1] = first + zero_run >= FLUSH_BLOCK and not x[max(first - FLUSH_BLOCK, 0):first].any()
-    screened = blocks[:, -1] == 0.0
-    quiet[2:-1][screened] = ~(blocks[screened] != 0.0).any(axis=1)
+    nonzero = x != 0.0
+    rows = nonzero[first:first + (len(x) - first) // FLUSH_BLOCK * FLUSH_BLOCK].reshape(-1, FLUSH_BLOCK)
+    quiet = np.zeros(len(rows) + 3, dtype=bool)  # the checkpoints, between two non-quiet ends
+    quiet[1] = first + zero_run >= FLUSH_BLOCK and not nonzero[max(first - FLUSH_BLOCK, 0):first].any()
+    quiet[2:-1] = ~rows.any(axis=1)
     edges = np.flatnonzero(np.diff(quiet)) * FLUSH_BLOCK + first
     return list(zip(edges[::2].tolist(), (edges[1::2] - FLUSH_BLOCK).tolist()))
 

@@ -1,12 +1,12 @@
 import csv
 import math
+import multiprocessing
 import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from airgunkit import runner
 from airgunkit.errors import MeasureError
 from airgunkit.measures import NA, Levels, energy_db, pressure_db
 from airgunkit.pipeline import CATALOG_HEADER
@@ -202,5 +202,5 @@ def pool_sizes(monkeypatch):
         def imap(self, func, tasks):
             return map(func, tasks)
 
-    monkeypatch.setattr(runner.multiprocessing, "Pool", SerialPool)
+    monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
     return started

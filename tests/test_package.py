@@ -118,3 +118,16 @@ def test_cli_extract_runs_on_one_thread(small_survey, tmp_path):
     out = run_child(_THREADS_AT_EXIT, "extract", "--manifest", str(result.manifest_path),
                     "--out", str(tmp_path / "catalog.csv"))
     assert out.splitlines()[-1] == "exit 0 threads 1"
+
+
+def test_serial_extract_never_imports_multiprocessing(small_survey, tmp_path):
+    # only a parallel run starts a worker pool, so only it pays for the import
+    _, result = small_survey
+    out = run_child(
+        "import json, sys\n"
+        "import airgunkit.cli\n"
+        "imported = 'multiprocessing' in sys.modules\n"
+        "code = airgunkit.cli.main(sys.argv[1:])\n"
+        "print(json.dumps([imported, code, 'multiprocessing' in sys.modules]))\n",
+        "extract", "--manifest", str(result.manifest_path), "--out", str(tmp_path / "catalog.csv"))
+    assert json.loads(out.splitlines()[-1]) == [False, 0, False]

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -458,6 +459,21 @@ def test_input_without_an_all_zero_block_is_plain_sosfilt():
             out, state = run_chunked(kind, fs, x, cuts)
             assert out.tobytes() == ref.tobytes()
             assert state.flushes == 0
+
+
+def test_flushing_a_silent_chunk_allocates_no_chunk_sized_float_copy():
+    # one byte per sample of mask: 128 KiB for the chunk, against 1 MiB for a float copy of it
+    state = apply_filter(fresh(WeightingKind.LFC, 16000.0), np.array([LSB_UPA]))
+    silence = np.zeros(2**17)
+    apply_filter(state, silence.copy())  # warm up
+    tracemalloc.start()
+    try:
+        flushed = apply_filter(state, silence)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert flushed.flushes == 1
+    assert peak < 256 * 1024
 
 
 def write_gap_channel(directory, fs=16000):
