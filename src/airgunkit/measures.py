@@ -72,28 +72,3 @@ NA = "NA"
 def format_db(v: float | None) -> str:
     """One dB cell at micro-dB; a level that does not exist or is not finite is NA."""
     return f"{v:.6f}" if v is not None and math.isfinite(v) else NA
-
-
-class PeakMeasures(NamedTuple):
-    """Extremes of one window: global sample indices and linear pressures.
-
-    Their levels are ``pressure_db`` of the pressures, taken where they are written.
-    """
-
-    pos_index: int
-    p_pos_upa: float
-    neg_index: int
-    p_neg_upa: float
-
-
-def measure_peaks(x: np.ndarray, start: int) -> PeakMeasures:
-    """Locate the positive and negative pressure extremes of a window.
-
-    ``x`` is a window whose first sample has global index ``start``.  Ties
-    resolve to the earliest sample; an empty or all-zero window is an error.
-    """
-    if not np.any(x):
-        raise MeasureError("all-zero window has no peaks")
-    i_pos = int(np.argmax(x))
-    i_neg = int(np.argmin(x))
-    return PeakMeasures(start + i_pos, float(x[i_pos]), start + i_neg, float(x[i_neg]))

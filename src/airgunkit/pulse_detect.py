@@ -41,7 +41,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .measures import NA, format_db, measure_peaks, pressure_db
+from .measures import NA, format_db, pressure_db
 from .signal_io import RollingBuffer, db_to_upa, format_time, require_real
 
 SEARCH_BEFORE_S = 0.5
@@ -208,12 +208,19 @@ class PulseScanner:
         return closed + anchors
 
     def _measure(self, buf: RollingBuffer, anchor: int) -> PulseEvent:
-        """Measure one accepted anchor's search window, cut at the buffer end."""
+        """Measure one accepted anchor's search window, cut at the buffer end.
+
+        t_A and t_B are the window's largest and smallest samples, each the
+        earliest sample on ties, as np.argmax and np.argmin take it.  The
+        window holds its anchor, whose |p| is at least the threshold, so it
+        is never all zero.
+        """
         lo = max(anchor - self.pre, 0)
         hi = anchor + self.post
-        pk = measure_peaks(buf.view(lo, min(hi, buf.end)), lo)
-        # PeakMeasures' four fields are PulseEvent's, in the same order
-        return PulseEvent(self.channel_id, self.fs, *pk, lo, hi, anchor)
+        x = buf.view(lo, min(hi, buf.end))
+        i_pos, i_neg = int(np.argmax(x)), int(np.argmin(x))
+        return PulseEvent(self.channel_id, self.fs, lo + i_pos, float(x[i_pos]), lo + i_neg, float(x[i_neg]),
+                          lo, hi, anchor)
 
 
 # consumer(buf, kept, scanner, final) -> first sample it still needs

@@ -3,13 +3,13 @@
 The unit of parallelism is one (channel, weighting) task: one extract_stream
 pass reads, filters, detects and measures a single weighted stream into one
 TaskResult, and run maps the tasks in one loop, in process or through a
-worker pool.  The stream, weighted_chunks, owns the one buffer its chunks
-are read and filtered in, and detect_pulses and the record builder scan and
-measure that buffer.  Tasks share nothing but read-only manifests, and both
-loops return results in preflight's catalog order, so the catalog bytes
-cannot depend on worker count or completion order.  Cumulative exposure
-stays exact under parallelism because each accumulator lives entirely
-inside one task.
+worker pool.  The stream, weighted_chunks, is the one place a channel is
+read: it owns one buffer, reads each chunk into it and filters it there, and
+detect_pulses and the record builder scan and measure that buffer.  Tasks
+share nothing but read-only manifests, and both loops return results in
+preflight's catalog order, so the catalog bytes cannot depend on worker
+count or completion order.  Cumulative exposure stays exact under
+parallelism because each accumulator lives entirely inside one task.
 """
 
 from __future__ import annotations
@@ -23,10 +23,11 @@ from typing import Callable
 
 import numpy as np
 
+from . import signal_io
 from .errors import RunError
 from .pipeline import RecordBuilder, sort_records, write_catalog
 from .pulse_detect import MAX_EXCURSION_S, DetectorConfig, detect_pulses, search_hold
-from .signal_io import CHUNK_S, ChannelManifest, iter_chunks, stream_buffer
+from .signal_io import CHUNK_S, ChannelManifest, RollingBuffer, chunk_length
 from .weighting import CANONICAL_ORDER, WeightingKind, WeightingSpec, apply_filter, design_filter
 
 LogFn = Callable[[str], None]
@@ -102,13 +103,17 @@ class RuntimeReport:
 
 
 class weighted_chunks:
-    """The channel's sample stream through one weighting filter, in ``iter_chunks`` chunks.
+    """The channel's sample stream through one weighting filter, chunk by chunk.
 
-    The stream owns ``buffer``, sized for a consumer that holds at most
-    ``hold`` samples when a chunk comes, one search window unless given.
-    Each step reads the next chunk into the buffer, filters it there in
-    place and yields it, an array in the buffer valid until the next step.
-    ``state`` is the filter state after the last chunk.
+    A chunk is ``chunk_s`` seconds of samples, but at most MAX_CHUNK_SAMPLES
+    (``signal_io.chunk_length``); the last may be short, and the chunks
+    tile the channel from its sample 0.  The stream owns ``buffer``, sized
+    for a consumer that holds at most ``hold`` samples when a chunk comes,
+    one search window unless given.  Each step reads the next chunk,
+    calibrated, into the slots the buffer extends by, filters it there in
+    place and yields it, an array in the buffer valid until the next step;
+    so a sample is written once.  ``state`` is the filter state after the
+    last chunk.
     """
 
     def __init__(self, cm: ChannelManifest, kind: WeightingKind, chunk_s: float = CHUNK_S,
@@ -116,15 +121,20 @@ class weighted_chunks:
         self.sample_rate_hz = cm.sample_rate_hz
         self.channel_id = cm.channel_id
         self.state = design_filter(WeightingSpec(kind), cm.sample_rate_hz)
-        self.buffer = stream_buffer(cm.sample_rate_hz, search_hold(cm.sample_rate_hz) if hold is None else hold,
-                                    chunk_s)
-        self._chunks = iter_chunks(cm, chunk_s, self.buffer)
+        self._cm = cm
+        self._chunk = chunk_length(cm.sample_rate_hz, chunk_s)
+        self.buffer = RollingBuffer(search_hold(cm.sample_rate_hz) if hold is None else hold, self._chunk)
 
     def __iter__(self) -> weighted_chunks:
         return self
 
     def __next__(self) -> np.ndarray:
-        x = next(self._chunks)
+        start = self.buffer.end
+        n = min(self._chunk, self._cm.n_samples - start)
+        if n < 1:
+            raise StopIteration
+        # looked up on signal_io at each call, so a wrapper installed there sees every read
+        x = signal_io.read_span(self._cm, start, n, out=self.buffer.extend(n))
         self.state = apply_filter(self.state, x)
         return x
 

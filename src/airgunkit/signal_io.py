@@ -26,12 +26,12 @@ counts to micropascal is ``count / counts_full_scale * 10**(sensitivity_db/20)``
 ``db_to_upa`` refuses a level whose pressure is not finite and positive, and
 ``CalibrationSpec`` a pressure per count that is not positive.
 
-Memory is bounded at every rate: ``iter_chunks`` reads at most
-MAX_CHUNK_SAMPLES samples (1 MB as float64) at a time, and a RollingBuffer
-keeps the retained tail of a stream in one array.  ``iter_chunks``
-calibrates each chunk straight into the slots its stream's buffer extends
-by, so a chunk is an array in that buffer and a sample is written once;
-RollingBuffer states when it moves.
+Memory is bounded at every rate: a stream reads a chunk of at most
+MAX_CHUNK_SAMPLES samples (1 MB as float64, ``chunk_length``) at a time, and
+a RollingBuffer keeps the retained tail of a stream in one array.
+``read_span`` calibrates a chunk straight into the slots the stream's
+buffer extends by, so a chunk is an array in that buffer and a sample is
+written once; RollingBuffer states when it moves.
 """
 
 from __future__ import annotations
@@ -126,10 +126,6 @@ class RollingBuffer:
             self.moved += held
         self._hi += n
         return self._data[self._hi - n : self._hi]
-
-    def append(self, samples: np.ndarray) -> None:
-        """Copy ``samples`` in at the end (a test's stream of given arrays)."""
-        self.extend(len(samples))[:] = samples
 
     def view(self, a: int, b: int) -> np.ndarray:
         """Samples [a, b) by global index; they must still be held.
@@ -416,26 +412,7 @@ def read_span(cm: ChannelManifest, start_index: int, count: int,
 
 
 def chunk_length(sample_rate_hz: float, chunk_s: float = CHUNK_S) -> int:
-    """Samples in a chunk of ``iter_chunks``: ``chunk_s`` seconds, but at most MAX_CHUNK_SAMPLES and at least one."""
+    """Samples in a stream's chunk: ``chunk_s`` seconds, but at most MAX_CHUNK_SAMPLES and at least one."""
     if not 0.5 < chunk_s * sample_rate_hz < math.inf:  # round() gives 0 at 0.5 and fails on NaN and inf
         raise ValueError(f"chunk_s {chunk_s!r} s gives no sample at {sample_rate_hz:g} Hz")
     return min(round(chunk_s * sample_rate_hz), MAX_CHUNK_SAMPLES)
-
-
-def stream_buffer(sample_rate_hz: float, hold: int, chunk_s: float = CHUNK_S) -> RollingBuffer:
-    """The buffer of a stream holding at most ``hold`` samples when an ``iter_chunks`` chunk of ``chunk_s`` comes."""
-    return RollingBuffer(hold, chunk_length(sample_rate_hz, chunk_s))
-
-
-def iter_chunks(cm: ChannelManifest, chunk_s: float, buffer: RollingBuffer) -> Iterator[np.ndarray]:
-    """Read the whole channel into ``buffer``, yielding each chunk as its slots there (the last may be short).
-
-    A chunk is ``chunk_s`` seconds of samples, but never more than
-    MAX_CHUNK_SAMPLES, whatever the rate: ``chunk_s`` is an upper bound.
-    Chunk boundaries are computed in integer samples, so consecutive chunks
-    tile the channel exactly: each starts where the previous ended.
-    """
-    step = chunk_length(cm.sample_rate_hz, chunk_s)
-    for start in range(0, cm.n_samples, step):
-        n = min(step, cm.n_samples - start)
-        yield read_span(cm, start, n, out=buffer.extend(n))

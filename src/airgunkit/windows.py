@@ -12,7 +12,7 @@ sample indices; seconds are left to record assembly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,16 +25,11 @@ LATE_WINDOW_COUNT = 10
 ENERGY_BLOCK = 2**16  # samples squared and summed at a time by energy_bounds, 0.5 MB
 
 
-@dataclass(frozen=True)
-class EnergyBounds:
+class EnergyBounds(NamedTuple):
     """Global sample indices of the 5%/95% cumulative-energy samples of a window."""
 
     i5: int
     i95: int
-
-    def __post_init__(self) -> None:
-        if self.i5 > self.i95:
-            raise MeasureError("energy bounds out of order")
 
 
 def energy_bounds(samples: np.ndarray, start: int = 0) -> EnergyBounds:

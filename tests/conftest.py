@@ -11,29 +11,31 @@ from airgunkit.errors import MeasureError
 from airgunkit.measures import NA, Levels, energy_db, pressure_db
 from airgunkit.pipeline import CATALOG_HEADER
 from airgunkit.pulse_detect import search_hold
-from airgunkit.signal_io import stream_buffer, wav_writer
+from airgunkit.signal_io import RollingBuffer, chunk_length, wav_writer
 from airgunkit.synth import SurveySpec, generate
 from airgunkit.weighting import CANONICAL_ORDER
 from airgunkit.windows import HIGH_FRACTION, LOW_FRACTION, LATE_WINDOW_COUNT, LATE_WINDOW_S, EnergyBounds
 
 
 class ArrayStream:
-    """A sample stream of given arrays, as ``detect_pulses`` takes one: each is appended to ``buffer`` in turn.
+    """A sample stream of given arrays, as ``detect_pulses`` takes one: each is written to ``buffer`` in turn.
 
     The buffer is sized as ``detect``'s, for one search window, or for
-    ``hold`` samples when given.
+    ``hold`` samples when given; each array goes into the slots it extends
+    by, as a stream reads a chunk.
     """
 
     def __init__(self, chunks, fs, channel=0, hold=None) -> None:
         self.sample_rate_hz = fs
         self.channel_id = channel
-        self.buffer = stream_buffer(fs, search_hold(fs) if hold is None else hold)
+        self.buffer = RollingBuffer(search_hold(fs) if hold is None else hold, chunk_length(fs))
         self._chunks = chunks
 
     def __iter__(self):
         for x in self._chunks:
-            self.buffer.append(np.asarray(x, dtype=np.float64))
-            yield self.buffer.view(self.buffer.end - len(x), self.buffer.end)
+            slots = self.buffer.extend(len(x))
+            slots[:] = x
+            yield slots
 
 
 def csel_of_levels(sel_dbs) -> float:

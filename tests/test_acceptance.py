@@ -21,6 +21,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from airgunkit.cli import main
 from airgunkit.measures import ladder_levels
 from airgunkit.pipeline import CATALOG_HEADER
 from airgunkit.pulse_detect import DetectorConfig
@@ -318,6 +319,17 @@ def test_09_four_way_parallel_halves_wall_time(tmp_path):
 ACCEPTANCE_CATALOG_SHA256 = "3e071666e61eb254ae632ff192b49bbcc180f34787bd7a8e9b4d6dbfbde23b2d"
 HIGHRATE_CATALOG_SHA256 = "a576ae3de990eab04eab1c634db99bc79b043fdde03f20e6d2865911477e6c86"
 PAPER_RATE_CATALOG_SHA256 = "4ddad7144e4318489b67130f10d4cdb520f0e316801a909e362e3199c1fb6929"
+# the events CSV that ``detect`` writes of each survey, and its line count
+ACCEPTANCE_EVENTS = ("714a0881887cd96f1e4d0b5dae8f2b47d096374510a65d1cf8cc1e975209a3e3", 691)
+HIGHRATE_EVENTS = ("2bd649e6ed1870767743250ef3709d5aca16c13c4aa03e883b209e5055fded78", 3)
+PAPER_RATE_EVENTS = ("2838a784ad218ef36e666b22d7664e81a3b549a12dbfebeb70feae05b5d97c7d", 40)
+
+
+def detect_events(manifest_path, out, weighting: str) -> tuple[str, int]:
+    """sha256 and line count of the events CSV that ``detect --weighting`` writes, at the default detector."""
+    assert main(["detect", "--manifest", str(manifest_path), "--out", str(out), "--weighting", weighting]) == 0
+    data = out.read_bytes()
+    return hashlib.sha256(data).hexdigest(), data.count(b"\n")
 
 
 def on_ninth_decimal_tie(cell: str, fs: int) -> bool:
@@ -326,11 +338,12 @@ def on_ninth_decimal_tie(cell: str, fs: int) -> bool:
     return any(((Fraction(cell) + d) * fs).denominator == 1 for d in (half, -half))
 
 
-def test_10_catalog_bytes_are_pinned(serial_run, tmp_path):
+def test_10_catalog_bytes_are_pinned(survey, serial_run, tmp_path):
     path, _, _ = serial_run
-    with criterion(10, "catalog bytes pinned"):
+    with criterion(10, "catalog and events bytes pinned"):
         assert hashlib.sha256(path.read_bytes()).hexdigest() == ACCEPTANCE_CATALOG_SHA256
         assert check_catalog_cells(path, 16_000) == 5 * 46 * 3
+        assert detect_events(survey[1].manifest_path, tmp_path / "events.csv", "all") == ACCEPTANCE_EVENTS
 
         # 512 kHz sample times have 12 decimals; 1 in 8 sits on a 9th-decimal
         # tie, which the exact time formatter settles to the even digit
@@ -347,6 +360,7 @@ def test_10_catalog_bytes_are_pinned(serial_run, tmp_path):
         assert ties and all(int(v[-1]) % 2 == 0 for v in ties)
         assert hashlib.sha256(out.read_bytes()).hexdigest() == HIGHRATE_CATALOG_SHA256
         assert check_catalog_cells(out, fs) == 2
+        assert detect_events(result.manifest_path, tmp_path / "highrate_events.csv", "mfc") == HIGHRATE_EVENTS
 
         # the paper's recorders: 2 kHz, one pulse per 25 s, in noise, so every
         # late window holds energy in all three weightings; the last pulse's
@@ -362,3 +376,4 @@ def test_10_catalog_bytes_are_pinned(serial_run, tmp_path):
         assert all(row["late_10_sel_db"] != "NA" for row in rows[:-3])
         assert hashlib.sha256(out.read_bytes()).hexdigest() == PAPER_RATE_CATALOG_SHA256
         assert check_catalog_cells(out, 2000) == 3 * 13
+        assert detect_events(result.manifest_path, tmp_path / "paper_rate_events.csv", "all") == PAPER_RATE_EVENTS

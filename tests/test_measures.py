@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from airgunkit.errors import MeasureError
-from airgunkit.measures import NA, format_db, ladder_levels, measure_peaks, pressure_db, window_energy
+from airgunkit.measures import NA, format_db, ladder_levels, pressure_db, window_energy
 from airgunkit.pulse_detect import PulseEvent, format_event_row, peak_cells
 
 from conftest import csel_of_levels, window_levels
@@ -284,70 +284,24 @@ def test_ladder_matches_windows_measured_one_by_one(data):
 
 
 # ---------------------------------------------------------------------------
-# peak measurement
+# peak levels
 
 
-def test_peaks_single_positive_sample():
-    x = np.zeros(100)
-    x[40] = 1.0e6
-    m = measure_peaks(x, 0)
-    assert pressure_db(m.p_pos_upa) == pytest.approx(120.0, abs=1e-12)
-    assert m.pos_index == 40
-    assert measure_peaks(x, 1000).pos_index == 1040  # a global index
-    assert m.p_neg_upa == 0.0
-    assert pressure_db(m.p_neg_upa) is None  # a zero pressure has no level
-    assert pressure_db(m.p_pos_upa - m.p_neg_upa) == pytest.approx(120.0, abs=1e-12)
-
-
-def test_peaks_odd_symmetric_signal():
-    t = np.arange(int(FS * 0.01)) / FS
-    x = 1000.0 * np.sin(2.0 * np.pi * 500.0 * t)
-    m = measure_peaks(x, 0)
-    assert m.p_pos_upa == pytest.approx(-m.p_neg_upa, rel=1e-12)
-
-
-def test_peaks_brute_force_oracle():
-    rng = np.random.default_rng(31)
-    x = rng.normal(scale=100.0, size=500)
-    m = measure_peaks(x, 0)
-    best_pos = max(range(len(x)), key=lambda i: (x[i], -i))
-    best_neg = min(range(len(x)), key=lambda i: (x[i], i))
-    assert m.p_pos_upa == x[best_pos]
-    assert m.pos_index == best_pos
-    assert m.p_neg_upa == x[best_neg]
-    assert m.neg_index == best_neg
-    span = m.p_pos_upa - m.p_neg_upa
-    assert pressure_db(span) == pytest.approx(20.0 * math.log10(span), rel=1e-12)
-
-
-def test_peaks_tie_takes_earliest_sample():
-    x = np.zeros(50)
-    x[10] = x[30] = 7.0
-    x[20] = x[40] = -3.0
-    m = measure_peaks(x, 0)
-    assert m.pos_index == 10
-    assert m.neg_index == 20
-
-
-def test_peaks_all_zero_errors():
-    with pytest.raises(MeasureError):
-        measure_peaks(np.zeros(10), 0)
-
-
-def pulse(m, n):
-    """The PulseEvent of one window's PeakMeasures, searched over its ``n`` samples."""
-    return PulseEvent(0, FS, *m, 0, n, m.pos_index)
+def pulse(x):
+    """The PulseEvent of a window searched whole: its largest and smallest samples, earliest on ties."""
+    i_pos, i_neg = int(np.argmax(x)), int(np.argmin(x))
+    return PulseEvent(0, FS, i_pos, float(x[i_pos]), i_neg, float(x[i_neg]), 0, len(x), i_pos)
 
 
 def test_format_db_writes_missing_and_non_finite_levels_as_na():
     x = np.zeros(100)
     x[40] = 1.0e6
-    cells = peak_cells(pulse(measure_peaks(x, 0), len(x)))
+    cells = peak_cells(pulse(x))
     assert cells[2] == "120.000000"
     assert cells[5] == NA  # an extreme of exactly zero has no level
-    const = measure_peaks(np.full(10, 5.0), 0)
+    const = pulse(np.full(10, 5.0))
     assert pressure_db(const.p_pos_upa - const.p_neg_upa) is None
-    assert format_event_row(pulse(const, 10), "linear", 0).split(",")[-2] == NA  # p_pp_db
+    assert format_event_row(const, "linear", 0).split(",")[-2] == NA  # p_pp_db
     assert [format_db(v) for v in (None, math.inf, math.nan)] == [NA] * 3
 
 
@@ -357,15 +311,15 @@ def test_peak_spl_and_peak_levels_share_one_pressure_formula():
     rng = np.random.default_rng(7)
     for scale in (1e-3, 1.0, 3e3, 1e9):
         x = rng.normal(scale=scale, size=257)
-        m = measure_peaks(x, 0)
+        ev = pulse(x)
         lv = levels(x)
-        assert (m.p_pos_upa, m.p_neg_upa) == (x.max(), x.min())
-        assert pressure_db(m.p_pos_upa) == 20.0 * math.log10(x.max())
-        assert pressure_db(m.p_neg_upa) == 20.0 * math.log10(-x.min())
-        row = format_event_row(pulse(m, len(x)), "linear", 0).split(",")
+        assert (ev.p_pos_upa, ev.p_neg_upa) == (x.max(), x.min())
+        assert pressure_db(ev.p_pos_upa) == 20.0 * math.log10(x.max())
+        assert pressure_db(ev.p_neg_upa) == 20.0 * math.log10(-x.min())
+        row = format_event_row(ev, "linear", 0).split(",")
         # p_a_db, p_b_db and p_pp_db as written
         assert [row[5], row[8], row[9]] == [format_db(pressure_db(p))
                                             for p in (x.max(), x.min(), x.max() - x.min())]
-        assert row[3:9] == peak_cells(pulse(m, len(x)))
+        assert row[3:9] == peak_cells(ev)
         assert lv.spl_db == pressure_db(max(x.max(), -x.min()))
     assert pressure_db(0.0) is None and pressure_db(-0.0) is None

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from airgunkit.measures import pressure_db
+from airgunkit.measures import NA, pressure_db
 from airgunkit.pulse_detect import (
     EVENTS_HEADER,
     MAX_EXCURSION_S,
@@ -18,7 +18,7 @@ from airgunkit.pulse_detect import (
     format_event_row,
     search_hold,
 )
-from airgunkit.signal_io import stream_buffer
+from airgunkit.signal_io import RollingBuffer, chunk_length
 
 from conftest import ArrayStream
 
@@ -240,11 +240,11 @@ def test_vectorized_anchors_match_loop_reference(seed, chunk_s):
         i = int(t * FS)
         n = int(rng.integers(10, 4000))
         x[i : i + n] = np.round(rng.normal(scale=2e4, size=len(x[i : i + n])), -3)
-    buf = stream_buffer(FS, search_hold(FS))
+    buf = RollingBuffer(search_hold(FS), chunk_length(FS))
     scanner = PulseScanner(CFG, FS)
     kept = []
     for c in chunked(x, FS, chunk_s):
-        buf.append(c)
+        buf.extend(len(c))[:] = c
         kept += scanner.scan(buf)
         buf.trim(scanner.keep_from)
     kept += scanner.scan(buf, final=True)
@@ -273,11 +273,11 @@ def test_anchor_mask_matches_the_rectified_reference_at_the_threshold(bursts, ch
     x = np.zeros(3000)
     for start, values in bursts:
         x[start : start + len(values)] = values
-    buf = stream_buffer(fs, search_hold(fs))
+    buf = RollingBuffer(search_hold(fs), chunk_length(fs))
     scanner = PulseScanner(CFG, fs)
     kept = []
     for c in chunked(x, fs, chunk / fs):
-        buf.append(c)
+        buf.extend(len(c))[:] = c
         kept += scanner.scan(buf)
         buf.trim(scanner.keep_from)
     kept += scanner.scan(buf, final=True)
@@ -292,8 +292,8 @@ def test_t_a_spacing_drops_are_counted():
     # positive peak sits at the far end of its search window, so the t_A
     # values are 3.52 s apart and the second pulse is dropped
     x = spike_train([10.0, 10.99, 15.0, 14.51], [-1e5, 5e3, -1e5, 5e3], 25.0)
-    buf = stream_buffer(FS, search_hold(FS))
-    buf.append(x)
+    buf = RollingBuffer(search_hold(FS), chunk_length(FS))
+    buf.extend(len(x))[:] = x
     scanner = PulseScanner(CFG, FS)
     kept = scanner.scan(buf, final=True)
     assert [ev.anchor_index for ev in kept] == [int(10.0 * FS)]
@@ -312,8 +312,8 @@ def test_t_a_exactly_min_gap_apart_are_both_kept():
         x = np.zeros(at(25.0))
         x[[at(10.0), at(15.0)]] = -1e5
         x[[t_a, t_a + min_gap - closer]] = 5e3
-        buf = stream_buffer(FS, search_hold(FS))
-        buf.append(x)
+        buf = RollingBuffer(search_hold(FS), chunk_length(FS))
+        buf.extend(len(x))[:] = x
         scanner = PulseScanner(CFG, FS)
         kept = scanner.scan(buf, final=True)
         assert [ev.pos_index for ev in kept] == want_kept
@@ -332,10 +332,10 @@ def test_long_excursion_is_cut_into_pieces_whatever_the_chunking():
     for chunk_s in (0.9, 7.3, 16.0):
         assert events_key(detect_pulses(ArrayStream(chunked(x, FS, chunk_s), FS), CFG)) == events_key(whole)
     # the scanner never asks to hold much more than one piece
-    buf = stream_buffer(FS, search_hold(FS))
+    buf = RollingBuffer(search_hold(FS), chunk_length(FS))
     scanner = PulseScanner(CFG, FS)
     for c in chunked(x, FS, 1.0):
-        buf.append(c)
+        buf.extend(len(c))[:] = c
         scanner.scan(buf)
         buf.trim(scanner.keep_from)
         assert buf.end - buf.start <= (MAX_EXCURSION_S + SEARCH_BEFORE_S + SEARCH_AFTER_S + 1.0) * FS
@@ -349,14 +349,82 @@ def test_cut_excursions_are_counted_once_whatever_the_chunking():
     for start, length in ((int(2 * FS), piece), (int(30 * FS), int(35 * FS)), (int(80 * FS), piece + 1)):
         x[start : start + length] = 2e4
     for chunk_s in (0.9, 7.3, 16.0, 120.0):
-        buf = stream_buffer(FS, search_hold(FS))
+        buf = RollingBuffer(search_hold(FS), chunk_length(FS))
         scanner = PulseScanner(CFG, FS)
         for c in chunked(x, FS, chunk_s):
-            buf.append(c)
+            buf.extend(len(c))[:] = c
             scanner.scan(buf)
             buf.trim(scanner.keep_from)
         scanner.scan(buf, final=True)
         assert scanner.cut_excursions == 2, chunk_s
+
+
+# ---------------------------------------------------------------------------
+# peak measurement: the extremes of each search window
+
+
+def test_peaks_single_positive_sample():
+    x = spike_train([10.0], [1.0e6], 20.0)
+    (ev,) = detect_pulses(ArrayStream(chunked(x, FS, 0.7), FS), CFG)
+    assert ev.pos_index == at(10.0)  # a global index of the stream
+    assert pressure_db(ev.p_pos_upa) == pytest.approx(120.0, abs=1e-12)
+    assert ev.p_neg_upa == 0.0
+    assert ev.neg_index == ev.search_start_index  # the earliest of the tied zeros
+    assert pressure_db(ev.p_neg_upa) is None  # a zero pressure has no level
+    assert event_rows([ev])[0][8] == NA  # p_b_db
+    assert pressure_db(ev.p_pos_upa - ev.p_neg_upa) == pytest.approx(120.0, abs=1e-12)
+
+
+def test_peaks_odd_symmetric_signal():
+    x = np.zeros(at(20.0))
+    t = np.arange(int(FS * 0.01)) / FS
+    x[at(10.0) : at(10.0) + len(t)] = 1.0e5 * np.sin(2.0 * np.pi * 500.0 * t)
+    (ev,) = detect_pulses(ArrayStream([x], FS), CFG)
+    assert ev.p_pos_upa == pytest.approx(-ev.p_neg_upa, rel=1e-12)
+
+
+def test_peaks_brute_force_oracle():
+    # noise about the threshold throughout: every search window is full of
+    # candidates, and each event's extremes are those of its own window
+    rng = np.random.default_rng(31)
+    x = rng.normal(scale=CFG.threshold_upa, size=at(22.0))
+    events = detect_pulses(ArrayStream(chunked(x, FS, 1.3), FS), CFG)
+    assert len(events) >= 3
+    for ev in events:
+        lo = max(ev.anchor_index - at(SEARCH_BEFORE_S), 0)
+        hi = min(ev.anchor_index + at(SEARCH_AFTER_S), len(x))
+        best_pos = max(range(lo, hi), key=lambda i: (x[i], -i))
+        best_neg = min(range(lo, hi), key=lambda i: (x[i], i))
+        assert (ev.pos_index, ev.p_pos_upa) == (best_pos, x[best_pos])
+        assert (ev.neg_index, ev.p_neg_upa) == (best_neg, x[best_neg])
+        span = ev.p_pos_upa - ev.p_neg_upa
+        assert pressure_db(span) == pytest.approx(20.0 * math.log10(span), rel=1e-12)
+
+
+def test_peaks_reach_both_ends_of_the_search_window():
+    # sub-threshold extremes on the first and last samples of each window,
+    # and larger ones one sample outside it, which must not count
+    pre, post = at(SEARCH_BEFORE_S), at(SEARCH_AFTER_S)
+    a, b = at(10.0), at(20.0)
+    x = np.zeros(at(30.0))
+    x[a], x[a - pre], x[a - pre - 1] = 1.0e5, -9.0e3, -9.5e3
+    x[b], x[b + post - 1], x[b + post] = -1.0e5, 9.0e3, 9.5e3
+    first, second = detect_pulses(ArrayStream(chunked(x, FS, 0.9), FS), CFG)
+    assert (first.anchor_index, first.neg_index) == (a, a - pre)
+    assert (second.anchor_index, second.pos_index) == (b, b + post - 1)
+
+
+def test_peaks_tie_takes_earliest_sample():
+    # the anchor is the first -1e5 sample; each extreme is tied, the positive
+    # one, below the threshold, on either side of the anchor, and the
+    # earliest sample of each wins
+    a = at(10.0)
+    x = np.zeros(at(20.0))
+    x[[a, a + 200]] = -1.0e5
+    x[[a - 100, a + 100]] = 7.0e3
+    (ev,) = detect_pulses(ArrayStream([x], FS), CFG)
+    assert ev.anchor_index == a
+    assert (ev.pos_index, ev.neg_index) == (a - 100, a)
 
 
 # ---------------------------------------------------------------------------

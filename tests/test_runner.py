@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from scipy import signal
 
 import airgunkit
-from airgunkit import signal_io
+from airgunkit import runner, signal_io
 from airgunkit.errors import RunError
 from airgunkit.pulse_detect import DetectorConfig, detect_pulses, format_event_row, search_hold, write_events_csv
 from airgunkit.runner import RunConfig, preflight, report_text, run, weighted_chunks
@@ -290,9 +290,6 @@ def test_catalog_bytes_do_not_depend_on_file_splits(noisy_survey, reference_cata
 
 
 def test_run_reads_and_filters_every_sample_once_per_task(noisy_survey, tmp_path, monkeypatch):
-    import airgunkit.runner as runner
-    import airgunkit.signal_io as signal_io
-
     manifests = open_manifest(noisy_survey.manifest_path)
     reads, filtered = [], 0
     real_read, real_filter = signal_io.read_span, runner.apply_filter
@@ -422,8 +419,6 @@ def events_rows(manifests):
 
 
 def test_flush_changes_only_cells_below_minus_100_db(small_survey, tmp_path, monkeypatch):
-    import airgunkit.runner as runner
-
     spec, result = small_survey
     manifests = open_manifest(result.manifest_path)
     shipped, _ = run(RunConfig(out_path=tmp_path / "shipped.csv", detector=DETECTOR), manifests)
@@ -478,6 +473,28 @@ def test_weighted_chunks_equal_whole_filter(lfc_channel, cap, chunk_s):
             stream.buffer.trim(end - search_hold(cm.sample_rate_hz))
     assert ends == [*range(step, cm.n_samples, step), cm.n_samples]
     assert np.array_equal(np.concatenate(copies), whole)
+
+
+def test_linear_weighted_chunks_tile_the_channel_in_the_buffer(tmp_path):
+    # 2-s chunks of a 7.3-s channel through the linear weighting, which
+    # leaves the samples as read: each chunk is the slots the buffer extended
+    # by, and the chunks tile the channel exactly, the last one short
+    fs = 16000
+    counts = np.random.default_rng(10).integers(-2048, 2048, size=int(7.3 * fs), dtype=np.int16)
+    write_wav(tmp_path / "a.wav", counts, fs)
+    (tmp_path / "manifest.txt").write_text("calib 0 2048 126.0\nfile 0 a.wav 0.0\n")
+    cm = open_manifest(tmp_path / "manifest.txt")[0]
+    stream = weighted_chunks(cm, WeightingKind.LINEAR, 2.0, hold=0)
+    buf = stream.buffer
+    chunks, ends = [], []
+    for c in stream:
+        assert np.shares_memory(c, buf.view(buf.end - len(c), buf.end))
+        chunks.append(c.copy())
+        ends.append(buf.end)
+    assert ends == [2 * fs, 4 * fs, 6 * fs, cm.n_samples]
+    glued = np.concatenate(chunks)
+    assert np.array_equal(glued, read_span(cm, 0, cm.n_samples))
+    assert np.array_equal(buf.view(0, cm.n_samples), glued)
 
 
 @pytest.mark.parametrize("chunk_s", [-1.0, 0.0, 1e-6, float("nan"), float("inf")])
@@ -538,10 +555,10 @@ def peak_above_import_mb(statement: str, *args) -> float:
 
 
 def count_buffer_allocations(monkeypatch) -> list[list[int]]:
-    """Have ``stream_buffer`` make RollingBuffers that record each new capacity, one list per stream."""
+    """Have ``weighted_chunks`` make RollingBuffers that record each new capacity, one list per stream."""
     streams: list[list[int]] = []
 
-    class RecordingBuffer(signal_io.RollingBuffer):
+    class RecordingBuffer(runner.RollingBuffer):
         def __init__(self, hold: int, chunk: int) -> None:
             super().__init__(hold, chunk)
             self.capacities: list[int] = []
@@ -553,7 +570,7 @@ def count_buffer_allocations(monkeypatch) -> list[list[int]]:
                 self.capacities.append(self.capacity)
             return slots
 
-    monkeypatch.setattr(signal_io, "RollingBuffer", RecordingBuffer)
+    monkeypatch.setattr(runner, "RollingBuffer", RecordingBuffer)
     return streams
 
 

@@ -12,7 +12,6 @@ from airgunkit.signal_io import (
     CalibrationSpec,
     RollingBuffer,
     format_time,
-    iter_chunks,
     open_manifest,
     parse_time,
     read_span,
@@ -399,22 +398,6 @@ def test_read_span_into_a_stale_array_equals_a_fresh_read(tmp_path_factory, data
     assert np.isnan(stale[[0, -1]]).all()
 
 
-def test_iter_chunks_tiles_exactly(tmp_path):
-    rng = np.random.default_rng(10)
-    counts = rng.integers(-2048, 2048, size=int(7.3 * FS), dtype=np.int16)
-    cm = simple_channel(tmp_path, counts, cfs=2048, sens=126.0)
-    buf = RollingBuffer(0, 2 * FS)
-    chunks, ends = [], []
-    for c in iter_chunks(cm, 2.0, buf):  # each chunk is the slots the buffer extended by
-        assert np.shares_memory(c, buf.view(buf.end - len(c), buf.end))
-        chunks.append(c.copy())
-        ends.append(buf.end)
-    assert ends == [2 * FS, 4 * FS, 6 * FS, cm.n_samples]
-    glued = np.concatenate(chunks)
-    assert np.array_equal(glued, read_span(cm, 0, cm.n_samples))
-    assert np.array_equal(buf.view(0, cm.n_samples), glued)
-
-
 # ---------------------------------------------------------------------------
 # rolling buffer
 
@@ -426,9 +409,8 @@ def test_rolling_buffer_matches_a_concatenate_reference(hold, chunk, data):
     # chunks and random trims, some before the start, some past the end and
     # some that hold far more than ``hold``, as a long excursion does; every
     # view must equal the naive concatenate-and-slice stream, and the array
-    # grows to at most twice the largest held-plus-chunk count; a chunk is
-    # written either into the slots ``extend`` commits and hands out, or into
-    # an array of its own, which ``append`` copies
+    # grows to at most twice the largest held-plus-chunk count; each chunk is
+    # written into the slots ``extend`` commits and hands out
     buf = RollingBuffer(hold, chunk)
     first = buf.capacity
     stream = np.empty(0)
@@ -437,13 +419,9 @@ def test_rolling_buffer_matches_a_concatenate_reference(hold, chunk, data):
         n = data.draw(st.integers(0, 3 * chunk), label="append")
         largest = max(largest, buf.end - buf.start + n)
         chunk_values = np.arange(len(stream), len(stream) + n, dtype=float)
-        if data.draw(st.booleans(), label="in place"):
-            slots = buf.extend(n)
-            slots[:] = chunk_values
-            assert n == 0 or np.shares_memory(buf.view(buf.end - n, buf.end), slots)
-        else:
-            buf.append(chunk_values)
-            chunk_values[:] = -1.0  # the buffer holds a copy
+        slots = buf.extend(n)
+        slots[:] = chunk_values
+        assert n == 0 or np.shares_memory(buf.view(buf.end - n, buf.end), slots)
         stream = np.arange(len(stream) + n, dtype=float)
         assert (buf.start, buf.end) == (start, len(stream))
         a = data.draw(st.integers(start, len(stream)), label="view start")
@@ -474,10 +452,7 @@ def test_rolling_buffer_given_its_hold_and_two_chunks_keeps_its_array(hold, chun
     for _ in range(data.draw(st.integers(1, 60), label="steps")):
         n = data.draw(st.integers(0, chunk), label="append")
         values = np.arange(buf.end, buf.end + n, dtype=float)
-        if data.draw(st.booleans(), label="in place"):
-            buf.extend(n)[:] = values
-        else:
-            buf.append(values)
+        buf.extend(n)[:] = values
         appended += n
         buf.trim(buf.end - data.draw(st.integers(0, hold), label="keep"))
         assert buf.capacity == capacity

@@ -105,11 +105,6 @@ def test_bounds_all_zero_errors():
         energy_bounds(np.zeros(0))
 
 
-def test_bounds_reject_reversed_times():
-    with pytest.raises(MeasureError):
-        EnergyBounds(i5=2, i95=1)
-
-
 @settings(max_examples=100, deadline=None)
 @given(
     st.floats(min_value=0.0005, max_value=0.01),
