@@ -15,7 +15,6 @@ from .errors import (
     AirgunkitError,
     AudioFormatError,
     FilterDesignError,
-    GapError,
     ManifestError,
     MeasureError,
     RunError,
@@ -27,7 +26,6 @@ __all__ = [
     "AirgunkitError",
     "AudioFormatError",
     "FilterDesignError",
-    "GapError",
     "ManifestError",
     "MeasureError",
     "RunError",

@@ -9,10 +9,6 @@ class ManifestError(AirgunkitError):
     """Manifest is malformed, inconsistent, or references bad audio."""
 
 
-class GapError(ManifestError):
-    """Requested span crosses an uncovered region under gap_policy=error."""
-
-
 class AudioFormatError(AirgunkitError):
     """Audio container is not 16-bit mono PCM or exceeds supported rates."""
 
@@ -22,7 +18,7 @@ class FilterDesignError(AirgunkitError):
 
 
 class MeasureError(AirgunkitError):
-    """Level measurement asked of an empty or all-zero window."""
+    """Energy bounds asked of an all-zero window."""
 
 
 class RunError(AirgunkitError):

@@ -13,8 +13,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import MeasureError
-
 
 def window_energy(x: np.ndarray, sample_rate_hz: float) -> float:
     """Integrated squared pressure over one window's samples, in uPa^2 s."""
@@ -52,8 +50,6 @@ def ladder_levels(rows: np.ndarray, sample_rate_hz: float, running: list[float],
     ``window_energy`` call, since a batched sum is not bit-equal to it.
     """
     n, w = rows.shape
-    if w == 0:
-        raise MeasureError("empty window")
     peaks = np.maximum(rows.max(axis=1), -rows.min(axis=1)).tolist()  # max |x|, without a |x| temporary
     leq_offset_db = 10.0 * math.log10(w / sample_rate_hz)
     levels = []

@@ -101,9 +101,10 @@ class RecordBuilder:
     each newly kept pulse's energy bounds and early window in the rolling
     buffer, and each late window once no later pulse can start before it
     ends: before the next pulse's 5 % bound, the end of stream, or else
-    ``min(buf.end, scanner.keep_from)``.  Slots unmeasured when the next
-    pulse or the end of stream comes are NA.  It returns the start of the
-    first unmeasured window, the first sample it still needs.
+    ``scanner.keep_from``, which a scan leaves at or before ``buf.end``.
+    Slots unmeasured when the next pulse or the end of stream comes are NA.
+    It returns the start of the first unmeasured window, the first sample
+    it still needs.
     """
 
     def __init__(self, cm: ChannelManifest, kind: WeightingKind) -> None:
@@ -132,7 +133,7 @@ class RecordBuilder:
             self._pending = (ev, bk, ladder_levels(early, self.fs, self._csel))
         if self._pending is None:
             return buf.end
-        return self._measure_late(buf, n_total if final else min(buf.end, scanner.keep_from), final)
+        return self._measure_late(buf, n_total if final else scanner.keep_from, final)
 
     def _measure_late(self, buf: RollingBuffer, bound: int, settled: bool) -> int:
         """Measure the pending record's late windows ending by ``bound``; return the first sample it needs."""

@@ -181,12 +181,15 @@ def preflight(config: RunConfig, manifests: dict[int, ChannelManifest],
               *also_written: Path | str) -> list[tuple[ChannelManifest, WeightingKind]]:
     """The run's (channel, weighting) streams in catalog order.
 
-    Raises RunError when the manifest lacks a selected channel, or when
-    ``config.out_path`` or a path in ``also_written`` has no directory, is a
-    directory, or resolves to the manifest, to a WAV it lists or to another
-    output; FilterDesignError when a selected band has no filter at its rate.
+    Raises RunError when the manifests hold no channel or lack a selected
+    one, or when ``config.out_path`` or a path in ``also_written`` has no
+    directory, is a directory, or resolves to the manifest, to a WAV it lists
+    or to another output; FilterDesignError when a selected band has no
+    filter at its rate.  So a run has at least one stream.
     """
     channels = sorted(manifests if config.channels is None else config.channels)
+    if not channels:
+        raise RunError("no channel to run: the manifests are empty")
     missing = [ch for ch in channels if ch not in manifests]
     if missing:
         raise RunError(f"manifest does not cover requested channels: {missing}")
@@ -228,7 +231,7 @@ def run(
     """
     streams = preflight(config, manifests)
     tasks = [(cm, kind, config.detector) for cm, kind in streams]
-    worker_count = max(1, min(config.worker_count, len(tasks)))  # never more processes than tasks
+    worker_count = min(config.worker_count, len(tasks))  # never more processes than tasks
 
     wall_start = time.perf_counter()
     results: list[TaskResult] = []

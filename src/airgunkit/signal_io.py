@@ -13,7 +13,8 @@ one sample rate and tile the timeline: gaps or overlaps larger than one
 sample period abort at open time (gaps are tolerated under ``zero_fill`` and
 read back as zeros).  A misalignment of exactly one sample period is clock
 jitter, not a defect: the later file snaps to adjacency, dropping its first
-sample when it overlapped.
+sample when it overlapped.  The policy is applied there, once: a channel
+under ``error`` that opens has no gap, so every read of it is covered.
 
 Start times are finite decimal seconds, read exactly.  The earliest file's
 start is the channel's origin: every sample of a channel has a global index
@@ -48,7 +49,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .errors import AudioFormatError, GapError, ManifestError
+from .errors import AudioFormatError, ManifestError
 
 MAX_SAMPLE_RATE_HZ = 512_000
 # a chunk read is CHUNK_S seconds of samples, but at most MAX_CHUNK_SAMPLES:
@@ -195,7 +196,6 @@ class CalibrationSpec:
 @dataclass(frozen=True)
 class _FileEntry:
     path: Path
-    start_s: Fraction
     start_index: int  # global sample index relative to channel origin
     n_frames: int
     trim: int  # leading samples ignored (1-sample overlap tolerance)
@@ -207,19 +207,19 @@ class _FileEntry:
 
 @dataclass(frozen=True)
 class ChannelManifest:
-    """All files of one channel, indexed on a single global sample grid."""
+    """All files of one channel, indexed on a single global sample grid.
+
+    ``origin`` is the seconds of sample 0, the start time of the channel's
+    earliest file.  The files tile [0, n_samples) in order, save for the
+    gaps of a ``zero_fill`` channel.
+    """
 
     channel_id: int
     sample_rate_hz: float
     calibration: CalibrationSpec
-    gap_policy: str
+    origin: Fraction
     files: tuple[_FileEntry, ...] = field(repr=False)
     manifest_path: Path = field(repr=False)  # the manifest that lists the files
-
-    @property
-    def origin(self) -> Fraction:
-        """Seconds of sample 0: the start time of the channel's earliest file."""
-        return self.files[0].start_s
 
     @property
     def n_samples(self) -> int:
@@ -367,9 +367,9 @@ def open_manifest(path: Path | str) -> dict[int, ChannelManifest]:
                     raise ManifestError(
                         f"channel {ch}: {delta}-sample gap before {fpath.name} (gap_policy=error)"
                     )
-            files.append(_FileEntry(fpath, start_s, gidx, nframes - trim, trim))
+            files.append(_FileEntry(fpath, gidx, nframes - trim, trim))
         assert rate is not None
-        out[ch] = ChannelManifest(ch, float(rate), calibs[ch], policies[ch], tuple(files), path)
+        out[ch] = ChannelManifest(ch, float(rate), calibs[ch], t0, tuple(files), path)
     return out
 
 
@@ -378,8 +378,9 @@ def read_span(cm: ChannelManifest, start_index: int, count: int,
     """Read a calibrated span by global sample index, in uPa, into ``out`` when it is given.
 
     Each file's part of the span is calibrated straight into the one output
-    array, and samples no file covers are written as zeros (under
-    ``zero_fill``; under ``error`` they raise GapError).
+    array, and samples no file covers, the gaps of a ``zero_fill`` channel,
+    are written as zeros.  A channel under ``error`` has no such sample:
+    ``open_manifest`` refused its gaps.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -392,7 +393,6 @@ def read_span(cm: ChannelManifest, start_index: int, count: int,
     if len(samples) != count:
         raise ValueError(f"out holds {len(samples)} samples, not {count}")
     done = start_index  # files are sorted and never overlap: samples before ``done`` are written
-    covered = 0
     for entry in cm.files:
         lo = max(start_index, entry.start_index)
         hi = min(end, entry.end_index)
@@ -401,13 +401,8 @@ def read_span(cm: ChannelManifest, start_index: int, count: int,
         samples[done - start_index : lo - start_index] = 0.0  # no file covers these
         data = _read_wav_span(entry.path, entry.trim + (lo - entry.start_index), hi - lo)
         cm.calibration.counts_to_pressure(data, out=samples[lo - start_index : hi - start_index])
-        covered += hi - lo
         done = hi
     samples[done - start_index :] = 0.0
-    if covered < count and cm.gap_policy == "error":
-        raise GapError(
-            f"channel {cm.channel_id}: span [{start_index}, {end}) crosses an uncovered gap"
-        )
     return samples
 
 

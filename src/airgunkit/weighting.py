@@ -109,9 +109,7 @@ class FilterState:
 
 
 def design_filter(spec: WeightingSpec, sample_rate_hz: float) -> FilterState:
-    """Design the band for one sample rate and return fresh streaming state."""
-    if sample_rate_hz <= 0:
-        raise FilterDesignError("sample rate must be positive")
+    """Design the band for a rate the WAV reader admitted, 1 Hz to 512 kHz; return fresh streaming state."""
     band = spec.band_hz
     if band is None:
         return FilterState(spec, sample_rate_hz, None, None)

@@ -39,14 +39,13 @@ def energy_bounds(samples: np.ndarray, start: int = 0) -> EnergyBounds:
     Cumulative energy is the rectangle-rule running sum of squared samples;
     each bound is the earliest sample whose cumulative share reaches or
     exceeds its fraction.  The bounds coincide only when one sample carries
-    essentially all the energy.  All-zero windows are an error.
+    essentially all the energy.  A window of no energy, all zero or empty,
+    is an error.
 
     The sum runs in blocks of ENERGY_BLOCK samples, each one's first square added to
     the sum before it; ``np.cumsum`` adds left to right, so it is the whole window's.
     """
     n = len(samples)
-    if n == 0:
-        raise MeasureError("empty window")
     energy = np.empty(min(n, ENERGY_BLOCK))
     sums = [0.0]  # the running sum before each block, and the total
 
@@ -76,8 +75,8 @@ def late_window_count(i95: int, limit: int, w: int) -> int:
     Window k (k = 0..LATE_WINDOW_COUNT-1) spans samples [i95 + k*w,
     i95 + (k+1)*w).  It is valid when it ends at or before ``limit``: the
     next pulse's 5% bound, or the sample count of the stream for the last
-    pulse.  Validity is a prefix of the ladder, so it is one count.
+    pulse.  Validity is a prefix of the ladder, so it is one count.  A
+    late window holds ``w = round(LATE_WINDOW_S * fs) >= 1`` samples, as
+    the reader admits no rate below 1 Hz.
     """
-    if w < 1:
-        raise ValueError("late window must hold at least one sample")
     return min(LATE_WINDOW_COUNT, max(0, (limit - i95) // w))

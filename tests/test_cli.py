@@ -511,6 +511,30 @@ def test_missing_output_directory_fails_before_any_read(survey_dir, tmp_path, mo
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("policy", ["", "zero_fill"])
+@pytest.mark.parametrize("command", ["extract", "detect"])
+def test_a_gap_in_a_file_chain_fails_at_open_unless_zero_filled(survey_dir, tmp_path, capsys, command, policy):
+    # the survey's samples split at 20 s, the second file starting 2 s late:
+    # the default policy refuses the gap before any output is written
+    fs = 16_000
+    with wave.open(str(survey_dir / "ch00.wav"), "rb") as w:
+        x = np.frombuffer(w.readframes(w.getnframes()), dtype="<i2")
+    inputs, outputs = tmp_path / "in", tmp_path / "out"
+    inputs.mkdir()
+    outputs.mkdir()
+    write_wav(inputs / "a.wav", x[: 20 * fs], fs)
+    write_wav(inputs / "b.wav", x[20 * fs :], fs)
+    (inputs / "m.txt").write_text(f"calib 0 2048 126 {policy}\nfile 0 a.wav 0.0\nfile 0 b.wav 22.0\n")
+    code = main([command, "--manifest", str(inputs / "m.txt"), "--out", str(outputs / "out.csv")])
+    if policy:
+        assert code == 0
+        assert (outputs / "out.csv").is_file()
+    else:
+        assert code == 2
+        assert "channel 0: 32000-sample gap before b.wav" in capsys.readouterr().err
+        assert list(outputs.iterdir()) == []  # no catalog, summary or events
+
+
 # each case: the command and its outputs, with the output the check names
 _CLASHES = {
     "catalog-is-a-wav": ("extract", ["--out", "{survey}/ch00.wav"], "{survey}/ch00.wav"),

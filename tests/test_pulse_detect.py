@@ -341,13 +341,18 @@ def test_long_excursion_is_cut_into_pieces_whatever_the_chunking():
         assert buf.end - buf.start <= (MAX_EXCURSION_S + SEARCH_BEFORE_S + SEARCH_AFTER_S + 1.0) * FS
 
 
-def test_cut_excursions_are_counted_once_whatever_the_chunking():
-    # one excursion exactly MAX_EXCURSION_S long (one piece), one 35 s long
-    # (three pieces) and one a sample longer than MAX_EXCURSION_S (two pieces)
+def long_excursions():
+    """One excursion exactly MAX_EXCURSION_S long (one piece), one 35 s long
+    (three pieces) and one a sample longer than MAX_EXCURSION_S (two pieces)."""
     piece = round(MAX_EXCURSION_S * FS)
     x = np.zeros(int(120 * FS))
     for start, length in ((int(2 * FS), piece), (int(30 * FS), int(35 * FS)), (int(80 * FS), piece + 1)):
         x[start : start + length] = 2e4
+    return x
+
+
+def test_cut_excursions_are_counted_once_whatever_the_chunking():
+    x = long_excursions()
     for chunk_s in (0.9, 7.3, 16.0, 120.0):
         buf = RollingBuffer(search_hold(FS), chunk_length(FS))
         scanner = PulseScanner(CFG, FS)
@@ -357,6 +362,23 @@ def test_cut_excursions_are_counted_once_whatever_the_chunking():
             buf.trim(scanner.keep_from)
         scanner.scan(buf, final=True)
         assert scanner.cut_excursions == 2, chunk_s
+
+
+def test_the_scanner_reads_each_sample_once_inside_long_excursions(monkeypatch):
+    # an open excursion piece is carried from scan to scan, never rescanned:
+    # the samples handed to _anchors add up to the stream, however it is chunked
+    x = long_excursions()
+    anchors = PulseScanner._anchors
+    for chunk_s in (0.9, 7.3, 16.0, 120.0):
+        scanned = []
+
+        def counting(self, samples, final):
+            scanned.append(len(samples))
+            return anchors(self, samples, final)
+
+        monkeypatch.setattr(PulseScanner, "_anchors", counting)
+        detect_pulses(ArrayStream(chunked(x, FS, chunk_s), FS), CFG)
+        assert sum(scanned) == len(x), chunk_s
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from airgunkit.signal_io import MAX_CHUNK_SAMPLES, open_manifest, read_span
 from airgunkit.synth import SurveySpec, generate
 from airgunkit.weighting import CANONICAL_ORDER, WeightingKind, WeightingSpec, apply_filter, design_filter
 
-from conftest import check_catalog_cells, write_wav
+from conftest import check_catalog_cells, read_rows, write_wav
 
 DETECTOR = DetectorConfig(threshold_db=100.0, min_ipi_s=5.0)
 
@@ -213,6 +213,27 @@ def test_cut_excursions_are_counted_and_logged(tmp_path):
     assert "cut_excursions=1" in report_text(report)
 
 
+@pytest.mark.parametrize("first_pulse_s", [2.0, 2.0002, 2.00037])
+@pytest.mark.parametrize("noise_rms_upa", [0.0, 3000.0])
+@pytest.mark.parametrize("carrier_hz", [125.0, 250.0])
+def test_paper_rate_catalog_recovers_the_analytic_truth(tmp_path, carrier_hz, noise_rms_upa, first_pulse_s):
+    # at the paper's 2 kHz, carriers at most fs/8 do not alias: every pulse
+    # has one linear row, t_A on its sample, and an early SEL of the 90 % of
+    # the analytic energy that the early window holds
+    fs = 2000
+    spec = SurveySpec(duration_s=130.0, sample_rate_hz=fs, ipi_s=25.0, first_pulse_s=first_pulse_s,
+                      carrier_hz=carrier_hz, noise_rms_upa=noise_rms_upa, seed=6)
+    survey = generate(spec, tmp_path / "survey")
+    out, _ = run(RunConfig(out_path=tmp_path / "c.csv", detector=DETECTOR, weightings=(WeightingKind.LINEAR,)),
+                 open_manifest(survey.manifest_path))
+    rows = read_rows(out)
+    assert [int(r["pulse_index"]) for r in rows] == [g.pulse_index for g in survey.truths] == list(range(6))
+    for r, g in zip(rows, survey.truths):
+        assert abs(float(r["t_a_s"]) - g.t_true_s) <= 1.0 / fs
+        assert float(r["early_sel_db"]) == pytest.approx(g.sel_analytic_db + 10.0 * np.log10(0.9), abs=0.25)
+    assert check_catalog_cells(out, fs) == 6
+
+
 # ---------------------------------------------------------------------------
 # determinism across modes and orderings
 
@@ -356,6 +377,14 @@ def test_preflight_lists_streams_in_catalog_order(noisy_survey, tmp_path):
 
 # ---------------------------------------------------------------------------
 # failure handling
+
+
+@pytest.mark.parametrize("mode,workers", [("serial", 1), ("parallel", 2)])
+def test_a_run_of_no_channel_aborts(tmp_path, mode, workers):
+    # open_manifest never returns an empty dict; a caller's own must not start an empty pool
+    with pytest.raises(RunError, match="no channel to run"):
+        run(RunConfig(out_path=tmp_path / "c.csv", detector=DETECTOR, mode=mode, worker_count=workers), {})
+    assert not (tmp_path / "c.csv").exists()
 
 
 def test_unknown_channel_aborts(twelve_pulse_survey, tmp_path):

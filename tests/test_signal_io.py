@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from airgunkit.errors import AudioFormatError, GapError, ManifestError
+from airgunkit.errors import AudioFormatError, ManifestError
 from airgunkit.signal_io import (
     CalibrationSpec,
     RollingBuffer,
@@ -333,6 +333,60 @@ def test_wide_gap_zero_fill_reads_zeros(tmp_path):
     assert np.all(counts[140:] == 6)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_gap_policy_is_applied_when_the_manifest_opens(tmp_path_factory, data):
+    # a chain of short files, each starting -3 to +3 samples after the
+    # previous file's nominal end, or after a wide gap, is opened under both
+    # policies: under error it either fails or tiles [0, n_samples), and
+    # reads back as its files' calibrated counts less their trimmed samples;
+    # under zero_fill every gap reads as zeros; and error refuses exactly
+    # the chains that zero_fill opens with a gap
+    out = tmp_path_factory.mktemp("chain")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    origin = data.draw(st.integers(0, 10**6), label="origin")
+    counts, starts, rows, nominal_end = {}, {}, [], origin
+    for k in range(data.draw(st.integers(1, 6), label="files")):
+        shift = data.draw(st.integers(-3, 3) | st.integers(4, 500), label=f"shift {k}") if k else 0
+        x = rng.integers(1, 2048, size=data.draw(st.integers(4, 40), label=f"length {k}"), dtype=np.int16)
+        write_wav(out / f"f{k}.wav", x, FS)
+        counts[f"f{k}.wav"] = x
+        starts[f"f{k}.wav"] = nominal_end + shift - origin
+        rows.append(f"file 0 f{k}.wav {(nominal_end + shift) / FS!r}")
+        nominal_end += shift + len(x)
+    rows = data.draw(st.permutations(rows), label="row order")
+    opened = {}
+    for policy in ("error", "zero_fill"):
+        try:
+            manifest = write_manifest(out / f"{policy}.txt", [f"calib 0 2048 126.0 {policy}", *rows])
+            opened[policy] = open_manifest(manifest)[0]
+        except ManifestError as exc:
+            assert "overlaps" in str(exc) or (policy == "error" and "-sample gap before" in str(exc)), exc
+    if "zero_fill" not in opened:
+        assert "error" not in opened
+        return
+    cm = opened["zero_fill"]
+    ppc = cm.calibration.pressure_per_count
+    assert cm.origin == Fraction(repr(origin / FS)) and cm.files[0].start_index == 0
+    expected = np.zeros(cm.n_samples)
+    for prev, f in zip((None, *cm.files), cm.files):
+        gap = f.start_index - (0 if prev is None else prev.end_index)
+        assert f.trim in (0, 1) and gap >= 0 and gap != 1  # a one-sample gap snaps shut
+        # its kept samples sit where its start time puts them, or one sample
+        # earlier when it snapped back over a one-sample gap
+        assert f.start_index - f.trim - starts[f.path.name] in (0, -1)
+        expected[f.start_index : f.end_index] = counts[f.path.name][f.trim :] * ppc
+    assert np.array_equal(read_span(cm, 0, cm.n_samples), expected)
+    gaps = any(prev.end_index < f.start_index for prev, f in zip(cm.files, cm.files[1:]))
+    assert ("error" in opened) == (not gaps)
+    if "error" in opened:
+        strict = opened["error"]
+        assert strict.files[0].start_index == 0
+        assert all(f.start_index == prev.end_index for prev, f in zip(strict.files, strict.files[1:]))
+        whole = np.concatenate([counts[f.path.name][f.trim :] for f in strict.files]) * ppc
+        assert np.array_equal(read_span(strict, 0, strict.n_samples), whole)
+
+
 # ---------------------------------------------------------------------------
 # span and chunk reads
 
@@ -514,14 +568,3 @@ def test_file_offsets_are_exact_at_epoch_origins(tmp_path):
     assert [f.start_index for f in cm.files] == [0, 100]
     assert format_time(100, cm.sample_rate_hz, cm.origin) == "1760000000.125540122"
 
-
-def test_gap_error_surfaces_on_read_for_handmade_manifest(tmp_path):
-    # zero_fill lets an open succeed over a hole; flipping the policy by hand
-    # must make reads across the hole fail loudly
-    from dataclasses import replace
-
-    x = np.full(100, 5, dtype=np.int16)
-    cm = split_files_channel(tmp_path, x, x, gap_samples=40, policy="zero_fill")
-    strict = replace(cm, gap_policy="error")
-    with pytest.raises(GapError):
-        read_span(strict, 0, 240)
