@@ -33,7 +33,6 @@ from fractions import Fraction
 from itertools import groupby, zip_longest
 from typing import Iterable, Iterator, Sequence
 
-from .errors import RunError
 from .measures import NA, Levels, format_db, ladder_levels
 from .pulse_detect import PulseEvent, PulseScanner, peak_cells, search_hold
 from .signal_io import ChannelManifest, RollingBuffer, format_time
@@ -74,9 +73,6 @@ def extract_record(event: PulseEvent, bounds: EnergyBounds, levels: Sequence[Lev
     ladder.  The remaining slots keep their start times but get NA level
     measures.  ``origin`` is the seconds of the channel's sample 0.
     """
-    n_na = LATE_WINDOW_COUNT + 1 - len(levels)
-    if not 0 <= n_na <= LATE_WINDOW_COUNT:
-        raise ValueError(f"record takes 1 to {LATE_WINDOW_COUNT + 1} window levels, got {len(levels)}")
     fs = event.sample_rate_hz
     w = round(LATE_WINDOW_S * fs)
     late_starts = range(bounds.i95, bounds.i95 + LATE_WINDOW_COUNT * w, w)
@@ -84,9 +80,7 @@ def extract_record(event: PulseEvent, bounds: EnergyBounds, levels: Sequence[Lev
     cells += peak_cells(event, origin)
     for lv in levels:
         cells += map(format_db, lv)
-    cells += (NA,) * (len(_LEVEL_NAMES) * n_na)
-    if len(cells) != FEATURES_PER_RECORD:
-        raise RunError(f"record emitted {len(cells)} cells, expected {FEATURES_PER_RECORD}")
+    cells += (NA,) * (len(_LEVEL_NAMES) * (LATE_WINDOW_COUNT + 1 - len(levels)))
     return f"{event.channel_id},{weighting},{pulse_index},{','.join(cells)}"
 
 

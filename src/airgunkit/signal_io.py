@@ -27,6 +27,12 @@ counts to micropascal is ``count / counts_full_scale * 10**(sensitivity_db/20)``
 ``db_to_upa`` refuses a level whose pressure is not finite and positive, and
 ``CalibrationSpec`` a pressure per count that is not positive.
 
+Reads are stateless.  ``open_manifest`` parses each WAV header once and
+keeps the byte offset of the first frame the file contributes; a read
+finds its first file by bisecting the files' start indices, and reads each
+file's part with one ``np.fromfile`` at that offset, so its cost does not
+grow with the channel's file count, and no file is held open between reads.
+
 Memory is bounded at every rate: a stream reads a chunk of at most
 MAX_CHUNK_SAMPLES samples (1 MB as float64, ``chunk_length``) at a time, and
 a RollingBuffer keeps the retained tail of a stream in one array.
@@ -40,6 +46,7 @@ from __future__ import annotations
 import math
 import re
 import wave
+from bisect import bisect_right
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -197,8 +204,8 @@ class CalibrationSpec:
 class _FileEntry:
     path: Path
     start_index: int  # global sample index relative to channel origin
-    n_frames: int
-    trim: int  # leading samples ignored (1-sample overlap tolerance)
+    n_frames: int  # frames the file contributes
+    offset: int  # byte offset of its first such frame, past a dropped one-sample overlap
 
     @property
     def end_index(self) -> int:
@@ -230,10 +237,10 @@ class ChannelManifest:
         return self.n_samples / self.sample_rate_hz
 
 
-def _wav_info(path: Path) -> tuple[int, int]:
-    """Return (sample_rate, n_frames), rejecting anything but 16-bit mono PCM."""
+def _wav_info(path: Path) -> tuple[int, int, int]:
+    """Return (sample_rate, n_frames, byte offset of frame 0), rejecting anything but 16-bit mono PCM."""
     try:
-        with wave.open(str(path), "rb") as w:
+        with open(path, "rb") as fh, wave.open(fh) as w:
             if w.getcomptype() != "NONE":
                 raise AudioFormatError(f"{path}: compressed WAV not supported")
             if w.getnchannels() != 1:
@@ -243,20 +250,9 @@ def _wav_info(path: Path) -> tuple[int, int]:
             rate = w.getframerate()
             if not 1 <= rate <= MAX_SAMPLE_RATE_HZ:
                 raise AudioFormatError(f"{path}: sample rate {rate} Hz outside 1 to {MAX_SAMPLE_RATE_HZ} Hz")
-            return rate, w.getnframes()
+            return rate, w.getnframes(), fh.tell()  # wave.open stops at the data chunk's first frame
     except wave.Error as exc:
         raise AudioFormatError(f"{path}: not a readable WAV file ({exc})") from exc
-
-
-def _read_wav_span(path: Path, start: int, count: int) -> np.ndarray:
-    """Read ``count`` int16 frames starting at frame ``start``."""
-    with wave.open(str(path), "rb") as w:
-        w.setpos(start)
-        raw = w.readframes(count)
-    out = np.frombuffer(raw, dtype="<i2")
-    if len(out) != count:
-        raise AudioFormatError(f"{path}: short read ({len(out)} of {count} frames)")
-    return out
 
 
 @contextmanager
@@ -341,7 +337,7 @@ def open_manifest(path: Path | str) -> dict[int, ChannelManifest]:
         for fpath, start_s in entries:
             if not fpath.is_file():
                 raise ManifestError(f"channel {ch}: missing audio file {fpath}")
-            frate, nframes = _wav_info(fpath)
+            frate, nframes, offset = _wav_info(fpath)
             if rate is None:
                 rate = frate
             elif frate != rate:
@@ -367,7 +363,7 @@ def open_manifest(path: Path | str) -> dict[int, ChannelManifest]:
                     raise ManifestError(
                         f"channel {ch}: {delta}-sample gap before {fpath.name} (gap_policy=error)"
                     )
-            files.append(_FileEntry(fpath, gidx, nframes - trim, trim))
+            files.append(_FileEntry(fpath, gidx, nframes - trim, offset + 2 * trim))
         assert rate is not None
         out[ch] = ChannelManifest(ch, float(rate), calibs[ch], t0, tuple(files), path)
     return out
@@ -377,10 +373,14 @@ def read_span(cm: ChannelManifest, start_index: int, count: int,
               out: np.ndarray | None = None) -> np.ndarray:
     """Read a calibrated span by global sample index, in uPa, into ``out`` when it is given.
 
-    Each file's part of the span is calibrated straight into the one output
-    array, and samples no file covers, the gaps of a ``zero_fill`` channel,
-    are written as zeros.  A channel under ``error`` has no such sample:
-    ``open_manifest`` refused its gaps.
+    The span's first file is found by bisecting the files' start indices,
+    and the files after it are visited in order until one starts past the
+    span, so a read touches about log2(files) entries plus the files it
+    reads.  Each file's part is one ``np.fromfile`` at the byte offset
+    ``open_manifest`` took, calibrated straight into the one output array;
+    no file stays open after the read.  Samples no file covers, the gaps of
+    a ``zero_fill`` channel, are written as zeros.  A channel under
+    ``error`` has no such sample: ``open_manifest`` refused its gaps.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -392,14 +392,20 @@ def read_span(cm: ChannelManifest, start_index: int, count: int,
     samples = np.empty(count) if out is None else out
     if len(samples) != count:
         raise ValueError(f"out holds {len(samples)} samples, not {count}")
+    files = cm.files
     done = start_index  # files are sorted and never overlap: samples before ``done`` are written
-    for entry in cm.files:
+    for k in range(bisect_right(files, start_index, key=lambda f: f.start_index) - 1, len(files)):
+        entry = files[k]
+        if entry.start_index >= end:
+            break
         lo = max(start_index, entry.start_index)
         hi = min(end, entry.end_index)
-        if lo >= hi:
+        if lo >= hi:  # the first file ends in a zero_fill gap before the span
             continue
         samples[done - start_index : lo - start_index] = 0.0  # no file covers these
-        data = _read_wav_span(entry.path, entry.trim + (lo - entry.start_index), hi - lo)
+        data = np.fromfile(entry.path, "<i2", hi - lo, offset=entry.offset + 2 * (lo - entry.start_index))
+        if len(data) != hi - lo:
+            raise AudioFormatError(f"{entry.path}: short read ({len(data)} of {hi - lo} frames)")
         cm.calibration.counts_to_pressure(data, out=samples[lo - start_index : hi - start_index])
         done = hi
     samples[done - start_index :] = 0.0

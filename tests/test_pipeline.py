@@ -173,16 +173,11 @@ def test_record_level_formats():
     assert cells[20] == "56.989700"  # early_csel_db first pulse = its SEL
 
 
-def test_record_rejects_misaligned_late_ladder():
+def test_record_lays_its_late_ladder_from_i95():
     # the ladder starts at i95 by construction: late_01_start_s is the early
     # window's upper bound and the slots follow one window apart
     cells = record_cells(const_levels(new_csel()))
     assert cells[1:11] == [format_time(BOUNDS.i95 + k * at(1.0), FS) for k in range(LATE_WINDOW_COUNT)]
-    # a ladder without its early window, or with more late windows than slots, is refused
-    levels = const_levels(new_csel())
-    for bad in ([], levels + levels[-1:]):
-        with pytest.raises(ValueError):
-            extract_record(fake_event(2.1), BOUNDS, bad, weighting="linear", pulse_index=0)
 
 
 def test_csel_slots_accumulate_across_pulses():

@@ -283,31 +283,89 @@ def test_catalog_bytes_do_not_depend_on_chunk_size_or_channel_order(
     assert check_catalog_cells(out, 16_000) == report.n_records == 2 * 4 * 3
 
 
-@settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(data=st.data())
-def test_catalog_bytes_do_not_depend_on_file_splits(noisy_survey, reference_catalog, tmp_path_factory, data):
-    """Each channel's WAV, tiled into files whose start times jitter by one sample."""
-    out = tmp_path_factory.mktemp("split")
-    lines = []
-    for ch, cm in open_manifest(noisy_survey.manifest_path).items():
+def split_survey(manifests, out, cuts, shifts):
+    """Write each channel as a zero_fill chain of files; return the chain's manifests and its one-file twin's.
+
+    Channel ``ch`` is cut at the sample indices ``cuts[ch]``.  File k starts
+    ``shifts[ch][k]`` samples after the end of the file before it: -1
+    repeats that file's last sample, 0 and 1 put it on the grid (1 is
+    jitter, which snaps shut), and 2 or more leave a gap, which the twin,
+    one file per channel, holds as zeros.
+    """
+    chain, twin = [], []
+    for ch, cm in manifests.items():
         (entry,) = cm.files
         with wave.open(str(entry.path), "rb") as w:
             counts = np.frombuffer(w.readframes(w.getnframes()), dtype="<i2")
-        cuts = data.draw(st.lists(st.integers(3, len(counts) - 3), max_size=5, unique=True), label=f"cuts {ch}")
-        edges = [0, *sorted(cuts), len(counts)]
-        assume(all(b - a >= 3 for a, b in zip(edges, edges[1:])))  # jitter keeps the file order
-        lines.append(f"calib {ch} {cm.calibration.counts_full_scale} {cm.calibration.sensitivity_db!r}")
+        fs = int(cm.sample_rate_hz)
+        calib = f"calib {ch} {cm.calibration.counts_full_scale} {cm.calibration.sensitivity_db!r} zero_fill"
+        edges = [0, *cuts[ch], len(counts)]
+        pieces, lag = [], 0  # lag: the gap samples before the file
+        chain.append(calib)
         for k, (a, b) in enumerate(zip(edges, edges[1:])):
-            jitter = data.draw(st.sampled_from([-1, 0, 1]) if k else st.just(0), label=f"jitter {ch}.{k}")
-            # a file one sample early repeats the sample before it; one sample late, it does not
-            write_wav(out / f"c{ch}_{k}.wav", counts[a - (jitter < 0) : b], int(cm.sample_rate_hz))
-            lines.append(f"file {ch} c{ch}_{k}.wav {(a + jitter) / cm.sample_rate_hz!r}")
-    (out / "m.txt").write_text("\n".join(lines) + "\n")
+            shift = shifts[ch][k]
+            if shift > 1:
+                pieces.append(np.zeros(shift, np.int16))
+                lag, shift = lag + shift, 0
+            pieces.append(counts[a:b])
+            write_wav(out / f"c{ch}_{k}.wav", counts[a - (shift < 0) : b], fs)
+            chain.append(f"file {ch} c{ch}_{k}.wav {(a + lag + shift) / fs!r}")
+        write_wav(out / f"t{ch}.wav", np.concatenate(pieces), fs)
+        twin += [calib, f"file {ch} t{ch}.wav 0.0"]
+    (out / "chain.txt").write_text("\n".join(chain) + "\n")
+    (out / "twin.txt").write_text("\n".join(twin) + "\n")
+    return open_manifest(out / "chain.txt"), open_manifest(out / "twin.txt")
+
+
+def catalogs(out, *surveys):
+    """The catalog bytes of a run of each survey's manifests, each checked for clean cells."""
+    found = []
+    for k, manifests in enumerate(surveys):
+        catalog, report = run(RunConfig(out_path=out / f"c{k}.csv", detector=DETECTOR), manifests)
+        assert check_catalog_cells(catalog, 16_000) == report.n_records
+        found.append(catalog.read_bytes())
+    return found
+
+
+@settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_catalog_bytes_do_not_depend_on_file_splits(noisy_survey, reference_catalog, tmp_path_factory, data):
+    """Each channel's WAV, tiled into files whose start times jitter by one sample, with zero_fill gaps in some runs.
+
+    A chain without gaps gives the survey's own catalog, and one with gaps
+    that of its one-file twin, which holds zeros in them.
+    """
+    out = tmp_path_factory.mktemp("split")
+    manifests = open_manifest(noisy_survey.manifest_path)
+    jitter = st.sampled_from([-1, 0, 1])
+    shift = jitter | st.integers(2, 2000) if data.draw(st.booleans(), label="gaps") else jitter
+    cuts, shifts = {}, {}
+    for ch, cm in manifests.items():
+        cuts[ch] = sorted(data.draw(st.lists(st.integers(3, cm.n_samples - 3), max_size=5, unique=True),
+                                    label=f"cuts {ch}"))
+        edges = [0, *cuts[ch], cm.n_samples]
+        assume(all(b - a >= 3 for a, b in zip(edges, edges[1:])))  # jitter keeps the file order
+        shifts[ch] = [0, *(data.draw(shift, label=f"shift {ch}.{k}") for k in range(1, len(edges) - 1))]
+    chain, twin = split_survey(manifests, out, cuts, shifts)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(signal_io, "MAX_CHUNK_SAMPLES", data.draw(CHUNK_SAMPLES, label="chunk"))
-        catalog, report = run(RunConfig(out_path=out / "c.csv", detector=DETECTOR), open_manifest(out / "m.txt"))
-    assert catalog.read_bytes() == reference_catalog
-    assert check_catalog_cells(catalog, 16_000) == report.n_records == 2 * 4 * 3
+        if any(s > 1 for ch in shifts for s in shifts[ch]):
+            catalog, expected = catalogs(out, chain, twin)
+        else:
+            (catalog,), expected = catalogs(out, chain), reference_catalog
+    assert catalog == expected
+
+
+def test_a_chain_of_320_files_with_gaps_gives_the_catalog_of_its_one_file_twin(noisy_survey, tmp_path):
+    manifests = open_manifest(noisy_survey.manifest_path)
+    rng = np.random.default_rng(34)
+    cuts = {ch: list(range(2500, cm.n_samples, 2500)) for ch, cm in manifests.items()}
+    shifts = {ch: [0, *rng.choice([-1, 0, 1, 2, 500], size=len(cuts[ch])).tolist()] for ch in manifests}
+    chain, twin = split_survey(manifests, tmp_path, cuts, shifts)
+    assert [len(cm.files) for cm in chain.values()] == [320, 320]
+    assert all(cm.n_samples > manifests[ch].n_samples for ch, cm in chain.items())  # the gaps hold zeros
+    catalog, expected = catalogs(tmp_path, chain, twin)
+    assert catalog == expected
 
 
 def test_run_reads_and_filters_every_sample_once_per_task(noisy_survey, tmp_path, monkeypatch):

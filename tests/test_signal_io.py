@@ -1,5 +1,7 @@
+import math
 import struct
 import wave
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -333,27 +335,34 @@ def test_wide_gap_zero_fill_reads_zeros(tmp_path):
     assert np.all(counts[140:] == 6)
 
 
+# a file's shift from the end of the file before it, as the channel holds
+# that file: mostly a one-sample jitter or none, else a wider overlap or gap
+SHIFTS = st.integers(-1, 1) | st.integers(-1, 1) | st.integers(-3, 3) | st.integers(4, 500)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_gap_policy_is_applied_when_the_manifest_opens(tmp_path_factory, data):
-    # a chain of short files, each starting -3 to +3 samples after the
-    # previous file's nominal end, or after a wide gap, is opened under both
+    # a chain of short files, each starting a drawn shift after the end of
+    # the previous file as the channel holds it, is opened under both
     # policies: under error it either fails or tiles [0, n_samples), and
-    # reads back as its files' calibrated counts less their trimmed samples;
+    # reads back as its files' calibrated counts less their dropped samples;
     # under zero_fill every gap reads as zeros; and error refuses exactly
     # the chains that zero_fill opens with a gap
     out = tmp_path_factory.mktemp("chain")
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
     origin = data.draw(st.integers(0, 10**6), label="origin")
-    counts, starts, rows, nominal_end = {}, {}, [], origin
+    counts, starts, rows, end = {}, {}, [], origin
     for k in range(data.draw(st.integers(1, 6), label="files")):
-        shift = data.draw(st.integers(-3, 3) | st.integers(4, 500), label=f"shift {k}") if k else 0
+        shift = data.draw(SHIFTS, label=f"shift {k}") if k else 0
         x = rng.integers(1, 2048, size=data.draw(st.integers(4, 40), label=f"length {k}"), dtype=np.int16)
         write_wav(out / f"f{k}.wav", x, FS)
         counts[f"f{k}.wav"] = x
-        starts[f"f{k}.wav"] = nominal_end + shift - origin
-        rows.append(f"file 0 f{k}.wav {(nominal_end + shift) / FS!r}")
-        nominal_end += shift + len(x)
+        starts[f"f{k}.wav"] = end + shift - origin
+        rows.append(f"file 0 f{k}.wav {(end + shift) / FS!r}")
+        # a one-sample shift snaps to adjacency, dropping a repeated sample;
+        # a wider gap stays (a wider overlap fails the chain)
+        end += (shift if shift > 1 else 0) + len(x) - (shift == -1)
     rows = data.draw(st.permutations(rows), label="row order")
     opened = {}
     for policy in ("error", "zero_fill"):
@@ -368,14 +377,16 @@ def test_gap_policy_is_applied_when_the_manifest_opens(tmp_path_factory, data):
     cm = opened["zero_fill"]
     ppc = cm.calibration.pressure_per_count
     assert cm.origin == Fraction(repr(origin / FS)) and cm.files[0].start_index == 0
+    assert cm.n_samples == end - origin
     expected = np.zeros(cm.n_samples)
     for prev, f in zip((None, *cm.files), cm.files):
         gap = f.start_index - (0 if prev is None else prev.end_index)
-        assert f.trim in (0, 1) and gap >= 0 and gap != 1  # a one-sample gap snaps shut
+        dropped = len(counts[f.path.name]) - f.n_frames
+        assert dropped in (0, 1) and gap >= 0 and gap != 1  # a one-sample gap snaps shut
         # its kept samples sit where its start time puts them, or one sample
         # earlier when it snapped back over a one-sample gap
-        assert f.start_index - f.trim - starts[f.path.name] in (0, -1)
-        expected[f.start_index : f.end_index] = counts[f.path.name][f.trim :] * ppc
+        assert f.start_index - dropped - starts[f.path.name] in (0, -1)
+        expected[f.start_index : f.end_index] = counts[f.path.name][-f.n_frames :] * ppc
     assert np.array_equal(read_span(cm, 0, cm.n_samples), expected)
     gaps = any(prev.end_index < f.start_index for prev, f in zip(cm.files, cm.files[1:]))
     assert ("error" in opened) == (not gaps)
@@ -383,7 +394,7 @@ def test_gap_policy_is_applied_when_the_manifest_opens(tmp_path_factory, data):
         strict = opened["error"]
         assert strict.files[0].start_index == 0
         assert all(f.start_index == prev.end_index for prev, f in zip(strict.files, strict.files[1:]))
-        whole = np.concatenate([counts[f.path.name][f.trim :] for f in strict.files]) * ppc
+        whole = np.concatenate([counts[f.path.name][-f.n_frames :] for f in strict.files]) * ppc
         assert np.array_equal(read_span(strict, 0, strict.n_samples), whole)
 
 
@@ -412,6 +423,54 @@ def test_read_span_outside_coverage(tmp_path):
         read_span(cm, 0, 0)
     with pytest.raises(ValueError, match="out holds 9 samples, not 10"):
         read_span(cm, 0, 10, out=np.empty(9))
+
+
+class CountingFiles(tuple):
+    """A channel's file entries that count each entry a reader takes from them."""
+
+    touched = 0
+
+    def __getitem__(self, i):
+        self.touched += 1
+        return super().__getitem__(i)
+
+    def __iter__(self):
+        for entry in super().__iter__():
+            self.touched += 1
+            yield entry
+
+
+@pytest.mark.parametrize("n_files", [1, 10, 100, 1440])
+def test_a_read_touches_log2_files_entries_and_reads_each_part_once(tmp_path, monkeypatch, n_files):
+    # files of 50 frames every 60 samples under zero_fill; the read starts
+    # in the gap before the middle file and spans three files and two gaps,
+    # or with one file reads it whole
+    frames, period = 50, 60
+    counts = np.random.default_rng(n_files).integers(-2048, 2048, size=(n_files, frames), dtype=np.int16)
+    rows = ["calib 0 2048 126.0 zero_fill"]
+    for k in range(n_files):
+        write_wav(tmp_path / f"f{k}.wav", counts[k], FS)
+        rows.append(f"file 0 f{k}.wav {k * period / FS!r}")
+    cm = open_manifest(write_manifest(tmp_path / "m.txt", rows))[0]
+    whole = np.zeros(n_files * period)
+    whole.reshape(n_files, period)[:, :frames] = counts * cm.calibration.pressure_per_count
+    start = max(0, n_files // 2 * period - 5)
+    count = min(150, cm.n_samples - start)
+    parts = sum(f.start_index < start + count and f.end_index > start for f in cm.files)
+    files = CountingFiles(cm.files)
+    reads = []
+    real_fromfile = np.fromfile
+
+    def fromfile(path, *args, **kwargs):
+        reads.append(path)
+        return real_fromfile(path, *args, **kwargs)
+
+    monkeypatch.setattr(np, "fromfile", fromfile)
+    assert np.array_equal(read_span(replace(cm, files=files), start, count), whole[start : start + count])
+    assert len(reads) == parts
+    # the bisection's probes, the parts, the file that ends before the span
+    # and the one that stops the walk, and the last file for n_samples
+    assert files.touched <= math.ceil(math.log2(n_files + 1)) + parts + 3
 
 
 @settings(max_examples=100, deadline=None)
