@@ -127,7 +127,7 @@ def _read_config(path: str, rows: tuple[_Row, ...]) -> dict[str, object]:
         raise _UsageError(f"config file not found: {path}")
     types = {name: typ for name, typ, _, _ in rows}
     out: dict[str, object] = {}
-    for lineno, line in enumerate(p.read_text().splitlines(), start=1):
+    for lineno, line in enumerate(p.read_text(encoding="utf-8-sig").splitlines(), start=1):
         text = line.split("#", 1)[0].strip()
         if not text:
             continue

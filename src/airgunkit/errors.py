@@ -22,4 +22,4 @@ class MeasureError(AirgunkitError):
 
 
 class RunError(AirgunkitError):
-    """A batch run aborted; message carries per-task failure context."""
+    """A run cannot start or was aborted; the message names the stream that failed, if one did."""

@@ -1,32 +1,34 @@
 """Serial and parallel execution of the full extraction pipeline.
 
-The unit of parallelism is one (channel, weighting) task: one extract_stream
-pass reads, filters, detects and measures a single weighted stream into one
-TaskResult, and run maps the tasks in one loop, in process or through a
-worker pool.  The stream, weighted_chunks, is the one place a channel is
-read: it owns one buffer, reads each chunk into it and filters it there, and
-detect_pulses and the record builder scan and measure that buffer.  Tasks
-share nothing but read-only manifests, and both loops return results in
-preflight's catalog order, so the catalog bytes cannot depend on worker
-count or completion order.  Cumulative exposure stays exact under
-parallelism because each accumulator lives entirely inside one task.
+The unit of parallelism is one (channel, weighting) stream: one
+extract_stream pass reads, filters, detects and measures a single weighted
+stream into one TaskResult, its catalog rows and its RunStats counts, or
+raises RunError naming the stream.  run maps extract_stream over the
+streams, in process with ``map`` or through a ProcessPoolExecutor, and sums
+the counts into the report.  The stream, weighted_chunks, is the one place a
+channel is read: it owns one buffer, reads each chunk into it and filters it
+there, and detect_pulses and the record builder scan and measure that
+buffer.  Streams share nothing but read-only manifests, and both maps yield
+results in preflight's catalog order, so the catalog bytes cannot depend on
+worker count or completion order, and the first failed stream in that order
+is the one a run reports.  Cumulative exposure stays exact under parallelism
+because each accumulator lives entirely inside one stream.
 """
 
 from __future__ import annotations
 
-import contextlib
 import time
 from dataclasses import dataclass, field
 from numbers import Integral
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
 from . import signal_io
 from .errors import RunError
 from .pipeline import RecordBuilder, sort_records, write_catalog
-from .pulse_detect import MAX_EXCURSION_S, DetectorConfig, detect_pulses, search_hold
+from .pulse_detect import DetectorConfig, detect_pulses, search_hold
 from .signal_io import CHUNK_S, ChannelManifest, RollingBuffer, chunk_length
 from .weighting import CANONICAL_ORDER, WeightingKind, WeightingSpec, apply_filter, design_filter
 
@@ -36,7 +38,12 @@ PARALLEL_WORKERS = 4  # worker processes of a parallel run or bench unless given
 
 @dataclass(frozen=True)
 class RunConfig:
-    """One extraction run: what to process, how wide, where to write."""
+    """One extraction run: what to process, how wide, where to write.
+
+    A serial run extracts its streams one after another in this process; a
+    parallel one in a pool of ``worker_count`` processes, never more than it
+    has streams.  Either stops at its first failed stream.
+    """
 
     out_path: Path | str
     detector: DetectorConfig
@@ -73,16 +80,22 @@ class RunConfig:
             raise ValueError(f"run_id must not hold a comma, quote, CR or LF, got {self.run_id!r}")
 
 
+class RunStats(NamedTuple):
+    """The counts of one stream, or their sums over a run's streams."""
+
+    t_a_drops: int  # pulses dropped by the t_A spacing rule
+    cut_excursions: int  # excursions cut into MAX_EXCURSION_S pieces
+    filter_flushes: int  # weighting filter states flushed to zero
+
+
 @dataclass(frozen=True)
 class RuntimeReport:
     """Time accounting of one run, the same in serial and parallel mode.
 
     ``wall_seconds`` runs from the first task's start to the written
     catalog; ``task_seconds`` is the sum of the per-task times, which
-    ``per_channel_seconds`` splits by channel.  The counters sum the
-    per-task counts: pulses dropped by the t_A spacing rule, excursions cut
-    into MAX_EXCURSION_S pieces, and weighting filter states flushed to zero.
-    Every kept pulse is one catalog record.
+    ``per_channel_seconds`` splits by channel.  ``stats`` sums the streams'
+    counts.  Every kept pulse is one catalog record.
     """
 
     per_channel_seconds: dict[int, float]
@@ -92,9 +105,7 @@ class RuntimeReport:
     channel_hours: float
     n_records: int
     n_points: int
-    t_a_drops: int
-    cut_excursions: int
-    filter_flushes: int
+    stats: RunStats
 
     @property
     def n_pulses(self) -> int:
@@ -141,24 +152,18 @@ class weighted_chunks:
 
 @dataclass(frozen=True)
 class TaskResult:
-    """Outcome of one (channel, weighting) stream, or the error that ended it."""
+    """Outcome of one (channel, weighting) stream."""
 
     channel_id: int
     kind_value: str
-    seconds: float = 0.0
-    records: list[str] = field(default_factory=list, repr=False)  # one catalog row per kept pulse
-    t_a_drops: int = 0  # pulses dropped by the t_A spacing rule
-    cut_excursions: int = 0  # excursions cut into MAX_EXCURSION_S pieces
-    filter_flushes: int = 0  # weighting filter states flushed to zero
-    error: str | None = None
+    seconds: float
+    records: list[str] = field(repr=False)  # one catalog row per kept pulse
+    stats: RunStats
 
     def log_line(self) -> str:
-        if self.error is not None:
-            return f"channel {self.channel_id} {self.kind_value}: failed: {self.error}"
+        counts = ", ".join(f"{name}={n}" for name, n in self.stats._asdict().items())
         return (f"channel {self.channel_id} {self.kind_value}: {len(self.records)} pulses "
-                f"in {self.seconds:.1f}s, {self.t_a_drops} dropped by t_A spacing, "
-                f"{self.cut_excursions} excursions cut into {MAX_EXCURSION_S:g}-s pieces, "
-                f"{self.filter_flushes} filter flushes")
+                f"in {self.seconds:.1f}s, {counts}")
 
 
 def extract_stream(cm: ChannelManifest, kind: WeightingKind, detector: DetectorConfig) -> TaskResult:
@@ -167,14 +172,19 @@ def extract_stream(cm: ChannelManifest, kind: WeightingKind, detector: DetectorC
     Each chunk is read, calibrated and filtered once, in place in the
     stream's buffer, sized for the builder's hold, that detect_pulses
     decides anchors on; a RecordBuilder measures every kept pulse's energy
-    bounds, early window and late windows in the same buffer.
+    bounds, early window and late windows in the same buffer.  Any error
+    raises RunError naming the stream, so that a pool worker's error reaches
+    the parent with the stream it ended.
     """
     start = time.perf_counter()
-    builder = RecordBuilder(cm, kind)
-    chunks = weighted_chunks(cm, kind, hold=builder.hold)
-    detect_pulses(chunks, detector, builder)
-    return TaskResult(cm.channel_id, kind.value, time.perf_counter() - start, builder.records,
-                      builder.scanner.t_a_drops, builder.scanner.cut_excursions, chunks.state.flushes)
+    try:
+        builder = RecordBuilder(cm, kind)
+        chunks = weighted_chunks(cm, kind, hold=builder.hold)
+        detect_pulses(chunks, detector, builder)
+        stats = RunStats(builder.scanner.t_a_drops, builder.scanner.cut_excursions, chunks.state.flushes)
+    except Exception as exc:
+        raise RunError(f"run aborted: channel {cm.channel_id} {kind.value}: {type(exc).__name__}: {exc}") from exc
+    return TaskResult(cm.channel_id, kind.value, time.perf_counter() - start, builder.records, stats)
 
 
 def preflight(config: RunConfig, manifests: dict[int, ChannelManifest],
@@ -209,13 +219,21 @@ def preflight(config: RunConfig, manifests: dict[int, ChannelManifest],
     return streams
 
 
-def _run_task(args: tuple[ChannelManifest, WeightingKind, DetectorConfig]) -> TaskResult:
-    """Detect and measure one (channel, weighting) stream; never raises."""
-    cm, kind, detector = args
+def _pool_map(worker_count: int, *args) -> Iterator[TaskResult]:
+    """``map(*args)`` through ``worker_count`` processes, yielding in the order of the arguments.
+
+    A result that raises cancels the calls not yet started; a worker process
+    that dies raises RunError.
+    """
+    # imported only here, so a serial run never pays for the import
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
     try:
-        return extract_stream(cm, kind, detector)
-    except Exception as exc:  # propagate through the pool as data
-        return TaskResult(cm.channel_id, kind.value, error=f"{type(exc).__name__}: {exc}")
+        with ProcessPoolExecutor(worker_count) as pool:
+            yield from pool.map(*args)
+    except BrokenProcessPool as exc:
+        raise RunError(f"run aborted: {type(exc).__name__}: {exc}") from exc
 
 
 def run(
@@ -225,29 +243,24 @@ def run(
 ) -> tuple[Path, RuntimeReport]:
     """Execute the pipeline; returns the catalog path and runtime report.
 
-    Any task failure aborts the whole run with a per-task error report, and
-    no catalog file is left behind.  ``preflight`` checks the selection
-    before any task starts.
+    ``preflight`` checks the selection before any stream starts.  The first
+    stream in catalog order that fails aborts the run with its RunError, the
+    same in either mode: a serial run starts no stream after it, and a
+    parallel run cancels the streams not yet started.  A worker process that
+    dies aborts a parallel run with a RunError too.  No catalog file is left
+    behind.
     """
     streams = preflight(config, manifests)
-    tasks = [(cm, kind, config.detector) for cm, kind in streams]
-    worker_count = min(config.worker_count, len(tasks))  # never more processes than tasks
+    worker_count = min(config.worker_count, len(streams))  # never more processes than streams
 
     wall_start = time.perf_counter()
+    # extract_stream is looked up here, at each run, so a wrapper installed on this module is the one mapped
+    args = (extract_stream, *zip(*streams), [config.detector] * len(streams))
     results: list[TaskResult] = []
-    parallel = config.mode == "parallel"
-    if parallel:
-        import multiprocessing  # only here, so a serial run never pays for the import
-    with multiprocessing.Pool(worker_count) if parallel else contextlib.nullcontext() as pool:
-        for res in (pool.imap if parallel else map)(_run_task, tasks):
-            results.append(res)
-            if log:
-                log(res.log_line())
-
-    failures = [r for r in results if r.error is not None]
-    if failures:
-        lines = [f"channel {r.channel_id} {r.kind_value}: {r.error}" for r in failures]
-        raise RunError("run aborted; failed tasks:\n  " + "\n  ".join(lines))
+    for res in _pool_map(worker_count, *args) if config.mode == "parallel" else map(*args):
+        results.append(res)
+        if log:
+            log(res.log_line())
 
     per_channel: dict[int, float] = {cm.channel_id: 0.0 for cm, _ in streams}
     for r in results:
@@ -269,9 +282,7 @@ def run(
         channel_hours=sum(manifests[ch].duration_s for ch in per_channel) / 3600.0,
         n_records=sum(len(r.records) for r in results),
         n_points=n_points,
-        t_a_drops=sum(r.t_a_drops for r in results),
-        cut_excursions=sum(r.cut_excursions for r in results),
-        filter_flushes=sum(r.filter_flushes for r in results),
+        stats=RunStats(*map(sum, zip(*(r.stats for r in results)))),
     )
     return out_path, report
 
@@ -293,9 +304,7 @@ def report_text(report: RuntimeReport) -> str:
     lines.append(f"task_seconds={report.task_seconds:.3f}")
     lines.append(f"worker_count={report.worker_count}")
     lines.append(f"channel_hours={report.channel_hours:.6f}")
-    lines.append(f"t_a_drops={report.t_a_drops}")
-    lines.append(f"cut_excursions={report.cut_excursions}")
-    lines.append(f"filter_flushes={report.filter_flushes}")
+    lines += [f"{name}={n}" for name, n in report.stats._asdict().items()]
     lines.append(f"records={report.n_records}")
     lines.append(f"points={report.n_points}")
     return "\n".join(lines) + "\n"

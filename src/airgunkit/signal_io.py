@@ -291,7 +291,7 @@ def open_manifest(path: Path | str) -> dict[int, ChannelManifest]:
     policies: dict[int, str] = {}
     rows: dict[int, list[tuple[Path, Fraction]]] = {}
 
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, line in enumerate(path.read_text(encoding="utf-8-sig").splitlines(), start=1):
         text = line.split("#", 1)[0].strip()
         if not text:
             continue

@@ -1,6 +1,6 @@
+import concurrent.futures
 import csv
 import math
-import multiprocessing
 import re
 from fractions import Fraction
 
@@ -190,10 +190,10 @@ def pool_sizes(monkeypatch):
     started = []
 
     class SerialPool:
-        """Stands in for ``multiprocessing.Pool``: records ``processes``, maps in this process."""
+        """Stands in for ``concurrent.futures.ProcessPoolExecutor``: records ``max_workers``, maps in this process."""
 
-        def __init__(self, processes):
-            started.append(processes)
+        def __init__(self, max_workers):
+            started.append(max_workers)
 
         def __enter__(self):
             return self
@@ -201,8 +201,8 @@ def pool_sizes(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def imap(self, func, tasks):
-            return map(func, tasks)
+        def map(self, func, *iterables):
+            return map(func, *iterables)
 
-    monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     return started

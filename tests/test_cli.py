@@ -318,6 +318,23 @@ def test_bad_config_value_names_file_and_line(survey_dir, tmp_path, capsys):
         assert _effective(build_parser().parse_args(["extract", "--config", str(cfg)]))["dump_filters"] is want
 
 
+@pytest.mark.parametrize("kind", ["manifest", "config"])
+def test_a_utf8_byte_order_mark_does_not_change_what_a_file_says(survey_dir, tmp_path, kind):
+    # some editors save UTF-8 with a byte-order mark, which was read as part of the first word
+    def parse(mark):
+        if kind == "manifest":
+            path = survey_dir / f"manifest-{len(mark)}-mark.txt"  # beside the WAVs it names
+            path.write_text(mark + (survey_dir / "manifest.txt").read_text(), encoding="utf-8")
+            return {ch: replace(cm, manifest_path=None) for ch, cm in signal_io.open_manifest(path).items()}
+        path = tmp_path / f"config-{len(mark)}-mark.txt"
+        path.write_text(mark + "threshold_db = 110\n", encoding="utf-8")
+        return _effective(build_parser().parse_args(["extract", "--config", str(path)]))
+
+    plain = parse("")
+    assert parse("\ufeff") == plain
+    assert list(plain) == [0] if kind == "manifest" else plain["threshold_db"] == 110.0
+
+
 # 7000 and -7000 dB are finite, but 10**(dB/20) overflows or underflows
 _NON_FINITE = [("threshold_db", v) for v in ("nan", "inf", "-inf", "7000", "-7000")]
 _NON_FINITE += [("min_ipi_s", v) for v in ("nan", "inf")]

@@ -328,7 +328,7 @@ def test_extract_stream_matches_whole_buffer_reference(small_survey, monkeypatch
             assert len(ref_events) == spec.n_pulses
             got = extract_stream(cm, kind, detector)
             assert len(got.records) == len(ref_records)
-            assert got.t_a_drops == 0
+            assert got.stats.t_a_drops == 0
             assert got.records == ref_records
             checked += len(got.records)
     assert checked == 2 * 3 * spec.n_pulses
@@ -382,7 +382,7 @@ def test_largest_hold_is_an_open_excursion_behind_a_pending_record(tmp_path, mon
         monkeypatch.setattr(signal_io, "MAX_CHUNK_SAMPLES", chunk)
         holds.clear()
         res = extract_stream(cm, WeightingKind.LINEAR, DetectorConfig(threshold_db=100.0))
-        assert (len(res.records), res.cut_excursions) == (3, 1)
+        assert (len(res.records), res.stats.cut_excursions) == (3, 1)
         bound = (MAX_EXCURSION_S + SEARCH_BEFORE_S + LATE_WINDOW_S) * fs + chunk
         assert MAX_EXCURSION_S * fs < max(holds) <= bound, (chunk, max(holds) / fs)
 

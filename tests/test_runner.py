@@ -1,5 +1,7 @@
 import csv
+import multiprocessing
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -7,6 +9,7 @@ import wave
 from dataclasses import replace
 from itertools import zip_longest
 from pathlib import Path
+from signal import SIGKILL
 
 import numpy as np
 import pytest
@@ -127,10 +130,10 @@ def test_serial_run_counts(twelve_pulse_survey, tmp_path):
         sum(report.per_channel_seconds.values()), abs=1e-9
     )
     assert report.wall_seconds >= report.task_seconds
-    assert report.t_a_drops == 0
-    assert report.cut_excursions == 0
+    assert report.stats.t_a_drops == 0
+    assert report.stats.cut_excursions == 0
     # silence between pulses: each filtered band flushes once after each pulse
-    assert report.filter_flushes == 12 * 2
+    assert report.stats.filter_flushes == 12 * 2
     assert report.channel_hours == pytest.approx(125.0 / 3600.0, rel=1e-9)
     text = report_text(report)
     assert "records=36" in text
@@ -152,8 +155,10 @@ def test_run_logs_per_task(twelve_pulse_survey, tmp_path):
         manifests,
         log=lines.append,
     )
-    assert len(lines) == 3  # one per (channel, weighting) task
-    assert all("12 pulses" in ln for ln in lines)
+    # one per (channel, weighting) task, its counts named as in the summary
+    assert [re.sub(r" in \d+\.\ds,", " in Ts,", ln) for ln in lines] == [
+        f"channel 0 {kind}: 12 pulses in Ts, t_a_drops=0, cut_excursions=0, filter_flushes={flushes}"
+        for kind, flushes in (("linear", 0), ("lfc", 12), ("mfc", 12))]
 
 
 def test_weighting_subset(twelve_pulse_survey, tmp_path):
@@ -191,8 +196,8 @@ def test_t_a_spacing_drops_are_counted_and_logged(tmp_path):
         open_manifest(tmp_path / "m.txt"),
         log=lines.append,
     )
-    assert (report.n_records, report.t_a_drops) == (1, 1)
-    assert lines == [lines[0]] and "1 pulses" in lines[0] and "1 dropped by t_A spacing" in lines[0]
+    assert (report.n_records, report.stats.t_a_drops) == (1, 1)
+    assert lines == [lines[0]] and "1 pulses" in lines[0] and "t_a_drops=1," in lines[0]
 
 
 def test_cut_excursions_are_counted_and_logged(tmp_path):
@@ -208,8 +213,8 @@ def test_cut_excursions_are_counted_and_logged(tmp_path):
         open_manifest(tmp_path / "m.txt"),
         log=lines.append,
     )
-    assert (report.n_records, report.cut_excursions) == (3, 1)
-    assert "1 excursions cut into 15-s pieces" in lines[0]
+    assert (report.n_records, report.stats.cut_excursions) == (3, 1)
+    assert "cut_excursions=1," in lines[0]
     assert "cut_excursions=1" in report_text(report)
 
 
@@ -242,8 +247,9 @@ def test_paper_rate_catalog_recovers_the_analytic_truth(tmp_path, carrier_hz, no
 def test_parallel_matches_serial_bytes(small_survey, tmp_path, workers):
     spec, result = small_survey
     manifests = open_manifest(result.manifest_path)
+    slog, plog = [], []
     serial, srep = run(
-        RunConfig(out_path=tmp_path / "s.csv", detector=DETECTOR), manifests
+        RunConfig(out_path=tmp_path / "s.csv", detector=DETECTOR), manifests, log=slog.append
     )
     parallel, rep = run(
         RunConfig(
@@ -253,13 +259,16 @@ def test_parallel_matches_serial_bytes(small_survey, tmp_path, workers):
             worker_count=workers,
         ),
         manifests,
+        log=plog.append,
     )
     assert parallel.read_bytes() == serial.read_bytes()
     assert check_catalog_cells(serial, spec.sample_rate_hz) == srep.n_records
     assert rep.worker_count == workers
-    assert srep.filter_flushes > 0
-    counters = ("n_records", "n_points", "t_a_drops", "cut_excursions", "filter_flushes")
-    assert [getattr(rep, c) for c in counters] == [getattr(srep, c) for c in counters]
+    assert srep.stats.filter_flushes > 0
+    assert (rep.n_records, rep.n_points, rep.stats) == (srep.n_records, srep.n_points, srep.stats)
+    # the same lines in the same order, but for the task seconds
+    masked = [[re.sub(r" in \d+\.\ds,", " in Ts,", ln) for ln in log] for log in (slog, plog)]
+    assert masked[0] == masked[1] and len(masked[0]) == 6
     # both modes report wall time and summed task time apart
     assert rep.task_seconds == pytest.approx(sum(rep.per_channel_seconds.values()), abs=1e-9)
     assert rep.wall_seconds > 0.0
@@ -471,16 +480,80 @@ def test_failed_task_reports_and_leaves_no_catalog(tmp_path):
     assert not out.exists()
 
 
-def test_failed_task_logs_its_error_not_a_pulse_count(tmp_path):
-    spec = SurveySpec(channel_count=1, duration_s=30.0, noise_rms_upa=0.0, seed=7)
+def test_the_first_failed_stream_aborts_the_run_alike_in_both_modes(tmp_path, monkeypatch):
+    spec = SurveySpec(channel_count=2, duration_s=30.0, noise_rms_upa=0.0, seed=7)
     result = generate(spec, tmp_path / "svy")
     manifests = open_manifest(result.manifest_path)
     write_wav(result.wav_paths[0], np.zeros(100, dtype=np.int16), spec.sample_rate_hz)
-    lines = []
-    with pytest.raises(RunError, match="run aborted"):
-        run(RunConfig(out_path=tmp_path / "cat.csv", detector=DETECTOR), manifests, log=lines.append)
-    assert [ln.split(": failed: ")[0] for ln in lines] == [f"channel 0 {k.value}" for k in CANONICAL_ORDER]
-    assert all("AudioFormatError" in ln and "short read" in ln and "pulses" not in ln for ln in lines)
+    started, real_extract = [], runner.extract_stream
+
+    def extract(cm, kind, detector):
+        started.append((cm.channel_id, kind))
+        return real_extract(cm, kind, detector)
+
+    def aborted(mode, workers):
+        """The RunError text of a run in ``mode``, which must log no line and leave no catalog."""
+        lines, out = [], tmp_path / f"{mode}.csv"
+        with pytest.raises(RunError) as err:
+            run(RunConfig(out_path=out, detector=DETECTOR, mode=mode, worker_count=workers), manifests,
+                log=lines.append)
+        assert lines == [] and not out.exists()
+        return str(err.value)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(runner, "extract_stream", extract)  # a local function: serial only, as workers unpickle by name
+        serial = aborted("serial", 1)
+    assert started == [(0, WeightingKind.LINEAR)]  # no stream starts after the failed one
+    assert aborted("parallel", 2) == serial
+    assert serial.startswith("run aborted: channel 0 linear: AudioFormatError: ") and "short read" in serial
+
+
+# The child patches runner.extract_stream so that one stream's worker exits at
+# once, as one the OOM killer ends would, and runs a parallel run.  Forked
+# workers inherit the patch.
+_DEAD_WORKER = """
+import os, sys
+from airgunkit import runner
+from airgunkit.errors import RunError
+from airgunkit.pulse_detect import DetectorConfig
+from airgunkit.signal_io import open_manifest
+
+real_extract = runner.extract_stream
+
+
+def die_on_channel_1_lfc(cm, kind, detector):
+    if (cm.channel_id, kind.value) == (1, "lfc"):
+        os._exit(9)
+    return real_extract(cm, kind, detector)
+
+
+runner.extract_stream = die_on_channel_1_lfc
+config = runner.RunConfig(out_path=sys.argv[2], detector=DetectorConfig(100.0, 5.0), mode="parallel", worker_count=2)
+try:
+    runner.run(config, open_manifest(sys.argv[1]))
+except RunError as exc:
+    print(f"RunError: {exc}")
+"""
+
+
+@pytest.mark.skipif(multiprocessing.get_all_start_methods()[0] != "fork",
+                    reason="the pool's workers must be forked to inherit the patched extract_stream")
+def test_a_worker_that_dies_fails_the_run(small_survey, tmp_path):
+    _, result = small_survey
+    out = tmp_path / "c.csv"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(airgunkit.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
+    # a session of its own, so that a hung run and its workers are killed as one group
+    child = subprocess.Popen([sys.executable, "-c", _DEAD_WORKER, str(result.manifest_path), str(out)], env=env,
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, start_new_session=True)
+    try:
+        stdout, stderr = child.communicate(timeout=60)
+    except subprocess.TimeoutExpired:
+        os.killpg(child.pid, SIGKILL)
+        child.communicate()
+        pytest.fail("a parallel run whose worker died had not returned after 60 s")
+    assert stdout.startswith("RunError: run aborted: BrokenProcessPool: "), (stdout, stderr)
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -512,7 +585,7 @@ def test_flush_changes_only_cells_below_minus_100_db(small_survey, tmp_path, mon
     shipped_events = events_rows(manifests)
     monkeypatch.setattr(runner, "apply_filter", plain_sosfilt)
     oracle, report = run(RunConfig(out_path=tmp_path / "oracle.csv", detector=DETECTOR), manifests)
-    assert report.filter_flushes == 0
+    assert report.stats.filter_flushes == 0
     assert events_rows(manifests) == shipped_events
 
     changed = 0

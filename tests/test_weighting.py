@@ -498,7 +498,7 @@ def test_zero_fill_gap_flushes_and_catalog_does_not_depend_on_chunk_size(tmp_pat
         out, report = run(RunConfig(out_path=tmp_path / f"c{chunk}.csv", detector=detector), manifests)
         catalogs.add(out.read_bytes())
         # noise keeps the state up outside the gap: one flush per filtered band, in the gap
-        assert (report.n_records, report.filter_flushes) == (6, 2)
+        assert (report.n_records, report.stats.filter_flushes) == (6, 2)
     assert len(catalogs) == 1
 
 
@@ -538,7 +538,7 @@ def test_public_sosfilt_fallback_gives_the_same_bytes(tmp_path, monkeypatch):
         filtered = [run_chunked(kind, 16000.0, x, [700, 9000]) for kind in (WeightingKind.LFC, WeightingKind.MFC)]
         out, report = run(RunConfig(out_path=tmp_path / name, detector=detector), manifests)
         return ([(y.tobytes(), state.flushes, state.zi.tobytes()) for y, state in filtered],
-                out.read_bytes(), report.filter_flushes)
+                out.read_bytes(), report.stats.filter_flushes)
 
     kernel = outputs("kernel.csv")
     monkeypatch.setattr(weighting, "_sosfilt", weighting._public_sosfilt)
